@@ -57,14 +57,17 @@ from .gauge import (
     body_gauge,
     body_gauge_values,
     gauge_lipschitz_bound,
+    member_gauge_derivatives,
     member_gauges,
 )
 from .measure import (
     BoundaryMesh,
     boundary_mesh,
+    direction_grid,
     hausdorff_measure,
     off_text,
     polyline_json,
+    radial_function,
     ray_crossing,
     symmetric_difference_breakdown,
     symmetric_difference_measure,
@@ -83,6 +86,7 @@ from .smooth import (
     SmoothedBody,
     agreement_indicator,
     blended_gauge_sq,
+    blended_gauge_sq_many,
     blended_values,
     extract_smoothed_body,
     level_disagreement_scan,

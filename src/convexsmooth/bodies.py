@@ -19,8 +19,9 @@ from scipy.optimize import minimize
 from . import grids
 from .errors import InvalidBody
 
-# Absolute slack on |x - a_i| - R for membership tests. Boundary points
-# produced by bisection land within solver tolerance of the sphere.
+# Absolute slack on |x - a_i| - R for membership tests. Computed boundary
+# points land within rounding (closed-form radii) or solver tolerance
+# (ridge-tube radii) of the sphere.
 MEMBERSHIP_SLACK = 1e-12
 
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from . import grids
 from .bodies import BallBody, Body, contains, outward_normal
 from .errors import DomainViolation, InsufficientData, NotBallBody
-from .gauge import ball_gauge_derivatives, body_gauge, body_gauge_values
+from .gauge import ball_gauge_derivatives, body_gauge
+from .measure import direction_grid, radial_function
 from .project import project_body
 
 # Absolute margin below which a sampled inequality counts as violated.
@@ -146,19 +146,8 @@ def _boundary_samples(body: Body, samples: int) -> tuple[np.ndarray, np.ndarray]
     and corner points take the normalized average of their active
     constraints' normals, which is a valid selection in the normal cone.
     """
-    if body.dim == 2:
-        dirs = grids.circle_directions(max(int(samples), 4))
-    else:
-        dirs, _ = grids.icosphere(grids.icosphere_level_for(int(samples)))
-    if isinstance(body, BallBody):
-        radii = 1.0 / body_gauge_values(body, dirs)
-    else:
-        denom = dirs @ body.normals.T
-        with np.errstate(divide="ignore"):
-            cand = np.where(denom > 1e-14, body.offsets / denom, np.inf)
-        radii = np.min(cand, axis=1)
-        if not np.all(np.isfinite(radii)):
-            raise ValueError("halfspace body is unbounded along some ray")
+    dirs, _ = direction_grid(body.dim, samples, by_count=True)
+    radii = radial_function(body, dirs)
     pts = radii[:, None] * dirs
     normals = np.array([outward_normal(body, y) for y in pts])
     return pts, normals

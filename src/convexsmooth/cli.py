@@ -9,8 +9,7 @@ Commands::
     convexsmooth probe   --input probe.json --output outdir [--resolution N]
 
 Exit codes: 0 all-pass/success, 1 failed certificate or unmet epsilon
-bound, 2 input or validation errors. ``CONVEXSMOOTH_THREADS`` caps the
-internal data parallelism (the level scan); all sampling is driven by the
+bound, 2 input or validation errors. All sampling is driven by the
 single --seed stream, so identical configurations produce byte-identical
 reports.
 """
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +47,6 @@ class RunConfig:
     resolution: int | None = None
     seed: int = 0
     scan: int = 64
-    threads: int = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +202,6 @@ def _run_smooth(config: RunConfig) -> int:
         scan=config.scan,
         resolution=resolution,
         seed=config.seed,
-        workers=config.threads,
     )
     w_mesh = meas.boundary_mesh(body, resolution)
     we_mesh = meas.boundary_mesh(smoothed, resolution)
@@ -311,7 +307,6 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = int(os.environ.get("CONVEXSMOOTH_THREADS", "1") or "1")
     config = RunConfig(
         command=args.command,
         input=args.input,
@@ -322,7 +317,6 @@ def main(argv=None) -> int:
         resolution=args.resolution,
         seed=args.seed,
         scan=args.scan,
-        threads=max(1, threads),
     )
     return run(config)
 

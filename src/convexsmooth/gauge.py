@@ -118,11 +118,84 @@ class BodyGauge(NamedTuple):
     argmax_set: list[int]
 
 
+def _member_arrays(body: BallBody) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (m, n) and k_i = R^2 - |a_i|^2 (m,) of every member ball.
+
+    k_i is formed exactly as :func:`ball_gauge` forms it: it cancels badly
+    as |a_i| -> R, and the two kernels must round it alike to agree.
+    """
+    centers = body.centers
+    k = body.radius**2 - np.array([float(c @ c) for c in centers])
+    if np.any(k <= 0.0):
+        raise DegenerateBall(
+            "radius^2 - |center|^2 must be positive (origin interior to ball)"
+        )
+    return centers, k
+
+
+def _gauge_kernel(centers, k, xs):
+    """Shared core of the batched kernels: <x, a_i>, |x|^2, s and mu_i.
+
+    Shapes are (..., m) for x of shape (..., n), except |x|^2, which is
+    (..., 1). The arithmetic is the cancellation-free arrangement of
+    :func:`ball_gauge`, applied to all members at once.
+    """
+    xa = xs @ centers.T
+    xx = np.einsum("...i,...i->...", xs, xs)[..., None]
+    s = np.sqrt(xa * xa + k * xx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pos = xx / (s + xa)
+        neg = (s - xa) / k
+    val = np.where(xa >= 0.0, pos, neg)
+    val = np.where(xx == 0.0, 0.0, val)
+    return xa, xx, s, val
+
+
 def member_gauges(body: BallBody, x) -> np.ndarray:
-    """Gauge values of every member ball; shape (..., m) for x of shape (..., n)."""
-    xs = np.asarray(x, dtype=float)
-    vals = [ball_gauge(Ball(c, body.radius), xs) for c in body.centers]
-    return np.stack(np.broadcast_arrays(*vals), axis=-1) if body.num_balls > 1 else np.asarray(vals[0])[..., None]
+    """Gauge values of every member ball; shape (..., m) for x of shape (..., n).
+
+    One vectorized kernel over points and members. It matches a loop of
+    :func:`ball_gauge` calls to a few ulp times the gauge's condition number
+    in <x, a_i>, not bit for bit, because the matrix product sums the inner
+    products in another order.
+    """
+    centers, k = _member_arrays(body)
+    return _gauge_kernel(centers, k, np.asarray(x, dtype=float))[3]
+
+
+def member_gauge_derivatives(body: BallBody, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched :func:`ball_gauge_derivatives` over points and members.
+
+    For points of shape (N, n) returns the gauges (N, m), their gradients
+    (N, m, n) and the Hessians of the squared gauges (N, m, n, n), with the
+    same conventions at x = 0. Values are those of :func:`member_gauges`.
+    """
+    centers, k = _member_arrays(body)
+    xs = np.asarray(points, dtype=float)
+    n = centers.shape[1]
+    xa, xx, s, value = _gauge_kernel(centers, k, xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / s
+        offset = xs[:, None, :] - value[..., None] * centers
+        grad = scale[..., None] * offset
+        dscale = -(scale**3)[..., None] * (
+            xa[..., None] * centers + k[:, None] * xs[:, None, :]
+        )
+        hess_mu = dscale[..., :, None] * offset[..., None, :] + scale[..., None, None] * (
+            np.eye(n) - centers[:, :, None] * grad[..., None, :]
+        )
+        hess_mu = 0.5 * (hess_mu + np.swapaxes(hess_mu, -1, -2))
+        hess_sq = 2.0 * (grad[..., :, None] * grad[..., None, :]) + (
+            2.0 * value
+        )[..., None, None] * hess_mu
+        hess_sq = 0.5 * (hess_sq + np.swapaxes(hess_sq, -1, -2))
+    origin = xx[:, 0] == 0.0
+    if np.any(origin):
+        outer = centers[:, :, None] * centers[:, None, :]
+        hess0 = (4.0 * outer + 2.0 * k[:, None, None] * np.eye(n)) / (k * k)[:, None, None]
+        grad[origin] = 0.0
+        hess_sq[origin] = hess0
+    return value, grad, hess_sq
 
 
 def body_gauge(body: BallBody, x) -> BodyGauge:

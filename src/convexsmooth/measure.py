@@ -1,11 +1,14 @@
 """Star-shaped boundary meshes and surface-measure bookkeeping.
 
 Every body handled here is star-shaped about the origin, so its boundary
-is parametrized by a direction grid: one crossing radius per direction,
-segments between consecutive directions in 2D, icosphere triangles in 3D.
-Facet sums give the boundary measure; comparing two meshes on a shared
-grid (radius matching plus per-facet agreement flags) gives the measure of
-the symmetric difference of the two boundaries.
+is parametrized by a direction grid: one radius per direction, segments
+between consecutive directions in 2D, icosphere triangles in 3D. Radii
+come in closed form (:func:`radial_function`): the body gauge is
+1-homogeneous, so a ball body's boundary sits at 1/mu(u) along u, and a
+halfspace body's at the nearest face. Facet sums give the boundary
+measure; comparing two meshes on a shared grid (radius matching plus
+per-facet agreement flags) gives the measure of the symmetric difference
+of the two boundaries.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import grids
 from .bodies import BallBody, HalfspaceBody
-from .errors import BracketFailure, GridMismatch
+from .errors import BracketFailure, GridMismatch, InvalidBody
 from .gauge import body_gauge_values
 
 
@@ -102,21 +105,64 @@ class BoundaryMesh:
         return np.array(pairs, dtype=np.int64)
 
 
-def _grid_for(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direction grid and facet index array for the given dimension.
+# Dimensions with a direction grid, hence with meshes and boundary samples.
+MESH_DIMS = (2, 3)
+
+
+def check_mesh_dim(dim: int) -> None:
+    """Raise :class:`InvalidBody` unless meshing supports ``dim``."""
+    if dim not in MESH_DIMS:
+        raise InvalidBody(
+            f"meshing supports dim {' and '.join(map(str, MESH_DIMS))} only, got dim {dim}"
+        )
+
+
+def direction_grid(
+    dim: int, resolution: int, by_count: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit direction grid and facet index array for the given dimension.
 
     2D resolution counts directions (>= 16); 3D resolution is the icosphere
-    subdivision level (>= 2).
+    subdivision level (>= 2). With ``by_count`` the resolution is instead a
+    number of directions to reach: at least 4 evenly spaced ones in 2D,
+    the smallest icosphere with that many vertices in 3D (the sampled
+    certificates' convention). Other dimensions raise :class:`InvalidBody`.
     """
+    check_mesh_dim(dim)
+    if by_count:
+        if dim == 2:
+            count = max(int(resolution), 4)
+            return grids.circle_directions(count), grids.circle_facets(count)
+        return grids.icosphere(grids.icosphere_level_for(int(resolution)))
     if dim == 2:
         if resolution < 16:
             raise ValueError("2D resolution must be >= 16 directions")
         return grids.circle_directions(resolution), grids.circle_facets(resolution)
-    if dim == 3:
-        if resolution < 2:
-            raise ValueError("3D resolution (icosphere level) must be >= 2")
-        return grids.icosphere(resolution)
-    raise ValueError("meshing supports dim 2 and 3 only")
+    if resolution < 2:
+        raise ValueError("3D resolution (icosphere level) must be >= 2")
+    return grids.icosphere(resolution)
+
+
+def radial_function(body, directions: np.ndarray) -> np.ndarray:
+    """Boundary radius of a body along each unit direction, in closed form.
+
+    A ball body's gauge is 1-homogeneous, so the radius is 1/mu(u); a
+    halfspace body's is the nearest face, min offset/<normal, u> over the
+    faces the ray meets. Raises :class:`BracketFailure` when a halfspace
+    body is unbounded along some direction.
+    """
+    dirs = np.asarray(directions, dtype=float)
+    if isinstance(body, BallBody):
+        return 1.0 / body_gauge_values(body, dirs)
+    if isinstance(body, HalfspaceBody):
+        denom = dirs @ body.normals.T
+        with np.errstate(divide="ignore"):
+            cand = np.where(denom > 1e-14, body.offsets / denom, np.inf)
+        radii = np.min(cand, axis=1)
+        if not np.all(np.isfinite(radii)):
+            raise BracketFailure("halfspace body is unbounded along some ray")
+        return radii
+    raise TypeError(f"no radial function for a {type(body).__name__}")
 
 
 def batch_ray_crossings(
@@ -127,9 +173,12 @@ def batch_ray_crossings(
 ) -> np.ndarray:
     """Crossing radius per direction for a coercive sublevel function.
 
-    ``level_fn`` maps an (N, n) stack of points to (N,) values; it must be
-    below ``level`` at the origin and at or above it by ``max_radius`` along
-    every ray, otherwise :class:`BracketFailure` is raised.
+    Bisection on every ray at once. Meshing does not use it, since its
+    radii have closed forms; it stays as the reference the closed forms
+    are tested against. ``level_fn`` maps an (N, n) stack of points to
+    (N,) values; it must be below ``level`` at the origin and at or above
+    it by ``max_radius`` along every ray, otherwise :class:`BracketFailure`
+    is raised.
     """
     dirs = np.asarray(directions, dtype=float)
     n = dirs.shape[0]
@@ -187,11 +236,10 @@ def ray_crossing(
 def boundary_mesh(source, resolution: int) -> BoundaryMesh:
     """Mesh the boundary of a body or of a smoothed body.
 
-    BallBody boundaries are the unit level of the body gauge. Smoothed
-    bodies are meshed at their regular level and rescaled by it, realizing
-    the definition of the smoothed body as a shrunken level set; their
-    facets carry agreement flags. HalfspaceBody boundaries use the exact
-    polyhedral radial function.
+    BallBody and HalfspaceBody radii come from :func:`radial_function`.
+    Smoothed bodies are meshed at their regular level and rescaled by it,
+    realizing the definition of the smoothed body as a shrunken level set;
+    their facets carry agreement flags.
     """
     from .smooth import SmoothedBody, blended_level_mesh  # local: avoid cycle
 
@@ -199,24 +247,10 @@ def boundary_mesh(source, resolution: int) -> BoundaryMesh:
         return blended_level_mesh(
             source.gauge, source.t0, resolution, rescale=source.t0
         )
-
-    dirs, facets = _grid_for(source.dim, resolution)
-    if isinstance(source, BallBody):
-        radii = batch_ray_crossings(
-            lambda pts: body_gauge_values(source, pts),
-            dirs,
-            1.0,
-            10.0 * (2.0 * source.radius),
-        )
-    elif isinstance(source, HalfspaceBody):
-        denom = dirs @ source.normals.T
-        with np.errstate(divide="ignore"):
-            cand = np.where(denom > 1e-14, source.offsets / denom, np.inf)
-        radii = np.min(cand, axis=1)
-        if not np.all(np.isfinite(radii)):
-            raise BracketFailure("halfspace body is unbounded along some ray")
-    else:
+    if not isinstance(source, (BallBody, HalfspaceBody)):
         raise TypeError(f"cannot mesh a {type(source).__name__}")
+    dirs, facets = direction_grid(source.dim, resolution)
+    radii = radial_function(source, dirs)
     return BoundaryMesh(dim=source.dim, directions=dirs, radii=radii, facets=facets)
 
 

@@ -17,19 +17,24 @@ then yields an inscribed smooth strongly convex body whose boundary
 coincides with the original boundary outside a thin ridge tube; the level
 is picked by scanning candidates and keeping the one whose level set meets
 the disagreement region in the smallest measure.
+
+Level sets are meshed without bisection. Member gauges are 1-homogeneous,
+so along a ray r u every member squared gauge is r^2 q_i(u): off the tube
+the level-t crossing is exactly t/mu(u), and inside it the crossing solves
+a convex increasing equation in s = r^2, done by a monotone Newton
+iteration that reuses q(u).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .bodies import Ball, BallBody, _as_vector, contains_many, body_to_json
-from .errors import DegenerateEpsilon, ShrinkDelta
-from .gauge import ball_gauge_derivatives, member_gauges
+from .bodies import BallBody, _as_vector, contains_many, body_to_json
+from .errors import DegenerateEpsilon, NonConvergence, ShrinkDelta
+from .gauge import member_gauge_derivatives, member_gauges
 from . import measure as _measure
 
 Order = Literal["C11", "C2"]
@@ -40,6 +45,10 @@ RIDGE_GUARD = 1e-9
 
 # Default blend width is DEFAULT_DELTA_FACTOR * R^2 (squared-gauge units).
 DEFAULT_DELTA_FACTOR = 1e-3
+
+# Iteration cap of the tube solve; monotone Newton from the right
+# converges in well under ten steps for any blend width.
+_NEWTON_MAX_STEPS = 64
 
 _DEFAULT_MESH_RES = {2: 2048, 3: 4}
 _DEFAULT_SCAN_RES = {2: 512, 3: 3}
@@ -118,6 +127,41 @@ class BlendedGauge:
         return self.body.dim
 
 
+def _fold(sq, delta: float, order: Order, grad=None, hess=None):
+    """Fold member values, sorted descending on the last axis, pairwise
+    through the smoothed maximum; returns (value, grad, hess).
+
+    ``grad`` (..., m, p) and ``hess`` (..., m, p, p) optionally carry each
+    member's derivatives through the chain rule: child weights
+    w = (1 + phi')/2 and 1 - w, plus the PSD rank-one term
+    phi''/2 (g_acc - g_b)(g_acc - g_b)^T per blend. A step whose gap is at
+    least delta keeps the accumulator as is, so off-tube values reproduce
+    the exact maximum to the last bit.
+    """
+    acc = sq[..., 0]
+    acc_g = None if grad is None else grad[..., 0, :]
+    acc_h = None if hess is None else hess[..., 0, :, :]
+    for k in range(1, sq.shape[-1]):
+        b = sq[..., k]
+        t = acc - b  # >= 0: the accumulator dominates every later member
+        exact = t >= delta
+        phi, dphi, d2 = _phi_terms(t, delta, order)
+        if acc_g is not None:
+            w = (0.5 * (1.0 + dphi))[..., None]
+            b_g = grad[..., k, :]
+            if acc_h is not None:
+                diff = acc_g - b_g
+                blend_h = (
+                    w[..., None] * acc_h
+                    + (1.0 - w)[..., None] * hess[..., k, :, :]
+                    + (0.5 * d2)[..., None, None] * (diff[..., :, None] * diff[..., None, :])
+                )
+                acc_h = np.where(exact[..., None, None], acc_h, blend_h)
+            acc_g = np.where(exact[..., None], acc_g, w * acc_g + (1.0 - w) * b_g)
+        acc = np.where(exact, acc, 0.5 * (acc + b + phi))
+    return acc, acc_g, acc_h
+
+
 def blended_values(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
     """Blended squared gauge over an (N, n) batch of points.
 
@@ -126,49 +170,37 @@ def blended_values(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
     off-tube values reproduce the squared body gauge to the last bit.
     """
     sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
-    sq = -np.sort(-sq, axis=-1)
-    acc = sq[..., 0]
-    for k in range(1, sq.shape[-1]):
-        b = sq[..., k]
-        t = acc - b  # >= 0: the accumulator dominates every later member
-        phi, _, _ = _phi_terms(t, gauge.delta, gauge.order)
-        acc = np.where(t >= gauge.delta, acc, 0.5 * (acc + b + phi))
-    return acc
+    return _fold(-np.sort(-sq, axis=-1), gauge.delta, gauge.order)[0]
+
+
+def blended_gauge_sq_many(gauge: BlendedGauge, points: np.ndarray):
+    """Blended squared gauge with gradients and Hessians over (N, n) points.
+
+    Returns arrays of shapes (N,), (N, n) and (N, n, n). The fold's chain
+    rule keeps child weights in [0, 1] summing to one and adds a PSD
+    rank-one curvature term per blend, so every Hessian inherits the
+    members' strong-convexity floor 1/(2 R^2).
+    """
+    pts = np.asarray(points, dtype=float)
+    mu, grad, hess = member_gauge_derivatives(gauge.body, pts)
+    sq = mu**2
+    idx = np.argsort(-sq, axis=-1, kind="stable")
+    sq_grad = 2.0 * mu[..., None] * grad
+    return _fold(
+        np.take_along_axis(sq, idx, axis=-1),
+        gauge.delta,
+        gauge.order,
+        grad=np.take_along_axis(sq_grad, idx[..., None], axis=-2),
+        hess=np.take_along_axis(hess, idx[..., None, None], axis=-3),
+    )
 
 
 def blended_gauge_sq(gauge: BlendedGauge, x):
-    """Blended squared gauge with gradient and Hessian at one point.
-
-    The fold's chain rule keeps child weights in [0, 1] summing to one and
-    adds a PSD rank-one curvature term per blend, so the Hessian inherits
-    the members' strong-convexity floor 1/(2 R^2).
-    """
+    """Blended squared gauge with gradient and Hessian at one point
+    (:func:`blended_gauge_sq_many` on a batch of one)."""
     x = _as_vector(x, gauge.dim)
-    evs = [
-        ball_gauge_derivatives(Ball(c, gauge.body.radius), x)
-        for c in gauge.body.centers
-    ]
-    vals = np.array([e.value**2 for e in evs])
-    order_idx = np.argsort(-vals, kind="stable")
-
-    i0 = order_idx[0]
-    acc_v = float(vals[i0])
-    acc_g = 2.0 * evs[i0].value * evs[i0].grad
-    acc_h = evs[i0].hess_sq.copy()
-    for i in order_idx[1:]:
-        b_v = float(vals[i])
-        t = acc_v - b_v
-        if t >= gauge.delta:
-            continue
-        b_g = 2.0 * evs[i].value * evs[i].grad
-        b_h = evs[i].hess_sq
-        phi, dphi, d2 = _phi_terms(t, gauge.delta, gauge.order)
-        w = 0.5 * (1.0 + float(dphi))
-        diff = acc_g - b_g
-        acc_v = 0.5 * (acc_v + b_v + float(phi))
-        acc_g = w * acc_g + (1.0 - w) * b_g
-        acc_h = w * acc_h + (1.0 - w) * b_h + 0.5 * float(d2) * np.outer(diff, diff)
-    return acc_v, acc_g, acc_h
+    value, grad, hess = blended_gauge_sq_many(gauge, x[None, :])
+    return float(value[0]), grad[0], hess[0]
 
 
 def blended_h_values(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
@@ -203,36 +235,64 @@ def blended_level_mesh(
 ) -> _measure.BoundaryMesh:
     """Mesh the level set h = level, optionally rescaling radii by 1/rescale.
 
-    Agreement flags are evaluated at the unrescaled facet centroids, i.e.
-    on the level set itself.
+    The member squared gauges q_i(u) are computed once per grid direction.
+    Where the top-two gap at r = level/mu(u) is at least
+    delta * (1 + RIDGE_GUARD), every fold step is on its exact branch and
+    r is the crossing, in closed form; the rescaled radius is computed as
+    (level/rescale)/mu(u), which is 1/mu(u) to the bit when rescale equals
+    level, matching the original body's mesh. The remaining tube
+    directions are solved by :func:`_tube_radii`.
+
+    Agreement flags are evaluated on the level set itself: a vertex agrees
+    when its direction took the closed form, a facet when all its vertices
+    and its centroid agree.
     """
-    dirs, facets = _measure._grid_for(gauge.dim, resolution)
-    radii = _measure.batch_ray_crossings(
-        lambda pts: blended_h_values(gauge, pts),
-        dirs,
-        level,
-        10.0 * (2.0 * gauge.body.radius),
-    )
+    dirs, facets = _measure.direction_grid(gauge.dim, resolution)
+    mus = member_gauges(gauge.body, dirs)
+    mu = np.max(mus, axis=-1)
+    radii = level / mu
+    closed = np.ones(len(dirs), dtype=bool)
+    if mus.shape[-1] > 1:
+        sq = -np.sort(-(mus * mus), axis=-1)
+        closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
+        if not np.all(closed):
+            radii[~closed] = _tube_radii(gauge, sq[~closed], level)
+    out = radii
+    if rescale is not None:
+        out = (level / rescale) / mu
+        out[~closed] = radii[~closed] / rescale
     base = _measure.BoundaryMesh(
         dim=gauge.dim, directions=dirs, radii=radii, facets=facets
     )
-    flags = _facet_agreement(gauge, base)
-    out_radii = radii / rescale if rescale is not None else radii
+    flags = closed[facets].all(axis=1) & agreement_many(gauge, base.facet_centroids)
     return _measure.BoundaryMesh(
         dim=gauge.dim,
         directions=dirs,
-        radii=out_radii,
+        radii=out,
         facets=facets,
         agreement=flags,
     )
 
 
-def _facet_agreement(gauge: BlendedGauge, mesh: _measure.BoundaryMesh) -> np.ndarray:
-    """Per-facet agreement: the indicator must hold at every vertex and the
-    centroid, so an agree-flagged facet cannot straddle the blend tube."""
-    at_vertices = agreement_many(gauge, mesh.points)
-    at_centroids = agreement_many(gauge, mesh.facet_centroids)
-    return at_vertices[mesh.facets].all(axis=1) & at_centroids
+def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, level: float) -> np.ndarray:
+    """Level crossings along tube directions from their member squared gauges.
+
+    ``sq`` holds q_i(u) sorted descending per row. Along the ray the blend
+    is F(s) = fold(s q) with s = r^2: convex (each fold step is convex and
+    nondecreasing in both inputs) and increasing. Newton's method started
+    at s = level^2/q_1, where F(s) >= s q_1 = level^2, therefore stays at
+    or right of the root and decreases monotonically to it. No member
+    gauge is recomputed.
+    """
+    target = level * level
+    s = target / sq[:, 0]
+    for _ in range(_NEWTON_MAX_STEPS):
+        value, slope, _ = _fold(s[:, None] * sq, gauge.delta, gauge.order, grad=sq[..., None])
+        step = np.maximum((value - target) / slope[:, 0], 0.0)
+        s = s - step
+        if np.all(step <= 4.0 * np.finfo(float).eps * s):
+            return np.sqrt(s)
+    raise NonConvergence("tube radius solve did not converge")
 
 
 def level_disagreement_scan(
@@ -240,7 +300,6 @@ def level_disagreement_scan(
     epsilon: float,
     scan: int,
     resolution: int | None = None,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate levels in (1, 1 + epsilon) and their disagreement measures.
 
@@ -256,15 +315,12 @@ def level_disagreement_scan(
         resolution = _DEFAULT_SCAN_RES[gauge.dim]
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
 
-    def disagreement(t: float) -> float:
-        mesh = blended_level_mesh(gauge, t, resolution)
-        return _measure.hausdorff_measure(mesh, "disagree")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            measures = np.array(list(pool.map(disagreement, levels)))
-    else:
-        measures = np.array([disagreement(t) for t in levels])
+    measures = np.array(
+        [
+            _measure.hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
+            for t in levels
+        ]
+    )
     return levels, measures
 
 
@@ -273,7 +329,6 @@ def select_regular_value(
     epsilon: float,
     scan: int,
     resolution: int | None = None,
-    workers: int = 1,
 ) -> float:
     """Level in (1, 1 + epsilon) whose level set meets the tube least.
 
@@ -282,9 +337,7 @@ def select_regular_value(
     gradient on these level sets); the scan minimizes the disagreement
     measure, breaking ties toward the scan midpoint, then the lower level.
     """
-    levels, measures = level_disagreement_scan(
-        gauge, epsilon, scan, resolution=resolution, workers=workers
-    )
+    levels, measures = level_disagreement_scan(gauge, epsilon, scan, resolution=resolution)
     mid = 1.0 + epsilon / 2.0
     best = min(
         range(len(levels)),
@@ -341,7 +394,6 @@ def extract_smoothed_body(
     scan_resolution: int | None = None,
     check_samples: int = 2048,
     seed: int = 0,
-    workers: int = 1,
 ) -> SmoothedBody:
     """Run the full smoothing pipeline on a ball body.
 
@@ -350,9 +402,11 @@ def extract_smoothed_body(
     :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). The returned
     body records its verification data in ``checks``: containment of the
     sampled body in the original, the boundary staying inside the gauge
-    tube [1 - 5 eps, 1 + 5 eps], and the sampled Hessian floor.
+    tube [1 - 5 eps, 1 + 5 eps], and the sampled Hessian floor. Bodies
+    outside the meshing dimensions raise :class:`InvalidBody`.
     """
     _check_epsilon(epsilon)
+    _measure.check_mesh_dim(body.dim)
     if resolution is None:
         resolution = _DEFAULT_MESH_RES[body.dim]
     gauge = BlendedGauge(body=body, delta=delta, order=order)
@@ -370,9 +424,7 @@ def extract_smoothed_body(
             f"boundary measure {boundary_measure:.3e}; decrease delta"
         )
 
-    t0 = select_regular_value(
-        gauge, epsilon, scan, resolution=scan_resolution, workers=workers
-    )
+    t0 = select_regular_value(gauge, epsilon, scan, resolution=scan_resolution)
 
     we_mesh = blended_level_mesh(gauge, t0, resolution, rescale=t0)
     rng = np.random.default_rng(seed)
@@ -387,10 +439,8 @@ def extract_smoothed_body(
     )
 
     hess_idx = rng.integers(0, len(we_mesh.points), size=min(256, check_samples))
-    eig_min = np.inf
-    for i in hess_idx:
-        _, _, hess = blended_gauge_sq(gauge, t0 * we_mesh.points[i])
-        eig_min = min(eig_min, float(np.linalg.eigvalsh(hess)[0]))
+    _, _, hess = blended_gauge_sq_many(gauge, t0 * we_mesh.points[hess_idx])
+    eig_min = float(np.min(np.linalg.eigvalsh(hess)[:, 0], initial=np.inf))
 
     checks = {
         "contained": bool(np.all(inside)),

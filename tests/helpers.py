@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from convexsmooth import Ball, BallBody, contains
+from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
 from convexsmooth.gauge import body_gauge_values
+from convexsmooth.smooth import _phi_terms
 
 
 def gauge_by_bisection(ball: Ball, x, rel_tol: float = 1e-13) -> float:
@@ -64,6 +66,84 @@ def random_ball_body(
             continue
         centers.append(c)
     return BallBody(radius=radius, centers=np.array(centers), dim=dim)
+
+
+@st.composite
+def ball_bodies(draw, dims=(2, 3), max_balls: int = 5, min_interior: float = 1e-4):
+    """Hypothesis strategy for ball bodies, degenerate corners included.
+
+    Each center is free (|a| <= 0.9 R), close to the sphere of radius R
+    (|a| -> R, down to an interior radius of ``min_interior`` R), a near
+    copy of an earlier center (near-coincident balls, whose tie region
+    covers much of the boundary), or nearly opposite an earlier one (two
+    balls close to external tangency, a thin lens).
+    """
+    dim = draw(st.sampled_from(dims))
+    radius = draw(st.floats(0.5, 2.0))
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    unit = st.lists(coord, min_size=dim, max_size=dim).map(np.array).filter(
+        lambda v: np.linalg.norm(v) > 0.1
+    ).map(lambda v: v / np.linalg.norm(v))
+    limit = radius * (1.0 - min_interior)
+    centers: list[np.ndarray] = []
+    for _ in range(draw(st.integers(1, max_balls))):
+        kinds = ["free", "near_R"] + (["near_copy", "opposite"] if centers else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "free":
+            c = draw(unit) * draw(st.floats(0.0, 0.9)) * radius
+        elif kind == "near_R":
+            c = draw(unit) * (1.0 - 10.0 ** -draw(st.floats(1.0, 4.0))) * radius
+        else:
+            base = centers[draw(st.integers(0, len(centers) - 1))]
+            if kind == "opposite":
+                base = -base
+            c = base + draw(unit) * 10.0 ** draw(st.floats(-7.0, -2.0)) * radius
+        norm = np.linalg.norm(c)
+        if norm > limit:
+            c = c * (limit / norm)
+        centers.append(c)
+    return BallBody(radius=radius, centers=np.array(centers), dim=dim)
+
+
+def gauge_condition(body: BallBody, points: np.ndarray) -> np.ndarray:
+    """Relative condition number of each member gauge in <x, a_i>, (N, m).
+
+    The gauge's relative error per unit relative error of <x, a> is about
+    |x| |a| / s with s = sqrt(<x, a>^2 + k |x|^2). Two correct evaluations
+    that sum <x, a> in different orders differ by up to a few ulp times
+    1 + |x| |a| / s, which grows like |a|/sqrt(k) as |a| -> R.
+    """
+    xa = points @ body.centers.T
+    xx = np.einsum("ij,ij->i", points, points)[:, None]
+    k = body.radius**2 - np.einsum("ij,ij->i", body.centers, body.centers)
+    s = np.sqrt(xa * xa + k * xx)
+    return 1.0 + np.sqrt(xx) * np.linalg.norm(body.centers, axis=1) / s
+
+
+def blended_gauge_sq_reference(gauge, x):
+    """Blended squared gauge, gradient and Hessian at one point, folded
+    member by member from per-ball :func:`ball_gauge_derivatives` calls
+    (the scalar form of the batched fold)."""
+    evs = [ball_gauge_derivatives(Ball(c, gauge.body.radius), x) for c in gauge.body.centers]
+    vals = np.array([e.value**2 for e in evs])
+    order_idx = np.argsort(-vals, kind="stable")
+    i0 = order_idx[0]
+    acc_v = float(vals[i0])
+    acc_g = 2.0 * evs[i0].value * evs[i0].grad
+    acc_h = evs[i0].hess_sq.copy()
+    for i in order_idx[1:]:
+        b_v = float(vals[i])
+        t = acc_v - b_v
+        if t >= gauge.delta:
+            continue
+        b_g = 2.0 * evs[i].value * evs[i].grad
+        phi, dphi, d2 = _phi_terms(t, gauge.delta, gauge.order)
+        w = 0.5 * (1.0 + float(dphi))
+        diff = acc_g - b_g
+        acc_v = 0.5 * (acc_v + b_v + float(phi))
+        acc_g = w * acc_g + (1.0 - w) * b_g
+        acc_h = w * acc_h + (1.0 - w) * evs[i].hess_sq + 0.5 * float(d2) * np.outer(diff, diff)
+    return acc_v, acc_g, acc_h
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -157,3 +157,15 @@ def test_reports_are_deterministic(lens_file, tmp_path):
     (out / "report.json").unlink()
     assert main(args) == 0
     assert (out / "report.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["certify", "measure", "smooth"])
+def test_unsupported_dimension_exits_2_with_named_error(command, tmp_path, capsys):
+    body = tmp_path / "ball4.json"
+    body.write_text(
+        json.dumps({"dim": 4, "radius": 1.0, "centers": [[0.1, 0.0, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]]})
+    )
+    code = main([command, "--input", str(body), "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "meshing supports dim 2 and 3 only, got dim 4" in err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexsmooth import (
     Ball,
@@ -10,8 +11,25 @@ from convexsmooth import (
     body_gauge,
     contains,
     gauge_lipschitz_bound,
+    member_gauge_derivatives,
+    member_gauges,
 )
-from helpers import fd_gradient, fd_jacobian, gauge_by_bisection, random_ball_body
+from helpers import (
+    ball_bodies,
+    fd_gradient,
+    fd_jacobian,
+    gauge_by_bisection,
+    gauge_condition,
+    random_ball_body,
+)
+
+# Tolerances of the vectorized kernels against the per-ball reference
+# loops, fixed from the arithmetic before the kernels were written: the
+# same formulas, with <x, a> summed in another order (4 ulp relative, times
+# the gauge's condition number in <x, a>), and derivative data within
+# 1e-12 of its magnitude.
+KERNEL_ULPS = 4
+DERIVATIVE_REL_TOL = 1e-12
 
 
 def lens():
@@ -189,3 +207,53 @@ class TestLipschitzBound:
         quot = np.abs(body_gauge_values(body, xs) - body_gauge_values(body, ys))
         quot /= np.linalg.norm(xs - ys, axis=1)
         assert float(np.max(quot)) <= bound
+
+
+def _query_points(seed: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((40, dim)) * 10.0 ** rng.uniform(-2, 1, size=(40, 1))
+    return np.vstack([pts, np.zeros((1, dim))])
+
+
+class TestMemberKernels:
+    """The vectorized points x members kernels against per-ball loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=ball_bodies(max_balls=6, min_interior=1e-7), seed=st.integers(0, 2**32 - 1))
+    def test_member_gauges_match_ball_gauge_loop(self, body, seed):
+        pts = _query_points(seed, body.dim)
+        got = member_gauges(body, pts)
+        ref = np.stack([ball_gauge(b, pts) for b in body.balls()], axis=-1)
+        assert got.shape == (len(pts), body.num_balls)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = KERNEL_ULPS * np.finfo(float).eps * gauge_condition(body, pts) * ref
+        bound[-1] = 0.0  # the origin: both are exactly 0
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_member_gauges_of_one_point(self):
+        body = lens()
+        x = np.array([0.3, -0.7])
+        assert member_gauges(body, x).shape == (2,)
+        single = BallBody(radius=1.0, centers=[[0.1, 0.2]], dim=2)
+        assert member_gauges(single, x).shape == (1,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=ball_bodies(max_balls=5), seed=st.integers(0, 2**32 - 1))
+    def test_member_derivatives_match_ball_derivatives(self, body, seed):
+        pts = _query_points(seed, body.dim)
+        value, grad, hess = member_gauge_derivatives(body, pts)
+        assert np.array_equal(value, member_gauges(body, pts))
+        for j, ball in enumerate(body.balls()):
+            for i, x in enumerate(pts):
+                ev = ball_gauge_derivatives(ball, x)
+                for got, ref in ((grad[i, j], ev.grad), (hess[i, j], ev.hess_sq)):
+                    tol = DERIVATIVE_REL_TOL * max(1.0, float(np.abs(ref).max()))
+                    assert np.abs(got - ref).max() <= tol
+
+    def test_member_derivatives_origin_convention(self):
+        body = lens()
+        value, grad, hess = member_gauge_derivatives(body, np.zeros((1, 2)))
+        for j, ball in enumerate(body.balls()):
+            ev = ball_gauge_derivatives(ball, np.zeros(2))
+            assert value[0, j] == 0.0 and np.all(grad[0, j] == 0.0)
+            assert np.allclose(hess[0, j], ev.hess_sq, rtol=1e-15, atol=0.0)

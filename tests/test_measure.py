@@ -5,6 +5,7 @@ from convexsmooth import (
     BallBody,
     BracketFailure,
     GridMismatch,
+    InvalidBody,
     boundary_mesh,
     extract_smoothed_body,
     hausdorff_measure,
@@ -14,6 +15,8 @@ from convexsmooth import (
     symmetric_difference_measure,
 )
 from convexsmooth.gauge import body_gauge_values
+from convexsmooth.measure import direction_grid, radial_function
+from helpers import random_ball_body, unit_square
 
 
 def lens():
@@ -78,6 +81,27 @@ class TestBoundaryMesh:
         with pytest.raises(ValueError):
             boundary_mesh(unit_ball(3), 1)
 
+    def test_radii_are_the_closed_form(self):
+        body = lens()
+        mesh = boundary_mesh(body, 1000)
+        assert np.array_equal(mesh.radii, 1.0 / body_gauge_values(body, mesh.directions))
+        assert mesh.radii[0] == 0.5  # the lens waist along (1, 0)
+
+    def test_halfspace_radial_function(self):
+        square = unit_square(0.5)
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
+        assert np.allclose(radial_function(square, dirs), [0.5, 0.5, np.sqrt(0.5)], rtol=1e-15)
+        mesh = boundary_mesh(square, 400)
+        assert hausdorff_measure(mesh) == pytest.approx(4.0, rel=1e-12)
+
+    def test_unsupported_dimension(self):
+        with pytest.raises(InvalidBody, match="dim 2 and 3"):
+            boundary_mesh(unit_ball(4), 4)
+        with pytest.raises(InvalidBody, match="dim 2 and 3"):
+            direction_grid(4, 100, by_count=True)
+        with pytest.raises(InvalidBody, match="dim 2 and 3"):
+            extract_smoothed_body(unit_ball(4), delta=1e-3, epsilon=0.05)
+
 
 class TestHausdorffMeasure:
     def test_partition(self):
@@ -122,10 +146,30 @@ class TestSymmetricDifference:
         w = boundary_mesh(body, 2048)
         we = boundary_mesh(smoothed, 2048)
         agree_vertices = np.unique(we.facets[we.agreement])
-        rel = np.abs(w.radii[agree_vertices] - we.radii[agree_vertices])
-        rel /= w.radii[agree_vertices]
-        assert float(np.max(rel)) <= 1e-12
+        assert np.array_equal(w.radii[agree_vertices], we.radii[agree_vertices])
         assert np.any(~we.agreement)  # the lens does have a ridge tube
+
+    @pytest.mark.parametrize(
+        "body, resolution",
+        [
+            (lens(), 1024),
+            (BallBody(radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3), 3),
+            (random_ball_body(np.random.default_rng(21), 2, 6), 777),
+        ],
+        ids=["lens", "three-ball-3d", "six-ball-2d"],
+    )
+    @pytest.mark.parametrize("order", ["C11", "C2"])
+    def test_off_tube_radii_are_bit_exact(self, body, resolution, order):
+        # the rescaled off-tube radius is (t0/t0)/mu(u) = 1/mu(u), the
+        # original body's radius to the last bit
+        smoothed = extract_smoothed_body(
+            body, delta=1e-3, epsilon=0.05, order=order, resolution=resolution
+        )
+        w = boundary_mesh(body, resolution)
+        we = boundary_mesh(smoothed, resolution)
+        agree_vertices = np.unique(we.facets[we.agreement])
+        assert len(agree_vertices) > 0.9 * len(w.radii)
+        assert np.array_equal(w.radii[agree_vertices], we.radii[agree_vertices])
 
 
 class TestExports:

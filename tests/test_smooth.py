@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexsmooth import (
     BallBody,
@@ -8,6 +9,7 @@ from convexsmooth import (
     ShrinkDelta,
     agreement_indicator,
     blended_gauge_sq,
+    blended_gauge_sq_many,
     blended_values,
     boundary_mesh,
     contains,
@@ -17,8 +19,21 @@ from convexsmooth import (
     smooth_max,
 )
 from convexsmooth.gauge import body_gauge_values, member_gauges
-from convexsmooth.smooth import _phi_terms
-from helpers import fd_gradient, fd_jacobian, random_ball_body
+from convexsmooth.measure import batch_ray_crossings, direction_grid
+from convexsmooth.smooth import _phi_terms, blended_h_values, blended_level_mesh
+from helpers import (
+    ball_bodies,
+    blended_gauge_sq_reference,
+    fd_gradient,
+    fd_jacobian,
+    random_ball_body,
+)
+
+# Closed-form and Newton level-set radii against bisection, and batched
+# blend Hessians against the member-by-member fold; fixed before the
+# batched code was written.
+RADIUS_REL_TOL = 1e-14
+HESSIAN_TOL = 1e-12
 
 
 def lens():
@@ -174,6 +189,68 @@ class TestBlendedGauge:
             jumps[order] = float(np.abs(h_in - h_out).max())
         assert jumps["C2"] <= 1e-4
         assert jumps["C11"] > 1.0
+
+
+class TestBatchedBlend:
+    @pytest.mark.parametrize("order", ["C11", "C2"])
+    def test_batched_matches_member_by_member_fold(self, order):
+        rng = np.random.default_rng(11)
+        for dim in (2, 3):
+            body = random_ball_body(rng, dim, 5)
+            gauge = BlendedGauge(body=body, delta=0.05, order=order)
+            pts = rng.standard_normal((300, dim)) * rng.uniform(0.2, 1.5, size=(300, 1))
+            values, grads, hessians = blended_gauge_sq_many(gauge, pts)
+            in_tube = 0
+            for x, v, g, h in zip(pts, values, grads, hessians):
+                rv, rg, rh = blended_gauge_sq_reference(gauge, x)
+                in_tube += not agreement_indicator(gauge, x)
+                assert abs(v - rv) <= HESSIAN_TOL * max(1.0, abs(rv))
+                assert np.abs(g - rg).max() <= HESSIAN_TOL * max(1.0, np.abs(rg).max())
+                assert np.abs(h - rh).max() <= HESSIAN_TOL * max(1.0, np.abs(rh).max())
+            assert in_tube >= 10  # the blend branch is exercised, not only the max
+
+    def test_single_point_is_a_batch_of_one(self):
+        gauge = BlendedGauge(body=lens(), delta=0.08, order="C2")
+        pts = np.array([[0.01, 0.8], [0.9, 0.1], [-0.3, -0.6]])
+        values, grads, hessians = blended_gauge_sq_many(gauge, pts)
+        for i, x in enumerate(pts):
+            value, grad, hess = blended_gauge_sq(gauge, x)
+            assert isinstance(value, float)
+            assert value == pytest.approx(values[i], rel=1e-15)
+            assert np.allclose(grad, grads[i], rtol=1e-15, atol=0.0)
+            assert np.allclose(hess, hessians[i], rtol=1e-15, atol=0.0)
+
+
+class TestLevelMeshRadii:
+    """Closed-form and tube-solve radii of ``blended_level_mesh`` against
+    bisection of h along every grid direction (``batch_ray_crossings``)."""
+
+    @pytest.mark.parametrize("order", ["C11", "C2"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        body=ball_bodies(),
+        log_delta=st.floats(-4.0, -1.0),
+        level=st.floats(1.0, 1.25, exclude_min=True),
+        res2d=st.integers(16, 400),
+    )
+    def test_radii_match_bisection(self, order, body, log_delta, level, res2d):
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        resolution = res2d if body.dim == 2 else 2
+        mesh = blended_level_mesh(gauge, level, resolution)
+        dirs, _ = direction_grid(body.dim, resolution)
+        ref = batch_ray_crossings(
+            lambda p: blended_h_values(gauge, p), dirs, level, 20.0 * body.radius
+        )
+        assert np.array_equal(mesh.directions, dirs)
+        assert np.all(np.abs(mesh.radii - ref) <= RADIUS_REL_TOL * ref)
+
+    def test_rescaled_radii(self):
+        gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
+        plain = blended_level_mesh(gauge, 1.02, 512)
+        scaled = blended_level_mesh(gauge, 1.02, 512, rescale=1.02)
+        assert np.allclose(scaled.radii, plain.radii / 1.02, rtol=1e-15, atol=0.0)
+        assert np.array_equal(scaled.agreement, plain.agreement)
+        assert np.any(~plain.agreement)
 
 
 def _gap_values(body, pts):
