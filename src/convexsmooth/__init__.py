@@ -68,7 +68,6 @@ from .measure import (
     off_text,
     polyline_json,
     radial_function,
-    ray_crossing,
     symmetric_difference_breakdown,
     symmetric_difference_measure,
 )

@@ -281,7 +281,8 @@ def diameter(body: BallBody, *, directions_2d: int = 256, icosphere_level: int =
     Scans antipodal support values over a direction grid, inflates the grid
     maximum by the covering-angle secant (which dominates the true diameter
     for any convex set), and caps at 2R, an unconditional bound since the
-    body sits inside each generating ball.
+    body sits inside each generating ball. Outside dims 2 and 3 there is no
+    grid with a certified covering angle, and the 2R cap is returned.
     """
     if body.dim == 2:
         dirs = grids.circle_directions(directions_2d)
@@ -290,18 +291,11 @@ def diameter(body: BallBody, *, directions_2d: int = 256, icosphere_level: int =
         dirs, _ = grids.icosphere(icosphere_level)
         cover = grids.icosphere_covering_angle(icosphere_level)
     else:
-        dirs = _random_directions(body.dim, 4096)
-        cover = 0.35  # loose cover for n > 3; the 2R cap still applies
+        return 2.0 * body.radius
     breadth = max(
         support_value(body, u) + support_value(body, -u) for u in dirs
     )
     return float(min(breadth / np.cos(cover), 2.0 * body.radius))
-
-
-def _random_directions(dim: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

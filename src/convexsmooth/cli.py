@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,24 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_resolution(dim: int, resolution: int | None) -> int:
-    if resolution is not None:
-        return resolution
-    return 1024 if dim == 2 else 4
-
-
 def _config_echo(config: RunConfig) -> dict:
-    return {
-        "command": config.command,
-        "input": config.input,
-        "output": config.output,
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "order": config.order,
-        "resolution": config.resolution,
-        "seed": config.seed,
-        "scan": config.scan,
-    }
+    return asdict(config)
 
 
 def _write_report(config: RunConfig, report: dict) -> None:
@@ -192,7 +176,6 @@ def _run_smooth(config: RunConfig) -> int:
     if delta is None:
         delta = smth.DEFAULT_DELTA_FACTOR * body.radius**2
     order = "C2" if config.order == "c2" else "C11"
-    resolution = _default_resolution(body.dim, config.resolution)
 
     smoothed = smth.extract_smoothed_body(
         body,
@@ -200,11 +183,10 @@ def _run_smooth(config: RunConfig) -> int:
         epsilon=config.epsilon,
         order=order,
         scan=config.scan,
-        resolution=resolution,
+        resolution=config.resolution,
         seed=config.seed,
     )
-    w_mesh = meas.boundary_mesh(body, resolution)
-    we_mesh = meas.boundary_mesh(smoothed, resolution)
+    w_mesh, we_mesh = smoothed.meshes
     breakdown = meas.symmetric_difference_breakdown(w_mesh, we_mesh)
     symdiff = breakdown["combined"]
     boundary = meas.hausdorff_measure(w_mesh)
@@ -241,7 +223,10 @@ def _run_smooth(config: RunConfig) -> int:
 
 def _run_measure(config: RunConfig) -> int:
     body = body_from_json(json.loads(Path(config.input).read_text()))
-    resolution = _default_resolution(body.dim, config.resolution)
+    resolution = config.resolution
+    if resolution is None:
+        # an unsupported dim finds no default; boundary_mesh rejects it
+        resolution = meas._DEFAULT_RESOLUTION.get(body.dim)
     mesh = meas.boundary_mesh(body, resolution)
     mesh_file = _write_mesh(config, mesh)
     _write_report(
@@ -307,18 +292,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input=args.input,
-        output=args.output,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        order=args.order,
-        resolution=args.resolution,
-        seed=args.seed,
-        scan=args.scan,
-    )
-    return run(config)
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

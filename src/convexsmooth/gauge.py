@@ -138,9 +138,14 @@ def _gauge_kernel(centers, k, xs):
 
     Shapes are (..., m) for x of shape (..., n), except |x|^2, which is
     (..., 1). The arithmetic is the cancellation-free arrangement of
-    :func:`ball_gauge`, applied to all members at once.
+    :func:`ball_gauge`, applied to all members at once. <x, a_i> is summed
+    coordinate by coordinate in a fixed order, so a point gets the same
+    bits alone as inside any batch; a matrix product rounds a one-row
+    batch differently from a many-row one.
     """
-    xa = xs @ centers.T
+    xa = xs[..., :1] * centers[:, 0]
+    for j in range(1, centers.shape[1]):
+        xa = xa + xs[..., j : j + 1] * centers[:, j]
     xx = np.einsum("...i,...i->...", xs, xs)[..., None]
     s = np.sqrt(xa * xa + k * xx)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,10 +159,11 @@ def _gauge_kernel(centers, k, xs):
 def member_gauges(body: BallBody, x) -> np.ndarray:
     """Gauge values of every member ball; shape (..., m) for x of shape (..., n).
 
-    One vectorized kernel over points and members. It matches a loop of
-    :func:`ball_gauge` calls to a few ulp times the gauge's condition number
-    in <x, a_i>, not bit for bit, because the matrix product sums the inner
-    products in another order.
+    One vectorized kernel over points and members, independent of batch
+    shape: each row equals the kernel applied to that point alone, bit for
+    bit. It matches a loop of :func:`ball_gauge` calls to a few ulp times
+    the gauge's condition number in <x, a_i>, not bit for bit, because
+    :func:`ball_gauge` may sum the inner products in another order.
     """
     centers, k = _member_arrays(body)
     return _gauge_kernel(centers, k, np.asarray(x, dtype=float))[3]

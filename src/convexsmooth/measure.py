@@ -108,6 +108,9 @@ class BoundaryMesh:
 # Dimensions with a direction grid, hence with meshes and boundary samples.
 MESH_DIMS = (2, 3)
 
+# Mesh resolution when none is given: directions in 2D, icosphere level in 3D.
+_DEFAULT_RESOLUTION = {2: 1024, 3: 4}
+
 
 def check_mesh_dim(dim: int) -> None:
     """Raise :class:`InvalidBody` unless meshing supports ``dim``."""
@@ -195,40 +198,6 @@ def batch_ray_crossings(
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.max((hi - lo) / np.maximum(hi, 1e-300)) < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
-def ray_crossing(
-    level_fn: Callable[[np.ndarray], float],
-    direction,
-    level: float,
-    max_radius: float = 1e6,
-) -> float:
-    """Radius r with level_fn(r * direction) = level along one ray.
-
-    Exponential bracketing followed by bisection; the returned radius
-    satisfies |level_fn(r * direction) - level| <= 1e-12 * level for any
-    continuous level function crossing the level once.
-    """
-    d = np.asarray(direction, dtype=float)
-    if level_fn(0.0 * d) >= level:
-        raise BracketFailure("level function must start below the level at 0")
-    hi = max_radius * 2.0**-24
-    while level_fn(hi * d) < level:
-        hi *= 2.0
-        if hi > max_radius:
-            raise BracketFailure(
-                f"no level crossing below radius {max_radius:g}"
-            )
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if level_fn(mid * d) < level:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-16 * hi:
             break
     return 0.5 * (lo + hi)
 

@@ -50,7 +50,6 @@ DEFAULT_DELTA_FACTOR = 1e-3
 # converges in well under ten steps for any blend width.
 _NEWTON_MAX_STEPS = 64
 
-_DEFAULT_MESH_RES = {2: 2048, 3: 4}
 _DEFAULT_SCAN_RES = {2: 512, 3: 3}
 
 
@@ -227,20 +226,16 @@ def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
     return gap >= gauge.delta * (1.0 + RIDGE_GUARD)
 
 
-def blended_level_mesh(
-    gauge: BlendedGauge,
-    level: float,
-    resolution: int,
-    rescale: float | None = None,
-) -> _measure.BoundaryMesh:
-    """Mesh the level set h = level, optionally rescaling radii by 1/rescale.
+def _level_mesher(gauge: BlendedGauge, resolution: int):
+    """Mesher of the level sets h = t over one direction grid.
 
-    The member squared gauges q_i(u) are computed once per grid direction.
-    Where the top-two gap at r = level/mu(u) is at least
-    delta * (1 + RIDGE_GUARD), every fold step is on its exact branch and
-    r is the crossing, in closed form; the rescaled radius is computed as
-    (level/rescale)/mu(u), which is 1/mu(u) to the bit when rescale equals
-    level, matching the original body's mesh. The remaining tube
+    The grid and the member squared gauges q_i(u), sorted descending, are
+    computed once; the returned ``mesh(level, rescale=None)`` then meshes
+    any level from them. Where the top-two gap at r = level/mu(u) is at
+    least delta * (1 + RIDGE_GUARD), every fold step is on its exact branch
+    and r is the crossing, in closed form; the rescaled radius is computed
+    as (level/rescale)/mu(u), which is 1/mu(u) to the bit when rescale
+    equals level, matching the original body's mesh. The remaining tube
     directions are solved by :func:`_tube_radii`.
 
     Agreement flags are evaluated on the level set itself: a vertex agrees
@@ -250,28 +245,37 @@ def blended_level_mesh(
     dirs, facets = _measure.direction_grid(gauge.dim, resolution)
     mus = member_gauges(gauge.body, dirs)
     mu = np.max(mus, axis=-1)
-    radii = level / mu
-    closed = np.ones(len(dirs), dtype=bool)
-    if mus.shape[-1] > 1:
-        sq = -np.sort(-(mus * mus), axis=-1)
-        closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
-        if not np.all(closed):
-            radii[~closed] = _tube_radii(gauge, sq[~closed], level)
-    out = radii
-    if rescale is not None:
-        out = (level / rescale) / mu
-        out[~closed] = radii[~closed] / rescale
-    base = _measure.BoundaryMesh(
-        dim=gauge.dim, directions=dirs, radii=radii, facets=facets
-    )
-    flags = closed[facets].all(axis=1) & agreement_many(gauge, base.facet_centroids)
-    return _measure.BoundaryMesh(
-        dim=gauge.dim,
-        directions=dirs,
-        radii=out,
-        facets=facets,
-        agreement=flags,
-    )
+    sq = -np.sort(-(mus * mus), axis=-1) if mus.shape[-1] > 1 else None
+
+    def mesh(level: float, rescale: float | None = None) -> _measure.BoundaryMesh:
+        radii = level / mu
+        closed = np.ones(len(dirs), dtype=bool)
+        if sq is not None:
+            closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
+            if not np.all(closed):
+                radii[~closed] = _tube_radii(gauge, sq[~closed], level)
+        centroids = (radii[:, None] * dirs)[facets].mean(axis=1)
+        flags = closed[facets].all(axis=1) & agreement_many(gauge, centroids)
+        if rescale is not None:
+            tube = radii[~closed] / rescale
+            radii = (level / rescale) / mu
+            radii[~closed] = tube
+        return _measure.BoundaryMesh(
+            dim=gauge.dim, directions=dirs, radii=radii, facets=facets, agreement=flags
+        )
+
+    return mesh
+
+
+def blended_level_mesh(
+    gauge: BlendedGauge,
+    level: float,
+    resolution: int,
+    rescale: float | None = None,
+) -> _measure.BoundaryMesh:
+    """Mesh the level set h = level, optionally rescaling radii by 1/rescale
+    (one level of :func:`_level_mesher`)."""
+    return _level_mesher(gauge, resolution)(level, rescale)
 
 
 def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, level: float) -> np.ndarray:
@@ -304,9 +308,10 @@ def level_disagreement_scan(
     """Candidate levels in (1, 1 + epsilon) and their disagreement measures.
 
     Each candidate level set of h is meshed and the measure of its portion
-    inside the blend tube (agreement flag false) is summed. The minimum
-    over candidates is at most the scan average, which is the discrete form
-    of slicing a small-measure tube by many levels.
+    inside the blend tube (agreement flag false) is summed; every level
+    shares one grid and its member gauges (:func:`_level_mesher`). The
+    minimum over candidates is at most the scan average, which is the
+    discrete form of slicing a small-measure tube by many levels.
     """
     _check_epsilon(epsilon)
     if scan < 8:
@@ -314,13 +319,8 @@ def level_disagreement_scan(
     if resolution is None:
         resolution = _DEFAULT_SCAN_RES[gauge.dim]
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
-
-    measures = np.array(
-        [
-            _measure.hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
-            for t in levels
-        ]
-    )
+    mesh = _level_mesher(gauge, resolution)
+    measures = np.array([_measure.hausdorff_measure(mesh(t), "disagree") for t in levels])
     return levels, measures
 
 
@@ -353,12 +353,17 @@ class SmoothedBody:
     The body is (1/t0) * {h <= t0} with h the square root of the blended
     squared gauge; it is contained in the original body, has the blend's
     smoothness, and its boundary coincides with the original boundary
-    wherever the agreement indicator holds.
+    wherever the agreement indicator holds. ``meshes`` holds the original
+    and the smoothed boundary mesh that :func:`extract_smoothed_body`
+    built on one grid, or None.
     """
 
     gauge: BlendedGauge
     t0: float
     checks: dict = field(default_factory=dict, compare=False)
+    meshes: tuple[_measure.BoundaryMesh, _measure.BoundaryMesh] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def body(self) -> BallBody:
@@ -402,13 +407,14 @@ def extract_smoothed_body(
     :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). The returned
     body records its verification data in ``checks``: containment of the
     sampled body in the original, the boundary staying inside the gauge
-    tube [1 - 5 eps, 1 + 5 eps], and the sampled Hessian floor. Bodies
-    outside the meshing dimensions raise :class:`InvalidBody`.
+    tube [1 - 5 eps, 1 + 5 eps], and the sampled Hessian floor; ``meshes``
+    holds the original and smoothed boundary meshes at ``resolution``.
+    Bodies outside the meshing dimensions raise :class:`InvalidBody`.
     """
     _check_epsilon(epsilon)
     _measure.check_mesh_dim(body.dim)
     if resolution is None:
-        resolution = _DEFAULT_MESH_RES[body.dim]
+        resolution = _measure._DEFAULT_RESOLUTION[body.dim]
     gauge = BlendedGauge(body=body, delta=delta, order=order)
 
     w_mesh = _measure.boundary_mesh(body, resolution)
@@ -451,4 +457,4 @@ def extract_smoothed_body(
         "tube_estimate": tube_estimate,
         "boundary_measure": boundary_measure,
     }
-    return SmoothedBody(gauge=gauge, t0=t0, checks=checks)
+    return SmoothedBody(gauge=gauge, t0=t0, checks=checks, meshes=(w_mesh, we_mesh))

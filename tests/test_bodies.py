@@ -100,6 +100,16 @@ class TestDiameter:
             )
             assert diameter(bigger) <= diameter(body) + 1e-9
 
+    def test_bound_holds_above_dim_3(self):
+        # 14 balls at +-0.6 e_i (i >= 2) in dim 8: the body meets the e1
+        # axis in [-0.8, 0.8] (s^2 + 0.36 <= 1), so its diameter is >= 1.6
+        dim = 8
+        centers = [s * 0.6 * np.eye(dim)[i] for i in range(1, dim) for s in (1.0, -1.0)]
+        body = BallBody(radius=1.0, centers=centers, dim=dim)
+        tip = 0.8 * np.eye(dim)[0]
+        assert contains(body, tip) and contains(body, -tip)
+        assert diameter(body) >= 1.6
+
 
 class TestNormalLift:
     def test_zero_slope(self):

@@ -5,15 +5,19 @@ from hypothesis import given, settings, strategies as st
 from convexsmooth import (
     Ball,
     BallBody,
+    BlendedGauge,
     DegenerateBall,
+    agreement_indicator,
     ball_gauge,
     ball_gauge_derivatives,
     body_gauge,
+    body_gauge_values,
     contains,
     gauge_lipschitz_bound,
     member_gauge_derivatives,
     member_gauges,
 )
+from convexsmooth.smooth import RIDGE_GUARD, agreement_many
 from helpers import (
     ball_bodies,
     fd_gradient,
@@ -229,6 +233,28 @@ class TestMemberKernels:
             bound = KERNEL_ULPS * np.finfo(float).eps * gauge_condition(body, pts) * ref
         bound[-1] = 0.0  # the origin: both are exactly 0
         assert np.all(np.abs(got - ref) <= bound)
+
+    def test_single_rows_match_the_batch_bit_for_bit(self):
+        # centers with |a| up to R(1 - 1e-6): <x, a> is ill-conditioned
+        # there, so any batch-dependent summation order shows in the gauge
+        rng = np.random.default_rng(2024)
+        for trial in range(48):
+            dim = 2 + trial % 3
+            radius = rng.uniform(0.5, 2.0)
+            u = rng.standard_normal((4, dim))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            centers = u * radius * (1.0 - 10.0 ** -rng.uniform(1.0, 6.0, size=(4, 1)))
+            body = BallBody(radius=radius, centers=centers, dim=dim)
+            pts = rng.standard_normal((64, dim)) * rng.uniform(0.2, 2.0, size=(64, 1))
+            batch = member_gauges(body, pts)
+            values = body_gauge_values(body, pts)
+            sq = -np.sort(-(batch**2), axis=1)
+            for i, x in enumerate(pts):
+                assert np.array_equal(member_gauges(body, x), batch[i])
+                assert body_gauge(body, x).value == values[i]
+                # a blend width that puts the agreement threshold at x's gap
+                gauge = BlendedGauge(body=body, delta=(sq[i, 0] - sq[i, 1]) / (1.0 + RIDGE_GUARD))
+                assert agreement_indicator(gauge, x) == agreement_many(gauge, pts)[i]
 
     def test_member_gauges_of_one_point(self):
         body = lens()

@@ -3,7 +3,6 @@ import pytest
 
 from convexsmooth import (
     BallBody,
-    BracketFailure,
     GridMismatch,
     InvalidBody,
     boundary_mesh,
@@ -11,7 +10,6 @@ from convexsmooth import (
     hausdorff_measure,
     off_text,
     polyline_json,
-    ray_crossing,
     symmetric_difference_measure,
 )
 from convexsmooth.gauge import body_gauge_values
@@ -25,38 +23,6 @@ def lens():
 
 def unit_ball(dim=2):
     return BallBody(radius=1.0, centers=[np.zeros(dim)], dim=dim)
-
-
-def gauge_fn(body):
-    return lambda p: float(body_gauge_values(body, np.atleast_2d(p))[0])
-
-
-class TestRayCrossing:
-    def test_unit_ball(self):
-        r = ray_crossing(gauge_fn(unit_ball()), [1.0, 0.0], 1.0, max_radius=20.0)
-        assert r == pytest.approx(1.0, rel=1e-12)
-
-    def test_lens_waist(self):
-        r = ray_crossing(gauge_fn(lens()), [1.0, 0.0], 1.0, max_radius=20.0)
-        assert r == pytest.approx(0.5, rel=1e-12)
-
-    def test_blended_single_ball_levels_are_spheres(self):
-        from convexsmooth import BlendedGauge
-        from convexsmooth.smooth import blended_h_values
-
-        gauge = BlendedGauge(body=unit_ball(), delta=1e-3, order="C2")
-        fn = lambda p: float(blended_h_values(gauge, np.atleast_2d(p))[0])
-        t0 = 1.02
-        r1 = ray_crossing(fn, [1.0, 0.0], t0, max_radius=20.0)
-        r2 = ray_crossing(fn, [0.6, 0.8], t0, max_radius=20.0)
-        assert r1 == pytest.approx(t0, rel=1e-12)
-        assert r2 == pytest.approx(r1, rel=1e-12)
-
-    def test_bracket_failure(self):
-        with pytest.raises(BracketFailure):
-            ray_crossing(lambda p: 0.0, [1.0, 0.0], 1.0, max_radius=8.0)
-        with pytest.raises(BracketFailure):
-            ray_crossing(lambda p: 2.0, [1.0, 0.0], 1.0, max_radius=8.0)
 
 
 class TestBoundaryMesh:

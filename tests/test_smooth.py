@@ -14,6 +14,7 @@ from convexsmooth import (
     boundary_mesh,
     contains,
     extract_smoothed_body,
+    hausdorff_measure,
     level_disagreement_scan,
     select_regular_value,
     smooth_max,
@@ -42,6 +43,11 @@ def lens():
 
 def single():
     return BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)
+
+
+THREE_BALL = BallBody(
+    radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3
+)
 
 
 class TestSmoothMax:
@@ -252,6 +258,13 @@ class TestLevelMeshRadii:
         assert np.array_equal(scaled.agreement, plain.agreement)
         assert np.any(~plain.agreement)
 
+    def test_blended_single_ball_levels_are_spheres(self):
+        gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
+        t0 = 1.02
+        mesh = blended_level_mesh(gauge, t0, 64)
+        assert np.allclose(mesh.radii, t0, rtol=1e-12, atol=0.0)
+        assert np.all(mesh.agreement)
+
 
 def _gap_values(body, pts):
     sq = member_gauges(body, pts) ** 2
@@ -302,6 +315,18 @@ class TestRegularValueSelection:
         _, measures = level_disagreement_scan(gauge, 0.05, 16, resolution=2048)
         assert measures.min() <= measures.mean() + 1e-15
 
+    @pytest.mark.parametrize(
+        "body, resolution",
+        [(lens(), 512), (THREE_BALL, 3), (random_ball_body(np.random.default_rng(21), 2, 6), 333)],
+        ids=["lens", "three-ball-3d", "six-ball-2d"],
+    )
+    def test_scan_measures_are_those_of_each_level_mesh(self, body, resolution):
+        gauge = BlendedGauge(body=body, delta=1e-3, order="C2")
+        levels, measures = level_disagreement_scan(gauge, 0.05, 16, resolution=resolution)
+        for t, m in zip(levels, measures):
+            assert m == hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
+        assert np.any(measures > 0.0)
+
     def test_epsilon_validation(self):
         gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
         for bad in (0.0, 0.25, 0.5, -0.1):
@@ -343,6 +368,22 @@ class TestExtract:
         shrink = rng.random((len(mesh.points), 1)) ** 0.5
         for p in np.vstack([mesh.points, mesh.points * shrink])[::7]:
             assert contains(body, p)
+
+    @pytest.mark.parametrize(
+        "body, resolution",
+        [(lens(), None), (lens(), 1000), (THREE_BALL, None), (THREE_BALL, 2)],
+        ids=["lens-default", "lens-1000", "three-ball-3d-default", "three-ball-3d-2"],
+    )
+    def test_returned_meshes_are_those_of_boundary_mesh(self, body, resolution):
+        smoothed = extract_smoothed_body(
+            body, delta=1e-3, epsilon=0.05, order="C2", resolution=resolution
+        )
+        res = resolution if resolution is not None else {2: 1024, 3: 4}[body.dim]
+        for built, ref in zip(smoothed.meshes, (boundary_mesh(body, res), boundary_mesh(smoothed, res))):
+            assert np.array_equal(built.directions, ref.directions)
+            assert np.array_equal(built.radii, ref.radii)
+            assert np.array_equal(built.agreement, ref.agreement)
+        assert not np.all(smoothed.meshes[1].agreement)
 
     def test_fat_tube_rejected(self):
         with pytest.raises(ShrinkDelta):
