@@ -2,10 +2,10 @@
 
 Provides closed-form gauges with derivatives, sampled certificates for
 the equivalent characterizations of strong convexity, metric projections
-(Dykstra over the ball family, boundary projection on its safe tube), a
-convexity-preserving smoothing pipeline producing inscribed C^{1,1}/C^2
-bodies, and boundary-measure bookkeeping for the symmetric difference the
-pipeline controls.
+(exact nearest points by active-set enumeration, boundary projection on
+its safe tube), a convexity-preserving smoothing pipeline producing
+inscribed C^{1,1}/C^2 bodies, and boundary-measure bookkeeping for the
+symmetric difference the pipeline controls.
 """
 
 from .bodies import (

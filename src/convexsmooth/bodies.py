@@ -10,18 +10,18 @@ rolling-ball property that the certificates check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import grids
 from .errors import InvalidBody
 
 # Absolute slack on |x - a_i| - R for membership tests. Computed boundary
-# points land within rounding (closed-form radii) or solver tolerance
-# (ridge-tube radii) of the sphere.
+# points land within rounding (closed-form radii, projections) or solver
+# tolerance (ridge-tube radii) of the sphere.
 MEMBERSHIP_SLACK = 1e-12
 
 
@@ -34,10 +34,29 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
+    """One vector or an (N, dim) batch as rows, and whether it was one vector."""
+    v = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(v)
+    if v.ndim > 2 or rows.shape[1] != dim:
+        raise ValueError(f"expected vectors of length {dim}, got shape {v.shape}")
+    return rows, v.ndim == 1
+
+
 def _frozen_array(value) -> np.ndarray:
     arr = np.array(value, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _fields_equal(self, other) -> bool:
+    """Dataclass equality that compares array fields by value."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name))
+        for f in fields(self)
+    )
 
 
 @dataclass(frozen=True)
@@ -46,6 +65,8 @@ class Ball:
 
     center: np.ndarray
     radius: float
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen_array(self.center))
@@ -77,6 +98,8 @@ class BallBody:
     radius: float
     centers: np.ndarray
     dim: int
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         centers = np.atleast_2d(np.array(self.centers, dtype=float))
@@ -123,6 +146,8 @@ class HalfspaceBody:
 
     normals: np.ndarray
     offsets: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         normals = np.atleast_2d(np.array(self.normals, dtype=float))
@@ -215,64 +240,73 @@ def outward_normal(body: Body, y, atol: float = 1e-7) -> np.ndarray:
     return n / norm
 
 
-def support_value(body: BallBody, direction) -> float:
-    """Support function max{<u, x> : x in body} for a unit direction.
+def _extreme_points(body: BallBody, W: np.ndarray, anchored: bool):
+    """Nearest-point (``anchored``) or support-point candidates per row of W.
 
-    Closed forms handle the generic cases (support attained on a single
-    sphere or on the intersection circle of two spheres); a constrained
-    solve covers the remaining corner configurations. The result carries a
-    tiny additive guard so it can be used as a certified upper bound.
+    Every affinely independent subset S of at most n centers whose spheres
+    meet cuts out an intersection sphere: centre c_S (the circumcentre of
+    a_S), radius r_S = sqrt(R^2 - |c_S - a_0|^2), lying in the affine plane
+    through c_S orthogonal to V_S = span(a_j - a_0). Each subset gives one
+    candidate, c_S + r_S w/|w| with w the part orthogonal to V_S of x - c_S
+    (rows of W are query points x) or of u (rows are directions u).
+
+    By KKT and Caratheodory the nearest point p of the body to an exterior
+    x satisfies x - p = sum_S lambda_i (p - a_i) with lambda >= 0 on such a
+    subset, so p is the nearest point of the intersection of the subset's
+    balls, hence of their intersection sphere: it is that subset's
+    candidate. The support point along u is its subset's candidate for the
+    same reason. Subsets whose differences a_j - a_0 have a singular value
+    at most 1e-14 R are skipped. Returns the candidates, (N, subsets, n),
+    and whether each lies in the body within ``MEMBERSHIP_SLACK``,
+    (N, subsets).
     """
-    u = _as_vector(direction, body.dim)
-    u = u / np.linalg.norm(u)
     R, A = body.radius, body.centers
+    m, n = A.shape
+    centres, radii, bases = [A], [np.full(m, R)], [np.zeros((m, n - 1, n))]
+    for k in range(2, min(m, n) + 1):
+        S = np.array(list(combinations(range(m), k)))
+        a0 = A[S[:, 0]]
+        D = A[S[:, 1:]] - a0[:, None, :]
+        U, sig, Vt = np.linalg.svd(D, full_matrices=False)
+        ok = sig[:, -1] > 1e-14 * R
+        a0, D, U, sig, Vt = a0[ok], D[ok], U[ok], sig[ok], Vt[ok]
+        # c_S - a_0 = Vt^T y with 2 <a_j - a_0, c_S - a_0> = |a_j - a_0|^2
+        y = np.einsum("sji,sj->si", U, 0.5 * np.einsum("sjd,sjd->sj", D, D)) / sig
+        r2 = R * R - np.einsum("si,si->s", y, y)
+        meet = r2 >= 0.0
+        centres.append(a0[meet] + np.einsum("si,sid->sd", y[meet], Vt[meet]))
+        radii.append(np.sqrt(r2[meet]))
+        bases.append(np.pad(Vt[meet], ((0, 0), (0, n - k), (0, 0))))
+    C, r, V = (np.concatenate(parts) for parts in (centres, radii, bases))
 
-    # single active sphere: x = a_i + R u
-    cand = A + R * u[None, :]
-    ok = contains_many(body, cand)
-    if np.any(ok):
-        return float(np.max(cand[ok] @ u)) + 1e-12 * R
-
-    # two active spheres: maximize over the intersection (n-2)-sphere
-    best = -np.inf
-    m = body.num_balls
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = A[j] - A[i]
-            dd = float(d @ d)
-            if dd >= (2 * R) ** 2 or dd == 0.0:
-                continue
-            c = 0.5 * (A[i] + A[j])
-            r = np.sqrt(R * R - 0.25 * dd)
-            w = u - (float(u @ d) / dd) * d
-            wn = np.linalg.norm(w)
-            x = c + (r / wn) * w if wn > 1e-14 else c
-            d_all = np.linalg.norm(x[None, :] - A, axis=1)
-            if np.all(d_all <= R + 1e-9 * R):
-                best = max(best, float(x @ u))
-    if best > -np.inf:
-        return best + 1e-9 * R
-
-    # corner case (three or more active spheres): constrained solve
-    x0 = u * (0.9 * body.interior_radius)
-    cons = [
-        {
-            "type": "ineq",
-            "fun": (lambda x, a=a: R * R - float((x - a) @ (x - a))),
-            "jac": (lambda x, a=a: -2.0 * (x - a)),
-        }
-        for a in A
-    ]
-    res = minimize(
-        lambda x: -float(x @ u),
-        x0,
-        jac=lambda x: -u,
-        constraints=cons,
-        method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-14},
+    w = W[:, None, :] - C if anchored else np.repeat(W[:, None, :], len(C), axis=1)
+    w -= np.einsum("sjd,nsj->nsd", V, np.einsum("sjd,nsd->nsj", V, w))
+    norm = np.linalg.norm(w, axis=2, keepdims=True)
+    unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
+    cand = C + r[:, None] * unit
+    # the membership test of contains_many, one center at a time to keep
+    # memory at the size of cand
+    feasible = np.all(
+        [np.linalg.norm(cand - a, axis=2) <= R + MEMBERSHIP_SLACK for a in A], axis=0
     )
-    violation = max(0.0, float(np.max(np.linalg.norm(res.x[None, :] - A, axis=1))) - R)
-    return float(res.x @ u) + violation + 1e-9 * R
+    return cand, feasible
+
+
+def support_value(body: BallBody, direction):
+    """Support function max{<u, x> : x in body} along one direction or an
+    (N, n) batch of them (normalized first).
+
+    Exact up to rounding: the support point is the candidate of its active
+    subset (see :func:`_extreme_points`), so the largest <u, p> over the
+    feasible candidates attains the maximum. A guard of 1e-12 R on top
+    makes the value a certified upper bound.
+    """
+    U, single = _as_rows(direction, body.dim)
+    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    cand, feasible = _extreme_points(body, U, anchored=False)
+    reach = np.where(feasible, np.einsum("nsd,nd->ns", cand, U), -np.inf)
+    h = np.max(reach, axis=1) + 1e-12 * body.radius
+    return float(h[0]) if single else h
 
 
 def diameter(body: BallBody, *, directions_2d: int = 256, icosphere_level: int = 3) -> float:
@@ -292,9 +326,8 @@ def diameter(body: BallBody, *, directions_2d: int = 256, icosphere_level: int =
         cover = grids.icosphere_covering_angle(icosphere_level)
     else:
         return 2.0 * body.radius
-    breadth = max(
-        support_value(body, u) + support_value(body, -u) for u in dirs
-    )
+    h = support_value(body, np.vstack([dirs, -dirs]))
+    breadth = float(np.max(h[: len(dirs)] + h[len(dirs) :]))
     return float(min(breadth / np.cos(cover), 2.0 * body.radius))
 
 

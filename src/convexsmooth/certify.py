@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from .bodies import BallBody, Body, contains, outward_normal
+from .bodies import BallBody, Body, outward_normal
 from .errors import DomainViolation, InsufficientData, NotBallBody
 from .gauge import ball_gauge_derivatives, body_gauge
 from .measure import direction_grid, radial_function
@@ -347,11 +347,5 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     pts, normals = _boundary_samples(body, normal_samples)
     offsets = np.einsum("ij,ij->i", normals, pts)
     halfspaces = np.column_stack([normals, -offsets])
-    hs = HalfspaceIntersection(halfspaces, np.zeros(body.dim))
-    gap = 0.0
-    for v in hs.intersections:
-        if contains(body, v):
-            continue
-        p = project_body(body, v, tol=1e-10)
-        gap = max(gap, float(np.linalg.norm(v - p)))
-    return gap
+    vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+    return float(np.max(np.linalg.norm(vertices - project_body(body, vertices), axis=1)))

@@ -1,29 +1,35 @@
 """Metric projections onto a body and onto its boundary.
 
-Projection onto the body itself uses Dykstra's scheme over the ball
-family: plain alternating projections converge to *a* point of the
-intersection, Dykstra's correction terms make the limit the nearest one.
-Projection onto the boundary is only guaranteed well defined on a tube
-whose width is set by the Lipschitz constant of the boundary normal
-field; inside that tube (and everywhere outside the body) it is
-2-Lipschitz.
+Both are closed forms, exact up to rounding, with no iteration and no
+tolerance. The nearest point of the body is active on at most n spheres,
+so it is the nearest feasible candidate of a short enumeration over
+sphere subsets (:func:`convexsmooth.bodies._extreme_points`). The nearest
+boundary point of an interior point is its radial projection onto the
+sphere of the ball whose boundary is closest. Projection onto the boundary
+is only guaranteed well defined on a tube whose width is set by the
+Lipschitz constant of the boundary normal field; inside that tube (and
+everywhere outside the body) it is 2-Lipschitz.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import grids
-from .bodies import Ball, BallBody, _as_vector, contains, outward_normal
-from .errors import NonConvergence, OutsideDomain, RayMiss
-from .gauge import body_gauge
+from .bodies import (
+    Ball,
+    BallBody,
+    _as_rows,
+    _as_vector,
+    _extreme_points,
+    contains,
+    contains_many,
+    outward_normal,
+)
+from .errors import OutsideDomain, RayMiss
 from .measure import BoundaryMesh, boundary_mesh
-
-ITERATION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -53,32 +59,25 @@ def project_ball(ball: Ball, x) -> np.ndarray:
     return ball.center + (ball.radius / d) * v
 
 
-def project_body(body: BallBody, x, tol: float = 1e-9) -> np.ndarray:
-    """Nearest point of the ball intersection, by Dykstra's algorithm.
+def project_body(body: BallBody, x) -> np.ndarray:
+    """Nearest point of the ball intersection, exact up to rounding.
 
-    Stops when consecutive full sweeps differ by less than tol/10; raises
-    :class:`NonConvergence` at the iteration cap. The result is inside the
-    body up to tol and within tol of the true projection.
+    Accepts one point or an (N, n) batch. Points in the body (within
+    ``MEMBERSHIP_SLACK``) come back unchanged, so the map is idempotent bit
+    for bit. Any other point goes to the nearest candidate of
+    :func:`convexsmooth.bodies._extreme_points` that lies in the body; by
+    KKT the true projection is one of them. There is no iteration, so no
+    tolerance and no :class:`NonConvergence`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = _as_vector(x, body.dim)
-    if contains(body, x):
-        return x.copy()
-    balls = body.balls()
-    p = x.copy()
-    corrections = np.zeros((len(balls), body.dim))
-    for _ in range(ITERATION_CAP):
-        p_prev = p.copy()
-        for i, ball in enumerate(balls):
-            y = p + corrections[i]
-            p = project_ball(ball, y)
-            corrections[i] = y - p
-        if np.linalg.norm(p - p_prev) < 0.1 * tol:
-            return p
-    raise NonConvergence(
-        f"Dykstra did not reach tol={tol:g} within {ITERATION_CAP} sweeps"
-    )
+    pts, single = _as_rows(x, body.dim)
+    out = pts.copy()
+    outside = ~contains_many(body, pts)
+    if np.any(outside):
+        q = pts[outside]
+        cand, feasible = _extreme_points(body, q, anchored=True)
+        dist = np.where(feasible, np.linalg.norm(cand - q[:, None, :], axis=2), np.inf)
+        out[outside] = cand[np.arange(len(q)), np.argmin(dist, axis=1)]
+    return out[0] if single else out
 
 
 def normal_lipschitz_estimate(mesh: BoundaryMesh) -> float:
@@ -106,88 +105,31 @@ def projection_domain(mesh: BoundaryMesh) -> ProjectionDomain:
     return ProjectionDomain(width=1.0 / (2.0 * lip), lip_normal=lip)
 
 
-def _radial_boundary(body: BallBody, u: np.ndarray) -> np.ndarray:
-    """Exact boundary point along direction u (gauge homogeneity)."""
-    return u / body_gauge(body, u).value
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def boundary_projection(
-    body: BallBody, mesh: BoundaryMesh, x, tol: float = 1e-9
-) -> np.ndarray:
+def boundary_projection(body: BallBody, mesh: BoundaryMesh, x) -> np.ndarray:
     """Nearest boundary point, on the domain where that is guaranteed.
 
-    Exterior points delegate to the body projection (which lands on the
-    boundary). Interior points must be closer to the boundary than the
-    mesh-estimated safe width, else :class:`OutsideDomain` is raised -- a
-    violated hypothesis, not a numerical failure. The interior search is a
-    golden-section refinement over ray directions, seeded by the nearest
-    mesh facet; star-shapedness brackets the minimizer.
+    Exterior points delegate to the body projection, which lands on the
+    boundary. An interior point x lies at distance d = min_i (R - |x - a_i|)
+    from the boundary, and B(x, d) is inside every ball, so its nearest
+    boundary point is the radial projection onto the sphere of a minimizing
+    ball: exact up to rounding. Interior points with d at or above the
+    mesh-estimated safe width raise :class:`OutsideDomain` -- a violated
+    hypothesis, not a numerical failure.
     """
     x = _as_vector(x, body.dim)
     if not contains(body, x):
-        return project_body(body, x, tol)
-
-    domain = projection_domain(mesh)
-    dist_to_boundary = float(np.min(np.linalg.norm(mesh.points - x, axis=1)))
-    if dist_to_boundary >= domain.width:
+        return project_body(body, x)
+    v = x - body.centers
+    dist = np.linalg.norm(v, axis=1)
+    i = int(np.argmax(dist))
+    depth = body.radius - float(dist[i])
+    width = projection_domain(mesh).width
+    if depth >= width:
         raise OutsideDomain(
-            f"interior point at boundary distance {dist_to_boundary:.6g} >= "
-            f"safe width {domain.width:.6g}"
+            f"interior point at boundary distance {depth:.6g} >= "
+            f"safe width {width:.6g}"
         )
-
-    seed = int(np.argmin(np.linalg.norm(mesh.points - x, axis=1)))
-    if body.dim == 2:
-        theta_seed = math.atan2(mesh.directions[seed, 1], mesh.directions[seed, 0])
-        span = 2.0 * (2.0 * math.pi / len(mesh.directions)) + 1e-3
-
-        def objective(theta: float) -> float:
-            u = np.array([math.cos(theta), math.sin(theta)])
-            return float(np.linalg.norm(x - _radial_boundary(body, u)))
-
-        theta = _golden_min(objective, theta_seed - span, theta_seed + span, tol=1e-13)
-        u = np.array([math.cos(theta), math.sin(theta)])
-        return _radial_boundary(body, u)
-
-    u0 = mesh.directions[seed]
-    e1 = np.cross(u0, [0.0, 0.0, 1.0])
-    if np.linalg.norm(e1) < 1e-9:
-        e1 = np.cross(u0, [0.0, 1.0, 0.0])
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u0, e1)
-
-    def objective3(t) -> float:
-        u = u0 + t[0] * e1 + t[1] * e2
-        u /= np.linalg.norm(u)
-        return float(np.linalg.norm(x - _radial_boundary(body, u)))
-
-    res = minimize(
-        objective3,
-        np.zeros(2),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 500},
-    )
-    u = u0 + res.x[0] * e1 + res.x[1] * e2
-    u /= np.linalg.norm(u)
-    return _radial_boundary(body, u)
+    return body.centers[i] + (body.radius / dist[i]) * v[i]
 
 
 def _ray_segments_2d(origin, direction, mesh: BoundaryMesh) -> float:
@@ -245,7 +187,6 @@ def boundary_surjectivity_probe(
     inner: BallBody,
     outer_mesh: BoundaryMesh,
     samples: int,
-    tol: float = 1e-9,
 ) -> tuple[float, dict]:
     """Check that projecting the outer boundary covers the inner boundary.
 
@@ -257,9 +198,9 @@ def boundary_surjectivity_probe(
     that the outer body does not enclose the inner one (or the mesh has a
     hole).
     """
-    inside = [contains(inner, v) for v in outer_mesh.points]
-    if any(inside):
-        k = inside.index(True)
+    inside = contains_many(inner, outer_mesh.points)
+    if np.any(inside):
+        k = int(np.argmax(inside))
         raise RayMiss(
             f"outer mesh vertex {outer_mesh.points[k].tolist()} lies inside the body"
         )
@@ -271,15 +212,14 @@ def boundary_surjectivity_probe(
     inner_mesh = boundary_mesh(inner, resolution)
     cross = _ray_segments_2d if inner.dim == 2 else _ray_triangles_3d
 
-    gaps = np.empty(len(inner_mesh.points))
+    hits = np.empty_like(inner_mesh.points)
     for k, x in enumerate(inner_mesh.points):
         nu = outward_normal(inner, x)
         t = cross(x, nu, outer_mesh)
         if not np.isfinite(t):
             raise RayMiss(f"ray from {x.tolist()} missed the outer mesh")
-        z = x + t * nu
-        back = project_body(inner, z, tol)
-        gaps[k] = np.linalg.norm(back - x)
+        hits[k] = x + t * nu
+    gaps = np.linalg.norm(project_body(inner, hits) - inner_mesh.points, axis=1)
 
     worst = int(np.argmax(gaps))
     report = {

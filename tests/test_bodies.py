@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexsmooth import (
+    Ball,
     BallBody,
     HalfspaceBody,
     InvalidBody,
@@ -12,8 +13,11 @@ from convexsmooth import (
     contains,
     diameter,
     normal_lift,
+    support_value,
 )
-from helpers import boundary_cloud, random_ball_body
+from convexsmooth.gauge import body_gauge_values
+from convexsmooth.grids import icosphere
+from helpers import boundary_cloud, random_ball_body, unit_square
 
 
 def lens():
@@ -50,6 +54,19 @@ class TestInvariants:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             for u in dirs[:50]:
                 assert contains(body, rho * (1 - 1e-9) * u)
+
+
+class TestEquality:
+    def test_equal_fields_compare_equal(self):
+        assert Ball([0.5, 0.0], 1.0) == Ball([0.5, 0.0], 1.0)
+        assert lens() == body_from_json(body_to_json(lens()))
+        assert unit_square() == unit_square()
+
+    def test_different_fields_compare_unequal(self):
+        assert Ball([0.5, 0.0], 1.0) != Ball([0.5, 0.0], 2.0)
+        assert lens() != BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.4, 0.0]], dim=2)
+        assert unit_square() != unit_square(half=0.6)
+        assert lens() != Ball([0.5, 0.0], 1.0)
 
 
 class TestContains:
@@ -109,6 +126,40 @@ class TestDiameter:
         tip = 0.8 * np.eye(dim)[0]
         assert contains(body, tip) and contains(body, -tip)
         assert diameter(body) >= 1.6
+
+
+class TestSupportValue:
+    def test_three_sphere_corner_3d(self):
+        # the three spheres meet at the corner (0, 0, sqrt(0.75)), and u lies
+        # inside the cone of their normals there: the support point is on
+        # no single sphere and on no pairwise intersection circle
+        theta = 2.0 * np.pi * np.arange(3) / 3.0
+        centers = 0.5 * np.column_stack([np.cos(theta), np.sin(theta), np.zeros(3)])
+        body = BallBody(radius=1.0, centers=centers, dim=3)
+        corner = np.array([0.0, 0.0, np.sqrt(0.75)])
+        u = np.array([0.1, 0.05, 1.0]) / np.linalg.norm([0.1, 0.05, 1.0])
+
+        # radial boundary sample: an icosphere plus rings closing in on the
+        # corner's direction, down to an angle of 1e-9
+        sphere, _ = icosphere(5)
+        tilt = np.geomspace(1e-9, 0.3, 200)[:, None]
+        phi = 2.0 * np.pi * np.arange(64) / 64.0
+        ring = np.stack([np.cos(phi), np.sin(phi), np.zeros(64)], axis=1)
+        near = (np.array([0.0, 0.0, 1.0]) + tilt[:, None] * ring[None]).reshape(-1, 3)
+        dirs = np.vstack([sphere, near / np.linalg.norm(near, axis=1, keepdims=True)])
+        sampled = np.max(dirs / body_gauge_values(body, dirs)[:, None] @ u)
+
+        h = support_value(body, u)
+        assert sampled <= h <= sampled + 1e-6
+        assert h == pytest.approx(u @ corner + 1e-12, abs=1e-15)
+
+
+    def test_batch_matches_single_directions(self):
+        body = random_ball_body(np.random.default_rng(8), 3, 5)
+        dirs = np.random.default_rng(9).standard_normal((30, 3))
+        batch = support_value(body, dirs)
+        assert batch.shape == (30,)
+        assert np.array_equal(batch, [support_value(body, u) for u in dirs])
 
 
 class TestNormalLift:

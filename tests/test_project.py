@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 
 from convexsmooth import (
     Ball,
@@ -17,7 +19,9 @@ from convexsmooth import (
     project_body,
     projection_domain,
 )
-from helpers import boundary_cloud, brute_distance
+from convexsmooth.bodies import MEMBERSHIP_SLACK
+from convexsmooth.gauge import body_gauge_values
+from helpers import ball_bodies, boundary_cloud, brute_distance
 
 
 def lens():
@@ -56,7 +60,7 @@ class TestProjectBody:
         )
 
     def test_lens_tip(self):
-        p = project_body(lens(), np.array([0.0, 2.0]), tol=1e-9)
+        p = project_body(lens(), np.array([0.0, 2.0]))
         assert np.linalg.norm(p - [0.0, np.sqrt(0.75)]) <= 1e-6
 
     def test_fixed_inside(self):
@@ -68,15 +72,15 @@ class TestProjectBody:
         body = lens()
         for _ in range(20):
             x = rng.uniform(-2, 2, size=2)
-            p = project_body(body, x, tol=1e-10)
-            q = project_body(body, p, tol=1e-10)
+            p = project_body(body, x)
+            q = project_body(body, p)
             assert np.linalg.norm(p - q) <= 1e-9
 
     def test_one_lipschitz_with_tolerance(self):
         body = lens()
         rng = np.random.default_rng(2)
         pts = rng.uniform(-2, 2, size=(60, 2))
-        proj = [project_body(body, x, tol=1e-10) for x in pts]
+        proj = [project_body(body, x) for x in pts]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 lhs = np.linalg.norm(proj[i] - proj[j])
@@ -88,9 +92,65 @@ class TestProjectBody:
         rng = np.random.default_rng(3)
         for _ in range(30):
             x = rng.uniform(-2, 2, size=2)
-            p = project_body(body, x, tol=1e-9)
+            p = project_body(body, x)
             assert contains(body, p) or np.linalg.norm(p - project_body(body, p)) < 1e-8
             assert abs(np.linalg.norm(x - p) - brute_distance(body, cloud, x)) <= 2e-3
+
+    def test_thin_lens_vertex_is_exact(self):
+        # the arcs meet at the vertex at an angle of 3.6 degrees
+        body = BallBody(radius=1.0, centers=[[0.9995, 0.0], [-0.9995, 0.0]], dim=2)
+        p = project_body(body, np.array([0.0, 1.0]))
+        assert np.linalg.norm(p - [0.0, np.sqrt(1.0 - 0.9995**2)]) <= 1e-15
+
+    def test_batch_matches_single_points(self):
+        body = BallBody(
+            radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3
+        )
+        pts = np.random.default_rng(5).uniform(-2, 2, size=(40, 3))
+        batch = project_body(body, pts)
+        assert batch.shape == pts.shape
+        for x, p in zip(pts, batch):
+            assert np.array_equal(project_body(body, x), p)
+
+
+class TestProjectBodyProperties:
+    """Exact projection on random bodies with degenerate corners.
+
+    The KKT residual is the distance from x - p to the cone of the active
+    normals. Its bound has a rounding floor of 1e-15 R: p itself carries
+    an absolute rounding error of a few ulp of R, which no relative bound
+    can absorb once x is very close to the body.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=ball_bodies(), seed=st.integers(0, 2**32 - 1))
+    def test_feasible_kkt_idempotent_nonexpansive(self, body, seed):
+        rng = np.random.default_rng(seed)
+        R, A = body.radius, body.centers
+        u = rng.standard_normal((12, body.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        # half anywhere within 3R, half just beyond the boundary
+        far = u[:6] * rng.uniform(0.0, 3.0, (6, 1)) * R
+        beyond = 1.0 + 10.0 ** rng.uniform(-12.0, 0.0, (6, 1))
+        near = u[6:] / body_gauge_values(body, u[6:])[:, None] * beyond
+        pts = np.vstack([far, near])
+        proj = project_body(body, pts)
+
+        excess = np.linalg.norm(proj[:, None, :] - A[None], axis=2) - R
+        assert np.all(excess <= MEMBERSHIP_SLACK)
+        for x, p, e in zip(pts, proj, excess):
+            r = x - p
+            active = np.abs(e) <= MEMBERSHIP_SLACK
+            if np.any(active):
+                normals = (p - A[active]).T / R
+                lam, _ = nnls(normals, r)
+                r = r - normals @ lam
+            assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(x - p) + 1e-15 * R
+
+        assert np.array_equal(project_body(body, proj), proj)
+        moved = np.linalg.norm(proj[:, None] - proj[None], axis=2)
+        apart = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        assert np.all(moved <= apart + 1e-12 * R)
 
 
 class TestNormalLipschitz:
@@ -152,7 +212,7 @@ class TestBoundaryProjection:
             else:
                 x = rng.uniform(1.01, 2.0) * u
             pts.append(x)
-            projs.append(boundary_projection(body, mesh, x, tol=1e-10))
+            projs.append(boundary_projection(body, mesh, x))
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 sep = np.linalg.norm(pts[i] - pts[j])
@@ -160,6 +220,19 @@ class TestBoundaryProjection:
                     continue
                 ratio = np.linalg.norm(projs[i] - projs[j]) / sep
                 assert ratio <= 2.0 + 1e-6
+
+    def test_interior_lens_points_reach_the_nearest_arc(self):
+        body = lens()
+        mesh = boundary_mesh(body, 1440)
+        width = projection_domain(mesh).width
+        cloud = boundary_cloud(body, 100_000)
+        rng = np.random.default_rng(6)
+        for k in rng.choice(len(mesh.points), size=20, replace=False):
+            x = mesh.points[k] * (1.0 - 0.5 * width / np.linalg.norm(mesh.points[k]))
+            p = boundary_projection(body, mesh, x)
+            assert np.max(np.linalg.norm(p - body.centers, axis=1)) == pytest.approx(1.0, abs=1e-15)
+            nearest_sample = np.min(np.linalg.norm(cloud - x, axis=1))
+            assert np.linalg.norm(x - p) <= nearest_sample + 1e-15
 
     def test_interior_3d(self):
         body = BallBody(radius=1.0, centers=[[0.0, 0.0, 0.0]], dim=3)

@@ -385,6 +385,12 @@ class TestExtract:
             assert np.array_equal(built.agreement, ref.agreement)
         assert not np.all(smoothed.meshes[1].agreement)
 
+    def test_separate_runs_compare_equal(self):
+        first = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
+        second = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
+        assert first == second
+        assert first != extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C11")
+
     def test_fat_tube_rejected(self):
         with pytest.raises(ShrinkDelta):
             extract_smoothed_body(lens(), delta=0.5, epsilon=0.05, order="C2")
