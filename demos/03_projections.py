@@ -49,11 +49,11 @@ except OutsideDomain as e:
 
 # --- the covering probe ------------------------------------------------------
 # projecting any enclosing boundary onto the body covers the whole body
-# boundary; the probe verifies it ray by ray
+# boundary; the probe follows each outward normal ray to where it leaves
+# the enclosing body and projects that point back
 square = HalfspaceBody(
     normals=[[1, 0], [-1, 0], [0, 1], [0, -1]], offsets=[2.0] * 4
 )
-outer = boundary_mesh(square, 360)
-gap, report = boundary_surjectivity_probe(ball, outer, samples=360)
+gap, report = boundary_surjectivity_probe(ball, square, samples=360)
 print("\nprobing the unit ball inside the square [-2,2]^2:")
 print("  rays:", report["rays"], " max gap:", f"{report['max_gap']:.2e}")

@@ -194,14 +194,23 @@ def normal_lift(xi) -> NormalLift:
     return NormalLift(xi=xi, lift=lift)
 
 
+def _row_dots(xs: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """<x, a_j> for x of shape (..., n) and the rows a_j of A; shape (..., m).
+
+    Summed coordinate by coordinate in a fixed order, so a point gets the
+    same bits alone as inside any batch; a matrix product rounds a one-row
+    batch differently from a many-row one.
+    """
+    out = xs[..., :1] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = out + xs[..., j : j + 1] * A[:, j]
+    return out
+
+
 def contains(body: Body, x) -> bool:
-    """Membership test with absolute slack ``MEMBERSHIP_SLACK``."""
-    x = _as_vector(x, body.dim)
-    if isinstance(body, BallBody):
-        d = np.linalg.norm(x[None, :] - body.centers, axis=1)
-        return bool(np.all(d <= body.radius + MEMBERSHIP_SLACK))
-    slack = np.max(body.normals @ x - body.offsets)
-    return bool(slack <= MEMBERSHIP_SLACK)
+    """Membership test with absolute slack ``MEMBERSHIP_SLACK``: the
+    :func:`contains_many` row of a batch of one."""
+    return bool(contains_many(body, _as_vector(x, body.dim)[None, :])[0])
 
 
 def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
@@ -210,34 +219,42 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     if isinstance(body, BallBody):
         d = np.linalg.norm(pts[:, None, :] - body.centers[None, :, :], axis=2)
         return np.all(d <= body.radius + MEMBERSHIP_SLACK, axis=1)
-    return np.all(pts @ body.normals.T - body.offsets <= MEMBERSHIP_SLACK, axis=1)
+    return np.all(_row_dots(pts, body.normals) - body.offsets <= MEMBERSHIP_SLACK, axis=1)
 
 
 def outward_normal(body: Body, y, atol: float = 1e-7) -> np.ndarray:
-    """Outward unit normal at a boundary point.
+    """Outward unit normal at a boundary point, or at each row of an (N, n)
+    batch of them.
 
     At smooth points this is the active constraint's normal. At ridge
     points (several constraints active within `atol`) it is the normalized
     average of the active normals, which lies in the normal cone; any such
-    selection supports the body.
+    selection supports the body. Each row of a batch equals the normal of
+    that point alone, bit for bit.
     """
-    y = _as_vector(y, body.dim)
+    Y, single = _as_rows(y, body.dim)
     if isinstance(body, BallBody):
-        d = np.linalg.norm(y[None, :] - body.centers, axis=1)
+        diff = Y[:, None, :] - body.centers
+        d = np.linalg.norm(diff, axis=2)
         active = np.abs(d - body.radius) <= atol * body.radius
-        if not np.any(active):
-            active = d >= np.max(d) - atol * body.radius
-        n = np.sum((y[None, :] - body.centers[active]) / body.radius, axis=0)
+        active |= ~np.any(active, axis=1, keepdims=True) & (
+            d >= np.max(d, axis=1, keepdims=True) - atol * body.radius
+        )
+        terms = diff / body.radius
     else:
-        slack = body.offsets - body.normals @ y
-        active = np.abs(slack) <= atol * np.max(body.offsets)
-        if not np.any(active):
-            active = slack <= np.min(slack) + atol * np.max(body.offsets)
-        n = np.sum(body.normals[active], axis=0)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
+        slack = body.offsets - _row_dots(Y, body.normals)
+        scale = atol * np.max(body.offsets)
+        active = np.abs(slack) <= scale
+        active |= ~np.any(active, axis=1, keepdims=True) & (
+            slack <= np.min(slack, axis=1, keepdims=True) + scale
+        )
+        terms = body.normals
+    n = np.sum(np.where(active[..., None], terms, 0.0), axis=1)
+    norm = np.linalg.norm(n, axis=1, keepdims=True)
+    if np.any(norm == 0.0):
         raise ValueError("degenerate normal cone selection")
-    return n / norm
+    n /= norm
+    return n[0] if single else n
 
 
 def _extreme_points(body: BallBody, W: np.ndarray, anchored: bool):

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from .bodies import BallBody, Body, outward_normal
+from .bodies import BallBody, Body
 from .errors import DomainViolation, InsufficientData, NotBallBody
-from .gauge import ball_gauge_derivatives, body_gauge
-from .measure import direction_grid, radial_function
+from .gauge import attaining_members, member_gauge_derivatives, member_gauges
+from .measure import boundary_samples
 from .project import project_body
 
 # Absolute margin below which a sampled inequality counts as violated.
@@ -139,20 +139,6 @@ def subgradient_certificate(points, eta: float, tol: float = CERT_TOL) -> Certif
     )
 
 
-def _boundary_samples(body: Body, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary points via ray casting and a normal-cone selection at each.
-
-    Star-shapedness about the origin makes ray casting exhaustive; ridge
-    and corner points take the normalized average of their active
-    constraints' normals, which is a valid selection in the normal cone.
-    """
-    dirs, _ = direction_grid(body.dim, samples, by_count=True)
-    radii = radial_function(body, dirs)
-    pts = radii[:, None] * dirs
-    normals = np.array([outward_normal(body, y) for y in pts])
-    return pts, normals
-
-
 def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
     """Sampled check of the enclosing-ball condition at radius R.
 
@@ -165,7 +151,7 @@ def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
         raise ValueError("R must be positive")
     if samples < 8:
         raise ValueError("samples must be >= 8")
-    pts, normals = _boundary_samples(body, samples)
+    pts, normals = boundary_samples(body, samples)
     centers = pts - R * normals
     d = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
     margins = d - R  # margins[j, k]: point k against the ball at boundary point j
@@ -191,7 +177,7 @@ def ball_family_check(body: BallBody, samples: int) -> CertificateReport:
     sphere and inside all of them; the margin is the worse of those two
     defects.
     """
-    pts, _ = _boundary_samples(body, samples)
+    pts, _ = boundary_samples(body, samples)
     d = np.linalg.norm(pts[:, None, :] - body.centers[None, :, :], axis=2)
     on_sphere = np.min(np.abs(d - body.radius), axis=1)
     inside = np.max(d - body.radius, axis=1)
@@ -207,6 +193,21 @@ def ball_family_check(body: BallBody, samples: int) -> CertificateReport:
     )
 
 
+def random_points(rng: np.random.Generator, body: BallBody, count: int, lo: float, hi: float) -> np.ndarray:
+    """``count`` points u r with u uniform on the unit sphere and r uniform
+    in [lo R, hi R).
+
+    Each point draws its normal vector and then its radius, one point at a
+    time, so a seeded stream gives the same points however they are batched.
+    """
+    pts = np.empty((count, body.dim))
+    for k in range(count):
+        u = rng.standard_normal(body.dim)
+        u /= np.linalg.norm(u)
+        pts[k] = u * rng.uniform(lo, hi) * body.radius
+    return pts
+
+
 def gauge_sq_hessian_check(
     body: Body, samples: int, seed: int = 0
 ) -> CertificateReport:
@@ -214,8 +215,9 @@ def gauge_sq_hessian_check(
 
     At ridge-free points the body gauge locally equals one member gauge,
     whose squared Hessian must stay at or above the floor 1/(2 R^2).
-    Raises :class:`NotBallBody` for polyhedral bodies, which have no ball
-    gauge to differentiate.
+    Ridge points (more than one attaining member) are redrawn. Raises
+    :class:`NotBallBody` for polyhedral bodies, which have no ball gauge to
+    differentiate.
     """
     if not isinstance(body, BallBody):
         raise NotBallBody("squared-gauge curvature needs a BallBody")
@@ -223,29 +225,22 @@ def gauge_sq_hessian_check(
         raise ValueError("samples must be >= 8")
     rng = np.random.default_rng(seed)
     floor = 1.0 / (2.0 * body.radius**2)
-    balls = body.balls()
 
-    worst = np.inf
-    witness: dict = {}
-    accepted = 0
-    while accepted < samples:
-        u = rng.standard_normal(body.dim)
-        u /= np.linalg.norm(u)
-        x = u * rng.uniform(0.2, 2.0) * body.radius
-        value, argmax = body_gauge(body, x)
-        if len(argmax) != 1:
-            continue  # ridge point: the one-member Hessian is not the body's
-        accepted += 1
-        ev = ball_gauge_derivatives(balls[argmax[0]], x)
-        lam = float(np.linalg.eigvalsh(ev.hess_sq)[0])
-        if lam < worst:
-            worst = lam
-            witness = {"x": x.tolist(), "min_eigenvalue": lam, "margin": lam - floor}
+    x = np.empty((0, body.dim))
+    while len(x) < samples:
+        new = random_points(rng, body, samples - len(x), 0.2, 2.0)
+        smooth = np.sum(attaining_members(member_gauges(body, new)), axis=1) == 1
+        x = np.vstack([x, new[smooth]])
+    values, _, hess_sq = member_gauge_derivatives(body, x)
+    member = np.argmax(values, axis=1)
+    lam = np.linalg.eigvalsh(hess_sq[np.arange(samples), member])[:, 0]
+    k = int(np.argmin(lam))
+    worst = float(lam[k])
     return CertificateReport(
         condition="gauge_sq_hessian_d",
         passed=worst >= floor - CERT_TOL,
         constant=floor,
-        worst_witness=witness,
+        worst_witness={"x": x[k].tolist(), "min_eigenvalue": worst, "margin": worst - floor},
         samples=samples,
     )
 
@@ -344,7 +339,7 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     """
     if normal_samples < 4:
         raise ValueError("normal_samples must be >= 4")
-    pts, normals = _boundary_samples(body, normal_samples)
+    pts, normals = boundary_samples(body, normal_samples)
     offsets = np.einsum("ij,ij->i", normals, pts)
     halfspaces = np.column_stack([normals, -offsets])
     vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections

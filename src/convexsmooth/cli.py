@@ -31,7 +31,7 @@ from . import project as proj
 from . import smooth as smth
 from .bodies import BallBody, HalfspaceBody, body_from_json
 from .errors import ConvexSmoothError, InvalidBody
-from .gauge import ball_gauge_derivatives, body_gauge, gauge_lipschitz_bound
+from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 
 PROBE_GAP_THRESHOLD = 1e-6
 
@@ -68,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return asdict(config)
-
-
 def _write_report(config: RunConfig, report: dict) -> None:
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -95,17 +91,15 @@ def _certify_ball_body(body: BallBody, config: RunConfig) -> list[cert.Certifica
     samples = config.resolution or 360
     floor = 1.0 / (2.0 * body.radius**2)
 
-    rng = np.random.default_rng(config.seed)
-    pts = []
-    balls = body.balls()
-    while len(pts) < 48:
-        u = rng.standard_normal(body.dim)
-        u /= np.linalg.norm(u)
-        x = u * rng.uniform(0.3, 1.6) * body.radius
-        value, argmax = body_gauge(body, x)
-        ev = ball_gauge_derivatives(balls[argmax[0]], x)
-        pts.append((x, value**2, 2.0 * ev.value * ev.grad))
-    reports = [cert.subgradient_certificate(pts, eta=floor)]
+    # the squared gauge and, as its subgradient, that of the first attaining
+    # member, at 48 seeded points
+    x = cert.random_points(np.random.default_rng(config.seed), body, 48, 0.3, 1.6)
+    values, grads, _ = member_gauge_derivatives(body, x)
+    member = np.argmax(attaining_members(values), axis=1)
+    value = values[np.arange(48), member]
+    squared = np.max(values, axis=1) ** 2
+    subgrads = 2.0 * value[:, None] * grads[np.arange(48), member]
+    reports = [cert.subgradient_certificate(zip(x, squared, subgrads), eta=floor)]
 
     reports.append(cert.ball_support_check(body, body.radius, samples))
     reports.append(cert.ball_family_check(body, samples))
@@ -160,7 +154,7 @@ def _run_certify(config: RunConfig) -> int:
         config,
         {
             "command": "certify",
-            "config": _config_echo(config),
+            "config": asdict(config),
             "reports": [r.to_json() for r in reports],
             "passed": passed,
         },
@@ -207,7 +201,7 @@ def _run_smooth(config: RunConfig) -> int:
         config,
         {
             "command": "smooth",
-            "config": _config_echo(config),
+            "config": asdict(config),
             "summary": summary,
             "smoothed_body": smoothed.to_json(),
             "mesh_file": mesh_file,
@@ -233,7 +227,7 @@ def _run_measure(config: RunConfig) -> int:
         config,
         {
             "command": "measure",
-            "config": _config_echo(config),
+            "config": asdict(config),
             "summary": {
                 "boundary_measure": meas.hausdorff_measure(mesh),
                 "directions": len(mesh.points),
@@ -253,17 +247,13 @@ def _run_probe(config: RunConfig) -> int:
     outer = body_from_json(data["outer"])
     if not isinstance(inner, BallBody):
         raise InvalidBody("probe inner body must be a BallBody")
-    rays = config.resolution or 360
-    # 3D outer meshes use a fixed icosphere level; --resolution counts rays
-    outer_res = rays if outer.dim == 2 else 4
-    outer_mesh = meas.boundary_mesh(outer, outer_res)
-    max_gap, report = proj.boundary_surjectivity_probe(inner, outer_mesh, rays)
+    max_gap, report = proj.boundary_surjectivity_probe(inner, outer, config.resolution or 360)
     passed = max_gap <= PROBE_GAP_THRESHOLD
     _write_report(
         config,
         {
             "command": "probe",
-            "config": _config_echo(config),
+            "config": asdict(config),
             "summary": {**report, "threshold": PROBE_GAP_THRESHOLD, "passed": passed},
         },
     )

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import Ball, BallBody, _as_vector
+from .bodies import Ball, BallBody, _as_vector, _row_dots
 from .errors import DegenerateBall
 
 # Absolute tolerance on squared gauge values when listing the attaining
@@ -40,14 +40,12 @@ class GaugeEval:
     gradient at the origin). ``hess_sq`` is the Hessian of the squared
     gauge; at x = 0 it is the symmetric matrix whose quadratic form is the
     average of the forward/backward second directional derivatives of the
-    2-homogeneous extension, (4 a a^T + 2 k I) / k^2. ``grad_scale`` is the
-    scalar s(x) multiplying (x - value * center) in the gradient.
+    2-homogeneous extension, (4 a a^T + 2 k I) / k^2.
     """
 
     value: float
     grad: np.ndarray
     hess_sq: np.ndarray
-    grad_scale: float
 
 
 def _ball_k(ball: Ball) -> float:
@@ -94,9 +92,7 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
     xx = float(x @ x)
     if xx == 0.0:
         hess0 = (4.0 * np.outer(a, a) + 2.0 * k * np.eye(n)) / (k * k)
-        return GaugeEval(
-            value=0.0, grad=np.zeros(n), hess_sq=hess0, grad_scale=np.inf
-        )
+        return GaugeEval(value=0.0, grad=np.zeros(n), hess_sq=hess0)
     xa = float(x @ a)
     s = np.sqrt(xa * xa + k * xx)
     value = xx / (s + xa) if xa >= 0.0 else (s - xa) / k
@@ -110,7 +106,7 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
     hess_mu = 0.5 * (hess_mu + hess_mu.T)
     hess_sq = 2.0 * np.outer(grad, grad) + 2.0 * value * hess_mu
     hess_sq = 0.5 * (hess_sq + hess_sq.T)
-    return GaugeEval(value=float(value), grad=grad, hess_sq=hess_sq, grad_scale=float(scale))
+    return GaugeEval(value=float(value), grad=grad, hess_sq=hess_sq)
 
 
 class BodyGauge(NamedTuple):
@@ -138,14 +134,11 @@ def _gauge_kernel(centers, k, xs):
 
     Shapes are (..., m) for x of shape (..., n), except |x|^2, which is
     (..., 1). The arithmetic is the cancellation-free arrangement of
-    :func:`ball_gauge`, applied to all members at once. <x, a_i> is summed
-    coordinate by coordinate in a fixed order, so a point gets the same
-    bits alone as inside any batch; a matrix product rounds a one-row
-    batch differently from a many-row one.
+    :func:`ball_gauge`, applied to all members at once. <x, a_i> comes
+    from :func:`convexsmooth.bodies._row_dots`, so a point gets the same
+    bits alone as inside any batch.
     """
-    xa = xs[..., :1] * centers[:, 0]
-    for j in range(1, centers.shape[1]):
-        xa = xa + xs[..., j : j + 1] * centers[:, j]
+    xa = _row_dots(xs, centers)
     xx = np.einsum("...i,...i->...", xs, xs)[..., None]
     s = np.sqrt(xa * xa + k * xx)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -212,11 +205,20 @@ def body_gauge(body: BallBody, x) -> BodyGauge:
     on a ridge.
     """
     x = _as_vector(x, body.dim)
-    vals = member_gauges(body, x).ravel()
-    value = float(np.max(vals))
-    sq = vals * vals
-    argmax = np.flatnonzero(sq >= value * value - GAP_TOL)
-    return BodyGauge(value=value, argmax_set=argmax.tolist())
+    vals = member_gauges(body, x)
+    return BodyGauge(
+        value=float(np.max(vals)), argmax_set=np.flatnonzero(attaining_members(vals)).tolist()
+    )
+
+
+def attaining_members(values: np.ndarray) -> np.ndarray:
+    """Mask of the members attaining the body gauge, from member gauges (..., m).
+
+    A member attains it when its squared gauge is within ``GAP_TOL`` of the
+    largest: the batched ``argmax_set`` of :func:`body_gauge`.
+    """
+    sq = values * values
+    return sq >= np.max(sq, axis=-1, keepdims=True) - GAP_TOL
 
 
 def body_gauge_values(body: BallBody, points: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import grids
-from .bodies import BallBody, HalfspaceBody
+from .bodies import BallBody, HalfspaceBody, outward_normal
 from .errors import BracketFailure, GridMismatch, InvalidBody
 from .gauge import body_gauge_values
 
@@ -168,6 +168,20 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
     raise TypeError(f"no radial function for a {type(body).__name__}")
 
 
+def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points along a direction grid and an outward normal at each.
+
+    The grid has ``samples`` directions in 2D (at least 4) and the smallest
+    icosphere with that many vertices in 3D. Star-shapedness about the
+    origin makes the radial points exhaustive; ridge and corner points
+    take the normalized average of their active constraints' normals, a
+    valid selection in the normal cone.
+    """
+    dirs, _ = direction_grid(body.dim, samples, by_count=True)
+    pts = radial_function(body, dirs)[:, None] * dirs
+    return pts, outward_normal(body, pts)
+
+
 def batch_ray_crossings(
     level_fn: Callable[[np.ndarray], np.ndarray],
     directions: np.ndarray,
@@ -237,15 +251,13 @@ def hausdorff_measure(mesh: BoundaryMesh, which: str = "all") -> float:
 
 
 def _symdiff_masks(
-    w_mesh: BoundaryMesh, we_mesh: BoundaryMesh, match_tol: float | None
+    w_mesh: BoundaryMesh, we_mesh: BoundaryMesh
 ) -> tuple[np.ndarray, np.ndarray]:
     if w_mesh.dim != we_mesh.dim or not np.array_equal(
         w_mesh.directions, we_mesh.directions
     ) or not np.array_equal(w_mesh.facets, we_mesh.facets):
         raise GridMismatch("meshes do not share a direction grid")
-    if match_tol is None:
-        match_tol = 1e-10 * float(np.max(w_mesh.radii))
-    vertex_diff = np.abs(w_mesh.radii - we_mesh.radii) > match_tol
+    vertex_diff = np.abs(w_mesh.radii - we_mesh.radii) > 1e-10 * float(np.max(w_mesh.radii))
     return vertex_diff[w_mesh.facets].any(axis=1), ~we_mesh.agreement
 
 
@@ -257,31 +269,27 @@ def _two_sided_measure(
     )
 
 
-def symmetric_difference_measure(
-    w_mesh: BoundaryMesh, we_mesh: BoundaryMesh, match_tol: float | None = None
-) -> float:
+def symmetric_difference_measure(w_mesh: BoundaryMesh, we_mesh: BoundaryMesh) -> float:
     """Measure of the symmetric difference of two meshed boundaries.
 
     Both meshes must share the direction grid. A facet contributes (once
-    per mesh) when its radii differ beyond ``match_tol`` at any vertex or
-    when the smoothed mesh flags it as disagreeing; coincidence of the
-    remaining facets is exact by construction of the blend, which is what
-    makes the point-set difference meaningful at all.
+    per mesh) when its radii differ by more than 1e-10 times the largest
+    radius at any vertex or when the smoothed mesh flags it as disagreeing;
+    coincidence of the remaining facets is exact by construction of the
+    blend, which is what makes the point-set difference meaningful at all.
     """
-    by_radius, by_flag = _symdiff_masks(w_mesh, we_mesh, match_tol)
+    by_radius, by_flag = _symdiff_masks(w_mesh, we_mesh)
     return _two_sided_measure(w_mesh, we_mesh, by_radius | by_flag)
 
 
-def symmetric_difference_breakdown(
-    w_mesh: BoundaryMesh, we_mesh: BoundaryMesh, match_tol: float | None = None
-) -> dict:
+def symmetric_difference_breakdown(w_mesh: BoundaryMesh, we_mesh: BoundaryMesh) -> dict:
     """Combined, radius-based and flag-based symmetric-difference measures.
 
     The two detection routes normally agree; a gap above a percent or so
     means the coincidence tolerance is doing real work and both numbers
     deserve reporting.
     """
-    by_radius, by_flag = _symdiff_masks(w_mesh, we_mesh, match_tol)
+    by_radius, by_flag = _symdiff_masks(w_mesh, we_mesh)
     return {
         "combined": _two_sided_measure(w_mesh, we_mesh, by_radius | by_flag),
         "radius_based": _two_sided_measure(w_mesh, we_mesh, by_radius),

@@ -1,6 +1,7 @@
-"""Metric projections onto a body and onto its boundary.
+"""Metric projections onto a body and onto its boundary, and a probe that
+projecting an enclosing boundary covers the body's boundary.
 
-Both are closed forms, exact up to rounding, with no iteration and no
+All are closed forms, exact up to rounding, with no iteration and no
 tolerance. The nearest point of the body is active on at most n spheres,
 so it is the nearest feasible candidate of a short enumeration over
 sphere subsets (:func:`convexsmooth.bodies._extreme_points`). The nearest
@@ -8,7 +9,9 @@ boundary point of an interior point is its radial projection onto the
 sphere of the ball whose boundary is closest. Projection onto the boundary
 is only guaranteed well defined on a tube whose width is set by the
 Lipschitz constant of the boundary normal field; inside that tube (and
-everywhere outside the body) it is 2-Lipschitz.
+everywhere outside the body) it is 2-Lipschitz. The probe follows each
+outward normal ray of the inner body to where it leaves the outer body,
+a quadratic root per ball or a ratio per face, and projects it back.
 """
 
 from __future__ import annotations
@@ -17,19 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grids
 from .bodies import (
     Ball,
     BallBody,
+    Body,
     _as_rows,
     _as_vector,
     _extreme_points,
+    _row_dots,
     contains,
     contains_many,
-    outward_normal,
 )
-from .errors import OutsideDomain, RayMiss
-from .measure import BoundaryMesh, boundary_mesh
+from .errors import InvalidBody, OutsideDomain, RayMiss
+from .measure import BoundaryMesh, boundary_samples
 
 
 @dataclass(frozen=True)
@@ -132,94 +135,64 @@ def boundary_projection(body: BallBody, mesh: BoundaryMesh, x) -> np.ndarray:
     return body.centers[i] + (body.radius / dist[i]) * v[i]
 
 
-def _ray_segments_2d(origin, direction, mesh: BoundaryMesh) -> float:
-    """Smallest positive ray parameter crossing a 2D polyline mesh."""
-    p1 = mesh.points[mesh.facets[:, 0]]
-    p2 = mesh.points[mesh.facets[:, 1]]
-    e = p2 - p1
-    q = p1 - origin
+def _ray_exits(body: Body, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Where each ray x + t v (rows x in the body, unit rows v) leaves the body.
 
-    def cross2(a, b):
-        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-    denom = cross2(direction, e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross2(q, e) / denom
-        s = cross2(q, direction) / denom
-        valid = (
-            (np.abs(denom) > 1e-300)
-            & (s >= -1e-12)
-            & (s <= 1.0 + 1e-12)
-            & (t > 1e-9)
-        )
-    if not np.any(valid):
-        return np.nan
-    return float(np.min(t[valid]))
-
-
-def _ray_triangles_3d(origin, direction, mesh: BoundaryMesh) -> float:
-    """Smallest positive ray parameter crossing a triangle mesh."""
-    tri = mesh.points[mesh.facets]
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    e1, e2 = v1 - v0, v2 - v0
-    h = np.cross(direction[None, :], e2)
-    a = np.einsum("ij,ij->i", e1, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = 1.0 / a
-        s = origin[None, :] - v0
-        u = f * np.einsum("ij,ij->i", s, h)
-        q = np.cross(s, e1)
-        v = f * (q @ direction)
-        t = f * np.einsum("ij,ij->i", e2, q)
-        valid = (
-            (np.abs(a) > 1e-300)
-            & (u >= -1e-12)
-            & (v >= -1e-12)
-            & (u + v <= 1.0 + 1e-12)
-            & (t > 1e-9)
-        )
-    if not np.any(valid):
-        return np.nan
-    return float(np.min(t[valid]))
+    A ball body: the smallest over balls of the positive root of
+    |x + t v - a_i|^2 = R^2, t = -b + sqrt(b^2 - c) with b = <v, x - a_i>
+    and c = |x - a_i|^2 - R^2, taken as -c / (b + sqrt(b^2 - c)) when b > 0
+    to avoid cancellation. A halfspace body: the smallest
+    (o - <n, x>)/<n, v> over the faces the ray meets, <n, v> > 1e-14 as in
+    :func:`convexsmooth.measure.radial_function`, and inf when there is
+    none. Points within the membership slack outside have c > 0 or a
+    negative numerator; b^2 - c and t are clamped at 0 for them.
+    """
+    if isinstance(body, BallBody):
+        w = x[:, None, :] - body.centers
+        b = np.einsum("nmd,nd->nm", w, v)
+        c = np.einsum("nmd,nmd->nm", w, w) - body.radius**2
+        root = np.sqrt(np.maximum(b * b - c, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(b > 0.0, -c / (b + root), root - b)
+    else:
+        rate = _row_dots(v, body.normals)
+        with np.errstate(divide="ignore"):
+            t = np.where(
+                rate > 1e-14, (body.offsets - _row_dots(x, body.normals)) / rate, np.inf
+            )
+    return np.maximum(np.min(t, axis=1), 0.0)
 
 
 def boundary_surjectivity_probe(
     inner: BallBody,
-    outer_mesh: BoundaryMesh,
+    outer: Body,
     samples: int,
 ) -> tuple[float, dict]:
     """Check that projecting the outer boundary covers the inner boundary.
 
-    For each sampled inner boundary point x with outward normal v, the ray
-    x + t v crosses the outer mesh at some z; projecting z back must
+    Each sampled inner boundary point x (see
+    :func:`convexsmooth.measure.boundary_samples`) with outward normal v
+    casts the ray x + t v to the point z where it leaves the outer body, in
+    closed form, so z lies on the outer boundary; projecting z back must
     return (numerically) x. The report's max gap certifies desk-scale
-    surjectivity. Raises :class:`RayMiss` when an outer-mesh vertex lies
-    inside the body or a ray fails to cross the outer mesh; both signal
-    that the outer body does not enclose the inner one (or the mesh has a
-    hole).
+    surjectivity. Raises :class:`RayMiss` when a sampled inner boundary
+    point lies outside the outer body (beyond ``MEMBERSHIP_SLACK``) or a
+    ray never leaves it: the outer body does not enclose the inner one, or
+    is unbounded.
     """
-    inside = contains_many(inner, outer_mesh.points)
-    if np.any(inside):
-        k = int(np.argmax(inside))
-        raise RayMiss(
-            f"outer mesh vertex {outer_mesh.points[k].tolist()} lies inside the body"
-        )
-
-    if inner.dim == 2:
-        resolution = max(int(samples), 16)
-    else:
-        resolution = grids.icosphere_level_for(int(samples))
-    inner_mesh = boundary_mesh(inner, resolution)
-    cross = _ray_segments_2d if inner.dim == 2 else _ray_triangles_3d
-
-    hits = np.empty_like(inner_mesh.points)
-    for k, x in enumerate(inner_mesh.points):
-        nu = outward_normal(inner, x)
-        t = cross(x, nu, outer_mesh)
-        if not np.isfinite(t):
-            raise RayMiss(f"ray from {x.tolist()} missed the outer mesh")
-        hits[k] = x + t * nu
-    gaps = np.linalg.norm(project_body(inner, hits) - inner_mesh.points, axis=1)
+    if outer.dim != inner.dim:
+        raise InvalidBody(f"outer body has dim {outer.dim}, inner body dim {inner.dim}")
+    points, normals = boundary_samples(inner, samples)
+    outside = ~contains_many(outer, points)
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise RayMiss(f"inner boundary point {points[k].tolist()} lies outside the outer body")
+    t = _ray_exits(outer, points, normals)
+    if not np.all(np.isfinite(t)):
+        k = int(np.argmin(np.isfinite(t)))
+        raise RayMiss(f"ray from {points[k].tolist()} never leaves the outer body")
+    hits = points + t[:, None] * normals
+    gaps = np.linalg.norm(project_body(inner, hits) - points, axis=1)
 
     worst = int(np.argmax(gaps))
     report = {
@@ -227,6 +200,6 @@ def boundary_surjectivity_probe(
         "hits": len(gaps),
         "max_gap": float(gaps[worst]),
         "mean_gap": float(np.mean(gaps)),
-        "worst_point": inner_mesh.points[worst].tolist(),
+        "worst_point": points[worst].tolist(),
     }
     return float(gaps[worst]), report

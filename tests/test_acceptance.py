@@ -262,11 +262,10 @@ def test_criterion_6_boundary_projection_domain():
 def test_criterion_7_surjectivity_probe():
     start = time.time()
     inner = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)
-    outer_ball = boundary_mesh(BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2), 360)
-    square = HalfspaceBody(
+    outer_ball = BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2)
+    outer_square = HalfspaceBody(
         normals=[[1, 0], [-1, 0], [0, 1], [0, -1]], offsets=[2.0] * 4
     )
-    outer_square = boundary_mesh(square, 360)
     gap_ball, _ = boundary_surjectivity_probe(inner, outer_ball, 360)
     gap_square, _ = boundary_surjectivity_probe(inner, outer_square, 360)
     elapsed = time.time() - start

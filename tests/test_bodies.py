@@ -13,10 +13,13 @@ from convexsmooth import (
     contains,
     diameter,
     normal_lift,
+    outward_normal,
     support_value,
 )
+from convexsmooth.bodies import MEMBERSHIP_SLACK, contains_many
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.grids import icosphere
+from convexsmooth.measure import boundary_samples, radial_function
 from helpers import boundary_cloud, random_ball_body, unit_square
 
 
@@ -82,6 +85,63 @@ class TestContains:
         for _ in range(10):
             body = random_ball_body(rng, 2, 5)
             assert contains(body, np.zeros(2))
+
+    @pytest.mark.parametrize("kind", ["ball", "halfspace"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_point_is_the_batch_row(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        body = random_ball_body(rng, dim, 5) if kind == "ball" else random_box(rng, dim)
+        dirs = rng.standard_normal((4000, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        offsets = rng.uniform(-2.0, 2.0, (len(dirs), 1)) * MEMBERSHIP_SLACK
+        points = (radial_function(body, dirs)[:, None] + offsets) * dirs
+        batch = contains_many(body, points)
+        assert 0 < np.sum(batch) < len(points)
+        assert [contains(body, x) for x in points] == batch.tolist()
+
+
+def random_box(rng, dim):
+    """A bounded halfspace body: a box cut by a few random faces."""
+    extra = rng.standard_normal((4, dim))
+    normals = np.vstack([np.eye(dim), -np.eye(dim), extra / np.linalg.norm(extra, axis=1, keepdims=True)])
+    return HalfspaceBody(normals=normals, offsets=rng.uniform(0.5, 1.0, len(normals)))
+
+
+class TestOutwardNormal:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            lens(),
+            random_ball_body(np.random.default_rng(1), 2, 9),
+            random_ball_body(np.random.default_rng(2), 3, 5),
+            random_box(np.random.default_rng(3), 2),
+            random_box(np.random.default_rng(4), 3),
+        ],
+    )
+    def test_batch_rows_equal_single_calls(self, body):
+        points, normals = boundary_samples(body, 500)
+        points = np.vstack([points, points * (1.0 + 1e-8)])
+        batch = outward_normal(body, points)
+        for y, n in zip(points, batch):
+            assert np.array_equal(outward_normal(body, y), n)
+        assert np.array_equal(batch[: len(normals)], normals)
+
+    def test_smooth_point_is_the_sphere_normal(self):
+        a = np.array([-0.5, 0.0])
+        for theta in (0.0, 0.3, -0.7):
+            y = a + np.array([np.cos(theta), np.sin(theta)])
+            assert np.allclose(outward_normal(lens(), y), y - a, rtol=0.0, atol=1e-15)
+
+    def test_lens_tips(self):
+        h = np.sqrt(0.75)
+        assert np.array_equal(outward_normal(lens(), [0.0, h]), [0.0, 1.0])
+        assert np.array_equal(outward_normal(lens(), [0.0, -h]), [0.0, -1.0])
+
+    def test_square_corners(self):
+        for sx in (1.0, -1.0):
+            for sy in (1.0, -1.0):
+                n = outward_normal(unit_square(), [0.5 * sx, 0.5 * sy])
+                assert np.array_equal(n, np.array([sx, sy]) / np.sqrt(2.0))
 
 
 class TestDiameter:

@@ -8,6 +8,7 @@ from convexsmooth import (
     BallBody,
     BoundaryMesh,
     HalfspaceBody,
+    InvalidBody,
     OutsideDomain,
     RayMiss,
     boundary_mesh,
@@ -21,6 +22,8 @@ from convexsmooth import (
 )
 from convexsmooth.bodies import MEMBERSHIP_SLACK
 from convexsmooth.gauge import body_gauge_values
+from convexsmooth.measure import boundary_samples
+from convexsmooth.project import _ray_exits
 from helpers import ball_bodies, boundary_cloud, brute_distance
 
 
@@ -241,22 +244,82 @@ class TestBoundaryProjection:
         assert np.linalg.norm(p - [0.0, 0.0, 1.0]) <= 1e-6
 
 
+def three_ball():
+    return BallBody(
+        radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3
+    )
+
+
+def box(dim, offsets):
+    eye = np.eye(dim)
+    return HalfspaceBody(normals=np.vstack([eye, -eye]), offsets=offsets)
+
+
 class TestSurjectivityProbe:
     def test_ball_in_ball(self):
-        outer = boundary_mesh(BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2), 360)
+        outer = BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2)
         gap, report = boundary_surjectivity_probe(unit_ball(), outer, 360)
         assert gap <= 1e-6
         assert report["hits"] == report["rays"] == 360
 
     def test_ball_in_square(self):
-        square = HalfspaceBody(
-            normals=[[1, 0], [-1, 0], [0, 1], [0, -1]], offsets=[2.0] * 4
-        )
-        outer = boundary_mesh(square, 360)
-        gap, _ = boundary_surjectivity_probe(unit_ball(), outer, 360)
+        gap, _ = boundary_surjectivity_probe(unit_ball(), box(2, [2.0] * 4), 360)
         assert gap <= 1e-6
 
+    @pytest.mark.parametrize(
+        "outer",
+        [box(3, [2.0, 1.5, 2.5, 1.8, 2.2, 1.6]), BallBody(radius=2.5, centers=[[0.4, 0.0, 0.0]], dim=3)],
+        ids=["box", "ball"],
+    )
+    def test_three_ball_3d(self, outer):
+        gap, report = boundary_surjectivity_probe(three_ball(), outer, 360)
+        assert gap <= 1e-6
+        assert report["hits"] == report["rays"] == 642  # icosphere level 3
+
+    @pytest.mark.parametrize(
+        "inner, outer",
+        [
+            (lens(), BallBody(radius=2.0, centers=[[0.3, 0.1], [-0.2, -0.4], [0.0, 0.5]], dim=2)),
+            (three_ball(), BallBody(radius=2.5, centers=[[0.4, 0.0, 0.0], [-0.3, 0.3, 0.1]], dim=3)),
+            (lens(), box(2, [1.5, 2.0, 1.2, 1.7])),
+            (three_ball(), box(3, [2.0, 1.5, 2.5, 1.8, 2.2, 1.6])),
+        ],
+    )
+    def test_hits_lie_on_the_outer_boundary(self, inner, outer):
+        points, normals = boundary_samples(inner, 720)
+        hits = points + _ray_exits(outer, points, normals)[:, None] * normals
+        if isinstance(outer, BallBody):
+            excess = np.max(np.linalg.norm(hits[:, None] - outer.centers, axis=2), axis=1) - outer.radius
+            scale = outer.radius
+        else:
+            excess = np.max(hits @ outer.normals.T - outer.offsets, axis=1)
+            scale = np.max(outer.offsets)
+        assert np.max(np.abs(excess)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize(
+        "normals",
+        [[[1, 0], [0, 1], [0, -1]], [[1, 0], [0, 1]]],
+        ids=["missing-face", "quadrant"],
+    )
+    def test_unbounded_outer_body(self, normals):
+        outer = HalfspaceBody(normals=normals, offsets=[2.0] * len(normals))
+        with pytest.raises(RayMiss, match="never leaves"):
+            boundary_surjectivity_probe(unit_ball(), outer, 64)
+
+    def test_outer_of_another_dimension_rejected(self):
+        with pytest.raises(InvalidBody, match="dim 3"):
+            boundary_surjectivity_probe(unit_ball(), three_ball(), 64)
+
     def test_outer_not_containing_inner_detected(self):
-        small = boundary_mesh(BallBody(radius=0.5, centers=[[0.0, 0.0]], dim=2), 64)
-        with pytest.raises(RayMiss):
+        small = BallBody(radius=0.5, centers=[[0.0, 0.0]], dim=2)
+        with pytest.raises(RayMiss, match="outside the outer body"):
             boundary_surjectivity_probe(unit_ball(), small, 64)
+
+    @pytest.mark.parametrize(
+        "outer",
+        [box(3, [0.7, 2.0, 2.0, 2.0, 2.0, 2.0]), BallBody(radius=1.4, centers=[[0.0, 0.0, 0.6]], dim=3)],
+        ids=["box", "ball"],
+    )
+    def test_3d_outer_not_containing_inner_detected(self, outer):
+        with pytest.raises(RayMiss, match="outside the outer body"):
+            boundary_surjectivity_probe(three_ball(), outer, 64)
