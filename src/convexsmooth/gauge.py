@@ -140,12 +140,19 @@ def _gauge_kernel(centers, k, xs):
     """
     xa = _row_dots(xs, centers)
     xx = np.einsum("...i,...i->...", xs, xs)[..., None]
-    s = np.sqrt(xa * xa + k * xx)
+    # the arithmetic of the two-branch form, with fewer temporaries
+    s = xa * xa
+    s += k * xx
+    np.sqrt(s, out=s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pos = xx / (s + xa)
-        neg = (s - xa) / k
+        pos = s + xa
+        np.divide(xx, pos, out=pos)
+        neg = s - xa
+        neg /= k
     val = np.where(xa >= 0.0, pos, neg)
-    val = np.where(xx == 0.0, 0.0, val)
+    origin = xx == 0.0
+    if origin.any():
+        val = np.where(origin, 0.0, val)
     return xa, xx, s, val
 
 

@@ -75,25 +75,25 @@ def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vlist = [v for v in verts]
-    midpoint: dict[tuple[int, int], int] = {}
+    """Split every triangle into four at its edge midpoints.
 
-    def mid(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        idx = midpoint.get(key)
-        if idx is None:
-            m = vlist[i] + vlist[j]
-            m /= np.linalg.norm(m)
-            idx = len(vlist)
-            vlist.append(m)
-            midpoint[key] = idx
-        return idx
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(vlist), np.array(new_faces, dtype=np.int64)
+    Midpoints are numbered after the old vertices in the order their edges
+    first appear (edges ab, bc, ca of each face in turn), pushed out to the
+    unit sphere, and shared by the two faces of an edge.
+    """
+    nv = len(verts)
+    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+    _, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    m = verts[lo[first[order]]] + verts[hi[first[order]]]
+    m /= np.sqrt(np.vecdot(m, m))[:, None]
+    ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
+    a, b, c = faces.T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([verts, m]), new_faces.reshape(-1, 3)
 
 
 def icosphere_covering_angle(level: int) -> float:

@@ -61,15 +61,11 @@ class BoundaryMesh:
 
     @cached_property
     def facet_centroids(self) -> np.ndarray:
-        return self.points[self.facets].mean(axis=1)
+        return facet_centroids(self.points, self.facets)
 
     @cached_property
     def facet_measures(self) -> np.ndarray:
-        pts = self.points[self.facets]
-        if self.dim == 2:
-            return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-        cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        return 0.5 * np.linalg.norm(cross, axis=1)
+        return facet_measures(self.points, self.facets)
 
     @cached_property
     def facet_normals(self) -> np.ndarray:
@@ -103,6 +99,38 @@ class BoundaryMesh:
                 else:
                     pairs.append((other, fi))
         return np.array(pairs, dtype=np.int64)
+
+
+def _facet_corners(points: np.ndarray, facets: np.ndarray) -> list[np.ndarray]:
+    """Corner points of every facet, one (..., F, n) array per corner, for
+    vertex points of shape (..., N, n)."""
+    return [np.take(points, facets[:, j], axis=-2) for j in range(facets.shape[1])]
+
+
+def facet_centroids(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """Facet centroids (..., F, n) for vertex points of shape (..., N, n):
+    corners summed in order, then divided by their count, as np.mean does."""
+    corners = _facet_corners(points, facets)
+    return sum(corners[1:], corners[0]) / len(corners)
+
+
+def facet_measures(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """Facet lengths (2D) or areas (3D) for vertex points of shape (..., N, n).
+
+    Leading axes batch several meshes over one facet array; each mesh's
+    measures are those it gets alone, bit for bit. The cross product and
+    the norm are written out coordinate by coordinate, which rounds as
+    np.cross and np.linalg.norm do.
+    """
+    p0, p1, *rest = _facet_corners(points, facets)
+    e1 = p1 - p0
+    if not rest:
+        return np.sqrt(e1[..., 0] * e1[..., 0] + e1[..., 1] * e1[..., 1])
+    e2 = rest[0] - p0
+    c0 = e1[..., 1] * e2[..., 2] - e1[..., 2] * e2[..., 1]
+    c1 = e1[..., 2] * e2[..., 0] - e1[..., 0] * e2[..., 2]
+    c2 = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    return 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 # Dimensions with a direction grid, hence with meshes and boundary samples.
@@ -308,9 +336,8 @@ def off_text(mesh: BoundaryMesh) -> str:
     """OFF-format export of a 3D mesh."""
     if mesh.dim != 3:
         raise ValueError("OFF export is for 3D meshes")
-    lines = ["OFF", f"{len(mesh.points)} {len(mesh.facets)} 0"]
-    lines.extend(" ".join(repr(c) for c in p) for p in mesh.points.tolist())
-    lines.extend(
-        "3 " + " ".join(str(i) for i in f) for f in mesh.facets.tolist()
-    )
-    return "\n".join(lines) + "\n"
+    # one format call per line, over coordinate columns; repr gives the
+    # shortest round-tripping text of each float
+    vertices = "\n".join(map("{!r} {!r} {!r}".format, *mesh.points.T.tolist()))
+    faces = "\n".join(map("3 {} {} {}".format, *mesh.facets.T.tolist()))
+    return f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n{vertices}\n{faces}\n"

@@ -22,7 +22,12 @@ Level sets are meshed without bisection. Member gauges are 1-homogeneous,
 so along a ray r u every member squared gauge is r^2 q_i(u): off the tube
 the level-t crossing is exactly t/mu(u), and inside it the crossing solves
 a convex increasing equation in s = r^2, done by a monotone Newton
-iteration that reuses q(u).
+iteration that reuses q(u). One mesher handles a stack of levels at once:
+q(u) is computed once per grid, radii form one (levels x directions)
+array, every tube row of every level goes through one Newton solve, and
+the facet centroids of all levels through one agreement test. The level
+scan runs it on all its candidates; a single level set is the one-level
+case, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -52,34 +57,47 @@ _NEWTON_MAX_STEPS = 64
 
 _DEFAULT_SCAN_RES = {2: 512, 3: 3}
 
+# Largest (levels x facets) count the scan meshes in one batch; larger
+# scans run in consecutive blocks of levels, which keeps memory O(facets).
+_SCAN_BLOCK_CELLS = 1 << 17
+
 
 def _check_epsilon(epsilon: float) -> None:
     if not (0.0 < epsilon < 0.25):
         raise DegenerateEpsilon("epsilon must lie in (0, 1/4)")
 
 
-def _phi_terms(t, delta: float, order: Order):
-    """Blend profile phi(t) with first and second derivatives, vectorized.
+def _phi_terms(t, delta: float, order: Order, derivs: int = 2):
+    """Blend profile phi(t) and its first ``derivs`` derivatives, vectorized.
 
-    phi is even, convex, C^1 (C11) or C^2 (C2), satisfies phi(t) = |t| for
-    |t| >= delta and |t| <= phi(t) <= |t| + delta/2 inside.
+    Returns a tuple of ``derivs + 1`` arrays, so each caller builds only
+    the terms it reads. phi is even, convex, C^1 (C11) or C^2 (C2),
+    satisfies phi(t) = |t| for |t| >= delta and |t| <= phi(t) <= |t| +
+    delta/2 inside.
     """
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     inside = at < delta
-    if order == "C11":
-        phi_in = t * t / (2.0 * delta) + 0.5 * delta
-        dphi_in = t / delta
-        d2_in = np.full_like(t, 1.0 / delta)
-    else:
-        d3 = delta**3
+    c2 = order == "C2"
+    d3 = delta**3
+    if c2:
         phi_in = -(t**4) / (8.0 * d3) + 3.0 * t * t / (4.0 * delta) + 3.0 * delta / 8.0
-        dphi_in = -(t**3) / (2.0 * d3) + 3.0 * t / (2.0 * delta)
-        d2_in = -3.0 * t * t / (2.0 * d3) + 3.0 / (2.0 * delta)
-    phi = np.where(inside, phi_in, at)
-    dphi = np.where(inside, dphi_in, np.sign(t))
-    d2 = np.where(inside, d2_in, 0.0)
-    return phi, dphi, d2
+    else:
+        phi_in = t * t / (2.0 * delta) + 0.5 * delta
+    terms = [np.where(inside, phi_in, at)]
+    if derivs >= 1:
+        if c2:
+            dphi_in = -(t**3) / (2.0 * d3) + 3.0 * t / (2.0 * delta)
+        else:
+            dphi_in = t / delta
+        terms.append(np.where(inside, dphi_in, np.sign(t)))
+    if derivs >= 2:
+        if c2:
+            d2_in = -3.0 * t * t / (2.0 * d3) + 3.0 / (2.0 * delta)
+        else:
+            d2_in = np.full_like(t, 1.0 / delta)
+        terms.append(np.where(inside, d2_in, 0.0))
+    return tuple(terms)
 
 
 def smooth_max(a: float, b: float, delta: float, order: Order = "C11"):
@@ -97,7 +115,7 @@ def smooth_max(a: float, b: float, delta: float, order: Order = "C11"):
     t = a - b
     if abs(t) >= delta:
         return (a, 1.0) if t > 0 else (b, 0.0)
-    phi, dphi, _ = _phi_terms(t, delta, order)
+    phi, dphi = _phi_terms(t, delta, order, derivs=1)
     return (a + b + float(phi)) / 2.0, (1.0 + float(dphi)) / 2.0
 
 
@@ -135,8 +153,10 @@ def _fold(sq, delta: float, order: Order, grad=None, hess=None):
     w = (1 + phi')/2 and 1 - w, plus the PSD rank-one term
     phi''/2 (g_acc - g_b)(g_acc - g_b)^T per blend. A step whose gap is at
     least delta keeps the accumulator as is, so off-tube values reproduce
-    the exact maximum to the last bit.
+    the exact maximum to the last bit. Profile derivatives are built only
+    for the derivatives carried.
     """
+    derivs = 0 if grad is None else 1 if hess is None else 2
     acc = sq[..., 0]
     acc_g = None if grad is None else grad[..., 0, :]
     acc_h = None if hess is None else hess[..., 0, :, :]
@@ -144,16 +164,16 @@ def _fold(sq, delta: float, order: Order, grad=None, hess=None):
         b = sq[..., k]
         t = acc - b  # >= 0: the accumulator dominates every later member
         exact = t >= delta
-        phi, dphi, d2 = _phi_terms(t, delta, order)
+        phi, *slopes = _phi_terms(t, delta, order, derivs)
         if acc_g is not None:
-            w = (0.5 * (1.0 + dphi))[..., None]
+            w = (0.5 * (1.0 + slopes[0]))[..., None]
             b_g = grad[..., k, :]
             if acc_h is not None:
                 diff = acc_g - b_g
                 blend_h = (
                     w[..., None] * acc_h
                     + (1.0 - w)[..., None] * hess[..., k, :, :]
-                    + (0.5 * d2)[..., None, None] * (diff[..., :, None] * diff[..., None, :])
+                    + (0.5 * slopes[1])[..., None, None] * (diff[..., :, None] * diff[..., None, :])
                 )
                 acc_h = np.where(exact[..., None, None], acc_h, blend_h)
             acc_g = np.where(exact[..., None], acc_g, w * acc_g + (1.0 - w) * b_g)
@@ -218,53 +238,60 @@ def agreement_indicator(gauge: BlendedGauge, x) -> bool:
 
 
 def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
+    """:func:`agreement_indicator` over points of shape (..., n)."""
     sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
     if sq.shape[-1] == 1:
         return np.ones(sq.shape[:-1], dtype=bool)
-    part = -np.partition(-sq, 1, axis=-1)
-    gap = part[..., 0] - part[..., 1]
-    return gap >= gauge.delta * (1.0 + RIDGE_GUARD)
+    # the two largest member values of every point, as exact copies
+    cols = np.ascontiguousarray(np.moveaxis(sq, -1, 0))
+    first, second = np.maximum(cols[0], cols[1]), np.minimum(cols[0], cols[1])
+    for x in cols[2:]:
+        second = np.maximum(second, np.minimum(first, x))
+        first = np.maximum(first, x)
+    return first - second >= gauge.delta * (1.0 + RIDGE_GUARD)
 
 
-def _level_mesher(gauge: BlendedGauge, resolution: int):
-    """Mesher of the level sets h = t over one direction grid.
+def _level_grid(gauge: BlendedGauge, resolution: int):
+    """Direction grid, facets, mu(u) and the member squared gauges q_i(u),
+    sorted descending (None for a single ball), computed once per grid."""
+    dirs, facets = _measure.direction_grid(gauge.dim, resolution)
+    mus = member_gauges(gauge.body, dirs)
+    mu = np.max(mus, axis=-1)
+    sq = -np.sort(-(mus * mus), axis=-1) if mus.shape[-1] > 1 else None
+    return dirs, facets, mu, sq
 
-    The grid and the member squared gauges q_i(u), sorted descending, are
-    computed once; the returned ``mesh(level, rescale=None)`` then meshes
-    any level from them. Where the top-two gap at r = level/mu(u) is at
-    least delta * (1 + RIDGE_GUARD), every fold step is on its exact branch
-    and r is the crossing, in closed form; the rescaled radius is computed
-    as (level/rescale)/mu(u), which is 1/mu(u) to the bit when rescale
-    equals level, matching the original body's mesh. The remaining tube
-    directions are solved by :func:`_tube_radii`.
+
+def _mesh_levels(gauge: BlendedGauge, grid, levels: np.ndarray, rescale: float | None = None):
+    """Radii (L, N) and facet agreement flags (L, F) of the level sets
+    h = levels[l] over one grid from :func:`_level_grid`.
+
+    Where the top-two gap at r = level/mu(u) is at least
+    delta * (1 + RIDGE_GUARD), every fold step is on its exact branch and r
+    is the crossing, in closed form; the (level, direction) rows left in the
+    tube are solved together by :func:`_tube_radii`. With ``rescale``,
+    closed-form radii are computed as (level/rescale)/mu(u), which is
+    1/mu(u) to the bit when rescale equals level, matching the original
+    body's mesh, and tube radii are divided by it.
 
     Agreement flags are evaluated on the level set itself: a vertex agrees
     when its direction took the closed form, a facet when all its vertices
     and its centroid agree.
     """
-    dirs, facets = _measure.direction_grid(gauge.dim, resolution)
-    mus = member_gauges(gauge.body, dirs)
-    mu = np.max(mus, axis=-1)
-    sq = -np.sort(-(mus * mus), axis=-1) if mus.shape[-1] > 1 else None
-
-    def mesh(level: float, rescale: float | None = None) -> _measure.BoundaryMesh:
-        radii = level / mu
-        closed = np.ones(len(dirs), dtype=bool)
-        if sq is not None:
-            closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
-            if not np.all(closed):
-                radii[~closed] = _tube_radii(gauge, sq[~closed], level)
-        centroids = (radii[:, None] * dirs)[facets].mean(axis=1)
-        flags = closed[facets].all(axis=1) & agreement_many(gauge, centroids)
-        if rescale is not None:
-            tube = radii[~closed] / rescale
-            radii = (level / rescale) / mu
-            radii[~closed] = tube
-        return _measure.BoundaryMesh(
-            dim=gauge.dim, directions=dirs, radii=radii, facets=facets, agreement=flags
-        )
-
-    return mesh
+    dirs, facets, mu, sq = grid
+    radii = levels[:, None] / mu
+    closed = np.ones(radii.shape, dtype=bool)
+    if sq is not None:
+        closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
+        group, row = np.nonzero(~closed)
+        if group.size:
+            radii[group, row] = _tube_radii(gauge, sq[row], (levels * levels)[group], group)
+    centroids = _measure.facet_centroids(radii[..., None] * dirs, facets)
+    flags = closed[:, facets].all(axis=2) & agreement_many(gauge, centroids)
+    if rescale is not None:
+        tube = radii[~closed] / rescale
+        radii = (levels / rescale)[:, None] / mu
+        radii[~closed] = tube
+    return radii, flags
 
 
 def blended_level_mesh(
@@ -273,28 +300,47 @@ def blended_level_mesh(
     resolution: int,
     rescale: float | None = None,
 ) -> _measure.BoundaryMesh:
-    """Mesh the level set h = level, optionally rescaling radii by 1/rescale
-    (one level of :func:`_level_mesher`)."""
-    return _level_mesher(gauge, resolution)(level, rescale)
+    """Mesh the level set h = level, optionally rescaling radii by 1/rescale.
 
-
-def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, level: float) -> np.ndarray:
-    """Level crossings along tube directions from their member squared gauges.
-
-    ``sq`` holds q_i(u) sorted descending per row. Along the ray the blend
-    is F(s) = fold(s q) with s = r^2: convex (each fold step is convex and
-    nondecreasing in both inputs) and increasing. Newton's method started
-    at s = level^2/q_1, where F(s) >= s q_1 = level^2, therefore stays at
-    or right of the root and decreases monotonically to it. No member
-    gauge is recomputed.
+    The one-level case of the batched mesher (:func:`_mesh_levels`) that
+    the level scan runs, so a level's mesh is the scan's to the bit.
     """
-    target = level * level
+    grid = _level_grid(gauge, resolution)
+    radii, flags = _mesh_levels(gauge, grid, np.array([level], dtype=float), rescale)
+    return _measure.BoundaryMesh(
+        dim=gauge.dim, directions=grid[0], radii=radii[0], facets=grid[1], agreement=flags[0]
+    )
+
+
+def _tube_radii(
+    gauge: BlendedGauge, sq: np.ndarray, target: np.ndarray, group: np.ndarray
+) -> np.ndarray:
+    """Level crossings along tube rows from their member squared gauges.
+
+    Row j holds q_i(u) sorted descending in ``sq[j]``, its target
+    ``target[j]`` = level^2 and the index ``group[j]`` of its level. Along
+    the ray the blend is F(s) = fold(s q) with s = r^2: convex (each fold
+    step is convex and nondecreasing in both inputs) and increasing.
+    Newton's method started at s = level^2/q_1, where F(s) >= s q_1 =
+    level^2, therefore stays at or right of the root and decreases
+    monotonically to it. No member gauge is recomputed.
+
+    Rows of one level step together: a level stops once every one of its
+    rows took a step of at most 4 ulp of s, so each level's radii are those
+    of solving that level alone, bit for bit, whatever else is batched.
+    """
     s = target / sq[:, 0]
+    live = np.arange(len(s))
+    unsettled = np.zeros(int(group.max()) + 1, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
-        value, slope, _ = _fold(s[:, None] * sq, gauge.delta, gauge.order, grad=sq[..., None])
-        step = np.maximum((value - target) / slope[:, 0], 0.0)
-        s = s - step
-        if np.all(step <= 4.0 * np.finfo(float).eps * s):
+        q = sq[live]
+        value, slope, _ = _fold(s[live, None] * q, gauge.delta, gauge.order, grad=q[..., None])
+        step = np.maximum((value - target[live]) / slope[:, 0], 0.0)
+        s[live] = s[live] - step
+        unsettled[:] = False
+        unsettled[group[live][step > 4.0 * np.finfo(float).eps * s[live]]] = True
+        live = live[unsettled[group[live]]]
+        if live.size == 0:
             return np.sqrt(s)
     raise NonConvergence("tube radius solve did not converge")
 
@@ -308,10 +354,13 @@ def level_disagreement_scan(
     """Candidate levels in (1, 1 + epsilon) and their disagreement measures.
 
     Each candidate level set of h is meshed and the measure of its portion
-    inside the blend tube (agreement flag false) is summed; every level
-    shares one grid and its member gauges (:func:`_level_mesher`). The
-    minimum over candidates is at most the scan average, which is the
-    discrete form of slicing a small-measure tube by many levels.
+    inside the blend tube (agreement flag false) is summed. All levels
+    share one grid and its member gauges, and are meshed together by
+    :func:`_mesh_levels`, in blocks of at most ``_SCAN_BLOCK_CELLS``
+    (levels x facets); each measure equals that of the level's own
+    :func:`blended_level_mesh` bit for bit. The minimum over candidates is
+    at most the scan average, which is the discrete form of slicing a
+    small-measure tube by many levels.
     """
     _check_epsilon(epsilon)
     if scan < 8:
@@ -319,8 +368,14 @@ def level_disagreement_scan(
     if resolution is None:
         resolution = _DEFAULT_SCAN_RES[gauge.dim]
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
-    mesh = _level_mesher(gauge, resolution)
-    measures = np.array([_measure.hausdorff_measure(mesh(t), "disagree") for t in levels])
+    grid = _level_grid(gauge, resolution)
+    dirs, facets = grid[:2]
+    block = max(1, _SCAN_BLOCK_CELLS // len(facets))
+    measures = np.empty(scan)
+    for start in range(0, scan, block):
+        radii, flags = _mesh_levels(gauge, grid, levels[start : start + block])
+        sizes = _measure.facet_measures(radii[..., None] * dirs, facets)
+        measures[start : start + block] = [np.sum(m[~f]) for m, f in zip(sizes, flags)]
     return levels, measures
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
+from convexsmooth.bodies import _row_dots
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.smooth import _phi_terms
 
@@ -144,6 +145,64 @@ def blended_gauge_sq_reference(gauge, x):
         acc_g = w * acc_g + (1.0 - w) * b_g
         acc_h = w * acc_h + (1.0 - w) * evs[i].hess_sq + 0.5 * float(d2) * np.outer(diff, diff)
     return acc_v, acc_g, acc_h
+
+
+def member_gauges_reference(body: BallBody, points: np.ndarray) -> np.ndarray:
+    """Member gauges (N, m) in the two-branch np.where form, one temporary
+    per operation (the plain form of ``gauge._gauge_kernel``)."""
+    xs = np.asarray(points, dtype=float)
+    xa = _row_dots(xs, body.centers)
+    xx = np.einsum("...i,...i->...", xs, xs)[..., None]
+    k = body.radius**2 - np.array([float(c @ c) for c in body.centers])
+    s = np.sqrt(xa * xa + k * xx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pos = xx / (s + xa)
+        neg = (s - xa) / k
+    val = np.where(xa >= 0.0, pos, neg)
+    return np.where(xx == 0.0, 0.0, val)
+
+
+def facet_measures_reference(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """Facet lengths or areas of one mesh, (N, n) points, through np.cross
+    and np.linalg.norm."""
+    pts = points[facets]
+    if points.shape[1] == 2:
+        return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+    cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+    return 0.5 * np.linalg.norm(cross, axis=1)
+
+
+def subdivide_reference(verts: np.ndarray, faces: np.ndarray):
+    """One icosphere subdivision, edge by edge through a midpoint dict (the
+    loop form of ``grids._subdivide``)."""
+    vlist = [v for v in verts]
+    midpoint: dict[tuple[int, int], int] = {}
+
+    def mid(i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        idx = midpoint.get(key)
+        if idx is None:
+            m = vlist[i] + vlist[j]
+            m /= np.linalg.norm(m)
+            idx = len(vlist)
+            vlist.append(m)
+            midpoint[key] = idx
+        return idx
+
+    new_faces = []
+    for a, b, c in faces:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(vlist), np.array(new_faces, dtype=np.int64)
+
+
+def off_text_reference(mesh) -> str:
+    """OFF text of a 3D mesh built line by line (the loop form of
+    ``measure.off_text``)."""
+    lines = ["OFF", f"{len(mesh.points)} {len(mesh.facets)} 0"]
+    lines.extend(" ".join(repr(c) for c in p) for p in mesh.points.tolist())
+    lines.extend("3 " + " ".join(str(i) for i in f) for f in mesh.facets.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -24,6 +24,7 @@ from helpers import (
     fd_jacobian,
     gauge_by_bisection,
     gauge_condition,
+    member_gauges_reference,
     random_ball_body,
 )
 
@@ -234,6 +235,12 @@ class TestMemberKernels:
         bound[-1] = 0.0  # the origin: both are exactly 0
         assert np.all(np.abs(got - ref) <= bound)
 
+    @settings(max_examples=60, deadline=None)
+    @given(body=ball_bodies(max_balls=6, min_interior=1e-7), seed=st.integers(0, 2**32 - 1))
+    def test_member_gauges_are_the_two_branch_form(self, body, seed):
+        pts = _query_points(seed, body.dim)
+        assert np.array_equal(member_gauges(body, pts), member_gauges_reference(body, pts))
+
     def test_single_rows_match_the_batch_bit_for_bit(self):
         # centers with |a| up to R(1 - 1e-6): <x, a> is ill-conditioned
         # there, so any batch-dependent summation order shows in the gauge
@@ -255,6 +262,9 @@ class TestMemberKernels:
                 # a blend width that puts the agreement threshold at x's gap
                 gauge = BlendedGauge(body=body, delta=(sq[i, 0] - sq[i, 1]) / (1.0 + RIDGE_GUARD))
                 assert agreement_indicator(gauge, x) == agreement_many(gauge, pts)[i]
+                # the top-two gap is that of the sorted member values
+                threshold = gauge.delta * (1.0 + RIDGE_GUARD)
+                assert np.array_equal(agreement_many(gauge, pts), sq[:, 0] - sq[:, 1] >= threshold)
 
     def test_member_gauges_of_one_point(self):
         body = lens()

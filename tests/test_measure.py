@@ -13,8 +13,8 @@ from convexsmooth import (
     symmetric_difference_measure,
 )
 from convexsmooth.gauge import body_gauge_values
-from convexsmooth.measure import direction_grid, radial_function
-from helpers import random_ball_body, unit_square
+from convexsmooth.measure import direction_grid, facet_measures, radial_function
+from helpers import facet_measures_reference, off_text_reference, random_ball_body, unit_square
 
 
 def lens():
@@ -67,6 +67,16 @@ class TestBoundaryMesh:
             direction_grid(4, 100, by_count=True)
         with pytest.raises(InvalidBody, match="dim 2 and 3"):
             extract_smoothed_body(unit_ball(4), delta=1e-3, epsilon=0.05)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_facet_measures_are_each_meshs_cross_and_norm(dim):
+    dirs, facets = direction_grid(dim, 300 if dim == 2 else 3)
+    radii = np.random.default_rng(dim).uniform(0.5, 2.0, size=(5, len(dirs)))
+    points = radii[..., None] * dirs
+    batched = facet_measures(points, facets)
+    for pts, got in zip(points, batched):
+        assert np.array_equal(got, facet_measures_reference(pts, facets))
 
 
 class TestHausdorffMeasure:
@@ -155,6 +165,16 @@ class TestExports:
         assert nv == len(mesh.points) and nf == len(mesh.facets) and ne == 0
         assert len(lines) == 2 + nv + nf
         assert all(line.startswith("3 ") for line in lines[2 + nv :])
+
+    @pytest.mark.parametrize("level", [2, 5])
+    def test_off_text_is_the_line_by_line_text(self, level):
+        body = BallBody(radius=1.3, centers=[[0.3, 0.0, 0.1], [-0.2, 0.25, 0.0]], dim=3)
+        mesh = boundary_mesh(body, level)
+        text = off_text(mesh)
+        assert text == off_text_reference(mesh)
+        nv = len(mesh.points)
+        coords = [[float(c) for c in line.split()] for line in text.splitlines()[2 : 2 + nv]]
+        assert np.array_equal(np.array(coords), mesh.points)  # repr round-trips
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):

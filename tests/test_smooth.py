@@ -19,9 +19,16 @@ from convexsmooth import (
     select_regular_value,
     smooth_max,
 )
+from convexsmooth import smooth
 from convexsmooth.gauge import body_gauge_values, member_gauges
 from convexsmooth.measure import batch_ray_crossings, direction_grid
-from convexsmooth.smooth import _phi_terms, blended_h_values, blended_level_mesh
+from convexsmooth.smooth import (
+    _level_grid,
+    _mesh_levels,
+    _phi_terms,
+    blended_h_values,
+    blended_level_mesh,
+)
 from helpers import (
     ball_bodies,
     blended_gauge_sq_reference,
@@ -334,6 +341,72 @@ class TestRegularValueSelection:
                 select_regular_value(gauge, bad, 16)
         with pytest.raises(ValueError):
             select_regular_value(gauge, 0.05, 4)
+
+
+def ring(m, offset):
+    angles = 2.0 * np.pi * np.arange(m) / m
+    return BallBody(
+        radius=1.0, centers=offset * np.column_stack([np.cos(angles), np.sin(angles)]), dim=2
+    )
+
+
+class TestBatchedScan:
+    """The scan meshes all its levels in one batch; every level must get
+    the measure, and radii, of meshing it alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        body=ball_bodies(),
+        order=st.sampled_from(["C11", "C2"]),
+        log_delta=st.floats(-4.0, -1.0),
+        res2d=st.integers(16, 300),
+        scan=st.integers(8, 24),
+    )
+    def test_scan_measures_are_single_level_measures(self, body, order, log_delta, res2d, scan):
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        resolution = res2d if body.dim == 2 else 2
+        levels, measures = level_disagreement_scan(gauge, 0.05, scan, resolution=resolution)
+        for t, m in zip(levels, measures):
+            assert m == hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
+
+    @pytest.mark.parametrize(
+        "order, epsilon", [("C11", 0.2), ("C2", 0.05)], ids=["C11", "C2"]
+    )
+    def test_levels_taking_different_newton_step_counts(self, order, epsilon, monkeypatch):
+        # a wide blend on an 8-ball ring: some levels need one Newton step
+        # more than others, and a level's rows stop with the level
+        gauge = BlendedGauge(body=ring(8, 0.1), delta=0.1, order=order)
+        levels = 1.0 + epsilon * (np.arange(16) + 1.0) / 17.0
+        radii, _ = _mesh_levels(gauge, _level_grid(gauge, 256), levels)
+        fold = smooth._fold
+        steps = []
+        for t, batched in zip(levels, radii):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return fold(*args, **kwargs)
+
+            monkeypatch.setattr(smooth, "_fold", counted)
+            alone = blended_level_mesh(gauge, t, 256)
+            monkeypatch.setattr(smooth, "_fold", fold)
+            steps.append(len(calls))
+            assert np.array_equal(batched, alone.radii)
+        assert min(steps) > 0 and len(set(steps)) > 1
+
+    def test_scan_spanning_several_level_blocks(self, monkeypatch):
+        gauge = BlendedGauge(
+            body=random_ball_body(np.random.default_rng(21), 2, 6), delta=1e-3, order="C2"
+        )
+        resolution = 2048  # 2D: as many facets as directions
+        scan = 2 * (smooth._SCAN_BLOCK_CELLS // resolution) + 5
+        levels, measures = level_disagreement_scan(gauge, 0.05, scan, resolution=resolution)
+        for t, m in zip(levels, measures):
+            assert m == hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
+        monkeypatch.setattr(smooth, "_SCAN_BLOCK_CELLS", scan * resolution)
+        _, unblocked = level_disagreement_scan(gauge, 0.05, scan, resolution=resolution)
+        assert np.array_equal(measures, unblocked)
+        assert np.any(measures > 0.0)
 
 
 class TestExtract:
