@@ -6,12 +6,19 @@ tolerance. The nearest point of the body is active on at most n spheres,
 so it is the nearest feasible candidate of a short enumeration over
 sphere subsets (:func:`convexsmooth.bodies._extreme_points`). The nearest
 boundary point of an interior point is its radial projection onto the
-sphere of the ball whose boundary is closest. Projection onto the boundary
-is only guaranteed well defined on a tube whose width is set by the
-Lipschitz constant of the boundary normal field; inside that tube (and
-everywhere outside the body) it is 2-Lipschitz. The probe follows each
-outward normal ray of the inner body to where it leaves the outer body,
-a quadratic root per ball or a ratio per face, and projects it back.
+sphere of the ball whose boundary is closest. That interior branch is
+exact wherever one sphere is nearest. On a face cell (the points whose
+farthest center is a given a_i) it is the radial map onto that sphere, and
+on the cell's points within boundary distance d it is R/(R - d)-Lipschitz.
+Across the medial axis, where the nearest sphere changes, the map jumps
+and no Lipschitz constant holds: at a ridge such as a lens tip, two
+interior points a tiny distance apart land on different spheres. Outside
+the body the map is the metric projection onto a convex set, hence
+1-Lipschitz. The interior branch is offered only on a tube whose width
+comes from a mesh estimate of the boundary normal field's Lipschitz
+constant. The probe follows each outward normal ray of the inner body to
+where it leaves the outer body, a quadratic root per ball or a ratio per
+face, and projects it back.
 """
 
 from __future__ import annotations
@@ -37,11 +44,17 @@ from .measure import BoundaryMesh, boundary_samples
 
 @dataclass(frozen=True)
 class ProjectionDomain:
-    """Neighborhood of the boundary where boundary projection is safe.
+    """Neighborhood of the boundary where boundary projection is offered.
 
-    ``width`` = 1 / (2 * lip_normal); boundary projection is well defined
-    and 2-Lipschitz on points closer to the boundary than ``width`` plus
-    the whole exterior.
+    ``width`` = 1 / (2 * lip_normal), from the mesh estimate of the normal
+    field's Lipschitz constant; :func:`boundary_projection` accepts the
+    whole exterior and interior points closer to the boundary than
+    ``width``. On that domain the map is exact where one sphere is
+    nearest, and R/(R - d)-Lipschitz on the points of one face cell (one
+    farthest center) within boundary distance d. It has no Lipschitz
+    constant across the medial axis, where the nearest sphere changes:
+    near a ridge, interior points arbitrarily close together project to
+    points a fixed distance apart.
     """
 
     width: float

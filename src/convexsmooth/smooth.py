@@ -24,16 +24,20 @@ the level-t crossing is exactly t/mu(u), and inside it the crossing solves
 a convex increasing equation in s = r^2, done by a monotone Newton
 iteration that reuses q(u). One mesher handles a stack of levels at once:
 q(u) is computed once per grid, radii form one (levels x directions)
-array, every tube row of every level goes through one Newton solve, and
-the facet centroids of all levels through one agreement test. The level
-scan runs it on all its candidates; a single level set is the one-level
-case, so the two agree bit for bit.
+array, and every tube row of every level goes through one Newton solve.
+Agreement flags need no per-level gauges either. A facet whose vertices
+all sit at t/mu(u) has its level-t centroid at t times its level-1
+centroid c_1, and member squared gauges are 2-homogeneous, so the top-two
+gap there is t^2 gap(c_1): one gauge pass over the level-1 centroids flags
+the facets of every level, and a facet with a tube vertex disagrees
+anyway. The level scan runs the mesher on all its candidates; a single
+level set is the one-level case, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -237,31 +241,63 @@ def agreement_indicator(gauge: BlendedGauge, x) -> bool:
     return bool(agreement_many(gauge, _as_vector(x, gauge.dim)[None, :])[0])
 
 
-def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
-    """:func:`agreement_indicator` over points of shape (..., n)."""
-    sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
-    if sq.shape[-1] == 1:
-        return np.ones(sq.shape[:-1], dtype=bool)
-    # the two largest member values of every point, as exact copies
+def _top_two_gap(sq: np.ndarray) -> np.ndarray:
+    """First minus second largest member value over the last axis (m >= 2).
+
+    A running max/min over the members keeps exact copies of the two
+    largest values, so the gap is one subtraction of stored floats.
+    """
     cols = np.ascontiguousarray(np.moveaxis(sq, -1, 0))
     first, second = np.maximum(cols[0], cols[1]), np.minimum(cols[0], cols[1])
     for x in cols[2:]:
         second = np.maximum(second, np.minimum(first, x))
         first = np.maximum(first, x)
-    return first - second >= gauge.delta * (1.0 + RIDGE_GUARD)
+    return first - second
 
 
-def _level_grid(gauge: BlendedGauge, resolution: int):
-    """Direction grid, facets, mu(u) and the member squared gauges q_i(u),
-    sorted descending (None for a single ball), computed once per grid."""
+def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
+    """:func:`agreement_indicator` over points of shape (..., n)."""
+    sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
+    if sq.shape[-1] == 1:
+        return np.ones(sq.shape[:-1], dtype=bool)
+    return _top_two_gap(sq) >= gauge.delta * (1.0 + RIDGE_GUARD)
+
+
+class _LevelGrid(NamedTuple):
+    """What every level set over one direction grid shares.
+
+    ``dirs`` and ``facets`` are the grid, ``mu`` the body gauge mu(u) of
+    every direction and ``sq`` its member squared gauges q_i(u), sorted
+    descending (None for a single ball). ``gap`` is the top-two gap of the
+    member squared gauges at the facet centroids of the level-1 set, whose
+    vertices are u/mu(u) (inf for a single ball).
+    """
+
+    dirs: np.ndarray
+    facets: np.ndarray
+    mu: np.ndarray
+    sq: np.ndarray | None
+    gap: np.ndarray
+
+
+def _level_grid(gauge: BlendedGauge, resolution: int) -> _LevelGrid:
+    """The :class:`_LevelGrid` of a resolution: one member gauge pass over
+    the directions and, unless the body is a single ball, one over the
+    level-1 facet centroids."""
     dirs, facets = _measure.direction_grid(gauge.dim, resolution)
     mus = member_gauges(gauge.body, dirs)
     mu = np.max(mus, axis=-1)
-    sq = -np.sort(-(mus * mus), axis=-1) if mus.shape[-1] > 1 else None
-    return dirs, facets, mu, sq
+    if mus.shape[-1] == 1:
+        return _LevelGrid(dirs, facets, mu, None, np.full(len(facets), np.inf))
+    sq = -np.sort(-(mus * mus), axis=-1)
+    centroids = _measure.facet_centroids((1.0 / mu)[:, None] * dirs, facets)
+    gap = _top_two_gap(member_gauges(gauge.body, centroids) ** 2)
+    return _LevelGrid(dirs, facets, mu, sq, gap)
 
 
-def _mesh_levels(gauge: BlendedGauge, grid, levels: np.ndarray, rescale: float | None = None):
+def _mesh_levels(
+    gauge: BlendedGauge, grid: _LevelGrid, levels: np.ndarray, rescale: float | None = None
+):
     """Radii (L, N) and facet agreement flags (L, F) of the level sets
     h = levels[l] over one grid from :func:`_level_grid`.
 
@@ -273,25 +309,41 @@ def _mesh_levels(gauge: BlendedGauge, grid, levels: np.ndarray, rescale: float |
     1/mu(u) to the bit when rescale equals level, matching the original
     body's mesh, and tube radii are divided by it.
 
-    Agreement flags are evaluated on the level set itself: a vertex agrees
-    when its direction took the closed form, a facet when all its vertices
-    and its centroid agree.
+    A facet agrees when all its vertices took the closed form and the gap
+    at its centroid passes the same test. The gap is needed only on facets
+    whose vertices all sit at level/mu(u): their centroid is level times
+    the level-1 centroid, and member squared gauges are 2-homogeneous, so
+    the gap there is level^2 times ``grid.gap``, up to rounding. One
+    broadcast comparison thus flags every level, with no member gauge
+    evaluated per level; facets with a tube vertex disagree whatever the
+    gap.
     """
-    dirs, facets, mu, sq = grid
+    dirs, facets, mu, sq, gap = grid
+    threshold = gauge.delta * (1.0 + RIDGE_GUARD)
     radii = levels[:, None] / mu
     closed = np.ones(radii.shape, dtype=bool)
     if sq is not None:
-        closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
+        closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= threshold
         group, row = np.nonzero(~closed)
         if group.size:
             radii[group, row] = _tube_radii(gauge, sq[row], (levels * levels)[group], group)
-    centroids = _measure.facet_centroids(radii[..., None] * dirs, facets)
-    flags = closed[:, facets].all(axis=2) & agreement_many(gauge, centroids)
+    flags = closed[:, facets].all(axis=2) & ((levels * levels)[:, None] * gap >= threshold)
     if rescale is not None:
         tube = radii[~closed] / rescale
         radii = (levels / rescale)[:, None] / mu
         radii[~closed] = tube
     return radii, flags
+
+
+def _level_mesh(
+    gauge: BlendedGauge, grid: _LevelGrid, level: float, rescale: float | None = None
+) -> _measure.BoundaryMesh:
+    """Mesh of the level set h = level over a grid from :func:`_level_grid`:
+    the one-level case of :func:`_mesh_levels`."""
+    radii, flags = _mesh_levels(gauge, grid, np.array([level], dtype=float), rescale)
+    return _measure.BoundaryMesh(
+        dim=gauge.dim, directions=grid.dirs, radii=radii[0], facets=grid.facets, agreement=flags[0]
+    )
 
 
 def blended_level_mesh(
@@ -305,11 +357,7 @@ def blended_level_mesh(
     The one-level case of the batched mesher (:func:`_mesh_levels`) that
     the level scan runs, so a level's mesh is the scan's to the bit.
     """
-    grid = _level_grid(gauge, resolution)
-    radii, flags = _mesh_levels(gauge, grid, np.array([level], dtype=float), rescale)
-    return _measure.BoundaryMesh(
-        dim=gauge.dim, directions=grid[0], radii=radii[0], facets=grid[1], agreement=flags[0]
-    )
+    return _level_mesh(gauge, _level_grid(gauge, resolution), level, rescale)
 
 
 def _tube_radii(
@@ -357,10 +405,12 @@ def level_disagreement_scan(
     inside the blend tube (agreement flag false) is summed. All levels
     share one grid and its member gauges, and are meshed together by
     :func:`_mesh_levels`, in blocks of at most ``_SCAN_BLOCK_CELLS``
-    (levels x facets); each measure equals that of the level's own
-    :func:`blended_level_mesh` bit for bit. The minimum over candidates is
-    at most the scan average, which is the discrete form of slicing a
-    small-measure tube by many levels.
+    (levels x facets). Only the disagreeing facets are measured, those of
+    all levels in one call, and each level sums its own in facet order, so
+    each measure equals that of the level's own :func:`blended_level_mesh`
+    bit for bit. The minimum over candidates is at most the scan average,
+    which is the discrete form of slicing a small-measure tube by many
+    levels.
     """
     _check_epsilon(epsilon)
     if scan < 8:
@@ -369,13 +419,19 @@ def level_disagreement_scan(
         resolution = _DEFAULT_SCAN_RES[gauge.dim]
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
     grid = _level_grid(gauge, resolution)
-    dirs, facets = grid[:2]
+    dirs, facets = grid.dirs, grid.facets
     block = max(1, _SCAN_BLOCK_CELLS // len(facets))
     measures = np.empty(scan)
     for start in range(0, scan, block):
         radii, flags = _mesh_levels(gauge, grid, levels[start : start + block])
-        sizes = _measure.facet_measures(radii[..., None] * dirs, facets)
-        measures[start : start + block] = [np.sum(m[~f]) for m, f in zip(sizes, flags)]
+        # measure only the disagreeing facets, all levels in one call over
+        # the stacked vertices; rows come level by level, facets in order
+        tube = ~flags
+        level, facet = np.nonzero(tube)
+        points = (radii[..., None] * dirs).reshape(-1, dirs.shape[1])
+        sizes = _measure.facet_measures(points, facets[facet] + (level * len(dirs))[:, None])
+        ends = np.cumsum(np.count_nonzero(tube, axis=1))[:-1]
+        measures[start : start + block] = [np.sum(m) for m in np.split(sizes, ends)]
     return levels, measures
 
 
@@ -444,6 +500,24 @@ class SmoothedBody:
         }
 
 
+def _tube_advice(body: BallBody) -> str:
+    """What to change when the ridge tube is too fat.
+
+    Balls with identical centers tie on their whole common boundary, so no
+    blend width shrinks their tube; the copies must go instead.
+    """
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for i, center in enumerate(body.centers.tolist()):
+        groups.setdefault(tuple(center), []).append(i)
+    copies = [f"({', '.join(map(str, g))})" for g in groups.values() if len(g) > 1]
+    if not copies:
+        return "decrease delta"
+    return (
+        f"balls {' and '.join(copies)} have identical centers, which no delta "
+        "separates; keep one ball of each and remove its copies"
+    )
+
+
 def extract_smoothed_body(
     body: BallBody,
     delta: float,
@@ -458,8 +532,9 @@ def extract_smoothed_body(
     """Run the full smoothing pipeline on a ball body.
 
     Raises :class:`ShrinkDelta` when the blend tube already eats more than
-    epsilon/4 of the boundary measure (the scan could not help then), and
-    :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). The returned
+    epsilon/4 of the boundary measure (the scan could not help then; the
+    message names balls with identical centers, which no delta separates),
+    and :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). The returned
     body records its verification data in ``checks``: containment of the
     sampled body in the original, the boundary staying inside the gauge
     tube [1 - 5 eps, 1 + 5 eps], and the sampled Hessian floor; ``meshes``
@@ -472,22 +547,28 @@ def extract_smoothed_body(
         resolution = _measure._DEFAULT_RESOLUTION[body.dim]
     gauge = BlendedGauge(body=body, delta=delta, order=order)
 
-    w_mesh = _measure.boundary_mesh(body, resolution)
+    # one grid for both output meshes; its radii 1/mu(u) are those of
+    # measure.radial_function, to the bit
+    grid = _level_grid(gauge, resolution)
+    w_mesh = _measure.BoundaryMesh(
+        dim=body.dim, directions=grid.dirs, radii=1.0 / grid.mu, facets=grid.facets
+    )
     # centroid-based tube estimate: converges to the true tube measure
     # (vertex-inclusive flags would overshoot by two facet widths per
-    # ridge, spuriously rejecting hairline tubes at coarse resolution)
-    flags = agreement_many(gauge, w_mesh.facet_centroids)
+    # ridge, spuriously rejecting hairline tubes at coarse resolution);
+    # grid.gap is taken at exactly w_mesh's facet centroids
+    flags = grid.gap >= gauge.delta * (1.0 + RIDGE_GUARD)
     boundary_measure = float(np.sum(w_mesh.facet_measures))
     tube_estimate = float(np.sum(w_mesh.facet_measures[~flags]))
     if tube_estimate >= 0.25 * epsilon * boundary_measure:
         raise ShrinkDelta(
             f"ridge tube measure {tube_estimate:.3e} exceeds eps/4 of the "
-            f"boundary measure {boundary_measure:.3e}; decrease delta"
+            f"boundary measure {boundary_measure:.3e}; {_tube_advice(body)}"
         )
 
     t0 = select_regular_value(gauge, epsilon, scan, resolution=scan_resolution)
 
-    we_mesh = blended_level_mesh(gauge, t0, resolution, rescale=t0)
+    we_mesh = _level_mesh(gauge, grid, t0, rescale=t0)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(we_mesh.points), size=check_samples)
     shrink = rng.random(check_samples) ** (1.0 / body.dim)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
 from convexsmooth.bodies import _row_dots
 from convexsmooth.gauge import body_gauge_values
-from convexsmooth.smooth import _phi_terms
+from convexsmooth.measure import facet_centroids
+from convexsmooth.smooth import RIDGE_GUARD, _phi_terms, agreement_many
 
 
 def gauge_by_bisection(ball: Ball, x, rel_tol: float = 1e-13) -> float:
@@ -160,6 +161,21 @@ def member_gauges_reference(body: BallBody, points: np.ndarray) -> np.ndarray:
         neg = (s - xa) / k
     val = np.where(xa >= 0.0, pos, neg)
     return np.where(xx == 0.0, 0.0, val)
+
+
+def level_flags_reference(gauge, grid, levels: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Facet agreement flags (L, F) of level sets with radii (L, N) over a
+    ``smooth._level_grid`` grid, tested on each level's own mesh: a facet
+    agrees when every vertex takes the closed-form radius level/mu(u) and
+    ``agreement_many`` passes at the facet's centroid (the per-level form
+    of ``smooth._mesh_levels``'s flags)."""
+    dirs, facets, mu, sq = grid[:4]
+    closed = np.ones(radii.shape, dtype=bool)
+    if sq is not None:
+        r = levels[:, None] / mu
+        closed = r * r * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
+    centroids = facet_centroids(radii[..., None] * dirs, facets)
+    return closed[:, facets].all(axis=2) & agreement_many(gauge, centroids)
 
 
 def facet_measures_reference(points: np.ndarray, facets: np.ndarray) -> np.ndarray:

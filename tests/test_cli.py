@@ -169,3 +169,14 @@ def test_unsupported_dimension_exits_2_with_named_error(command, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert "meshing supports dim 2 and 3 only, got dim 4" in err
+
+
+def test_duplicate_centers_exit_2_naming_the_copies(tmp_path, capsys):
+    body = tmp_path / "dup-lens.json"
+    body.write_text(
+        json.dumps({"dim": 2, "radius": 1.0, "centers": [[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]]})
+    )
+    code = main(["smooth", "--input", str(body), "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "balls (0, 2) have identical centers" in err and "decrease delta" not in err

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from convexsmooth import (
     BallBody,
     BlendedGauge,
+    ConvexSmoothError,
     DegenerateEpsilon,
     ShrinkDelta,
     agreement_indicator,
@@ -21,8 +22,9 @@ from convexsmooth import (
 )
 from convexsmooth import smooth
 from convexsmooth.gauge import body_gauge_values, member_gauges
-from convexsmooth.measure import batch_ray_crossings, direction_grid
+from convexsmooth.measure import batch_ray_crossings, direction_grid, facet_centroids
 from convexsmooth.smooth import (
+    RIDGE_GUARD,
     _level_grid,
     _mesh_levels,
     _phi_terms,
@@ -34,6 +36,7 @@ from helpers import (
     blended_gauge_sq_reference,
     fd_gradient,
     fd_jacobian,
+    level_flags_reference,
     random_ball_body,
 )
 
@@ -394,6 +397,36 @@ class TestBatchedScan:
             assert np.array_equal(batched, alone.radii)
         assert min(steps) > 0 and len(set(steps)) > 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        body=ball_bodies(),
+        order=st.sampled_from(["C11", "C2"]),
+        log_delta=st.floats(-4.0, np.log10(0.3)),
+        epsilon=st.floats(0.01, 0.24),
+        res2d=st.integers(16, 700),
+        res3d=st.integers(2, 3),
+        scan=st.integers(8, 24),
+    )
+    def test_flags_are_those_of_each_level_centroid(
+        self, body, order, log_delta, epsilon, res2d, res3d, scan
+    ):
+        # the batched flags scale one level-1 gap by level^2; testing each
+        # level's own centroids must agree except where the gap sits at the
+        # threshold to rounding
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        grid = _level_grid(gauge, res2d if body.dim == 2 else res3d)
+        levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
+        radii, flags = _mesh_levels(gauge, grid, levels)
+        ref = level_flags_reference(gauge, grid, levels, radii)
+        if len(body.centers) == 1:
+            assert np.array_equal(flags, ref) and np.all(flags)
+            return
+        threshold = gauge.delta * (1.0 + RIDGE_GUARD)
+        gap = _gap_values(body, facet_centroids(radii[..., None] * grid.dirs, grid.facets))
+        at_threshold = np.abs(gap - threshold) <= 1e-12 * threshold
+        assert np.array_equal(flags[~at_threshold], ref[~at_threshold])
+        assert np.count_nonzero(at_threshold) <= 1 + 1e-3 * flags.size
+
     def test_scan_spanning_several_level_blocks(self, monkeypatch):
         gauge = BlendedGauge(
             body=random_ball_body(np.random.default_rng(21), 2, 6), delta=1e-3, order="C2"
@@ -468,6 +501,16 @@ class TestExtract:
         with pytest.raises(ShrinkDelta):
             extract_smoothed_body(lens(), delta=0.5, epsilon=0.05, order="C2")
 
+    def test_duplicate_centers_are_named(self):
+        # identical balls tie on their whole boundary: no delta helps, so
+        # the advice names the copies instead
+        body = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]], dim=2)
+        with pytest.raises(ShrinkDelta, match=r"balls \(0, 2\) have identical centers") as info:
+            extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2")
+        assert "remove" in str(info.value) and "decrease delta" not in str(info.value)
+        with pytest.raises(ShrinkDelta, match="decrease delta"):
+            extract_smoothed_body(lens(), delta=0.5, epsilon=0.05, order="C2")
+
     def test_epsilon_validation(self):
         with pytest.raises(DegenerateEpsilon):
             extract_smoothed_body(lens(), delta=1e-3, epsilon=0.3, order="C2")
@@ -478,3 +521,38 @@ class TestExtract:
         assert set(data) == {"body", "delta", "order", "t0"}
         assert data["order"] == "C2"
         assert data["t0"] == smoothed.t0
+
+
+class TestPipelineInvariants:
+    """Random bodies, near-tangent, near-copy and |a_i| -> R ones included:
+    the pipeline either refuses with a named error or returns a body that
+    meets every documented invariant."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        body=ball_bodies(),
+        order=st.sampled_from(["C11", "C2"]),
+        log_delta=st.floats(-4.0, -1.5),
+        epsilon=st.floats(0.01, 0.2),
+        res2d=st.integers(64, 1024),
+        res3d=st.integers(2, 3),
+    )
+    def test_named_error_or_invariants_hold(self, body, order, log_delta, epsilon, res2d, res3d):
+        try:
+            smoothed = extract_smoothed_body(
+                body,
+                delta=10.0**log_delta * body.radius**2,
+                epsilon=epsilon,
+                order=order,
+                resolution=res2d if body.dim == 2 else res3d,
+                check_samples=512,
+            )
+        except ConvexSmoothError as e:
+            assert type(e) is not ConvexSmoothError
+            return
+        checks = smoothed.checks
+        assert checks["contained"] and checks["tube_ok"]
+        assert checks["hessian_min_eig"] >= checks["hessian_floor"] * (1.0 - 1e-9)
+        w_mesh, we_mesh = smoothed.meshes
+        agreeing = np.unique(we_mesh.facets[we_mesh.agreement])
+        assert np.array_equal(w_mesh.radii[agreeing], we_mesh.radii[agreeing])
