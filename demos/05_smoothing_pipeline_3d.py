@@ -23,9 +23,7 @@ print("3-ball body, interior radius", f"{body.interior_radius:.3f}")
 
 # icosphere subdivision level 4 for the pipeline internals, level 5
 # (10242 directions, 20480 triangles) for the final measurement
-smoothed = extract_smoothed_body(
-    body, delta=1e-3, epsilon=0.05, order="C2", resolution=4, scan_resolution=3
-)
+smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2", resolution=4)
 print("chosen regular value t0:", smoothed.t0)
 print("containment and tube checks:",
       smoothed.checks["contained"], smoothed.checks["tube_ok"])

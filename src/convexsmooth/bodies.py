@@ -24,6 +24,9 @@ from .errors import InvalidBody
 # tolerance (ridge-tube radii) of the sphere.
 MEMBERSHIP_SLACK = 1e-12
 
+# Slack, relative to R or to the largest offset, of outward_normal's active set.
+NORMAL_ATOL = 1e-7
+
 
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
@@ -222,28 +225,28 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     return np.all(_row_dots(pts, body.normals) - body.offsets <= MEMBERSHIP_SLACK, axis=1)
 
 
-def outward_normal(body: Body, y, atol: float = 1e-7) -> np.ndarray:
+def outward_normal(body: Body, y) -> np.ndarray:
     """Outward unit normal at a boundary point, or at each row of an (N, n)
     batch of them.
 
     At smooth points this is the active constraint's normal. At ridge
-    points (several constraints active within `atol`) it is the normalized
-    average of the active normals, which lies in the normal cone; any such
-    selection supports the body. Each row of a batch equals the normal of
+    points (several constraints active within ``NORMAL_ATOL``) it is the
+    normalized average of the active normals, which lies in the normal
+    cone; any such selection supports the body. Each row of a batch equals the normal of
     that point alone, bit for bit.
     """
     Y, single = _as_rows(y, body.dim)
     if isinstance(body, BallBody):
         diff = Y[:, None, :] - body.centers
         d = np.linalg.norm(diff, axis=2)
-        active = np.abs(d - body.radius) <= atol * body.radius
+        active = np.abs(d - body.radius) <= NORMAL_ATOL * body.radius
         active |= ~np.any(active, axis=1, keepdims=True) & (
-            d >= np.max(d, axis=1, keepdims=True) - atol * body.radius
+            d >= np.max(d, axis=1, keepdims=True) - NORMAL_ATOL * body.radius
         )
         terms = diff / body.radius
     else:
         slack = body.offsets - _row_dots(Y, body.normals)
-        scale = atol * np.max(body.offsets)
+        scale = NORMAL_ATOL * np.max(body.offsets)
         active = np.abs(slack) <= scale
         active |= ~np.any(active, axis=1, keepdims=True) & (
             slack <= np.min(slack, axis=1, keepdims=True) + scale
@@ -326,21 +329,22 @@ def support_value(body: BallBody, direction):
     return float(h[0]) if single else h
 
 
-def diameter(body: BallBody, *, directions_2d: int = 256, icosphere_level: int = 3) -> float:
+def diameter(body: BallBody) -> float:
     """Certified upper bound on the diameter of the body.
 
-    Scans antipodal support values over a direction grid, inflates the grid
-    maximum by the covering-angle secant (which dominates the true diameter
-    for any convex set), and caps at 2R, an unconditional bound since the
-    body sits inside each generating ball. Outside dims 2 and 3 there is no
-    grid with a certified covering angle, and the 2R cap is returned.
+    Scans antipodal support values over a fixed grid (256 directions in 2D,
+    the level-3 icosphere in 3D), inflates the grid maximum by the
+    covering-angle secant (which dominates the true diameter for any convex
+    set), and caps at 2R, an unconditional bound since the body sits inside
+    each generating ball. Outside dims 2 and 3 there is no grid with a
+    certified covering angle, and the 2R cap is returned.
     """
     if body.dim == 2:
-        dirs = grids.circle_directions(directions_2d)
-        cover = grids.circle_covering_angle(directions_2d)
+        dirs = grids.circle_directions(256)
+        cover = grids.circle_covering_angle(256)
     elif body.dim == 3:
-        dirs, _ = grids.icosphere(icosphere_level)
-        cover = grids.icosphere_covering_angle(icosphere_level)
+        dirs, _ = grids.icosphere(3)
+        cover = grids.icosphere_covering_angle(3)
     else:
         return 2.0 * body.radius
     h = support_value(body, np.vstack([dirs, -dirs]))

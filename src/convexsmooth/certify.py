@@ -103,7 +103,7 @@ def enclosing_radius(p: PatchParams) -> float:
     )
 
 
-def subgradient_certificate(points, eta: float, tol: float = CERT_TOL) -> CertificateReport:
+def subgradient_certificate(points, eta: float) -> CertificateReport:
     """Check the quadratic-growth subgradient inequality on sampled data.
 
     ``points`` is a sequence of (x, value, subgradient) triples; the
@@ -128,7 +128,7 @@ def subgradient_certificate(points, eta: float, tol: float = CERT_TOL) -> Certif
     worst = float(margins[i, j])
     return CertificateReport(
         condition="eq39",
-        passed=worst >= -tol,
+        passed=worst >= -CERT_TOL,
         constant=float(eta),
         worst_witness={
             "x": X[i].tolist(),

@@ -3,15 +3,15 @@
 Commands::
 
     convexsmooth certify --input body.json --output outdir [--resolution N --seed N]
-    convexsmooth smooth  --input body.json --output outdir --epsilon F --delta F
-                         --order c11|c2 [--resolution N --scan N --seed N]
+    convexsmooth smooth  --input body.json --output outdir [--epsilon F --delta F
+                         --order c11|c2 --resolution N --scan N --seed N]
     convexsmooth measure --input body.json --output outdir [--resolution N]
     convexsmooth probe   --input probe.json --output outdir [--resolution N]
 
 Exit codes: 0 all-pass/success, 1 failed certificate or unmet epsilon
-bound, 2 input or validation errors. All sampling is driven by the
-single --seed stream, so identical configurations produce byte-identical
-reports.
+bound, 2 input or validation errors, a flag the command does not read
+included. All sampling is driven by the single --seed stream, so
+identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .errors import ConvexSmoothError, InvalidBody
 from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 
 PROBE_GAP_THRESHOLD = 1e-6
+# Certificate samples and probe rays when --resolution is not given.
+DEFAULT_SAMPLES = 360
 
 
 @dataclass
@@ -56,15 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("certify", "smooth", "measure", "probe"):
-        p = sub.add_parser(name)
+        # only the flags the command reads; unset ones take RunConfig's defaults
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--input", required=True, help="body (or probe pair) JSON file")
         p.add_argument("--output", required=True, help="output directory")
-        p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--order", choices=("c11", "c2"), default="c2")
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--scan", type=int, default=64)
+        if name == "smooth":
+            p.add_argument("--epsilon", type=float)
+            p.add_argument("--delta", type=float)
+            p.add_argument("--order", choices=("c11", "c2"))
+            p.add_argument("--scan", type=int)
+        p.add_argument("--resolution", type=int)
+        if name in ("certify", "smooth"):
+            p.add_argument("--seed", type=int)
     return parser
 
 
@@ -87,13 +92,12 @@ def _write_mesh(config: RunConfig, mesh: meas.BoundaryMesh) -> str:
     return path.name
 
 
-def _certify_ball_body(body: BallBody, config: RunConfig) -> list[cert.CertificateReport]:
-    samples = config.resolution or 360
+def _certify_ball_body(body: BallBody, samples: int, seed: int) -> list[cert.CertificateReport]:
     floor = 1.0 / (2.0 * body.radius**2)
 
     # the squared gauge and, as its subgradient, that of the first attaining
     # member, at 48 seeded points
-    x = cert.random_points(np.random.default_rng(config.seed), body, 48, 0.3, 1.6)
+    x = cert.random_points(np.random.default_rng(seed), body, 48, 0.3, 1.6)
     values, grads, _ = member_gauge_derivatives(body, x)
     member = np.argmax(attaining_members(values), axis=1)
     value = values[np.arange(48), member]
@@ -103,7 +107,7 @@ def _certify_ball_body(body: BallBody, config: RunConfig) -> list[cert.Certifica
 
     reports.append(cert.ball_support_check(body, body.radius, samples))
     reports.append(cert.ball_family_check(body, samples))
-    reports.append(cert.gauge_sq_hessian_check(body, min(samples, 512), seed=config.seed))
+    reports.append(cert.gauge_sq_hessian_check(body, min(samples, 512), seed=seed))
 
     # sublevel realization: the squared gauge at level 1 gives back the
     # body; its slope where the gauge stays below 2 is at most 4/rho
@@ -142,13 +146,13 @@ def _certify_ball_body(body: BallBody, config: RunConfig) -> list[cert.Certifica
 
 def _run_certify(config: RunConfig) -> int:
     body = body_from_json(json.loads(Path(config.input).read_text()))
+    samples = config.resolution or DEFAULT_SAMPLES
     if isinstance(body, HalfspaceBody):
-        samples = config.resolution or 360
         reports = [
             cert.ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)
         ]
     else:
-        reports = _certify_ball_body(body, config)
+        reports = _certify_ball_body(body, samples, config.seed)
     passed = all(r.passed for r in reports)
     _write_report(
         config,
@@ -183,13 +187,12 @@ def _run_smooth(config: RunConfig) -> int:
     w_mesh, we_mesh = smoothed.meshes
     breakdown = meas.symmetric_difference_breakdown(w_mesh, we_mesh)
     symdiff = breakdown["combined"]
-    boundary = meas.hausdorff_measure(w_mesh)
     checks = smoothed.checks
     summary = {
         "t0": smoothed.t0,
         "delta": delta,
         "symdiff_measure": symdiff,
-        "boundary_measure": boundary,
+        "boundary_measure": checks["boundary_measure"],
         "hessian_min_eig": checks["hessian_min_eig"],
         "contained": checks["contained"],
         "tube_ok": checks["tube_ok"],
@@ -208,7 +211,7 @@ def _run_smooth(config: RunConfig) -> int:
         },
     )
     ok = (
-        symdiff < config.epsilon * boundary
+        symdiff < config.epsilon * checks["boundary_measure"]
         and checks["contained"]
         and checks["tube_ok"]
     )
@@ -247,7 +250,8 @@ def _run_probe(config: RunConfig) -> int:
     outer = body_from_json(data["outer"])
     if not isinstance(inner, BallBody):
         raise InvalidBody("probe inner body must be a BallBody")
-    max_gap, report = proj.boundary_surjectivity_probe(inner, outer, config.resolution or 360)
+    rays = config.resolution or DEFAULT_SAMPLES
+    max_gap, report = proj.boundary_surjectivity_probe(inner, outer, rays)
     passed = max_gap <= PROBE_GAP_THRESHOLD
     _write_report(
         config,

@@ -36,12 +36,13 @@ class OutsideDomain(ConvexSmoothError):
 
 
 class RayMiss(ConvexSmoothError):
-    """A probe ray failed to cross the outer mesh (outer body does not
-    enclose the inner one, or the mesh has a hole)."""
+    """A probe ray has no exit from the outer body: its inner boundary point
+    lies outside the outer body, or the outer body is unbounded along it."""
 
 
 class BracketFailure(ConvexSmoothError):
-    """Exponential bracketing found no level crossing below the radius cap."""
+    """A ray has no boundary crossing: a halfspace body is unbounded along
+    it, or the bisection reference finds none below its radius cap."""
 
 
 class GridMismatch(ConvexSmoothError):

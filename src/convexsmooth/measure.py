@@ -29,9 +29,9 @@ from .gauge import body_gauge_values
 class BoundaryMesh:
     """Radial boundary discretization over a fixed direction grid.
 
-    ``agreement`` flags, one per facet, mark facets whose centroid lies
-    outside the blend tube of the smoothed body the mesh came from (plain
-    bodies carry all-True flags).
+    ``agreement`` flags, one per facet, mark facets whose vertices and
+    centroid all lie outside the blend tube of the smoothed body the mesh
+    came from (plain bodies carry all-True flags).
     """
 
     dim: int

@@ -61,6 +61,10 @@ _NEWTON_MAX_STEPS = 64
 
 _DEFAULT_SCAN_RES = {2: 512, 3: 3}
 
+# Seeded points of the pipeline's containment and Hessian checks.
+_CONTAINMENT_SAMPLES = 2048
+_HESSIAN_SAMPLES = 256
+
 # Largest (levels x facets) count the scan meshes in one batch; larger
 # scans run in consecutive blocks of levels, which keeps memory O(facets).
 _SCAN_BLOCK_CELLS = 1 << 17
@@ -324,9 +328,9 @@ def _mesh_levels(
     closed = np.ones(radii.shape, dtype=bool)
     if sq is not None:
         closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= threshold
-        group, row = np.nonzero(~closed)
-        if group.size:
-            radii[group, row] = _tube_radii(gauge, sq[row], (levels * levels)[group], group)
+        level, row = np.nonzero(~closed)
+        if level.size:
+            radii[level, row] = _tube_radii(gauge, sq[row], (levels * levels)[level])
     flags = closed[:, facets].all(axis=2) & ((levels * levels)[:, None] * gap >= threshold)
     if rescale is not None:
         tube = radii[~closed] / rescale
@@ -360,34 +364,28 @@ def blended_level_mesh(
     return _level_mesh(gauge, _level_grid(gauge, resolution), level, rescale)
 
 
-def _tube_radii(
-    gauge: BlendedGauge, sq: np.ndarray, target: np.ndarray, group: np.ndarray
-) -> np.ndarray:
+def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Level crossings along tube rows from their member squared gauges.
 
-    Row j holds q_i(u) sorted descending in ``sq[j]``, its target
-    ``target[j]`` = level^2 and the index ``group[j]`` of its level. Along
-    the ray the blend is F(s) = fold(s q) with s = r^2: convex (each fold
-    step is convex and nondecreasing in both inputs) and increasing.
-    Newton's method started at s = level^2/q_1, where F(s) >= s q_1 =
-    level^2, therefore stays at or right of the root and decreases
-    monotonically to it. No member gauge is recomputed.
+    Row j holds q_i(u) sorted descending in ``sq[j]`` and its target
+    ``target[j]`` = level^2. Along the ray the blend is F(s) = fold(s q)
+    with s = r^2: convex (each fold step is convex and nondecreasing in
+    both inputs) and increasing. Newton's method started at s =
+    level^2/q_1, where F(s) >= s q_1 = level^2, therefore stays at or
+    right of the root and decreases monotonically to it. No member gauge
+    is recomputed.
 
-    Rows of one level step together: a level stops once every one of its
-    rows took a step of at most 4 ulp of s, so each level's radii are those
-    of solving that level alone, bit for bit, whatever else is batched.
+    Each row stops once its own step is at most 4 ulp of s, so its radius
+    is that of solving the row alone, bit for bit, in any batch.
     """
     s = target / sq[:, 0]
     live = np.arange(len(s))
-    unsettled = np.zeros(int(group.max()) + 1, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
         q = sq[live]
         value, slope, _ = _fold(s[live, None] * q, gauge.delta, gauge.order, grad=q[..., None])
         step = np.maximum((value - target[live]) / slope[:, 0], 0.0)
         s[live] = s[live] - step
-        unsettled[:] = False
-        unsettled[group[live][step > 4.0 * np.finfo(float).eps * s[live]]] = True
-        live = live[unsettled[group[live]]]
+        live = live[step > 4.0 * np.finfo(float).eps * s[live]]
         if live.size == 0:
             return np.sqrt(s)
     raise NonConvergence("tube radius solve did not converge")
@@ -435,12 +433,7 @@ def level_disagreement_scan(
     return levels, measures
 
 
-def select_regular_value(
-    gauge: BlendedGauge,
-    epsilon: float,
-    scan: int,
-    resolution: int | None = None,
-) -> float:
+def select_regular_value(gauge: BlendedGauge, epsilon: float, scan: int) -> float:
     """Level in (1, 1 + epsilon) whose level set meets the tube least.
 
     Every candidate is a regular value of the blended gauge (a strongly
@@ -448,7 +441,7 @@ def select_regular_value(
     gradient on these level sets); the scan minimizes the disagreement
     measure, breaking ties toward the scan midpoint, then the lower level.
     """
-    levels, measures = level_disagreement_scan(gauge, epsilon, scan, resolution=resolution)
+    levels, measures = level_disagreement_scan(gauge, epsilon, scan)
     mid = 1.0 + epsilon / 2.0
     best = min(
         range(len(levels)),
@@ -525,8 +518,6 @@ def extract_smoothed_body(
     order: Order = "C2",
     scan: int = 64,
     resolution: int | None = None,
-    scan_resolution: int | None = None,
-    check_samples: int = 2048,
     seed: int = 0,
 ) -> SmoothedBody:
     """Run the full smoothing pipeline on a ball body.
@@ -566,12 +557,12 @@ def extract_smoothed_body(
             f"boundary measure {boundary_measure:.3e}; {_tube_advice(body)}"
         )
 
-    t0 = select_regular_value(gauge, epsilon, scan, resolution=scan_resolution)
+    t0 = select_regular_value(gauge, epsilon, scan)
 
     we_mesh = _level_mesh(gauge, grid, t0, rescale=t0)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(we_mesh.points), size=check_samples)
-    shrink = rng.random(check_samples) ** (1.0 / body.dim)
+    idx = rng.integers(0, len(we_mesh.points), size=_CONTAINMENT_SAMPLES)
+    shrink = rng.random(_CONTAINMENT_SAMPLES) ** (1.0 / body.dim)
     samples = we_mesh.points[idx] * shrink[:, None]
     inside = contains_many(body, np.vstack([samples, we_mesh.points]))
 
@@ -580,7 +571,7 @@ def extract_smoothed_body(
         np.all(mus >= 1.0 - 5.0 * epsilon) and np.all(mus <= 1.0 + 5.0 * epsilon)
     )
 
-    hess_idx = rng.integers(0, len(we_mesh.points), size=min(256, check_samples))
+    hess_idx = rng.integers(0, len(we_mesh.points), size=_HESSIAN_SAMPLES)
     _, _, hess = blended_gauge_sq_many(gauge, t0 * we_mesh.points[hess_idx])
     eig_min = float(np.min(np.linalg.eigvalsh(hess)[:, 0], initial=np.inf))
 

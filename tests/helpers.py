@@ -70,6 +70,13 @@ def random_ball_body(
     return BallBody(radius=radius, centers=np.array(centers), dim=dim)
 
 
+def _unit_vector(dim: int, z: float, angle: float) -> np.ndarray:
+    """The unit vector at height z (0 in 2D) and polar angle ``angle``."""
+    rho = math.sqrt(1.0 - z * z)
+    xy = [rho * math.cos(angle), rho * math.sin(angle)]
+    return np.array(xy if dim == 2 else xy + [z])
+
+
 @st.composite
 def ball_bodies(draw, dims=(2, 3), max_balls: int = 5, min_interior: float = 1e-4):
     """Hypothesis strategy for ball bodies, degenerate corners included.
@@ -82,10 +89,10 @@ def ball_bodies(draw, dims=(2, 3), max_balls: int = 5, min_interior: float = 1e-
     """
     dim = draw(st.sampled_from(dims))
     radius = draw(st.floats(0.5, 2.0))
-    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
-    unit = st.lists(coord, min_size=dim, max_size=dim).map(np.array).filter(
-        lambda v: np.linalg.norm(v) > 0.1
-    ).map(lambda v: v / np.linalg.norm(v))
+    # unit vectors with no rejected draws: an angle in 2D, a height and an
+    # angle in 3D
+    height = st.just(0.0) if dim == 2 else st.floats(-1.0, 1.0)
+    unit = st.tuples(height, st.floats(0.0, 2.0 * math.pi)).map(lambda za: _unit_vector(dim, *za))
     limit = radius * (1.0 - min_interior)
     centers: list[np.ndarray] = []
     for _ in range(draw(st.integers(1, max_balls))):

@@ -1,8 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from convexsmooth.cli import RunConfig, main, run
+from convexsmooth.cli import RunConfig, build_parser, main, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -180,3 +185,63 @@ def test_duplicate_centers_exit_2_naming_the_copies(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "balls (0, 2) have identical centers" in err and "decrease delta" not in err
+
+
+def _documented_flags() -> dict[str, set[str]]:
+    """The flags of each command in README's "Command line" block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    flags: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[0] == "convexsmooth":
+            command = words[1]
+        flags.setdefault(command, set()).update(re.findall(r"--[a-z]+", line))
+    return flags
+
+
+def test_each_command_takes_exactly_its_documented_flags():
+    documented = _documented_flags()
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(documented) == {"certify", "smooth", "measure", "probe"}
+    for name, parser in sub.choices.items():
+        options = {
+            s
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+            for s in a.option_strings
+        }
+        assert options == documented[name], name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "--seed", "1"], ["probe", "--scan", "8"], ["certify", "--epsilon", "0.1"]],
+    ids=["measure-seed", "probe-scan", "certify-epsilon"],
+)
+def test_flag_the_command_does_not_read_exits_2(argv, lens_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv[:1], "--input", str(lens_file), "--output", str(out), *argv[1:]])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reports_echo_every_config_field_at_its_default(ball_file, tmp_path):
+    probe_file = tmp_path / "probe.json"
+    probe_file.write_text(
+        json.dumps(
+            {
+                "inner": {"dim": 2, "radius": 1.0, "centers": [[0.0, 0.0]]},
+                "outer": {"dim": 2, "radius": 2.0, "centers": [[0.0, 0.0]]},
+            }
+        )
+    )
+    defaults = {
+        "epsilon": 0.05, "delta": None, "order": "c2", "resolution": None, "seed": 0, "scan": 64
+    }
+    for command, path in (("certify", ball_file), ("measure", ball_file), ("probe", probe_file)):
+        out = tmp_path / command
+        assert main([command, "--input", str(path), "--output", str(out)]) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config == {"command": command, "input": str(path), "output": str(out), **defaults}

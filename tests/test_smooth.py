@@ -316,7 +316,7 @@ class TestRegularValueSelection:
         gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
         eps, scan = 0.05, 16
         levels, measures = level_disagreement_scan(gauge, eps, scan, resolution=512)
-        t0 = select_regular_value(gauge, eps, scan, resolution=512)
+        t0 = select_regular_value(gauge, eps, scan)
         at_t0 = measures[np.argmin(np.abs(levels - t0))]
         assert at_t0 <= measures.min() + 1e-15
 
@@ -377,7 +377,7 @@ class TestBatchedScan:
     )
     def test_levels_taking_different_newton_step_counts(self, order, epsilon, monkeypatch):
         # a wide blend on an 8-ball ring: some levels need one Newton step
-        # more than others, and a level's rows stop with the level
+        # more than others, and each level still gets its own radii
         gauge = BlendedGauge(body=ring(8, 0.1), delta=0.1, order=order)
         levels = 1.0 + epsilon * (np.arange(16) + 1.0) / 17.0
         radii, _ = _mesh_levels(gauge, _level_grid(gauge, 256), levels)
@@ -396,6 +396,29 @@ class TestBatchedScan:
             steps.append(len(calls))
             assert np.array_equal(batched, alone.radii)
         assert min(steps) > 0 and len(set(steps)) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        body=ball_bodies(),
+        order=st.sampled_from(["C11", "C2"]),
+        log_delta=st.floats(-4.0, -1.0),
+        res2d=st.integers(16, 200),
+        scan=st.integers(8, 16),
+    )
+    def test_each_tube_row_is_solved_as_if_alone(self, body, order, log_delta, res2d, scan):
+        # every row stops on its own Newton step, so no row's radius depends
+        # on the rows batched with it, of its own level or of others
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        grid = _level_grid(gauge, res2d if body.dim == 2 else 2)
+        levels = 1.0 + 0.05 * (np.arange(scan) + 1.0) / (scan + 1.0)
+        radii, _ = _mesh_levels(gauge, grid, levels)
+        if grid.sq is None:
+            return
+        r = levels[:, None] / grid.mu
+        tube = r * r * (grid.sq[:, 0] - grid.sq[:, 1]) < gauge.delta * (1.0 + RIDGE_GUARD)
+        for level, row in zip(*np.nonzero(tube)):
+            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1], levels[level : level + 1] ** 2)
+            assert radii[level, row] == alone[0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -545,7 +568,6 @@ class TestPipelineInvariants:
                 epsilon=epsilon,
                 order=order,
                 resolution=res2d if body.dim == 2 else res3d,
-                check_samples=512,
             )
         except ConvexSmoothError as e:
             assert type(e) is not ConvexSmoothError
