@@ -29,6 +29,7 @@ from .certify import (
     cap_graph_height,
     cap_graph_hessian,
     cap_graph_hessian_check,
+    certify_body,
     enclosing_radius,
     gauge_sq_hessian_check,
     halfspace_reconstruction_gap,

@@ -10,26 +10,35 @@ strongly convex body and reports pass/fail with the worst witness found:
 - the curvature floor 1/(2 R^2) of the squared gauge (id
   "gauge_sq_hessian_d"),
 - sublevel sets of coercive strongly convex functions via the radius
-  L/eta (id "level_set_e"),
+  L/eta (id "level_set_e"); for the squared gauge at level 1 that is
+  16 R^2/rho, with eta = 1/(2 R^2) and L = 2 * 2 * gauge_lipschitz_bound
+  = 8/rho, its slope where the gauge stays below 2,
 - reconstruction of the body from sampled supporting halfspaces
   (reported as "halfspace_reconstruction").
 
-All certificates are sample-based, not exhaustive; every report carries
-its sample count and minimum margin so failures are reproducible.
+:func:`certify_body` is the ``certify`` command's suite: all six on a ball
+body, on a halfspace body ball_support_b at R = 1, 10 and 100 (a flat
+face fails every R). All certificates are sample-based, not exhaustive;
+every report carries its sample count and minimum margin so failures are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection
 
-from .bodies import BallBody, Body
+from .bodies import BallBody, Body, HalfspaceBody
 from .errors import DomainViolation, InsufficientData, NotBallBody
-from .gauge import attaining_members, member_gauge_derivatives, member_gauges
-from .measure import boundary_samples
+from .gauge import (
+    attaining_members,
+    gauge_lipschitz_bound,
+    member_gauge_derivatives,
+    member_gauges,
+)
+from .measure import boundary_samples, sample_directions
 from .project import project_body
 
 # Absolute margin below which a sampled inequality counts as violated.
@@ -337,6 +346,9 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     from the body, and it shrinks to zero as the samples densify (for a
     unit ball it is the circumscribed-polygon excess sec(pi/m) - 1).
     """
+    # imported here, so that importing the package loads no scipy
+    from scipy.spatial import HalfspaceIntersection
+
     if normal_samples < 4:
         raise ValueError("normal_samples must be >= 4")
     pts, normals = boundary_samples(body, normal_samples)
@@ -344,3 +356,45 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     halfspaces = np.column_stack([normals, -offsets])
     vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
     return float(np.max(np.linalg.norm(vertices - project_body(body, vertices), axis=1)))
+
+
+def certify_body(body: Body, samples: int, seed: int) -> list[CertificateReport]:
+    """The certificate suite of the ``certify`` command (see the module
+    docstring), ``samples`` boundary samples each, seeded by ``seed``."""
+    if isinstance(body, HalfspaceBody):
+        return [ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)]
+    floor = 1.0 / (2.0 * body.radius**2)
+
+    # the squared gauge and, as its subgradient, that of the first attaining
+    # member, at 48 seeded points
+    x = random_points(np.random.default_rng(seed), body, 48, 0.3, 1.6)
+    values, grads, _ = member_gauge_derivatives(body, x)
+    member = np.argmax(attaining_members(values), axis=1)
+    value = values[np.arange(48), member]
+    squared = np.max(values, axis=1) ** 2
+    subgrads = 2.0 * value[:, None] * grads[np.arange(48), member]
+    reports = [subgradient_certificate(zip(x, squared, subgrads), eta=floor)]
+
+    reports.append(ball_support_check(body, body.radius, samples))
+    reports.append(ball_family_check(body, samples))
+    reports.append(gauge_sq_hessian_check(body, min(samples, 512), seed=seed))
+
+    # sublevel realization: the squared gauge at level 1 gives back the
+    # body, and its slope where the gauge stays below 2 is at most 8/rho
+    radius_e = level_set_radius(2.0 * 2.0 * gauge_lipschitz_bound(body), floor)
+    report_e = ball_support_check(body, radius_e, samples)
+    reports.append(replace(report_e, condition="level_set_e"))
+
+    gap = halfspace_reconstruction_gap(body, samples)
+    _, cover = sample_directions(body.dim, samples)
+    bound = 4.0 * body.radius**2 * cover**2 / body.interior_radius
+    reports.append(
+        CertificateReport(
+            condition="halfspace_reconstruction",
+            passed=gap <= bound,
+            constant=gap,
+            worst_witness={"gap": gap, "discretization_bound": bound},
+            samples=samples,
+        )
+    )
+    return reports

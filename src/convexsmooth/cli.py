@@ -8,6 +8,14 @@ Commands::
     convexsmooth measure --input body.json --output outdir [--resolution N]
     convexsmooth probe   --input probe.json --output outdir [--resolution N]
 
+Each command parses, makes one library call and writes what it returns:
+``certify`` runs ``certify_body`` (eq39, ball_support_b, ball_family_c,
+gauge_sq_hessian_d, level_set_e, whose radius ``certify`` sets, and
+halfspace_reconstruction on a ball body; ball_support_b at R = 1, 10, 100
+on a halfspace body), ``smooth`` ``extract_smoothed_body``, ``measure``
+``boundary_mesh`` and ``probe`` ``boundary_surjectivity_probe``. An unset
+delta or mesh resolution takes the library's default.
+
 Exit codes: 0 all-pass/success, 1 failed certificate or unmet epsilon
 bound, 2 input or validation errors, a flag the command does not read
 included. All sampling is driven by the single --seed stream, so
@@ -18,20 +26,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import certify as cert
 from . import measure as meas
 from . import project as proj
 from . import smooth as smth
-from .bodies import BallBody, HalfspaceBody, body_from_json
+from .bodies import BallBody, body_from_json
 from .errors import ConvexSmoothError, InvalidBody
-from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 
 PROBE_GAP_THRESHOLD = 1e-6
 # Certificate samples and probe rays when --resolution is not given.
@@ -51,12 +55,22 @@ class RunConfig:
     scan: int = 64
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Rejects unread flags itself, so the usage line names the command."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unread = super().parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: {' '.join(unread)}")
+        return namespace, unread
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convexsmooth",
         description="certify, smooth, measure and probe ball-intersection bodies",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name in ("certify", "smooth", "measure", "probe"):
         # only the flags the command reads; unset ones take RunConfig's defaults
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
@@ -92,67 +106,9 @@ def _write_mesh(config: RunConfig, mesh: meas.BoundaryMesh) -> str:
     return path.name
 
 
-def _certify_ball_body(body: BallBody, samples: int, seed: int) -> list[cert.CertificateReport]:
-    floor = 1.0 / (2.0 * body.radius**2)
-
-    # the squared gauge and, as its subgradient, that of the first attaining
-    # member, at 48 seeded points
-    x = cert.random_points(np.random.default_rng(seed), body, 48, 0.3, 1.6)
-    values, grads, _ = member_gauge_derivatives(body, x)
-    member = np.argmax(attaining_members(values), axis=1)
-    value = values[np.arange(48), member]
-    squared = np.max(values, axis=1) ** 2
-    subgrads = 2.0 * value[:, None] * grads[np.arange(48), member]
-    reports = [cert.subgradient_certificate(zip(x, squared, subgrads), eta=floor)]
-
-    reports.append(cert.ball_support_check(body, body.radius, samples))
-    reports.append(cert.ball_family_check(body, samples))
-    reports.append(cert.gauge_sq_hessian_check(body, min(samples, 512), seed=seed))
-
-    # sublevel realization: the squared gauge at level 1 gives back the
-    # body; its slope where the gauge stays below 2 is at most 4/rho
-    lip = 2.0 * 2.0 * gauge_lipschitz_bound(body)
-    radius_e = cert.level_set_radius(lip, floor)
-    report_e = cert.ball_support_check(body, radius_e, samples)
-    reports.append(
-        cert.CertificateReport(
-            condition="level_set_e",
-            passed=report_e.passed,
-            constant=radius_e,
-            worst_witness=report_e.worst_witness,
-            samples=report_e.samples,
-        )
-    )
-
-    gap = cert.halfspace_reconstruction_gap(body, samples)
-    if body.dim == 2:
-        cover = math.pi / samples
-    else:
-        from . import grids
-
-        cover = grids.icosphere_covering_angle(grids.icosphere_level_for(samples))
-    bound = 4.0 * body.radius**2 * cover**2 / body.interior_radius
-    reports.append(
-        cert.CertificateReport(
-            condition="halfspace_reconstruction",
-            passed=gap <= bound,
-            constant=gap,
-            worst_witness={"gap": gap, "discretization_bound": bound},
-            samples=samples,
-        )
-    )
-    return reports
-
-
 def _run_certify(config: RunConfig) -> int:
     body = body_from_json(json.loads(Path(config.input).read_text()))
-    samples = config.resolution or DEFAULT_SAMPLES
-    if isinstance(body, HalfspaceBody):
-        reports = [
-            cert.ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)
-        ]
-    else:
-        reports = _certify_ball_body(body, samples, config.seed)
+    reports = cert.certify_body(body, config.resolution or DEFAULT_SAMPLES, config.seed)
     passed = all(r.passed for r in reports)
     _write_report(
         config,
@@ -170,14 +126,11 @@ def _run_smooth(config: RunConfig) -> int:
     body = body_from_json(json.loads(Path(config.input).read_text()))
     if not isinstance(body, BallBody):
         raise InvalidBody("the smoothing pipeline needs a BallBody input")
-    delta = config.delta
-    if delta is None:
-        delta = smth.DEFAULT_DELTA_FACTOR * body.radius**2
     order = "C2" if config.order == "c2" else "C11"
 
     smoothed = smth.extract_smoothed_body(
         body,
-        delta=delta,
+        delta=config.delta,
         epsilon=config.epsilon,
         order=order,
         scan=config.scan,
@@ -190,7 +143,7 @@ def _run_smooth(config: RunConfig) -> int:
     checks = smoothed.checks
     summary = {
         "t0": smoothed.t0,
-        "delta": delta,
+        "delta": smoothed.gauge.delta,
         "symdiff_measure": symdiff,
         "boundary_measure": checks["boundary_measure"],
         "hessian_min_eig": checks["hessian_min_eig"],
@@ -220,11 +173,7 @@ def _run_smooth(config: RunConfig) -> int:
 
 def _run_measure(config: RunConfig) -> int:
     body = body_from_json(json.loads(Path(config.input).read_text()))
-    resolution = config.resolution
-    if resolution is None:
-        # an unsupported dim finds no default; boundary_mesh rejects it
-        resolution = meas._DEFAULT_RESOLUTION.get(body.dim)
-    mesh = meas.boundary_mesh(body, resolution)
+    mesh = meas.boundary_mesh(body, config.resolution)
     mesh_file = _write_mesh(config, mesh)
     _write_report(
         config,
@@ -274,9 +223,6 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
-    if config.command == "smooth" and not (0.0 < config.epsilon < 0.25):
-        print("error: --epsilon must lie in (0, 1/4)", file=sys.stderr)
-        return 2
     try:
         return _RUNNERS[config.command](config)
     except (ConvexSmoothError, OSError, json.JSONDecodeError, ValueError) as e:

@@ -67,39 +67,6 @@ class BoundaryMesh:
     def facet_measures(self) -> np.ndarray:
         return facet_measures(self.points, self.facets)
 
-    @cached_property
-    def facet_normals(self) -> np.ndarray:
-        """Outward unit facet normals (outward = away from the origin)."""
-        pts = self.points[self.facets]
-        if self.dim == 2:
-            e = pts[:, 1] - pts[:, 0]
-            n = np.column_stack([e[:, 1], -e[:, 0]])
-        else:
-            n = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        flip = np.einsum("ij,ij->i", n, self.facet_centroids) < 0
-        n[flip] *= -1.0
-        return n
-
-    @cached_property
-    def adjacent_facet_pairs(self) -> np.ndarray:
-        """Index pairs of facets sharing an edge (2D: consecutive segments)."""
-        nf = len(self.facets)
-        if self.dim == 2:
-            i = np.arange(nf)
-            return np.column_stack([i, (i + 1) % nf])
-        edges: dict[tuple[int, int], int] = {}
-        pairs = []
-        for fi, (a, b, c) in enumerate(self.facets):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                other = edges.pop(key, None)
-                if other is None:
-                    edges[key] = fi
-                else:
-                    pairs.append((other, fi))
-        return np.array(pairs, dtype=np.int64)
-
 
 def _facet_corners(points: np.ndarray, facets: np.ndarray) -> list[np.ndarray]:
     """Corner points of every facet, one (..., F, n) array per corner, for
@@ -148,23 +115,17 @@ def check_mesh_dim(dim: int) -> None:
         )
 
 
-def direction_grid(
-    dim: int, resolution: int, by_count: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def direction_grid(dim: int, resolution: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Unit direction grid and facet index array for the given dimension.
 
     2D resolution counts directions (>= 16); 3D resolution is the icosphere
-    subdivision level (>= 2). With ``by_count`` the resolution is instead a
-    number of directions to reach: at least 4 evenly spaced ones in 2D,
-    the smallest icosphere with that many vertices in 3D (the sampled
-    certificates' convention). Other dimensions raise :class:`InvalidBody`.
+    subdivision level (>= 2). None takes the default: 1024 directions in
+    2D, icosphere level 4 in 3D. Other dimensions raise
+    :class:`InvalidBody`.
     """
     check_mesh_dim(dim)
-    if by_count:
-        if dim == 2:
-            count = max(int(resolution), 4)
-            return grids.circle_directions(count), grids.circle_facets(count)
-        return grids.icosphere(grids.icosphere_level_for(int(resolution)))
+    if resolution is None:
+        resolution = _DEFAULT_RESOLUTION[dim]
     if dim == 2:
         if resolution < 16:
             raise ValueError("2D resolution must be >= 16 directions")
@@ -172,6 +133,23 @@ def direction_grid(
     if resolution < 2:
         raise ValueError("3D resolution (icosphere level) must be >= 2")
     return grids.icosphere(resolution)
+
+
+def sample_directions(dim: int, samples: int) -> tuple[np.ndarray, float]:
+    """Directions for a number of boundary samples, and their covering angle.
+
+    2D takes max(samples, 4) evenly spaced directions, covering angle
+    pi/count; 3D the smallest icosphere with at least ``samples`` vertices,
+    with that icosphere's covering angle. Every unit vector lies within the
+    covering angle of some direction. The sampled certificates and the
+    probe use this grid; other dimensions raise :class:`InvalidBody`.
+    """
+    check_mesh_dim(dim)
+    if dim == 2:
+        count = max(int(samples), 4)
+        return grids.circle_directions(count), grids.circle_covering_angle(count)
+    level = grids.icosphere_level_for(int(samples))
+    return grids.icosphere(level)[0], grids.icosphere_covering_angle(level)
 
 
 def radial_function(body, directions: np.ndarray) -> np.ndarray:
@@ -199,13 +177,12 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
 def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points along a direction grid and an outward normal at each.
 
-    The grid has ``samples`` directions in 2D (at least 4) and the smallest
-    icosphere with that many vertices in 3D. Star-shapedness about the
-    origin makes the radial points exhaustive; ridge and corner points
-    take the normalized average of their active constraints' normals, a
-    valid selection in the normal cone.
+    The directions are those of :func:`sample_directions`. Star-shapedness
+    about the origin makes the radial points exhaustive; ridge and corner
+    points take the normalized average of their active constraints'
+    normals, a valid selection in the normal cone.
     """
-    dirs, _ = direction_grid(body.dim, samples, by_count=True)
+    dirs, _ = sample_directions(body.dim, samples)
     pts = radial_function(body, dirs)[:, None] * dirs
     return pts, outward_normal(body, pts)
 
@@ -244,13 +221,14 @@ def batch_ray_crossings(
     return 0.5 * (lo + hi)
 
 
-def boundary_mesh(source, resolution: int) -> BoundaryMesh:
+def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
     """Mesh the boundary of a body or of a smoothed body.
 
     BallBody and HalfspaceBody radii come from :func:`radial_function`.
     Smoothed bodies are meshed at their regular level and rescaled by it,
     realizing the definition of the smoothed body as a shrunken level set;
-    their facets carry agreement flags.
+    their facets carry agreement flags. ``resolution`` is that of
+    :func:`direction_grid`, whose default None takes.
     """
     from .smooth import SmoothedBody, blended_level_mesh  # local: avoid cycle
 

@@ -106,10 +106,25 @@ def normal_lipschitz_estimate(mesh: BoundaryMesh) -> float:
     """
     if len(mesh.facets) < 8:
         raise ValueError("mesh needs at least 8 facets")
-    pairs = mesh.adjacent_facet_pairs
-    dn = np.linalg.norm(
-        mesh.facet_normals[pairs[:, 0]] - mesh.facet_normals[pairs[:, 1]], axis=1
-    )
+    # outward unit facet normals, outward meaning away from the origin
+    pts = mesh.points[mesh.facets]
+    if mesh.dim == 2:
+        e = pts[:, 1] - pts[:, 0]
+        normals = np.column_stack([e[:, 1], -e[:, 0]])
+    else:
+        normals = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals[np.einsum("ij,ij->i", normals, mesh.facet_centroids) < 0] *= -1.0
+    # facets sharing an edge: consecutive segments in 2D; in 3D each edge
+    # of the closed grid has two facets, adjacent once edges sort by key
+    if mesh.dim == 2:
+        i = np.arange(len(mesh.facets))
+        pairs = np.column_stack([i, (i + 1) % len(i)])
+    else:
+        edges = np.sort(mesh.facets[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        key = edges[:, 0] * len(mesh.points) + edges[:, 1]
+        pairs = (np.argsort(key, kind="stable") // 3).reshape(-1, 2)
+    dn = np.linalg.norm(normals[pairs[:, 0]] - normals[pairs[:, 1]], axis=1)
     dc = np.linalg.norm(
         mesh.facet_centroids[pairs[:, 0]] - mesh.facet_centroids[pairs[:, 1]], axis=1
     )

@@ -513,7 +513,7 @@ def _tube_advice(body: BallBody) -> str:
 
 def extract_smoothed_body(
     body: BallBody,
-    delta: float,
+    delta: float | None,
     epsilon: float,
     order: Order = "C2",
     scan: int = 64,
@@ -531,11 +531,13 @@ def extract_smoothed_body(
     tube [1 - 5 eps, 1 + 5 eps], and the sampled Hessian floor; ``meshes``
     holds the original and smoothed boundary meshes at ``resolution``.
     Bodies outside the meshing dimensions raise :class:`InvalidBody`.
+    A ``delta`` of None takes DEFAULT_DELTA_FACTOR * R^2, and a
+    ``resolution`` of None the default of :func:`measure.direction_grid`.
     """
     _check_epsilon(epsilon)
     _measure.check_mesh_dim(body.dim)
-    if resolution is None:
-        resolution = _measure._DEFAULT_RESOLUTION[body.dim]
+    if delta is None:
+        delta = DEFAULT_DELTA_FACTOR * body.radius**2
     gauge = BlendedGauge(body=body, delta=delta, order=order)
 
     # one grid for both output meshes; its radii 1/mu(u) are those of

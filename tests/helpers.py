@@ -228,6 +228,41 @@ def off_text_reference(mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+def normal_lipschitz_reference(mesh) -> float:
+    """Normal Lipschitz estimate of a mesh with its adjacent facets paired
+    edge by edge through a dict (the loop form of
+    ``project.normal_lipschitz_estimate``)."""
+    pts = mesh.points[mesh.facets]
+    if mesh.dim == 2:
+        e = pts[:, 1] - pts[:, 0]
+        normals = np.column_stack([e[:, 1], -e[:, 0]])
+    else:
+        normals = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    flip = np.einsum("ij,ij->i", normals, mesh.facet_centroids) < 0
+    normals[flip] *= -1.0
+    nf = len(mesh.facets)
+    if mesh.dim == 2:
+        i = np.arange(nf)
+        pairs = np.column_stack([i, (i + 1) % nf])
+    else:
+        edges: dict[tuple[int, int], int] = {}
+        found = []
+        for fi, (a, b, c) in enumerate(mesh.facets):
+            for u, v in ((a, b), (b, c), (c, a)):
+                key = (u, v) if u < v else (v, u)
+                other = edges.pop(key, None)
+                if other is None:
+                    edges[key] = fi
+                else:
+                    found.append((other, fi))
+        pairs = np.array(found, dtype=np.int64)
+    dn = np.linalg.norm(normals[pairs[:, 0]] - normals[pairs[:, 1]], axis=1)
+    centroids = mesh.facet_centroids
+    dc = np.linalg.norm(centroids[pairs[:, 0]] - centroids[pairs[:, 1]], axis=1)
+    return 1.1 * float(np.max(dn / dc))
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function."""
     g = np.empty_like(x)

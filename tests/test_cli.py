@@ -1,13 +1,18 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from convexsmooth import body_from_json, certify_body
 from convexsmooth.cli import RunConfig, build_parser, main, run
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.fixture
@@ -142,7 +147,8 @@ def test_bad_epsilon_exits_2(lens_file, tmp_path, capsys):
         epsilon=0.4,
     )
     assert run(config) == 2
-    assert "epsilon" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: epsilon must lie in (0, 1/4)\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_reports_are_deterministic(lens_file, tmp_path):
@@ -223,7 +229,9 @@ def test_flag_the_command_does_not_read_exits_2(argv, lens_file, tmp_path, capsy
     with pytest.raises(SystemExit) as info:
         main([*argv[:1], "--input", str(lens_file), "--output", str(out), *argv[1:]])
     assert info.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert err.startswith(f"usage: convexsmooth {argv[0]} ")
     assert not out.exists()
 
 
@@ -245,3 +253,47 @@ def test_reports_echo_every_config_field_at_its_default(ball_file, tmp_path):
         assert main([command, "--input", str(path), "--output", str(out)]) == 0
         config = json.loads((out / "report.json").read_text())["config"]
         assert config == {"command": command, "input": str(path), "output": str(out), **defaults}
+
+
+THREE_BALL = {
+    "dim": 3,
+    "radius": 1.0,
+    "centers": [[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]],
+}
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--resolution", "100", "--seed", "7"]], ids=["defaults", "res100-seed7"]
+)
+@pytest.mark.parametrize("name", ["lens", "three-ball", "square"])
+def test_certify_writes_the_reports_of_certify_body(
+    name, flags, lens_file, square_file, tmp_path
+):
+    path = {"lens": lens_file, "square": square_file}.get(name)
+    if path is None:
+        path = tmp_path / "three-ball.json"
+        path.write_text(json.dumps(THREE_BALL))
+    out = tmp_path / "out"
+    code = main(["certify", "--input", str(path), "--output", str(out), *flags])
+    report = json.loads((out / "report.json").read_text())
+    samples, seed = (100, 7) if flags else (360, 0)
+    reports = certify_body(body_from_json(json.loads(path.read_text())), samples, seed)
+    assert report["reports"] == json.loads(json.dumps([r.to_json() for r in reports]))
+    assert code == (0 if all(r.passed for r in reports) else 1)
+
+
+def test_importing_the_package_loads_no_scipy():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, convexsmooth\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

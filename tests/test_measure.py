@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,25 @@ from convexsmooth import (
     polyline_json,
     symmetric_difference_measure,
 )
+from convexsmooth import grids
 from convexsmooth.gauge import body_gauge_values
-from convexsmooth.measure import direction_grid, facet_measures, radial_function
+from convexsmooth.measure import (
+    boundary_samples,
+    direction_grid,
+    facet_measures,
+    radial_function,
+    sample_directions,
+)
 from helpers import facet_measures_reference, off_text_reference, random_ball_body, unit_square
 
 
 def lens():
     return BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
+
+
+THREE_BALL = BallBody(
+    radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3
+)
 
 
 def unit_ball(dim=2):
@@ -64,9 +78,42 @@ class TestBoundaryMesh:
         with pytest.raises(InvalidBody, match="dim 2 and 3"):
             boundary_mesh(unit_ball(4), 4)
         with pytest.raises(InvalidBody, match="dim 2 and 3"):
-            direction_grid(4, 100, by_count=True)
+            sample_directions(4, 100)
         with pytest.raises(InvalidBody, match="dim 2 and 3"):
             extract_smoothed_body(unit_ball(4), delta=1e-3, epsilon=0.05)
+
+
+@pytest.mark.parametrize(
+    "dim, samples", [(2, 8), (2, 100), (2, 360), (2, 721), (3, 64), (3, 360), (3, 700)]
+)
+def test_sample_directions_are_the_certificate_grid(dim, samples):
+    dirs, cover = sample_directions(dim, samples)
+    # the directions are boundary_samples' own, and the angle is the
+    # certificates' covering angle of a sample count: pi/samples in 2D, the
+    # smallest icosphere with that many vertices in 3D
+    body = lens() if dim == 2 else THREE_BALL
+    points, _ = boundary_samples(body, samples)
+    assert np.array_equal(points, radial_function(body, dirs)[:, None] * dirs)
+    if dim == 2:
+        assert np.array_equal(dirs, grids.circle_directions(samples))
+        assert cover == math.pi / samples
+    else:
+        level = grids.icosphere_level_for(samples)
+        assert len(dirs) >= samples > 10 * 4 ** (level - 1) + 2
+        assert cover == grids.icosphere_covering_angle(level)
+    # and it covers: every unit vector lies within it of some direction
+    u = np.random.default_rng(samples).standard_normal((2000, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    nearest = np.arccos(np.clip(np.max(u @ dirs.T, axis=1), -1.0, 1.0))
+    assert np.max(nearest) <= cover
+
+
+@pytest.mark.parametrize("dim, default", [(2, 1024), (3, 4)])
+def test_direction_grid_owns_the_default_resolution(dim, default):
+    for got, want in zip(direction_grid(dim, None), direction_grid(dim, default)):
+        assert np.array_equal(got, want)
+    body = unit_ball(dim)
+    assert np.array_equal(boundary_mesh(body, None).radii, boundary_mesh(body, default).radii)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -24,7 +24,7 @@ from convexsmooth.bodies import MEMBERSHIP_SLACK
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import boundary_samples
 from convexsmooth.project import _ray_exits
-from helpers import ball_bodies, boundary_cloud, brute_distance
+from helpers import ball_bodies, boundary_cloud, brute_distance, normal_lipschitz_reference
 
 
 def lens():
@@ -253,6 +253,17 @@ def three_ball():
 def box(dim, offsets):
     eye = np.eye(dim)
     return HalfspaceBody(normals=np.vstack([eye, -eye]), offsets=offsets)
+
+
+@pytest.mark.parametrize(
+    "make, resolution",
+    [(lens, 1440), (three_ball, 3), (three_ball, 4)],
+    ids=["lens-1440", "three-ball-level-3", "three-ball-level-4"],
+)
+def test_normal_lipschitz_estimate_is_the_edge_loops(make, resolution):
+    # the same max over the same facet pairs, however they are found
+    mesh = boundary_mesh(make(), resolution)
+    assert normal_lipschitz_estimate(mesh) == normal_lipschitz_reference(mesh)
 
 
 class TestSurjectivityProbe:
