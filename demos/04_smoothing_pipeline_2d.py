@@ -64,5 +64,8 @@ print("bound met?", symdiff < 0.05 * boundary)
 
 out = Path(__file__).resolve().parent / "output"
 out.mkdir(exist_ok=True)
-(out / "lens_smoothed.json").write_text(json.dumps(polyline_json(we_mesh)))
-print("\nwrote", out / "lens_smoothed.json")
+# the export is JSON text whose floats read back to the mesh points exactly
+text = polyline_json(we_mesh)
+print("\nexport reads back bit for bit:", json.loads(text)["points"] == we_mesh.points.tolist())
+(out / "lens_smoothed.json").write_text(text + "\n")
+print("wrote", out / "lens_smoothed.json")

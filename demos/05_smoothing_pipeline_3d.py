@@ -43,5 +43,10 @@ print(f"facets touching the ridge tube: {disagree} of {len(we_mesh.facets)}")
 
 out = Path(__file__).resolve().parent / "output"
 out.mkdir(exist_ok=True)
-(out / "three_ball_smoothed.off").write_text(off_text(we_mesh))
+# OFF text writes every coordinate as repr does, so it reads back exactly
+text = off_text(we_mesh)
+lines = text.splitlines()[2 : 2 + len(we_mesh.points)]
+read_back = [[float(c) for c in line.split()] for line in lines]
+print("export reads back bit for bit:", read_back == we_mesh.points.tolist())
+(out / "three_ball_smoothed.off").write_text(text)
 print("wrote", out / "three_ball_smoothed.off")

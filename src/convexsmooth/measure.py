@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import grids
+from . import _text, grids
 from .bodies import BallBody, HalfspaceBody, outward_normal
 from .errors import BracketFailure, GridMismatch, InvalidBody
 from .gauge import body_gauge_values
@@ -52,8 +52,8 @@ class BoundaryMesh:
         agreement = np.asarray(self.agreement, dtype=bool)
         agreement.setflags(write=False)
         object.__setattr__(self, "agreement", agreement)
-        if np.any(self.radii <= 0):
-            raise ValueError("mesh radii must be positive")
+        if not np.all(np.isfinite(self.radii) & (self.radii > 0)):
+            raise ValueError("mesh radii must be finite and positive")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -303,19 +303,22 @@ def symmetric_difference_breakdown(w_mesh: BoundaryMesh, we_mesh: BoundaryMesh) 
     }
 
 
-def polyline_json(mesh: BoundaryMesh) -> dict:
-    """Closed polyline export of a 2D mesh: {"points": [[x, y], ...]}."""
+def polyline_json(mesh: BoundaryMesh) -> str:
+    """Closed polyline export of a 2D mesh: the JSON text
+    {"points": [[x, y], ...]}, byte for byte
+    ``json.dumps({"points": mesh.points.tolist()})``."""
     if mesh.dim != 2:
         raise ValueError("polyline export is for 2D meshes")
-    return {"points": mesh.points.tolist()}
+    rows = _text.table_text(_text.float_cells(mesh.points), ("[", ", ", "], "))
+    return '{"points": [' + rows[:-2] + "]}"
 
 
 def off_text(mesh: BoundaryMesh) -> str:
-    """OFF-format export of a 3D mesh."""
+    """OFF-format export of a 3D mesh: ``OFF``, ``<vertices> <faces> 0``,
+    one ``x y z`` line per vertex with each coordinate as ``repr`` writes
+    it, then one ``3 i j k`` line per triangle."""
     if mesh.dim != 3:
         raise ValueError("OFF export is for 3D meshes")
-    # one format call per line, over coordinate columns; repr gives the
-    # shortest round-tripping text of each float
-    vertices = "\n".join(map("{!r} {!r} {!r}".format, *mesh.points.T.tolist()))
-    faces = "\n".join(map("3 {} {} {}".format, *mesh.facets.T.tolist()))
-    return f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n{vertices}\n{faces}\n"
+    vertices = _text.table_text(_text.float_cells(mesh.points), ("", " ", " ", "\n"))
+    faces = _text.table_text(_text.int_cells(mesh.facets), ("3 ", " ", " ", "\n"))
+    return f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n{vertices}{faces}"

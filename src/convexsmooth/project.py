@@ -41,6 +41,9 @@ from .bodies import (
 from .errors import InvalidBody, OutsideDomain, RayMiss
 from .measure import BoundaryMesh, boundary_samples
 
+# Largest gap at which the surjectivity probe passes.
+PROBE_GAP_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class ProjectionDomain:
@@ -203,7 +206,9 @@ def boundary_surjectivity_probe(
     casts the ray x + t v to the point z where it leaves the outer body, in
     closed form, so z lies on the outer boundary; projecting z back must
     return (numerically) x. The report's max gap certifies desk-scale
-    surjectivity. Raises :class:`RayMiss` when a sampled inner boundary
+    surjectivity; the report also carries ``threshold``
+    (``PROBE_GAP_THRESHOLD``) and ``passed``, whether the max gap is at
+    most the threshold. Raises :class:`RayMiss` when a sampled inner boundary
     point lies outside the outer body (beyond ``MEMBERSHIP_SLACK``) or a
     ray never leaves it: the outer body does not enclose the inner one, or
     is unbounded.
@@ -229,5 +234,7 @@ def boundary_surjectivity_probe(
         "max_gap": float(gaps[worst]),
         "mean_gap": float(np.mean(gaps)),
         "worst_point": points[worst].tolist(),
+        "threshold": PROBE_GAP_THRESHOLD,
+        "passed": bool(gaps[worst] <= PROBE_GAP_THRESHOLD),
     }
     return float(gaps[worst]), report

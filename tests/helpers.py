@@ -7,6 +7,7 @@ a dense boundary cloud, and derivatives come from finite differences.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -217,6 +218,12 @@ def subdivide_reference(verts: np.ndarray, faces: np.ndarray):
         ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
         new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
     return np.array(vlist), np.array(new_faces, dtype=np.int64)
+
+
+def polyline_json_reference(mesh) -> str:
+    """Polyline JSON text of a 2D mesh through ``json.dumps`` (the
+    reference form of ``measure.polyline_json``)."""
+    return json.dumps({"points": mesh.points.tolist()})
 
 
 def off_text_reference(mesh) -> str:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from convexsmooth import body_from_json, certify_body
+from convexsmooth import body_from_json, boundary_mesh, boundary_surjectivity_probe, certify_body
 from convexsmooth.cli import RunConfig, build_parser, main, run
+from helpers import off_text_reference, polyline_json_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -118,6 +119,11 @@ def test_probe_round_trip(ball_file, tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["summary"]["max_gap"] <= 1e-6
+    pair = json.loads(probe_file.read_text())
+    _, expected = boundary_surjectivity_probe(
+        body_from_json(pair["inner"]), body_from_json(pair["outer"]), 360
+    )
+    assert report["summary"] == json.loads(json.dumps(expected))
 
 
 def test_measure_writes_mesh(lens_file, tmp_path):
@@ -125,6 +131,25 @@ def test_measure_writes_mesh(lens_file, tmp_path):
     assert main(["measure", "--input", str(lens_file), "--output", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["summary"]["boundary_measure"] == pytest.approx(4.1888, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [("lens", []), ("lens", ["--resolution", "65536"]), ("square", []), ("three-ball", ["--resolution", "3"])],
+)
+def test_measure_writes_the_reference_mesh_text(name, flags, lens_file, square_file, tmp_path):
+    path = {"lens": lens_file, "square": square_file}.get(name)
+    if path is None:
+        path = tmp_path / "three-ball.json"
+        path.write_text(json.dumps(THREE_BALL))
+    out = tmp_path / "out"
+    assert main(["measure", "--input", str(path), "--output", str(out), *flags]) == 0
+    resolution = int(flags[1]) if flags else None
+    mesh = boundary_mesh(body_from_json(json.loads(path.read_text())), resolution)
+    if mesh.dim == 2:
+        assert (out / "mesh.json").read_text() == polyline_json_reference(mesh) + "\n"
+    else:
+        assert (out / "mesh.off").read_text() == off_text_reference(mesh)
 
 
 def test_invalid_body_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from convexsmooth import (
     BallBody,
+    BoundaryMesh,
     GridMismatch,
+    HalfspaceBody,
     InvalidBody,
     boundary_mesh,
     extract_smoothed_body,
@@ -23,7 +26,13 @@ from convexsmooth.measure import (
     radial_function,
     sample_directions,
 )
-from helpers import facet_measures_reference, off_text_reference, random_ball_body, unit_square
+from helpers import (
+    facet_measures_reference,
+    off_text_reference,
+    polyline_json_reference,
+    random_ball_body,
+    unit_square,
+)
 
 
 def lens():
@@ -54,6 +63,14 @@ class TestBoundaryMesh:
         w = boundary_mesh(body, 256)
         we = boundary_mesh(smoothed, 256)
         assert np.max(np.abs(w.radii - we.radii)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_radii_must_be_finite_and_positive(self, bad):
+        dirs, facets = direction_grid(2, 16)
+        radii = np.ones(16)
+        radii[3] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            BoundaryMesh(dim=2, directions=dirs, radii=radii, facets=facets)
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -195,10 +212,43 @@ class TestSymmetricDifference:
         assert np.array_equal(w.radii[agree_vertices], we.radii[agree_vertices])
 
 
+def _signed_zero_mesh_2d():
+    # exact +-0.0 axis components and power-of-two radii
+    dirs, facets = direction_grid(2, 16)
+    dirs = dirs.copy()
+    dirs[[0, 4, 8, 12]] = [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]]
+    return BoundaryMesh(dim=2, directions=dirs, radii=2.0 ** np.arange(-8, 8), facets=facets)
+
+
+def _signed_zero_mesh_3d():
+    # the icosphere's exact zero components, negated
+    dirs, facets = grids.icosphere(2)
+    return BoundaryMesh(dim=3, directions=-dirs, radii=np.full(len(dirs), 0.5), facets=facets)
+
+
+def _box_3d():
+    offsets = [2.0, 0.5, 1.0, 0.25, 4.0, 0.125]
+    normals = np.vstack([np.eye(3), -np.eye(3)])
+    return boundary_mesh(HalfspaceBody(normals=normals, offsets=offsets), 3)
+
+
+def _fallback_kinds(points: np.ndarray) -> set[str]:
+    """Which of the formatter's repr fallbacks the coordinates hit."""
+    x = points.ravel()
+    nonzero = x != 0
+    kinds = {
+        "zero": np.any(~nonzero & ~np.signbit(x)),
+        "negative zero": np.any(~nonzero & np.signbit(x)),
+        "below 1e-4": np.any(nonzero & (np.abs(x) < 1e-4)),
+        "power of two": np.any(nonzero & (np.frexp(np.abs(x))[0] == 0.5)),
+    }
+    return {kind for kind, hit in kinds.items() if hit}
+
+
 class TestExports:
     def test_polyline(self):
         mesh = boundary_mesh(unit_ball(), 64)
-        data = polyline_json(mesh)
+        data = json.loads(polyline_json(mesh))
         assert list(data) == ["points"]
         assert len(data["points"]) == 64
         assert len(data["points"][0]) == 2
@@ -222,6 +272,25 @@ class TestExports:
         nv = len(mesh.points)
         coords = [[float(c) for c in line.split()] for line in text.splitlines()[2 : 2 + nv]]
         assert np.array_equal(np.array(coords), mesh.points)  # repr round-trips
+
+    @pytest.mark.parametrize(
+        "make, kinds",
+        [
+            (lambda: boundary_mesh(lens(), 2**16), {"below 1e-4", "zero", "power of two"}),
+            (_signed_zero_mesh_2d, {"zero", "negative zero", "power of two"}),
+            (lambda: boundary_mesh(unit_square(0.5), 64), {"power of two"}),
+            (_signed_zero_mesh_3d, {"negative zero"}),
+            (_box_3d, {"zero", "power of two"}),
+        ],
+        ids=["lens-2^16", "signed-zeros-2d", "square", "signed-zeros-3d", "box-3d"],
+    )
+    def test_exports_are_the_reference_text(self, make, kinds):
+        mesh = make()
+        assert kinds <= _fallback_kinds(mesh.points)
+        if mesh.dim == 2:
+            assert polyline_json(mesh) == polyline_json_reference(mesh)
+        else:
+            assert off_text(mesh) == off_text_reference(mesh)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):

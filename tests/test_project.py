@@ -23,7 +23,7 @@ from convexsmooth import (
 from convexsmooth.bodies import MEMBERSHIP_SLACK
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import boundary_samples
-from convexsmooth.project import _ray_exits
+from convexsmooth.project import PROBE_GAP_THRESHOLD, _ray_exits
 from helpers import ball_bodies, boundary_cloud, brute_distance, normal_lipschitz_reference
 
 
@@ -272,6 +272,8 @@ class TestSurjectivityProbe:
         gap, report = boundary_surjectivity_probe(unit_ball(), outer, 360)
         assert gap <= 1e-6
         assert report["hits"] == report["rays"] == 360
+        assert report["threshold"] == PROBE_GAP_THRESHOLD == 1e-6
+        assert report["passed"] is True
 
     def test_ball_in_square(self):
         gap, _ = boundary_surjectivity_probe(unit_ball(), box(2, [2.0] * 4), 360)
