@@ -1,6 +1,6 @@
 """Toolkit for bodies given as intersections of equal-radius balls.
 
-Provides closed-form gauges with derivatives, sampled certificates for
+Provides closed-form gauges with derivatives, certificates for
 the equivalent characterizations of strong convexity, metric projections
 (exact nearest points by active-set enumeration, boundary projection on
 its safe tube), a convexity-preserving smoothing pipeline producing

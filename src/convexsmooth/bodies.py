@@ -319,10 +319,15 @@ def support_value(body: BallBody, direction):
     Exact up to rounding: the support point is the candidate of its active
     subset (see :func:`_extreme_points`), so the largest <u, p> over the
     feasible candidates attains the maximum. A guard of 1e-12 R on top
-    makes the value a certified upper bound.
+    makes the value a certified upper bound. A zero direction raises
+    ``ValueError``, naming its row in a batch.
     """
     U, single = _as_rows(direction, body.dim)
-    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    norms = np.linalg.norm(U, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms[:, 0] == 0.0)
+    if zero.size:
+        raise ValueError("direction must be nonzero" if single else f"direction {zero[0]} is zero")
+    U = U / norms
     cand, feasible = _extreme_points(body, U, anchored=False)
     reach = np.where(feasible, np.einsum("nsd,nd->ns", cand, U), -np.inf)
     h = np.max(reach, axis=1) + 1e-12 * body.radius

@@ -1,6 +1,6 @@
 """Numerical certificates for strong convexity of compact bodies.
 
-Each certificate samples one of the equivalent characterizations of a
+Each certificate tests one of the equivalent characterizations of a
 strongly convex body and reports pass/fail with the worst witness found:
 
 - the quadratic-growth subgradient inequality for functions (id "eq39"),
@@ -18,26 +18,22 @@ strongly convex body and reports pass/fail with the worst witness found:
 
 :func:`certify_body` is the ``certify`` command's suite: all six on a ball
 body, on a halfspace body ball_support_b at R = 1, 10 and 100 (a flat
-face fails every R). All certificates are sample-based, not exhaustive;
-every report carries its sample count and minimum margin so failures are
-reproducible.
+face fails every R). gauge_sq_hessian_d evaluates each member where its
+proven minimum lies, level_set_e follows from the ball_support_b report,
+and the others sample; every report carries its sample count and minimum
+margin so failures are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import BallBody, Body, HalfspaceBody
 from .errors import DomainViolation, InsufficientData, NotBallBody
-from .gauge import (
-    attaining_members,
-    gauge_lipschitz_bound,
-    member_gauge_derivatives,
-    member_gauges,
-)
+from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 from .measure import boundary_samples, sample_directions
 from .project import project_body
 
@@ -48,7 +44,7 @@ CERT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of one sampled certificate.
+    """Outcome of one certificate.
 
     ``constant`` is the quantitative constant the condition was tested
     with (an enclosing radius, a curvature floor, ...); ``worst_witness``
@@ -202,55 +198,36 @@ def ball_family_check(body: BallBody, samples: int) -> CertificateReport:
     )
 
 
-def random_points(rng: np.random.Generator, body: BallBody, count: int, lo: float, hi: float) -> np.ndarray:
-    """``count`` points u r with u uniform on the unit sphere and r uniform
-    in [lo R, hi R).
-
-    Each point draws its normal vector and then its radius, one point at a
-    time, so a seeded stream gives the same points however they are batched.
-    """
-    pts = np.empty((count, body.dim))
-    for k in range(count):
-        u = rng.standard_normal(body.dim)
-        u /= np.linalg.norm(u)
-        pts[k] = u * rng.uniform(lo, hi) * body.radius
-    return pts
-
-
-def gauge_sq_hessian_check(
-    body: Body, samples: int, seed: int = 0
-) -> CertificateReport:
-    """Sampled minimum eigenvalue of the squared-gauge Hessian.
+def gauge_sq_hessian_check(body: Body) -> CertificateReport:
+    """Minimum eigenvalue of the squared-gauge Hessian, at its proven minimizers.
 
     At ridge-free points the body gauge locally equals one member gauge,
-    whose squared Hessian must stay at or above the floor 1/(2 R^2).
-    Ridge points (more than one attaining member) are redrawn. Raises
-    :class:`NotBallBody` for polyhedral bodies, which have no ball gauge to
-    differentiate.
+    whose squared Hessian must stay at or above the floor 1/(2 R^2). Member
+    i's smallest eigenvalue over all x != 0 is 2/(R + |a_i|)^2 >= 1/(2 R^2),
+    attained at u_i = a_i/|a_i| (e_1 when a_i = 0; see :mod:`.gauge`), so
+    each member is evaluated once, at u_i: ``samples`` is the member count
+    and the witness the u_i of the smallest. Raises :class:`NotBallBody`
+    for polyhedral bodies, which have no ball gauge to differentiate.
     """
     if not isinstance(body, BallBody):
         raise NotBallBody("squared-gauge curvature needs a BallBody")
-    if samples < 8:
-        raise ValueError("samples must be >= 8")
-    rng = np.random.default_rng(seed)
     floor = 1.0 / (2.0 * body.radius**2)
-
-    x = np.empty((0, body.dim))
-    while len(x) < samples:
-        new = random_points(rng, body, samples - len(x), 0.2, 2.0)
-        smooth = np.sum(attaining_members(member_gauges(body, new)), axis=1) == 1
-        x = np.vstack([x, new[smooth]])
-    values, _, hess_sq = member_gauge_derivatives(body, x)
-    member = np.argmax(values, axis=1)
-    lam = np.linalg.eigvalsh(hess_sq[np.arange(samples), member])[:, 0]
+    m = len(body.centers)
+    norms = np.linalg.norm(body.centers, axis=1)
+    u = np.zeros((m, body.dim))
+    u[:, 0] = 1.0
+    off = norms > 0.0
+    u[off] = body.centers[off] / norms[off, None]
+    _, _, hess_sq = member_gauge_derivatives(body, u)
+    lam = np.linalg.eigvalsh(hess_sq[np.arange(m), np.arange(m)])[:, 0]
     k = int(np.argmin(lam))
     worst = float(lam[k])
     return CertificateReport(
         condition="gauge_sq_hessian_d",
         passed=worst >= floor - CERT_TOL,
         constant=floor,
-        worst_witness={"x": x[k].tolist(), "min_eigenvalue": worst, "margin": worst - floor},
-        samples=samples,
+        worst_witness={"x": u[k].tolist(), "min_eigenvalue": worst, "margin": worst - floor},
+        samples=m,
     )
 
 
@@ -310,10 +287,12 @@ def cap_graph_hessian_check(R: float, xi_y, z_offsets) -> CertificateReport:
     xi = np.asarray(xi_y, dtype=float)
     if float(xi @ xi) >= 1.0:
         raise DomainViolation("|xi_y| must be < 1")
+    offsets = [np.asarray(z, dtype=float) for z in z_offsets]
+    if not offsets:
+        raise InsufficientData("need at least 1 offset")
     floor = 1.0 / R
     worst = np.inf
     witness: dict = {}
-    offsets = [np.asarray(z, dtype=float) for z in z_offsets]
     for z in offsets:
         w = z + R * xi
         rad = R * R - float(w @ w)
@@ -360,14 +339,20 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
 
 def certify_body(body: Body, samples: int, seed: int) -> list[CertificateReport]:
     """The certificate suite of the ``certify`` command (see the module
-    docstring), ``samples`` boundary samples each, seeded by ``seed``."""
+    docstring), ``samples`` boundary samples each; ``seed`` draws eq39's
+    points. level_set_e passes exactly when ball_support_b does."""
     if isinstance(body, HalfspaceBody):
         return [ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)]
     floor = 1.0 / (2.0 * body.radius**2)
 
     # the squared gauge and, as its subgradient, that of the first attaining
-    # member, at 48 seeded points
-    x = random_points(np.random.default_rng(seed), body, 48, 0.3, 1.6)
+    # member, at 48 seeded points u r: u uniform on the sphere, r uniform in
+    # [0.3 R, 1.6 R), each point drawing its direction and then its radius
+    rng = np.random.default_rng(seed)
+    x = np.empty((48, body.dim))
+    for k in range(48):
+        u = rng.standard_normal(body.dim)
+        x[k] = u / np.linalg.norm(u) * rng.uniform(0.3, 1.6) * body.radius
     values, grads, _ = member_gauge_derivatives(body, x)
     member = np.argmax(attaining_members(values), axis=1)
     value = values[np.arange(48), member]
@@ -375,15 +360,26 @@ def certify_body(body: Body, samples: int, seed: int) -> list[CertificateReport]
     subgrads = 2.0 * value[:, None] * grads[np.arange(48), member]
     reports = [subgradient_certificate(zip(x, squared, subgrads), eta=floor)]
 
-    reports.append(ball_support_check(body, body.radius, samples))
-    reports.append(ball_family_check(body, samples))
-    reports.append(gauge_sq_hessian_check(body, min(samples, 512), seed=seed))
+    report_b = ball_support_check(body, body.radius, samples)
+    reports += [report_b, ball_family_check(body, samples), gauge_sq_hessian_check(body)]
 
     # sublevel realization: the squared gauge at level 1 gives back the
-    # body, and its slope where the gauge stays below 2 is at most 8/rho
+    # body, and its slope where the gauge stays below 2 is at most 8/rho.
+    # That radius is at least R, and on each sampled pair (boundary point
+    # y with normal v, tested point y + w) the margin |w + r v| - r has
+    # slope <w + r v, v>/|w + r v| - 1 <= 0 in r, so ball_support_b's
+    # margins bound those at this radius
     radius_e = level_set_radius(2.0 * 2.0 * gauge_lipschitz_bound(body), floor)
-    report_e = ball_support_check(body, radius_e, samples)
-    reports.append(replace(report_e, condition="level_set_e"))
+    margin_b = report_b.worst_witness["margin"]
+    reports.append(
+        CertificateReport(
+            condition="level_set_e",
+            passed=report_b.passed,
+            constant=radius_e,
+            worst_witness={"implied_by": "ball_support_b", "margin_bound": margin_b},
+            samples=report_b.samples,
+        )
+    )
 
     gap = halfspace_reconstruction_gap(body, samples)
     _, cover = sample_directions(body.dim, samples)

@@ -4,7 +4,7 @@ Commands::
 
     convexsmooth certify --input body.json --output outdir [--resolution N --seed N]
     convexsmooth smooth  --input body.json --output outdir [--epsilon F --delta F
-                         --order c11|c2 --resolution N --scan N --seed N]
+                         --order c11|c2 --resolution N --scan N]
     convexsmooth measure --input body.json --output outdir [--resolution N]
     convexsmooth probe   --input probe.json --output outdir [--resolution N]
 
@@ -12,13 +12,14 @@ Each command parses, makes one library call and writes what it returns:
 ``certify`` runs ``certify_body`` (eq39, ball_support_b, ball_family_c,
 gauge_sq_hessian_d, level_set_e, whose radius ``certify`` sets, and
 halfspace_reconstruction on a ball body; ball_support_b at R = 1, 10, 100
-on a halfspace body), ``smooth`` ``extract_smoothed_body``, ``measure``
-``boundary_mesh`` and ``probe`` ``boundary_surjectivity_probe``. An unset
-delta or mesh resolution takes the library's default.
+on a halfspace body), ``smooth`` ``extract_smoothed_body``, whose checks
+carry the verdict, ``measure`` ``boundary_mesh`` and ``probe``
+``boundary_surjectivity_probe``. An unset delta or mesh resolution takes
+the library's default.
 
 Exit codes: 0 all-pass/success, 1 failed certificate or unmet epsilon
 bound, 2 input or validation errors, a flag the command does not read
-included. All sampling is driven by the single --seed stream, so
+included. Only ``certify`` samples at random, from its --seed stream, so
 identical configurations produce byte-identical reports.
 """
 
@@ -39,6 +40,17 @@ from .errors import ConvexSmoothError, InvalidBody
 
 # Certificate samples and probe rays when --resolution is not given.
 DEFAULT_SAMPLES = 360
+
+# The checks of extract_smoothed_body that a smooth report summarizes
+# (symdiff_breakdown only when the library reports it).
+_SMOOTH_SUMMARY = (
+    "symdiff_measure",
+    "boundary_measure",
+    "hessian_min_eig",
+    "contained",
+    "tube_ok",
+    "symdiff_breakdown",
+)
 
 
 @dataclass
@@ -81,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", choices=("c11", "c2"))
             p.add_argument("--scan", type=int)
         p.add_argument("--resolution", type=int)
-        if name in ("certify", "smooth"):
+        if name == "certify":
             p.add_argument("--seed", type=int)
     return parser
 
@@ -134,24 +146,11 @@ def _run_smooth(config: RunConfig) -> int:
         order=order,
         scan=config.scan,
         resolution=config.resolution,
-        seed=config.seed,
     )
-    w_mesh, we_mesh = smoothed.meshes
-    breakdown = meas.symmetric_difference_breakdown(w_mesh, we_mesh)
-    symdiff = breakdown["combined"]
     checks = smoothed.checks
-    summary = {
-        "t0": smoothed.t0,
-        "delta": smoothed.gauge.delta,
-        "symdiff_measure": symdiff,
-        "boundary_measure": checks["boundary_measure"],
-        "hessian_min_eig": checks["hessian_min_eig"],
-        "contained": checks["contained"],
-        "tube_ok": checks["tube_ok"],
-    }
-    if abs(breakdown["radius_based"] - breakdown["flag_based"]) > 0.01 * max(symdiff, 1e-300):
-        summary["symdiff_breakdown"] = breakdown
-    mesh_file = _write_mesh(config, we_mesh)
+    summary = {"t0": smoothed.t0, "delta": smoothed.gauge.delta}
+    summary.update((key, checks[key]) for key in _SMOOTH_SUMMARY if key in checks)
+    mesh_file = _write_mesh(config, smoothed.meshes[1])
     _write_report(
         config,
         {
@@ -162,12 +161,7 @@ def _run_smooth(config: RunConfig) -> int:
             "mesh_file": mesh_file,
         },
     )
-    ok = (
-        symdiff < config.epsilon * checks["boundary_measure"]
-        and checks["contained"]
-        and checks["tube_ok"]
-    )
-    return 0 if ok else 1
+    return 0 if checks["passed"] else 1
 
 
 def _run_measure(config: RunConfig) -> int:

@@ -7,9 +7,11 @@ For a ball B(a, R) with |a| < R and k = R^2 - |a|^2 > 0, the gauge
 
 a nonnegative, 1-homogeneous convex function with mu <= 1 exactly on the
 ball. Its gradient is mu'(x) = s(x) (x - mu(x) a) with
-s(x) = 1/sqrt(<x, a>^2 + k |x|^2), and the Hessian of mu^2 has minimum
-eigenvalue at least 1/(2 R^2) everywhere, which is the strong-convexity
-constant the certificates rely on.
+s(x) = 1/sqrt(<x, a>^2 + k |x|^2). The Hessian of mu^2 depends on the
+direction of x only (mu^2 is 2-homogeneous); its smallest eigenvalue over
+all x != 0 is exactly 2/(R + |a|)^2, met along u = a/|a|, where the
+Hessian is 2 u u^T/(R + |a|)^2 + 2 (I - u u^T)/(R (R + |a|)). That is at
+least 1/(2 R^2), the strong-convexity constant the certificates rely on.
 
 The body gauge of an intersection of balls is the pointwise maximum of the
 member gauges.
@@ -83,7 +85,7 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
 
     The gradient of the gauge itself is only defined for x != 0; the
     squared gauge is differentiable everywhere and its Hessian here is
-    symmetric with minimum eigenvalue >= 1/(2 R^2).
+    symmetric with minimum eigenvalue >= 2/(R + |a|)^2 >= 1/(2 R^2).
     """
     k = _ball_k(ball)
     a = ball.center

@@ -61,10 +61,6 @@ _NEWTON_MAX_STEPS = 64
 
 _DEFAULT_SCAN_RES = {2: 512, 3: 3}
 
-# Seeded points of the pipeline's containment and Hessian checks.
-_CONTAINMENT_SAMPLES = 2048
-_HESSIAN_SAMPLES = 256
-
 # Largest (levels x facets) count the scan meshes in one batch; larger
 # scans run in consecutive blocks of levels, which keeps memory O(facets).
 _SCAN_BLOCK_CELLS = 1 << 17
@@ -206,7 +202,8 @@ def blended_gauge_sq_many(gauge: BlendedGauge, points: np.ndarray):
     Returns arrays of shapes (N,), (N, n) and (N, n, n). The fold's chain
     rule keeps child weights in [0, 1] summing to one and adds a PSD
     rank-one curvature term per blend, so every Hessian inherits the
-    members' strong-convexity floor 1/(2 R^2).
+    members' strong-convexity floor min_i 2/(R + |a_i|)^2 = 2/(2R - rho)^2,
+    rho the interior radius.
     """
     pts = np.asarray(points, dtype=float)
     mu, grad, hess = member_gauge_derivatives(gauge.body, pts)
@@ -518,21 +515,29 @@ def extract_smoothed_body(
     order: Order = "C2",
     scan: int = 64,
     resolution: int | None = None,
-    seed: int = 0,
 ) -> SmoothedBody:
     """Run the full smoothing pipeline on a ball body.
 
     Raises :class:`ShrinkDelta` when the blend tube already eats more than
     epsilon/4 of the boundary measure (the scan could not help then; the
     message names balls with identical centers, which no delta separates),
-    and :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). The returned
-    body records its verification data in ``checks``: containment of the
-    sampled body in the original, the boundary staying inside the gauge
-    tube [1 - 5 eps, 1 + 5 eps], and the sampled Hessian floor; ``meshes``
-    holds the original and smoothed boundary meshes at ``resolution``.
-    Bodies outside the meshing dimensions raise :class:`InvalidBody`.
-    A ``delta`` of None takes DEFAULT_DELTA_FACTOR * R^2, and a
-    ``resolution`` of None the default of :func:`measure.direction_grid`.
+    and :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). Bodies
+    outside the meshing dimensions raise :class:`InvalidBody`. A ``delta``
+    of None takes DEFAULT_DELTA_FACTOR * R^2, and a ``resolution`` of None
+    the default of :func:`measure.direction_grid`.
+
+    ``meshes`` holds the original and smoothed boundary meshes at
+    ``resolution``, and ``checks`` the run's verification data: whether
+    every smoothed mesh vertex is ``contained`` in the body (so, the body
+    being convex around the origin, is each point between a vertex and the
+    origin) and stays in the gauge tube [1 - 5 eps, 1 + 5 eps]
+    (``tube_ok``); ``hessian_min_eig``, the blend's proven curvature floor
+    2/(2R - rho)^2 >= ``hessian_floor`` = 1/(2 R^2) (each member's is
+    2/(R + |a_i|)^2, and the fold adds only convex combinations and PSD
+    terms); the meshes' ``symdiff_measure``, with ``symdiff_breakdown``
+    when its radius- and flag-based routes differ by more than 1% of it;
+    and ``passed``, the ``smooth`` command's verdict: symdiff_measure
+    below epsilon * ``boundary_measure``, contained and tube_ok.
     """
     _check_epsilon(epsilon)
     _measure.check_mesh_dim(body.dim)
@@ -562,28 +567,23 @@ def extract_smoothed_body(
     t0 = select_regular_value(gauge, epsilon, scan)
 
     we_mesh = _level_mesh(gauge, grid, t0, rescale=t0)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(we_mesh.points), size=_CONTAINMENT_SAMPLES)
-    shrink = rng.random(_CONTAINMENT_SAMPLES) ** (1.0 / body.dim)
-    samples = we_mesh.points[idx] * shrink[:, None]
-    inside = contains_many(body, np.vstack([samples, we_mesh.points]))
-
+    contained = bool(np.all(contains_many(body, we_mesh.points)))
     mus = np.max(member_gauges(body, we_mesh.points), axis=-1)
-    tube_ok = bool(
-        np.all(mus >= 1.0 - 5.0 * epsilon) and np.all(mus <= 1.0 + 5.0 * epsilon)
-    )
-
-    hess_idx = rng.integers(0, len(we_mesh.points), size=_HESSIAN_SAMPLES)
-    _, _, hess = blended_gauge_sq_many(gauge, t0 * we_mesh.points[hess_idx])
-    eig_min = float(np.min(np.linalg.eigvalsh(hess)[:, 0], initial=np.inf))
+    tube_ok = bool(np.all(mus >= 1.0 - 5.0 * epsilon) and np.all(mus <= 1.0 + 5.0 * epsilon))
+    breakdown = _measure.symmetric_difference_breakdown(w_mesh, we_mesh)
+    symdiff = breakdown["combined"]
 
     checks = {
-        "contained": bool(np.all(inside)),
+        "contained": contained,
         "tube_ok": tube_ok,
         "gauge_range_on_boundary": (float(np.min(mus)), float(np.max(mus))),
-        "hessian_min_eig": eig_min,
+        "hessian_min_eig": 2.0 / (2.0 * body.radius - body.interior_radius) ** 2,
         "hessian_floor": 1.0 / (2.0 * body.radius**2),
         "tube_estimate": tube_estimate,
         "boundary_measure": boundary_measure,
+        "symdiff_measure": symdiff,
+        "passed": bool(symdiff < epsilon * boundary_measure and contained and tube_ok),
     }
+    if abs(breakdown["radius_based"] - breakdown["flag_based"]) > 0.01 * max(symdiff, 1e-300):
+        checks["symdiff_breakdown"] = breakdown
     return SmoothedBody(gauge=gauge, t0=t0, checks=checks, meshes=(w_mesh, we_mesh))

@@ -221,6 +221,13 @@ class TestSupportValue:
         assert batch.shape == (30,)
         assert np.array_equal(batch, [support_value(body, u) for u in dirs])
 
+    def test_zero_direction_is_named(self):
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            support_value(lens(), [0.0, 0.0])
+        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="direction 2 is zero"):
+            support_value(lens(), dirs)
+
 
 class TestNormalLift:
     def test_zero_slope(self):

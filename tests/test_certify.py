@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from convexsmooth import certify
 from convexsmooth import (
     BallBody,
     InsufficientData,
@@ -14,6 +16,7 @@ from convexsmooth import (
     cap_graph_height,
     cap_graph_hessian,
     cap_graph_hessian_check,
+    certify_body,
     enclosing_radius,
     gauge_sq_hessian_check,
     halfspace_reconstruction_gap,
@@ -21,11 +24,17 @@ from convexsmooth import (
     normal_lift,
     subgradient_certificate,
 )
-from helpers import QuadraticPatch, fd_jacobian, random_ball_body, unit_square
+from convexsmooth.gauge import member_gauge_derivatives
+from helpers import QuadraticPatch, ball_bodies, fd_jacobian, random_ball_body, unit_square
 
 
 def lens():
     return BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
+
+
+THREE_BALL = BallBody(
+    radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3
+)
 
 
 class TestSubgradientCertificate:
@@ -104,18 +113,92 @@ class TestBallSupport:
 class TestGaugeSqHessian:
     def test_unit_ball_constant(self):
         body = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)
-        report = gauge_sq_hessian_check(body, 64)
+        report = gauge_sq_hessian_check(body)
         assert report.passed
         assert report.constant == pytest.approx(0.5)
-        assert report.worst_witness["min_eigenvalue"] >= 2.0 - 1e-9
+        assert report.worst_witness["min_eigenvalue"] == pytest.approx(2.0, rel=1e-15)
+        assert report.worst_witness["x"] == [1.0, 0.0]
+        assert report.samples == 1
 
     def test_lens(self):
-        report = gauge_sq_hessian_check(lens(), 1000, seed=1)
+        # 2/(R + |a|)^2 = 8/9, along either center
+        report = gauge_sq_hessian_check(lens())
         assert report.passed and report.constant == pytest.approx(0.5)
+        assert report.worst_witness["min_eigenvalue"] == pytest.approx(8.0 / 9.0, rel=1e-12)
+        assert report.worst_witness["x"] in ([1.0, 0.0], [-1.0, 0.0])
+        assert report.samples == 2
 
     def test_polyhedra_rejected(self):
         with pytest.raises(NotBallBody):
-            gauge_sq_hessian_check(unit_square(), 64)
+            gauge_sq_hessian_check(unit_square())
+
+
+def _member_floors(body):
+    return 2.0 / (body.radius + np.linalg.norm(body.centers, axis=1)) ** 2
+
+
+class TestProvenCurvatureFloor:
+    """Sampled Hessians against the closed-form floors that the
+    certificates report instead of sampling."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=ball_bodies(), seed=st.integers(0, 2**32 - 1))
+    def test_member_floor_holds_everywhere(self, body, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((64, body.dim)) * rng.uniform(0.05, 3.0, (64, 1)) * body.radius
+        _, _, hess = member_gauge_derivatives(body, x)
+        lam = np.linalg.eigvalsh(hess)[..., 0]
+        scale = np.abs(hess).max(axis=(-2, -1))
+        assert np.all(lam >= _member_floors(body) - 1e-12 * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=ball_bodies())
+    def test_member_floor_is_attained_at_the_witness(self, body):
+        report = gauge_sq_hessian_check(body)
+        floors = _member_floors(body)
+        assert report.samples == len(body.centers)
+        assert report.worst_witness["min_eigenvalue"] == pytest.approx(floors.min(), rel=1e-12)
+        assert report.passed and floors.min() >= report.constant
+        # the witness direction is a member's own minimizer
+        u = np.array(report.worst_witness["x"])
+        _, _, hess = member_gauge_derivatives(body, u[None, :])
+        lam = np.linalg.eigvalsh(hess[0])[:, 0]
+        assert np.any(np.abs(lam / floors - 1.0) <= 1e-12)
+
+
+class TestLevelSetFromBallSupport:
+    @settings(max_examples=60, deadline=None)
+    @given(body=ball_bodies(), samples=st.integers(8, 200))
+    def test_margins_at_the_level_set_radius_are_at_most_those_at_R(self, body, samples):
+        R = body.radius
+        radius_e = 16.0 * R * R / body.interior_radius
+        at_R = ball_support_check(body, R, samples).worst_witness["margin"]
+        at_e = ball_support_check(body, radius_e, samples).worst_witness["margin"]
+        assert at_e <= at_R + 8.0 * np.finfo(float).eps * radius_e
+
+    def test_thin_lens_rounding_stays_within_eight_ulp(self):
+        thin = BallBody(radius=1.0, centers=[[0.99, 0.0], [-0.99, 0.0]], dim=2)
+        radius_e = 16.0 / thin.interior_radius  # 1600
+        at_R = ball_support_check(thin, 1.0, 360).worst_witness["margin"]
+        at_e = ball_support_check(thin, radius_e, 360).worst_witness["margin"]
+        assert at_e > at_R  # rounding of the larger radius shows
+        assert at_e <= at_R + 8.0 * np.finfo(float).eps * radius_e
+
+    @pytest.mark.parametrize("body", [lens(), THREE_BALL], ids=["lens", "three-ball"])
+    def test_suite_runs_one_ball_support_check(self, body, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return ball_support_check(*args)
+
+        monkeypatch.setattr(certify, "ball_support_check", counted)
+        reports = {r.condition: r for r in certify_body(body, 100, 0)}
+        assert calls == [body.radius]
+        b, e = reports["ball_support_b"], reports["level_set_e"]
+        assert e.passed == b.passed and e.samples == b.samples
+        assert e.constant == pytest.approx(16.0 * body.radius**2 / body.interior_radius, rel=1e-15)
+        assert e.worst_witness == {"implied_by": "ball_support_b", "margin_bound": b.worst_witness["margin"]}
 
 
 class TestLevelSetRadius:
@@ -165,6 +248,10 @@ class TestCapGraph:
 
             h_fd = fd_jacobian(grad, z, h=1e-5)
             assert np.abs(0.5 * (h_fd + h_fd.T) - h_cf).max() <= 1e-5 * (1 + np.abs(h_cf).max())
+
+    def test_needs_an_offset(self):
+        with pytest.raises(InsufficientData):
+            cap_graph_hessian_check(1.0, np.zeros(2), [])
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):

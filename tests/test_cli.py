@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from convexsmooth import body_from_json, boundary_mesh, boundary_surjectivity_probe, certify_body
+from convexsmooth import (
+    body_from_json,
+    boundary_mesh,
+    boundary_surjectivity_probe,
+    certify_body,
+    extract_smoothed_body,
+)
 from convexsmooth.cli import RunConfig, build_parser, main, run
 from helpers import off_text_reference, polyline_json_reference
 
@@ -186,7 +192,6 @@ def test_reports_are_deterministic(lens_file, tmp_path):
         "--delta", "1e-3",
         "--order", "c2",
         "--resolution", "512",
-        "--seed", "7",
     ]
     assert main(args) == 0
     first = (out / "report.json").read_bytes()
@@ -246,8 +251,13 @@ def test_each_command_takes_exactly_its_documented_flags():
 
 @pytest.mark.parametrize(
     "argv",
-    [["measure", "--seed", "1"], ["probe", "--scan", "8"], ["certify", "--epsilon", "0.1"]],
-    ids=["measure-seed", "probe-scan", "certify-epsilon"],
+    [
+        ["measure", "--seed", "1"],
+        ["probe", "--scan", "8"],
+        ["certify", "--epsilon", "0.1"],
+        ["smooth", "--seed", "1"],
+    ],
+    ids=["measure-seed", "probe-scan", "certify-epsilon", "smooth-seed"],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, lens_file, tmp_path, capsys):
     out = tmp_path / "out"
@@ -305,6 +315,38 @@ def test_certify_writes_the_reports_of_certify_body(
     reports = certify_body(body_from_json(json.loads(path.read_text())), samples, seed)
     assert report["reports"] == json.loads(json.dumps([r.to_json() for r in reports]))
     assert code == (0 if all(r.passed for r in reports) else 1)
+
+
+@pytest.mark.parametrize(
+    "name, flags, verdict",
+    [
+        ("lens", [], (0, False)),
+        ("lens", ["--resolution", "100"], (1, False)),
+        ("three-ball", [], (0, True)),
+    ],
+    ids=["lens-defaults", "lens-100-unmet-epsilon", "three-ball-with-breakdown"],
+)
+def test_smooth_writes_the_verdict_of_extract_smoothed_body(name, flags, verdict, lens_file, tmp_path):
+    path = lens_file
+    if name == "three-ball":
+        path = tmp_path / "three-ball.json"
+        path.write_text(json.dumps(THREE_BALL))
+    out = tmp_path / "out"
+    code = main(["smooth", "--input", str(path), "--output", str(out), *flags])
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    smoothed = extract_smoothed_body(
+        body_from_json(json.loads(path.read_text())),
+        delta=None,
+        epsilon=0.05,
+        resolution=int(flags[1]) if flags else None,
+    )
+    checks = smoothed.checks
+    keys = {"symdiff_measure", "boundary_measure", "hessian_min_eig", "contained", "tube_ok"}
+    keys |= {"symdiff_breakdown"} & set(checks)
+    expected = {"t0": smoothed.t0, "delta": smoothed.gauge.delta, **{k: checks[k] for k in keys}}
+    assert summary == json.loads(json.dumps(expected))
+    assert code == (0 if checks["passed"] else 1)
+    assert (code, "symdiff_breakdown" in summary) == verdict
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -21,8 +21,14 @@ from convexsmooth import (
     smooth_max,
 )
 from convexsmooth import smooth
+from convexsmooth.bodies import contains_many
 from convexsmooth.gauge import body_gauge_values, member_gauges
-from convexsmooth.measure import batch_ray_crossings, direction_grid, facet_centroids
+from convexsmooth.measure import (
+    batch_ray_crossings,
+    direction_grid,
+    facet_centroids,
+    symmetric_difference_breakdown,
+)
 from convexsmooth.smooth import (
     RIDGE_GUARD,
     _level_grid,
@@ -191,6 +197,23 @@ class TestBlendedGauge:
             x = rng.standard_normal(2) * rng.uniform(0.1, 2.0)
             _, _, hess = blended_gauge_sq(gauge, x)
             assert np.linalg.eigvalsh(hess)[0] >= floor - 1e-6
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        body=ball_bodies(),
+        order=st.sampled_from(["C11", "C2"]),
+        log_delta=st.floats(-4.0, -0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blend_keeps_the_proven_floor(self, body, order, log_delta, seed):
+        # the floor extract_smoothed_body reports: 2/(2R - rho)^2
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((128, body.dim)) * rng.uniform(0.05, 3.0, (128, 1)) * body.radius
+        _, _, hess = blended_gauge_sq_many(gauge, x)
+        lam = np.linalg.eigvalsh(hess)[:, 0]
+        floor = 2.0 / (2.0 * body.radius - body.interior_radius) ** 2
+        assert np.all(lam >= floor - 1e-12 * np.abs(hess).max(axis=(1, 2)))
 
     def test_hessian_field_continuous_across_blend_boundary_c2_only(self):
         # straddle the gap = delta surface at a relative offset of 1e-9;
@@ -537,6 +560,33 @@ class TestExtract:
     def test_epsilon_validation(self):
         with pytest.raises(DegenerateEpsilon):
             extract_smoothed_body(lens(), delta=1e-3, epsilon=0.3, order="C2")
+
+    @pytest.mark.parametrize(
+        "body, resolution",
+        [(lens(), None), (lens(), 100), (THREE_BALL, None)],
+        ids=["lens-default", "lens-100", "three-ball-3d-default"],
+    )
+    def test_checks_carry_the_verdict(self, body, resolution):
+        epsilon = 0.05
+        smoothed = extract_smoothed_body(
+            body, delta=1e-3, epsilon=epsilon, order="C2", resolution=resolution
+        )
+        checks = smoothed.checks
+        w_mesh, we_mesh = smoothed.meshes
+        breakdown = symmetric_difference_breakdown(w_mesh, we_mesh)
+        assert checks["symdiff_measure"] == breakdown["combined"]
+        spread = abs(breakdown["radius_based"] - breakdown["flag_based"])
+        reported = spread > 0.01 * breakdown["combined"]
+        assert checks.get("symdiff_breakdown") == (breakdown if reported else None)
+        assert checks["contained"] == bool(np.all(contains_many(body, we_mesh.points)))
+        assert checks["passed"] == (
+            breakdown["combined"] < epsilon * checks["boundary_measure"]
+            and checks["contained"]
+            and checks["tube_ok"]
+        )
+        rho = body.interior_radius
+        assert checks["hessian_min_eig"] == 2.0 / (2.0 * body.radius - rho) ** 2
+        assert checks["hessian_min_eig"] >= checks["hessian_floor"]
 
     def test_serialization(self):
         smoothed = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
