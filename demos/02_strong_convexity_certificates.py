@@ -31,11 +31,15 @@ square = HalfspaceBody(
 )
 
 # --- the rolling-ball condition --------------------------------------------
+# at each of 720 sampled boundary points the rolled ball is tested against
+# the whole lens, exactly: the lens's farthest point from the ball's centre
+# must lie inside it
 report = ball_support_check(lens, R=1.0, samples=720)
 print("lens, enclosing balls of radius 1:", "PASS" if report.passed else "FAIL")
 
-# the square fails for EVERY radius: moving distance s along a flat face
-# exits the rolled ball by about s^2/(2R), which no finite R fixes
+# the square fails for EVERY radius: a corner at distance s along a flat
+# face lies outside the rolled ball by about s^2/(2R), which no finite R
+# fixes
 for R in (1.0, 10.0, 100.0):
     report = ball_support_check(square, R, samples=360)
     witness = report.worst_witness

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import combinations
 from typing import Union
 
@@ -24,8 +25,11 @@ from .errors import InvalidBody
 # tolerance (ridge-tube radii) of the sphere.
 MEMBERSHIP_SLACK = 1e-12
 
-# Slack, relative to R or to the largest offset, of outward_normal's active set.
-NORMAL_ATOL = 1e-7
+# Slack, relative to R or to the largest offset, of outward_normal's active
+# set: the rounding scale of MEMBERSHIP_SLACK. A wider set takes in spheres
+# that are not active, and near-coincident balls, all "active" within a
+# wide slack, would average to a normal outside the normal cone.
+NORMAL_ATOL = 1e-12
 
 
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -95,7 +99,9 @@ class BallBody:
       open ball B(0, rho) is contained in the body.
 
     The number of balls is unrestricted; gauge evaluations cost O(m) in the
-    number of centers.
+    number of centers. Nearest, support and farthest points are read off
+    the body's intersection spheres (:class:`SphereLattice`), enumerated on
+    first use and cached on the body.
     """
 
     radius: float
@@ -128,6 +134,12 @@ class BallBody:
     @property
     def num_balls(self) -> int:
         return self.centers.shape[0]
+
+    @cached_property
+    def _lattice(self) -> SphereLattice:
+        """The body's intersection spheres, built on first use. The body is
+        frozen and the lattice's arrays are read-only, so it cannot go stale."""
+        return _sphere_lattice(self)
 
     @property
     def interior_radius(self) -> float:
@@ -260,29 +272,33 @@ def outward_normal(body: Body, y) -> np.ndarray:
     return n[0] if single else n
 
 
-def _extreme_points(body: BallBody, W: np.ndarray, anchored: bool):
-    """Nearest-point (``anchored``) or support-point candidates per row of W.
+@dataclass(frozen=True, eq=False)
+class SphereLattice:
+    """The intersection spheres of a ball body, one row per sphere.
 
     Every affinely independent subset S of at most n centers whose spheres
     meet cuts out an intersection sphere: centre c_S (the circumcentre of
     a_S), radius r_S = sqrt(R^2 - |c_S - a_0|^2), lying in the affine plane
-    through c_S orthogonal to V_S = span(a_j - a_0). Each subset gives one
-    candidate, c_S + r_S w/|w| with w the part orthogonal to V_S of x - c_S
-    (rows of W are query points x) or of u (rows are directions u).
-
-    By KKT and Caratheodory the nearest point p of the body to an exterior
-    x satisfies x - p = sum_S lambda_i (p - a_i) with lambda >= 0 on such a
-    subset, so p is the nearest point of the intersection of the subset's
-    balls, hence of their intersection sphere: it is that subset's
-    candidate. The support point along u is its subset's candidate for the
-    same reason. Subsets whose differences a_j - a_0 have a singular value
-    at most 1e-14 R are skipped. Returns the candidates, (N, subsets, n),
-    and whether each lies in the body within ``MEMBERSHIP_SLACK``,
-    (N, subsets).
+    through c_S orthogonal to V_S = span(a_j - a_0). ``span`` holds
+    orthonormal rows of V_S and ``normal`` orthonormal rows of its
+    orthogonal complement, each padded with zero rows, (S, n - 1, n) and
+    (S, n, n). Singletons come first, as the balls themselves. Subsets
+    whose differences a_j - a_0 have a singular value at most 1e-14 R are
+    skipped. Every array is read-only.
     """
+
+    centres: np.ndarray
+    radii: np.ndarray
+    span: np.ndarray
+    normal: np.ndarray
+
+
+def _sphere_lattice(body: BallBody) -> SphereLattice:
+    """Enumerate the intersection spheres of a body (see :class:`SphereLattice`)."""
     R, A = body.radius, body.centers
     m, n = A.shape
-    centres, radii, bases = [A], [np.full(m, R)], [np.zeros((m, n - 1, n))]
+    centres, radii, spans = [A], [np.full(m, R)], [np.zeros((m, n - 1, n))]
+    normals = [np.broadcast_to(np.eye(n), (m, n, n))]
     for k in range(2, min(m, n) + 1):
         S = np.array(list(combinations(range(m), k)))
         a0 = A[S[:, 0]]
@@ -296,20 +312,92 @@ def _extreme_points(body: BallBody, W: np.ndarray, anchored: bool):
         meet = r2 >= 0.0
         centres.append(a0[meet] + np.einsum("si,sid->sd", y[meet], Vt[meet]))
         radii.append(np.sqrt(r2[meet]))
-        bases.append(np.pad(Vt[meet], ((0, 0), (0, n - k), (0, 0))))
-    C, r, V = (np.concatenate(parts) for parts in (centres, radii, bases))
+        spans.append(np.pad(Vt[meet], ((0, 0), (0, n - k), (0, 0))))
+        # the last n - k + 1 rows of a full orthonormal basis around V_S
+        perp = np.linalg.svd(Vt[meet], full_matrices=True)[2][:, k - 1 :]
+        normals.append(np.pad(perp, ((0, 0), (0, k - 1), (0, 0))))
+    parts = [np.concatenate(p) for p in (centres, radii, spans, normals)]
+    for arr in parts:
+        arr.setflags(write=False)
+    return SphereLattice(*parts)
 
-    w = W[:, None, :] - C if anchored else np.repeat(W[:, None, :], len(C), axis=1)
-    w -= np.einsum("sjd,nsj->nsd", V, np.einsum("sjd,nsd->nsj", V, w))
-    norm = np.linalg.norm(w, axis=2, keepdims=True)
-    unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
-    cand = C + r[:, None] * unit
+
+def _extreme_points(body: BallBody, W: np.ndarray, mode: str):
+    """Nearest-point, support-point or farthest-point candidates per row of W.
+
+    The candidates lie on the intersection spheres of the body's cached
+    :class:`SphereLattice`. In ``"nearest"`` mode the rows of W are query
+    points x, and each sphere gives c_S + r_S w/|w| with w the part
+    orthogonal to V_S of x - c_S. In ``"support"`` mode the rows are
+    directions u, and w is the part of u orthogonal to V_S. In
+    ``"farthest"`` mode the rows are points c, and each sphere gives both
+    c_S + r_S u and c_S - r_S u, with u the unit direction of c - c_S
+    within V_S's complement, taken from its coordinates in the complement
+    basis so that each candidate lies on its sphere to rounding. When that
+    component is at most a few ulp R, c is on the sphere's axis, every
+    point of the sphere is equally far from it, and u is the first
+    complement basis vector.
+
+    By KKT and Caratheodory the nearest point p of the body to an exterior
+    x satisfies x - p = sum_S lambda_i (p - a_i) with lambda >= 0 on such a
+    subset, so p is the nearest point of the intersection of the subset's
+    balls, hence of their intersection sphere: it is that subset's
+    candidate. The support point along u is its subset's candidate for the
+    same reason. A farthest point x of the body from c satisfies
+    x - c = sum_S lambda_i (x - a_i) with lambda >= 0, so the part of x - c_S
+    orthogonal to V_S is parallel to that of c - c_S, of either sign: x is
+    one of its subset's two candidates, or, when c is on the axis, as far
+    as each of them. Returns the candidates, (N, spheres, n) or
+    (N, 2 spheres, n) in farthest mode, and whether each lies in the body
+    within ``MEMBERSHIP_SLACK``, of the same leading shape.
+    """
+    R, A = body.radius, body.centers
+    L = body._lattice
+    C, r = L.centres, L.radii
+    if mode == "farthest":
+        z = np.einsum("sjd,nsd->nsj", L.normal, W[:, None, :] - C)
+        norm = np.linalg.norm(z, axis=2, keepdims=True)
+        axis = norm <= 4.0 * np.finfo(float).eps * R
+        z = np.where(axis, np.eye(A.shape[1])[0], z)
+        u = np.einsum("nsj,sjd->nsd", z / np.where(axis, 1.0, norm), L.normal)
+        cand = np.concatenate([C + r[:, None] * u, C - r[:, None] * u], axis=1)
+    else:
+        w = W[:, None, :] - C if mode == "nearest" else np.repeat(W[:, None, :], len(C), axis=1)
+        w -= np.einsum("sjd,nsj->nsd", L.span, np.einsum("sjd,nsd->nsj", L.span, w))
+        norm = np.linalg.norm(w, axis=2, keepdims=True)
+        unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
+        cand = C + r[:, None] * unit
     # the membership test of contains_many, one center at a time to keep
     # memory at the size of cand
     feasible = np.all(
         [np.linalg.norm(cand - a, axis=2) <= R + MEMBERSHIP_SLACK for a in A], axis=0
     )
     return cand, feasible
+
+
+def farthest_point(body: Body, x) -> np.ndarray:
+    """Farthest point of the body from a point, or from each row of an
+    (N, n) batch.
+
+    A ball body's farthest point is the farthest feasible candidate of
+    :func:`_extreme_points` in farthest mode, exact up to rounding. A
+    halfspace body's is its farthest vertex, from scipy's
+    ``HalfspaceIntersection``; the body must be bounded.
+    """
+    X, single = _as_rows(x, body.dim)
+    if isinstance(body, BallBody):
+        cand, feasible = _extreme_points(body, X, "farthest")
+    else:
+        # imported here, so that importing the package loads no scipy
+        from scipy.spatial import HalfspaceIntersection
+
+        halfspaces = np.column_stack([body.normals, -body.offsets])
+        vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+        cand = np.broadcast_to(vertices, (len(X),) + vertices.shape)
+        feasible = np.ones(cand.shape[:2], dtype=bool)
+    dist = np.where(feasible, np.linalg.norm(cand - X[:, None, :], axis=2), -np.inf)
+    out = cand[np.arange(len(X)), np.argmax(dist, axis=1)]
+    return out[0] if single else out
 
 
 def support_value(body: BallBody, direction):
@@ -328,7 +416,7 @@ def support_value(body: BallBody, direction):
     if zero.size:
         raise ValueError("direction must be nonzero" if single else f"direction {zero[0]} is zero")
     U = U / norms
-    cand, feasible = _extreme_points(body, U, anchored=False)
+    cand, feasible = _extreme_points(body, U, "support")
     reach = np.where(feasible, np.einsum("nsd,nd->ns", cand, U), -np.inf)
     h = np.max(reach, axis=1) + 1e-12 * body.radius
     return float(h[0]) if single else h

@@ -18,9 +18,11 @@ strongly convex body and reports pass/fail with the worst witness found:
 
 :func:`certify_body` is the ``certify`` command's suite: all six on a ball
 body, on a halfspace body ball_support_b at R = 1, 10 and 100 (a flat
-face fails every R). gauge_sq_hessian_d evaluates each member where its
-proven minimum lies, level_set_e follows from the ball_support_b report,
-and the others sample; every report carries its sample count and minimum
+face fails every R). ball_support_b tests each sampled boundary point's
+rolled ball against the whole body, exactly, through the body's farthest
+point from its centre; gauge_sq_hessian_d evaluates each member where its
+proven minimum lies; level_set_e follows from the ball_support_b report;
+the others sample. Every report carries its sample count and minimum
 margin so failures are reproducible.
 """
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BallBody, Body, HalfspaceBody
+from .bodies import BallBody, Body, HalfspaceBody, farthest_point
 from .errors import DomainViolation, InsufficientData, NotBallBody
 from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 from .measure import boundary_samples, sample_directions
@@ -145,12 +147,17 @@ def subgradient_certificate(points, eta: float) -> CertificateReport:
 
 
 def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
-    """Sampled check of the enclosing-ball condition at radius R.
+    """Exact check of the enclosing-ball condition at radius R, at sampled
+    boundary points.
 
     For each sampled boundary point y with outward normal v, the ball of
-    radius R centered at y - R v must contain every sampled body point.
-    Bodies with a flat face fail for every R: points along the face leave
-    the ball by about s^2/(2R) at arc offset s.
+    radius R centered at c = y - R v must contain the whole body. The
+    margin is max over x in the body of |x - c|, minus R, with x the
+    farthest point of the body from c (:func:`convexsmooth.bodies.farthest_point`):
+    exact up to rounding, so the body is tested everywhere, not only at the
+    other samples. The witness is y, that farthest point and the margin.
+    Bodies with a flat face fail for every R: a face corner leaves the ball
+    by about s^2/(2R) at distance s along the face.
     """
     if not R > 0:
         raise ValueError("R must be positive")
@@ -158,17 +165,17 @@ def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
         raise ValueError("samples must be >= 8")
     pts, normals = boundary_samples(body, samples)
     centers = pts - R * normals
-    d = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
-    margins = d - R  # margins[j, k]: point k against the ball at boundary point j
-    j, k = np.unravel_index(np.argmax(margins), margins.shape)
-    worst = float(margins[j, k])
+    far = farthest_point(body, centers)
+    margins = np.linalg.norm(far - centers, axis=1) - R
+    j = int(np.argmax(margins))
+    worst = float(margins[j])
     return CertificateReport(
         condition="ball_support_b",
         passed=worst <= CERT_TOL,
         constant=float(R),
         worst_witness={
             "boundary_point": pts[j].tolist(),
-            "tested_point": pts[k].tolist(),
+            "tested_point": far[j].tolist(),
             "margin": worst,
         },
         samples=len(pts),
@@ -365,10 +372,11 @@ def certify_body(body: Body, samples: int, seed: int) -> list[CertificateReport]
 
     # sublevel realization: the squared gauge at level 1 gives back the
     # body, and its slope where the gauge stays below 2 is at most 8/rho.
-    # That radius is at least R, and on each sampled pair (boundary point
-    # y with normal v, tested point y + w) the margin |w + r v| - r has
-    # slope <w + r v, v>/|w + r v| - 1 <= 0 in r, so ball_support_b's
-    # margins bound those at this radius
+    # That radius is at least R. At a boundary sample y with normal v the
+    # margin max over x in the body of |x - y + r v| - r is a maximum of
+    # functions of r with slope <x - y + r v, v>/|x - y + r v| - 1 <= 0, so
+    # it does not increase in r either: ball_support_b's margins bound
+    # those at this radius
     radius_e = level_set_radius(2.0 * 2.0 * gauge_lipschitz_bound(body), floor)
     margin_b = report_b.worst_witness["margin"]
     reports.append(

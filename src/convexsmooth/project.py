@@ -3,8 +3,9 @@ projecting an enclosing boundary covers the body's boundary.
 
 All are closed forms, exact up to rounding, with no iteration and no
 tolerance. The nearest point of the body is active on at most n spheres,
-so it is the nearest feasible candidate of a short enumeration over
-sphere subsets (:func:`convexsmooth.bodies._extreme_points`). The nearest
+so it is the nearest feasible candidate on the body's intersection
+spheres, which are enumerated once per body and cached on it
+(:func:`convexsmooth.bodies._extreme_points`). The nearest
 boundary point of an interior point is its radial projection onto the
 sphere of the ball whose boundary is closest. That interior branch is
 exact wherever one sphere is nearest. On a face cell (the points whose
@@ -93,7 +94,7 @@ def project_body(body: BallBody, x) -> np.ndarray:
     outside = ~contains_many(body, pts)
     if np.any(outside):
         q = pts[outside]
-        cand, feasible = _extreme_points(body, q, anchored=True)
+        cand, feasible = _extreme_points(body, q, "nearest")
         dist = np.where(feasible, np.linalg.norm(cand - q[:, None, :], axis=2), np.inf)
         out[outside] = cand[np.arange(len(q)), np.argmin(dist, axis=1)]
     return out[0] if single else out

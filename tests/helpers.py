@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
 from convexsmooth.bodies import _row_dots
 from convexsmooth.gauge import body_gauge_values
-from convexsmooth.measure import facet_centroids
+from convexsmooth.measure import boundary_samples, facet_centroids
 from convexsmooth.smooth import RIDGE_GUARD, _phi_terms, agreement_many
 
 
@@ -113,6 +113,25 @@ def ball_bodies(draw, dims=(2, 3), max_balls: int = 5, min_interior: float = 1e-
             c = c * (limit / norm)
         centers.append(c)
     return BallBody(radius=radius, centers=np.array(centers), dim=dim)
+
+
+# Degenerate bodies for farthest points, where a naive candidate rule breaks.
+# c = a_i puts c on the axis of every sphere through a_i, which is then
+# equally far from c everywhere
+AXIS_CASE = BallBody(
+    radius=0.625, centers=[[0.5625, 0.0, 0.0], [-0.15483108, 0.33831209, 0.421875]], dim=3
+)
+# collinear centers, 1e-7 apart: c - c_S has a tiny part off the pair axes
+TINY_W_CASE = BallBody(
+    radius=1.0,
+    centers=[[0.270151153, 0.420735492], [5.40302306e-08, 8.41470985e-08], [0.0, 0.0]],
+    dim=2,
+)
+# centers 1e-4 apart: normalizing c - c_S outside the complement basis puts
+# candidates off their spheres by more than the membership slack
+NEAR_COPY_CASE = BallBody(
+    radius=1.0, centers=[[0.9, 0.0], [-0.3745321528924282, 0.8183676841431136], [0.9001, 0.0]], dim=2
+)
 
 
 def gauge_condition(body: BallBody, points: np.ndarray) -> np.ndarray:
@@ -295,6 +314,17 @@ def boundary_cloud(body: BallBody, count: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(count) / count
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     return dirs / body_gauge_values(body, dirs)[:, None]
+
+
+def pairwise_ball_support_margin(body, R: float, samples: int) -> float:
+    """Largest margin of the enclosing-ball condition over sampled pairs:
+    every boundary sample against the ball of radius R rolled to every
+    other, an s x s distance matrix (the sampled form of
+    ``certify.ball_support_check``, which tests the whole body)."""
+    pts, normals = boundary_samples(body, samples)
+    centers = pts - R * normals
+    d = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
+    return float(np.max(d - R))
 
 
 def brute_distance(body: BallBody, cloud: np.ndarray, x: np.ndarray) -> float:

@@ -2,25 +2,39 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from convexsmooth import bodies
 from convexsmooth import (
     Ball,
     BallBody,
     HalfspaceBody,
     InvalidBody,
+    ball_support_check,
     body_from_json,
     body_to_json,
+    boundary_surjectivity_probe,
     contains,
     diameter,
+    halfspace_reconstruction_gap,
     normal_lift,
     outward_normal,
+    project_body,
     support_value,
 )
-from convexsmooth.bodies import MEMBERSHIP_SLACK, contains_many
+from convexsmooth.bodies import MEMBERSHIP_SLACK, contains_many, farthest_point
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.grids import icosphere
 from convexsmooth.measure import boundary_samples, radial_function
-from helpers import boundary_cloud, random_ball_body, unit_square
+from helpers import (
+    AXIS_CASE,
+    NEAR_COPY_CASE,
+    TINY_W_CASE,
+    ball_bodies,
+    boundary_cloud,
+    random_ball_body,
+    unit_square,
+)
 
 
 def lens():
@@ -227,6 +241,78 @@ class TestSupportValue:
         dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="direction 2 is zero"):
             support_value(lens(), dirs)
+
+
+class TestFarthestPoint:
+    @settings(max_examples=100, deadline=None)
+    @given(body=ball_bodies(), seed=st.integers(0, 2**32 - 1))
+    @example(body=AXIS_CASE, seed=0)
+    @example(body=TINY_W_CASE, seed=0)
+    @example(body=NEAR_COPY_CASE, seed=0)
+    def test_no_boundary_point_is_farther(self, body, seed):
+        # from random points, from each center and from the centers of the
+        # balls rolled to the boundary samples
+        rng = np.random.default_rng(seed)
+        pts, normals = boundary_samples(body, 400)
+        c = np.vstack(
+            [
+                rng.standard_normal((16, body.dim)) * body.radius,
+                body.centers,
+                pts[::7] - body.radius * normals[::7],
+            ]
+        )
+        far = farthest_point(body, c)
+        reach = np.linalg.norm(far - c, axis=1)
+        cloud = np.max(np.linalg.norm(pts[None, :, :] - c[:, None, :], axis=2), axis=1)
+        assert np.all(reach >= cloud - 16.0 * np.finfo(float).eps * (body.radius + np.linalg.norm(c, axis=1)))
+        assert np.all(contains_many(body, far))
+
+    def test_one_point_is_the_batch_row(self):
+        c = np.array([[0.1, 0.2], [0.5, 0.0], [-0.3, 0.4]])
+        batch = farthest_point(lens(), c)
+        assert np.array_equal(batch, [farthest_point(lens(), x) for x in c])
+
+
+class TestSphereLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(body=ball_bodies(max_balls=6), seed=st.integers(0, 2**32 - 1))
+    def test_a_reused_body_answers_with_the_bits_of_a_fresh_one(self, body, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x = rng.standard_normal((8, body.dim)) * rng.uniform(0.1, 3.0, (8, 1)) * body.radius
+            u = rng.standard_normal((8, body.dim))
+            fresh = body_from_json(body_to_json(body))
+            assert project_body(body, x).tobytes() == project_body(fresh, x).tobytes()
+            fresh = body_from_json(body_to_json(body))
+            assert support_value(body, u).tobytes() == support_value(fresh, u).tobytes()
+
+    def test_built_once_per_body(self, monkeypatch):
+        built = []
+        build = bodies._sphere_lattice
+
+        def counted(body):
+            built.append(body)
+            return build(body)
+
+        monkeypatch.setattr(bodies, "_sphere_lattice", counted)
+        body = BallBody(radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3)
+        outer = BallBody(radius=2.0, centers=[[0.0, 0.0, 0.0]], dim=3)
+        project_body(body, [[2.0, 0.0, 0.0], [0.0, 3.0, 1.0]])
+        project_body(body, [0.0, 0.0, 2.0])
+        support_value(body, [1.0, 1.0, 0.0])
+        diameter(body)
+        ball_support_check(body, 1.0, 100)
+        boundary_surjectivity_probe(body, outer, 100)
+        halfspace_reconstruction_gap(body, 100)
+        assert len(built) == 1 and built[0] is body
+        project_body(BallBody(radius=1.0, centers=body.centers, dim=3), [2.0, 0.0, 0.0])
+        assert len(built) == 2
+
+    def test_arrays_are_read_only(self):
+        lattice = lens()._lattice
+        for arr in (lattice.centres, lattice.radii, lattice.span, lattice.normal):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestNormalLift:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convexsmooth import certify
 from convexsmooth import (
     BallBody,
+    HalfspaceBody,
     InsufficientData,
     DomainViolation,
     NotBallBody,
@@ -17,6 +18,7 @@ from convexsmooth import (
     cap_graph_hessian,
     cap_graph_hessian_check,
     certify_body,
+    contains,
     enclosing_radius,
     gauge_sq_hessian_check,
     halfspace_reconstruction_gap,
@@ -25,7 +27,18 @@ from convexsmooth import (
     subgradient_certificate,
 )
 from convexsmooth.gauge import member_gauge_derivatives
-from helpers import QuadraticPatch, ball_bodies, fd_jacobian, random_ball_body, unit_square
+from convexsmooth.measure import boundary_samples
+from helpers import (
+    AXIS_CASE,
+    NEAR_COPY_CASE,
+    TINY_W_CASE,
+    QuadraticPatch,
+    ball_bodies,
+    fd_jacobian,
+    pairwise_ball_support_margin,
+    random_ball_body,
+    unit_square,
+)
 
 
 def lens():
@@ -103,11 +116,58 @@ class TestBallSupport:
         assert not report.passed
         # arc offset s along a face exits the ball by about s^2 / (2R)
         assert report.worst_witness["margin"] > 1e-6 / R
+        assert report.worst_witness["margin"] == pytest.approx(SQUARE_MARGINS[R], abs=1e-14)
+        _assert_farthest_vertex_margin(unit_square(), (0.5, 0.5), R, report)
+
+    @pytest.mark.parametrize("R", [1.0, 10.0, 100.0])
+    def test_slab_margin_is_its_farthest_vertex(self, R):
+        body = HalfspaceBody(normals=[[1, 0], [-1, 0], [0, 1], [0, -1]], offsets=[1.0, 1.0, 0.25, 0.25])
+        report = ball_support_check(body, R, 360)
+        assert not report.passed
+        _assert_farthest_vertex_margin(body, (1.0, 0.25), R, report)
 
     def test_larger_radius_keeps_passing(self):
         # enclosing balls grow monotonically: B(y - Rv, R) c B(y - R'v, R')
         for R in [1.0, 5.0, 50.0]:
             assert ball_support_check(lens(), R, 240).passed
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=ball_bodies(), samples=st.integers(8, 400))
+    def test_every_ball_body_passes_at_its_radius(self, body, samples):
+        # an intersection of radius-R balls is R-spindle convex
+        assert ball_support_check(body, body.radius, samples).passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        body=ball_bodies(),
+        samples=st.integers(8, 120),
+        scale=st.sampled_from([1.0, 3.0, 50.0]),
+    )
+    @example(body=AXIS_CASE, samples=8, scale=1.0)
+    @example(body=TINY_W_CASE, samples=8, scale=1.0)
+    @example(body=NEAR_COPY_CASE, samples=8, scale=1.0)
+    def test_margin_bounds_the_pairwise_margin(self, body, samples, scale):
+        r = scale * body.radius
+        report = ball_support_check(body, r, samples)
+        exact = report.worst_witness["margin"]
+        assert exact >= pairwise_ball_support_margin(body, r, samples) - 16.0 * np.finfo(float).eps * r
+        assert contains(body, report.worst_witness["tested_point"])
+
+
+# ball_support_check margins of the unit square at 360 samples
+SQUARE_MARGINS = {1.0: 0.40213518957718, 10.0: 0.04818307406123, 100.0: 0.00482979881447}
+
+
+def _assert_farthest_vertex_margin(body, half_widths, R, report):
+    """The report's margin is the brute-force maximum, over the samples'
+    rolled balls, of the distance to the rectangle's four vertices, minus R."""
+    vertices = np.array([[sx * half_widths[0], sy * half_widths[1]] for sx in (1, -1) for sy in (1, -1)])
+    pts, normals = boundary_samples(body, report.samples)
+    centers = pts - R * normals
+    brute = float(np.max(np.linalg.norm(vertices[None, :, :] - centers[:, None, :], axis=2))) - R
+    assert report.worst_witness["margin"] == pytest.approx(brute, rel=1e-12, abs=1e-15)
+    tested = np.array(report.worst_witness["tested_point"])
+    assert np.min(np.linalg.norm(vertices - tested, axis=1)) <= 1e-12
 
 
 class TestGaugeSqHessian:

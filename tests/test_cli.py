@@ -86,6 +86,17 @@ def test_certify_square_fails_with_witness(square_file, tmp_path):
     assert failed[0]["worst_witness"]["margin"] > 0
 
 
+def test_certify_passes_on_near_coincident_balls(tmp_path):
+    # both spheres lie within 1e-7 of every boundary point; the normal there
+    # must come from the sphere the point is on, not from both
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dim": 2, "radius": 1.0, "centers": [[0.0, 0.0], [1e-7, 0.0]]}))
+    out = tmp_path / "out"
+    assert main(["certify", "--input", str(path), "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert all(r["passed"] for r in report["reports"])
+
+
 def test_smooth_lens_meets_epsilon(lens_file, tmp_path):
     out = tmp_path / "out"
     code = main(
