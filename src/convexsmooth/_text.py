@@ -18,8 +18,15 @@ goes through ``repr``: zeros, values outside the range, powers of two
 (their rounding interval is asymmetric) and candidates at exactly half
 an ulp.
 
-Text is assembled on a uint8 canvas, one fixed-width cell per value and
-the literal separators between them, and compressed with one mask.
+A value's text is a fixed-width uint8 cell: its ASCII bytes in order,
+with NUL in every byte the text drops. A float cell is the template of
+its sign and exponent OR'd with the digits of c, taken from a table
+that writes c's trailing zeros as NUL; an integer cell's digits come
+from a table that writes its leading zeros as NUL. A table is written a
+block of rows at a time: the literal separators and the cells go into
+one ``(rows, row_width)`` canvas, which ``bytes.translate`` compresses
+by deleting every NUL. Each block's temporaries are a few hundred
+kilobytes, so an export's memory beyond its text is bounded by one block.
 """
 
 from __future__ import annotations
@@ -30,36 +37,54 @@ _POW10 = 10.0 ** np.arange(21)  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-# four ASCII digits of every integer below 10^4, one little-endian uint32 each
-_CHUNK = (
-    (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
-    .astype(np.uint8)
-    .view("<u4")[:, 0]
-)
+
+
+def _digit_forms() -> np.ndarray:
+    """ASCII of the four digits of every integer v below 10^4, one row
+    each: row v has all four, row 10^4 + v has v's leading zeros as NUL
+    and row 2 * 10^4 + v its trailing zeros (all four NUL for v = 0)."""
+    v = np.arange(10_000, dtype=np.int32)[:, None]
+    place = np.array([1000, 100, 10, 1], np.int32)
+    ascii = v // place % 10 + ord("0")
+    leading = v < place
+    trailing = v % (10 * place) == 0
+    return np.concatenate([ascii, np.where(leading, 0, ascii), np.where(trailing, 0, ascii)])
+
+
+_FORMS = _digit_forms()
+# the digit forms as four bytes, one little-endian uint32 each
+_CHUNK = _FORMS.astype(np.uint8).view("<u4")[:, 0]
+# the digit forms in the low bytes of four little-endian uint16, one
+# uint64 each: the digits of four (digit, '.' slot) pairs of a float cell
+_DIGITS = _FORMS.astype("<u2").view("<u8")[:, 0]
+
+# rows of a table formatted at a time, so that a block's cells and canvas
+# stay cache-sized and the export's memory stays near its text's size
+_BLOCK_ROWS = 4096
 
 # A float cell: sign, the "0." and up to three zeros of |x| < 1, then each
-# of the 17 digits followed by a '.' slot (kept after the units digit).
+# of the 17 digits followed by a '.' slot (written after the units digit);
+# as uint64 words, the prefix and the first digit pair fill word 0 and
+# each later word holds four digit pairs.
 FLOAT_WIDTH = 40
-_FLOAT_PREFIX = np.frombuffer(b"-0.000", np.uint8)
 
 
-def _float_keep_table() -> np.ndarray:
-    """Kept bytes of a fast-path float cell, one row per (sign, exponent of
-    the leading digit, index of the last digit written)."""
-    neg, e, last = (
-        a.reshape(-1, 1)
-        for a in np.meshgrid([0, 1], np.arange(-4, 16), np.arange(17), indexing="ij")
-    )
-    keep = np.zeros((len(neg), FLOAT_WIDTH), bool)
-    keep[:, :1] = neg == 1
-    keep[:, 1:3] = e < 0
-    keep[:, 3:6] = np.arange(3) < -1 - e
-    keep[:, 6::2] = np.arange(17) <= last
-    keep[:, 7::2] = np.arange(17) == e
-    return keep
+def _float_template_table() -> np.ndarray:
+    """Fast-path float cells without their digits, as uint64 words, one row
+    per (sign, exponent of the leading digit): the sign, "0.", zeros and
+    '.' that ``repr`` writes, '0' in each digit slot up to the one after
+    the units digit (written even when zero), NUL elsewhere."""
+    neg, e = (a.reshape(-1, 1) for a in np.meshgrid([0, 1], np.arange(-4, 16), indexing="ij"))
+    template = np.zeros((len(neg), FLOAT_WIDTH), np.uint8)
+    template[:, :1] = np.where(neg == 1, ord("-"), 0)
+    template[:, 1:3] = np.where(e < 0, np.frombuffer(b"0.", np.uint8), 0)
+    template[:, 3:6] = np.where(np.arange(3) < -1 - e, ord("0"), 0)
+    template[:, 6::2] = np.where(np.arange(17) <= e + 1, ord("0"), 0)
+    template[:, 7::2] = np.where(np.arange(17) == e, ord("."), 0)
+    return template.view("<u8")
 
 
-_FLOAT_KEEP = _float_keep_table()
+_FLOAT_TEMPLATE = _float_template_table()
 
 
 def _scaled(ax: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,62 +152,84 @@ def _chunks(v: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII cells of finite floats and the mask of their text's bytes.
+def float_cells(x: np.ndarray) -> np.ndarray:
+    """NUL-padded uint8 cells of finite floats, shape x.shape + (FLOAT_WIDTH,).
 
-    Both have shape x.shape + (FLOAT_WIDTH,); the kept bytes of a cell,
-    in order, are ``repr`` of its value.
+    The non-NUL bytes of a cell, in order, are ``repr`` of its value.
     """
     x = np.asarray(x, dtype=float)
     c, s, fast = shortest_digits(x)
-    digits = _CHUNK[_chunks(c, 5)].view(np.uint8)[..., 3:]
-    e = 16 - s
-    last = 16 - np.argmax(digits[..., ::-1] != ord("0"), axis=-1)
-    code = (np.signbit(x) * 20 + e + 4) * 17 + np.maximum(last, e + 1)
-    chars = np.empty(x.shape + (FLOAT_WIDTH,), np.uint8)
-    chars[..., :6] = _FLOAT_PREFIX
-    # each digit in the low byte of a uint16 whose high byte is '.'
-    chars[..., 6:].view("<u2")[...] = digits | np.uint16(ord(".") << 8)
-    keep = np.take(_FLOAT_KEEP, code, axis=0)
+    # c's base-10^4 chunks index _DIGITS: the leading one, a single digit,
+    # in its leading-zero form, and one followed only by zero chunks in its
+    # trailing-zero form, since repr drops c's trailing zeros
+    index = np.empty(x.shape + (5,), np.int64)
+    tail = np.full(x.shape, 20_000)
+    for j in range(4, 0, -1):
+        q = c // 10_000
+        r = c - q * 10_000
+        index[..., j] = r + tail
+        tail *= r == 0
+        c = q
+    index[..., 0] = c + 10_000
+    words = np.take(_FLOAT_TEMPLATE, np.signbit(x) * 20 + 20 - s, axis=0)
+    words |= _DIGITS[index]
+    cells = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if len(slow):
         text = [repr(v) for v in x.ravel()[slow].tolist()]
-        slow_chars = np.array(text, dtype=f"S{FLOAT_WIDTH}").view(np.uint8).reshape(len(slow), -1)
-        chars.reshape(-1, FLOAT_WIDTH)[slow] = slow_chars
-        keep.reshape(-1, FLOAT_WIDTH)[slow] = slow_chars != 0
-    return chars, keep
+        cells.reshape(-1, FLOAT_WIDTH)[slow] = (
+            np.array(text, dtype=f"S{FLOAT_WIDTH}").view(np.uint8).reshape(len(slow), -1)
+        )
+    return cells
 
 
-def int_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII cells of integers in [0, 10^16) and the mask of their digits.
+def int_cells(v: np.ndarray) -> np.ndarray:
+    """NUL-padded uint8 cells of nonnegative integers, shape
+    v.shape + (width,), width a multiple of four that holds the largest
+    value.
 
-    Both have shape v.shape + (width,), width a multiple of four that
-    holds the largest value.
+    The non-NUL bytes of a cell, in order, are ``str`` of its value.
     """
     v = np.asarray(v, dtype=np.int64)
-    width = 4 * -(-len(str(int(v.max(initial=0)))) // 4)
-    chars = _CHUNK[_chunks(v, width // 4)].view(np.uint8)
-    digit_count = np.searchsorted(10 ** np.arange(1, width), v, side="right") + 1
-    keeps = np.arange(width) >= width - np.arange(width + 1)[:, None]
-    return chars, keeps[digit_count]
+    if v.size and v.min() < 0:
+        raise ValueError("int_cells writes nonnegative integers")
+    count = -(-len(str(int(v.max(initial=0)))) // 4)
+    index = _chunks(v, count)
+    # the chunks before the first nonzero one, and that one's leading
+    # zeros, are NUL
+    lead = np.full(v.shape, 10_000)
+    for j in range(count):
+        zero = index[..., j] == 0
+        index[..., j] += lead
+        lead *= zero
+    cells = _CHUNK[index].view(np.uint8)
+    cells[v == 0, -1] = ord("0")
+    return cells
 
 
-def table_text(cells: tuple[np.ndarray, np.ndarray], literals) -> str:
-    """Text of a table of cells of shape (rows, cols, width), row by row.
+def table_text(cells: np.ndarray, literals) -> str:
+    """Text of a table of NUL-padded cells of shape (rows, cols, width),
+    row by row.
 
     Each row reads literals[0], cell 0, literals[1], ..., cell cols - 1,
-    literals[cols].
+    literals[cols]. Rows are laid out on one (rows, row_width) canvas whose
+    NUL bytes are then deleted, so the literals must hold no NUL.
     """
-    chars, keep = cells
-    rows, cols = chars.shape[:2]
-    char_parts, keep_parts = [], []
-    for j, literal in enumerate(literals):
-        text = np.frombuffer(literal.encode("ascii"), np.uint8)
-        char_parts.append(np.broadcast_to(text, (rows, len(text))))
-        keep_parts.append(np.ones((rows, len(text)), bool))
+    rows, cols, width = cells.shape
+    encoded = [literal.encode("ascii") for literal in literals]
+    canvas = np.empty((rows, sum(map(len, encoded)) + cols * width), np.uint8)
+    at = 0
+    for j, literal in enumerate(encoded):
+        canvas[:, at : at + len(literal)] = np.frombuffer(literal, np.uint8)
+        at += len(literal)
         if j < cols:
-            char_parts.append(chars[:, j])
-            keep_parts.append(keep[:, j])
-    canvas = np.concatenate(char_parts, axis=1).ravel()
-    kept = np.flatnonzero(np.concatenate(keep_parts, axis=1))
-    return canvas[kept].tobytes().decode("ascii")
+            canvas[:, at : at + width] = cells[:, j]
+            at += width
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def table_blocks(values: np.ndarray, cells, literals):
+    """``table_text(cells(values), literals)`` in pieces, one per block of
+    rows; a block's temporaries are freed before the next is formatted."""
+    for start in range(0, len(values), _BLOCK_ROWS):
+        yield table_text(cells(values[start : start + _BLOCK_ROWS]), literals)

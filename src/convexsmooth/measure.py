@@ -309,8 +309,10 @@ def polyline_json(mesh: BoundaryMesh) -> str:
     ``json.dumps({"points": mesh.points.tolist()})``."""
     if mesh.dim != 2:
         raise ValueError("polyline export is for 2D meshes")
-    rows = _text.table_text(_text.float_cells(mesh.points), ("[", ", ", "], "))
-    return '{"points": [' + rows[:-2] + "]}"
+    rows = list(_text.table_blocks(mesh.points, _text.float_cells, ("[", ", ", "], ")))
+    if rows:
+        rows[-1] = rows[-1][:-2]  # the last point closes the list: no ", "
+    return "".join(['{"points": [', *rows, "]}"])
 
 
 def off_text(mesh: BoundaryMesh) -> str:
@@ -319,6 +321,10 @@ def off_text(mesh: BoundaryMesh) -> str:
     it, then one ``3 i j k`` line per triangle."""
     if mesh.dim != 3:
         raise ValueError("OFF export is for 3D meshes")
-    vertices = _text.table_text(_text.float_cells(mesh.points), ("", " ", " ", "\n"))
-    faces = _text.table_text(_text.int_cells(mesh.facets), ("3 ", " ", " ", "\n"))
-    return f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n{vertices}{faces}"
+    return "".join(
+        [
+            f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n",
+            *_text.table_blocks(mesh.points, _text.float_cells, ("", " ", " ", "\n")),
+            *_text.table_blocks(mesh.facets, _text.int_cells, ("3 ", " ", " ", "\n")),
+        ]
+    )

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
+from convexsmooth._text import _BLOCK_ROWS
 from convexsmooth.bodies import _row_dots
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import boundary_samples, facet_centroids
@@ -243,6 +244,20 @@ def polyline_json_reference(mesh) -> str:
     """Polyline JSON text of a 2D mesh through ``json.dumps`` (the
     reference form of ``measure.polyline_json``)."""
     return json.dumps({"points": mesh.points.tolist()})
+
+
+# row counts around the formatter's block size: one row, a block short by
+# one, one block, one row over, and two blocks and a partial third
+BLOCK_ROW_COUNTS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+# floats the formatter sends through repr: signed zeros, powers of two and
+# values below the fixed range
+REPR_FALLBACK_FLOATS = [0.0, -0.0, 0.5, -(2.0**40), 2.0**-20, 3.5e-5, -1.25e-7]
+
+
+def block_end_rows(rows: int) -> np.ndarray:
+    """The first and the last row of each of the formatter's blocks."""
+    starts = np.arange(0, rows, _BLOCK_ROWS)
+    return np.unique(np.concatenate([starts, np.minimum(starts + _BLOCK_ROWS, rows) - 1]))
 
 
 def off_text_reference(mesh) -> str:

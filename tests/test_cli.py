@@ -360,6 +360,26 @@ def test_smooth_writes_the_verdict_of_extract_smoothed_body(name, flags, verdict
     assert (code, "symdiff_breakdown" in summary) == verdict
 
 
+@pytest.mark.parametrize("name, flags", [("lens", []), ("three-ball", ["--resolution", "3"])])
+def test_smooth_writes_the_reference_mesh_text(name, flags, lens_file, tmp_path):
+    path = lens_file
+    if name == "three-ball":
+        path = tmp_path / "three-ball.json"
+        path.write_text(json.dumps(THREE_BALL))
+    out = tmp_path / "out"
+    main(["smooth", "--input", str(path), "--output", str(out), *flags])
+    mesh = extract_smoothed_body(
+        body_from_json(json.loads(path.read_text())),
+        delta=None,
+        epsilon=0.05,
+        resolution=int(flags[1]) if flags else None,
+    ).meshes[1]
+    if mesh.dim == 2:
+        assert (out / "mesh.json").read_text() == polyline_json_reference(mesh) + "\n"
+    else:
+        assert (out / "mesh.off").read_text() == off_text_reference(mesh)
+
+
 def test_importing_the_package_loads_no_scipy():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     script = (

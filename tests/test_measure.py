@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from convexsmooth import (
     symmetric_difference_measure,
 )
 from convexsmooth import grids
+from convexsmooth._text import _BLOCK_ROWS
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import (
     boundary_samples,
@@ -27,6 +29,9 @@ from convexsmooth.measure import (
     sample_directions,
 )
 from helpers import (
+    BLOCK_ROW_COUNTS,
+    REPR_FALLBACK_FLOATS,
+    block_end_rows,
     facet_measures_reference,
     off_text_reference,
     polyline_json_reference,
@@ -37,6 +42,10 @@ from helpers import (
 
 def lens():
     return BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
+
+
+def three_ball():
+    return BallBody(radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3)
 
 
 THREE_BALL = BallBody(
@@ -232,6 +241,21 @@ def _box_3d():
     return boundary_mesh(HalfspaceBody(normals=normals, offsets=offsets), 3)
 
 
+def _block_mesh(dim: int, rows: int) -> BoundaryMesh:
+    """A mesh of `rows` vertices and facets whose vertices at the first and
+    last row of each export block have repr-fallback coordinates, and whose
+    largest facet index gains a digit from block 0 to block 1."""
+    rng = np.random.default_rng(rows)
+    points = rng.standard_normal((rows, dim))
+    ends = block_end_rows(rows)
+    points[ends] = rng.choice(REPR_FALLBACK_FLOATS, (len(ends), dim))
+    i = np.arange(rows)
+    top = np.where(i < _BLOCK_ROWS, i // 5, i)
+    facets = np.stack([top, top // 2, top // 3][:dim], axis=1)
+    # unit radii, so the points are the directions bit for bit
+    return BoundaryMesh(dim=dim, directions=points, radii=np.ones(rows), facets=facets)
+
+
 def _fallback_kinds(points: np.ndarray) -> set[str]:
     """Which of the formatter's repr fallbacks the coordinates hit."""
     x = points.ravel()
@@ -291,6 +315,37 @@ class TestExports:
             assert polyline_json(mesh) == polyline_json_reference(mesh)
         else:
             assert off_text(mesh) == off_text_reference(mesh)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exports_across_block_boundaries_are_the_reference_text(self, dim, rows):
+        mesh = _block_mesh(dim, rows)
+        if dim == 2:
+            assert polyline_json(mesh) == polyline_json_reference(mesh)
+        else:
+            assert off_text(mesh) == off_text_reference(mesh)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: boundary_mesh(lens(), 2**16),
+            lambda: boundary_mesh(three_ball(), 6),
+        ],
+        ids=["lens-2^16", "three-ball-level-6"],
+    )
+    def test_export_memory_is_bounded_by_the_text(self, make):
+        # the exports format a block of rows at a time, so their memory
+        # beyond the text they return does not grow with the mesh
+        mesh = make()
+        export = polyline_json if mesh.dim == 2 else off_text
+        assert len(mesh.points)  # built and cached before tracing
+        tracemalloc.start()
+        try:
+            text = export(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convexsmooth import boundary_mesh
-from convexsmooth._text import float_cells, int_cells, shortest_digits, table_text
-from helpers import random_ball_body
+from convexsmooth._text import (
+    _BLOCK_ROWS,
+    float_cells,
+    int_cells,
+    shortest_digits,
+    table_blocks,
+    table_text,
+)
+from helpers import BLOCK_ROW_COUNTS, REPR_FALLBACK_FLOATS, block_end_rows, random_ball_body
 
 
 def _float_lines(values) -> str:
@@ -61,10 +68,41 @@ def test_boundaries_of_the_fixed_range_are_written_as_repr():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 10**16 - 1), min_size=1, max_size=40))
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
+@example([0, 9999, 10**4, 10**16, 10**18, 2**63 - 1])
 def test_integers_are_written_as_str(values):
     text = table_text(int_cells(np.array(values)[:, None]), ["", "\n"])
     assert text == "".join(f"{v}\n" for v in values)
+
+
+@pytest.mark.parametrize("values", [[-5], [3, -1], [0, -(2**63)]])
+def test_negative_integers_are_rejected(values):
+    with pytest.raises(ValueError):
+        int_cells(np.array(values)[:, None])
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
+def test_float_tables_are_written_block_by_block(rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-6, 18, (rows, 3))
+    ends = block_end_rows(rows)
+    x[ends] = rng.choice(REPR_FALLBACK_FLOATS, (len(ends), 3))
+    text = "".join(table_blocks(x, float_cells, ["<", ", ", " ", ">\n"]))
+    assert text == "".join(f"<{a!r}, {b!r} {c!r}>\n" for a, b, c in x.tolist())
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
+def test_integer_tables_are_written_block_by_block(rows):
+    # each block's largest value has one digit more than the block before
+    # it, so blocks 0 and 1 have cells of different widths
+    rng = np.random.default_rng(rows)
+    v = rng.integers(0, 10, (rows, 3))
+    ends = block_end_rows(rows)
+    digits = 4 + ends // _BLOCK_ROWS
+    v[ends, 1] = 10 ** (digits - 1)
+    v[ends, 2] = 10**digits - 1
+    text = "".join(table_blocks(v, int_cells, ["3 ", " ", " ", "\n"]))
+    assert text == "".join(f"3 {a} {b} {c}\n" for a, b, c in v.tolist())
 
 
 @pytest.mark.parametrize("dim, resolution", [(2, 4096), (3, 4)])
