@@ -56,6 +56,27 @@ def _frozen_array(value) -> np.ndarray:
     return arr
 
 
+_FIELD_SHAPES = ("a number", "a list of numbers", "a list of equal-length lists of numbers")
+
+
+def _finite_array(value, name: str, ndim: int) -> np.ndarray:
+    """A body field as a float array of ``ndim`` axes (one axis fewer counts
+    as a single row), every entry finite; anything else raises
+    :class:`InvalidBody` naming the field."""
+    expected = f"{name} must be {_FIELD_SHAPES[ndim]}"
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidBody(expected) from e
+    if arr.ndim == ndim - 1:
+        arr = arr[None]
+    if arr.ndim != ndim:
+        raise InvalidBody(expected)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidBody(f"{name} must be finite")
+    return arr
+
+
 def _fields_equal(self, other) -> bool:
     """Dataclass equality that compares array fields by value."""
     if other.__class__ is not self.__class__:
@@ -94,6 +115,9 @@ class BallBody:
 
     Invariants checked at construction:
 
+    - ``dim`` is an integer of at least 2, the radius and every center
+      coordinate are finite numbers, and the centers are rows of length
+      ``dim``;
     - every center satisfies |a_i| < radius, so the origin is interior;
     - the interior radius rho = radius - max_i |a_i| is positive, and the
       open ball B(0, rho) is contained in the body.
@@ -111,10 +135,13 @@ class BallBody:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.array(self.centers, dtype=float))
+        centers = _finite_array(self.centers, "centers", 2)
         object.__setattr__(self, "centers", _frozen_array(centers))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "radius", float(_finite_array(self.radius, "radius", 0)))
+        dim = float(_finite_array(self.dim, "dim", 0))
+        if not dim.is_integer():
+            raise InvalidBody("dim must be an integer")
+        object.__setattr__(self, "dim", int(dim))
         if self.dim < 2:
             raise InvalidBody("dim must be at least 2")
         if not self.radius > 0:
@@ -154,9 +181,10 @@ class BallBody:
 class HalfspaceBody:
     """Intersection of halfspaces {x : <normal, x> <= offset}.
 
-    Normals must be unit vectors and every offset positive, so an open ball
-    around the origin is contained in the body. Used as a negative-test
-    fixture: flat faces cannot satisfy the enclosing-ball condition.
+    Normals must be finite unit vectors of one length and every offset
+    finite and positive, so an open ball around the origin is contained in
+    the body. Used as a negative-test fixture: flat faces cannot satisfy
+    the enclosing-ball condition.
     """
 
     normals: np.ndarray
@@ -165,8 +193,8 @@ class HalfspaceBody:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        normals = np.atleast_2d(np.array(self.normals, dtype=float))
-        offsets = np.atleast_1d(np.array(self.offsets, dtype=float))
+        normals = _finite_array(self.normals, "halfspace normals", 2)
+        offsets = np.atleast_1d(_finite_array(self.offsets, "halfspace offsets", 1))
         object.__setattr__(self, "normals", _frozen_array(normals))
         object.__setattr__(self, "offsets", _frozen_array(offsets))
         if normals.shape[0] != offsets.shape[0]:

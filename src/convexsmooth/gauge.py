@@ -14,7 +14,10 @@ Hessian is 2 u u^T/(R + |a|)^2 + 2 (I - u u^T)/(R (R + |a|)). That is at
 least 1/(2 R^2), the strong-convexity constant the certificates rely on.
 
 The body gauge of an intersection of balls is the pointwise maximum of the
-member gauges.
+member gauges. :func:`member_gauges` evaluates every member at every point
+in one (points x members) kernel; :func:`body_gauge_values` runs the same
+kernel one member at a time and folds the running maximum, which gives
+the bits of ``np.max(member_gauges(...), axis=-1)`` in O(N) memory.
 """
 
 from __future__ import annotations
@@ -131,17 +134,25 @@ def _member_arrays(body: BallBody) -> tuple[np.ndarray, np.ndarray]:
     return centers, k
 
 
-def _gauge_kernel(centers, k, xs):
+def _squared_norms(xs):
+    """|x|^2 of x of shape (..., n), as (..., 1)."""
+    return np.einsum("...i,...i->...", xs, xs)[..., None]
+
+
+def _gauge_kernel(centers, k, xs, xx=None):
     """Shared core of the batched kernels: <x, a_i>, |x|^2, s and mu_i.
 
     Shapes are (..., m) for x of shape (..., n), except |x|^2, which is
-    (..., 1). The arithmetic is the cancellation-free arrangement of
-    :func:`ball_gauge`, applied to all members at once. <x, a_i> comes
-    from :func:`convexsmooth.bodies._row_dots`, so a point gets the same
-    bits alone as inside any batch.
+    (..., 1); a caller running the kernel on several member slices passes
+    it in once. The arithmetic is the cancellation-free arrangement of
+    :func:`ball_gauge`, applied to all members at once and elementwise, so
+    a slice of the members gets the bits of those members' columns.
+    <x, a_i> comes from :func:`convexsmooth.bodies._row_dots`, so a point
+    gets the same bits alone as inside any batch.
     """
     xa = _row_dots(xs, centers)
-    xx = np.einsum("...i,...i->...", xs, xs)[..., None]
+    if xx is None:
+        xx = _squared_norms(xs)
     # the arithmetic of the two-branch form, with fewer temporaries
     s = xa * xa
     s += k * xx
@@ -231,8 +242,22 @@ def attaining_members(values: np.ndarray) -> np.ndarray:
 
 
 def body_gauge_values(body: BallBody, points: np.ndarray) -> np.ndarray:
-    """Batched body gauge over an (N, dim) array; returns (N,) values."""
-    return np.max(member_gauges(body, points), axis=-1)
+    """Batched body gauge: values of shape (...,) for points of shape (..., n).
+
+    The kernel of :func:`member_gauges` runs one member at a time, over
+    all points, with |x|^2 computed once, and a running maximum folds the
+    members. Its elementwise arithmetic is that of :func:`member_gauges`
+    and a maximum is exact, so the values are
+    ``np.max(member_gauges(body, points), axis=-1)`` bit for bit. Memory
+    is a few (..., 1) arrays, not several (..., m) ones.
+    """
+    centers, k = _member_arrays(body)
+    xs = np.asarray(points, dtype=float)
+    xx = _squared_norms(xs)
+    out = _gauge_kernel(centers[:1], k[:1], xs, xx)[3]
+    for i in range(1, len(k)):
+        np.maximum(out, _gauge_kernel(centers[i : i + 1], k[i : i + 1], xs, xx)[3], out=out)
+    return out[..., 0]
 
 
 def gauge_lipschitz_bound(body: BallBody) -> float:

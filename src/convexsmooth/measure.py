@@ -155,19 +155,24 @@ def sample_directions(dim: int, samples: int) -> tuple[np.ndarray, float]:
 def radial_function(body, directions: np.ndarray) -> np.ndarray:
     """Boundary radius of a body along each unit direction, in closed form.
 
-    A ball body's gauge is 1-homogeneous, so the radius is 1/mu(u); a
-    halfspace body's is the nearest face, min offset/<normal, u> over the
-    faces the ray meets. Raises :class:`BracketFailure` when a halfspace
+    A ball body's gauge is 1-homogeneous, so the radius is 1/mu(u), with
+    mu from :func:`convexsmooth.gauge.body_gauge_values` (one member at a
+    time). A halfspace body's is the nearest face, min offset/<normal, u>
+    over the faces the ray meets (<normal, u> > 1e-14), taken as a running
+    minimum one face at a time over every direction. The work loops over
+    the few members or faces and is vectorized over the many directions,
+    so memory stays a small multiple of the result, apart from the (k, N)
+    face denominators. Raises :class:`BracketFailure` when a halfspace
     body is unbounded along some direction.
     """
     dirs = np.asarray(directions, dtype=float)
     if isinstance(body, BallBody):
         return 1.0 / body_gauge_values(body, dirs)
     if isinstance(body, HalfspaceBody):
-        denom = dirs @ body.normals.T
+        radii = np.full(len(dirs), np.inf)
         with np.errstate(divide="ignore"):
-            cand = np.where(denom > 1e-14, body.offsets / denom, np.inf)
-        radii = np.min(cand, axis=1)
+            for offset, d in zip(body.offsets, body.normals @ dirs.T):
+                np.minimum(radii, np.where(d > 1e-14, offset / d, np.inf), out=radii)
         if not np.all(np.isfinite(radii)):
             raise BracketFailure("halfspace body is unbounded along some ray")
         return radii
@@ -318,13 +323,27 @@ def polyline_json(mesh: BoundaryMesh) -> str:
 def off_text(mesh: BoundaryMesh) -> str:
     """OFF-format export of a 3D mesh: ``OFF``, ``<vertices> <faces> 0``,
     one ``x y z`` line per vertex with each coordinate as ``repr`` writes
-    it, then one ``3 i j k`` line per triangle."""
+    it, then one ``3 i j k`` line per triangle.
+
+    Each vertex index is formatted once, into a per-vertex table of
+    NUL-padded cells (:func:`convexsmooth._text.int_cells`), and the face
+    rows gather their cells from it a block at a time, each cell moved as
+    one fixed-width item. The NUL padding makes the text independent of
+    the table's cell width.
+    """
     if mesh.dim != 3:
         raise ValueError("OFF export is for 3D meshes")
+    index = _text.int_cells(np.arange(len(mesh.points)))
+    width = index.shape[-1]
+    items = index.view(np.dtype((np.void, width)))[:, 0]
+
+    def face_cells(faces: np.ndarray) -> np.ndarray:
+        return items[faces].view(np.uint8).reshape(faces.shape + (width,))
+
     return "".join(
         [
             f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n",
             *_text.table_blocks(mesh.points, _text.float_cells, ("", " ", " ", "\n")),
-            *_text.table_blocks(mesh.facets, _text.int_cells, ("3 ", " ", " ", "\n")),
+            *_text.table_blocks(mesh.facets, face_cells, ("3 ", " ", " ", "\n")),
         ]
     )

@@ -43,7 +43,7 @@ import numpy as np
 
 from .bodies import BallBody, _as_vector, contains_many, body_to_json
 from .errors import DegenerateEpsilon, NonConvergence, ShrinkDelta
-from .gauge import member_gauge_derivatives, member_gauges
+from .gauge import body_gauge_values, member_gauge_derivatives, member_gauges
 from . import measure as _measure
 
 Order = Literal["C11", "C2"]
@@ -568,7 +568,7 @@ def extract_smoothed_body(
 
     we_mesh = _level_mesh(gauge, grid, t0, rescale=t0)
     contained = bool(np.all(contains_many(body, we_mesh.points)))
-    mus = np.max(member_gauges(body, we_mesh.points), axis=-1)
+    mus = body_gauge_values(body, we_mesh.points)
     tube_ok = bool(np.all(mus >= 1.0 - 5.0 * epsilon) and np.all(mus <= 1.0 + 5.0 * epsilon))
     breakdown = _measure.symmetric_difference_breakdown(w_mesh, we_mesh)
     symdiff = breakdown["combined"]

@@ -191,6 +191,17 @@ def member_gauges_reference(body: BallBody, points: np.ndarray) -> np.ndarray:
     return np.where(xx == 0.0, 0.0, val)
 
 
+def halfspace_radii_reference(body, dirs: np.ndarray) -> np.ndarray:
+    """Boundary radii of a halfspace body from the (N, k) table of every
+    face's candidate offset/<normal, u>, reduced by np.min (the all-faces
+    form of ``measure.radial_function``'s face loop); inf where no face
+    meets the ray."""
+    denom = dirs @ body.normals.T
+    with np.errstate(divide="ignore"):
+        cand = np.where(denom > 1e-14, body.offsets / denom, np.inf)
+    return np.min(cand, axis=1)
+
+
 def level_flags_reference(gauge, grid, levels: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Facet agreement flags (L, F) of level sets with radii (L, N) over a
     ``smooth._level_grid`` grid, tested on each level's own mesh: a facet

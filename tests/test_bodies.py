@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ from helpers import (
 
 def lens():
     return BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
+
+
+SQUARE_FACES = [{"normal": n, "offset": 0.5} for n in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])]
 
 
 class TestInvariants:
@@ -352,6 +356,29 @@ class TestJson:
     def test_text_input(self):
         text = json.dumps({"dim": 2, "radius": 1.0, "centers": [[0.0, 0.0]]})
         assert isinstance(body_from_json(text), BallBody)
+
+    @pytest.mark.parametrize(
+        "data, invariant",
+        [
+            ({"halfspaces": SQUARE_FACES + [{"normal": [math.nan, 1.0], "offset": 0.5}]}, "normals must be finite"),
+            ({"halfspaces": SQUARE_FACES + [{"normal": [0.6, 0.8, 0.0], "offset": 0.5}]}, "normals must be a list of equal-length lists of numbers"),
+            ({"halfspaces": SQUARE_FACES + [{"normal": [0.6, 0.8], "offset": math.inf}]}, "offsets must be finite"),
+            ({"dim": 2, "radius": 1.0, "centers": [[0.1, 0.0], [0.2]]}, "centers must be a list of equal-length lists of numbers"),
+            ({"dim": 2, "radius": 1.0, "centers": [[math.nan, 0.0]]}, "centers must be finite"),
+            ({"dim": 2, "radius": 1.0, "centers": [[[0.1, 0.0]]]}, "centers must be a list of equal-length lists of numbers"),
+            ({"dim": 2, "radius": math.inf, "centers": [[0.1, 0.0]]}, "radius must be finite"),
+            ({"dim": 2, "radius": [1.0], "centers": [[0.1, 0.0]]}, "radius must be a number"),
+            ({"dim": [2], "radius": 1.0, "centers": [[0.1, 0.0]]}, "dim must be a number"),
+            ({"dim": 2.5, "radius": 1.0, "centers": [[0.1, 0.0]]}, "dim must be an integer"),
+        ],
+        ids=[
+            "nan-normal", "ragged-normals", "inf-offset", "ragged-centers", "nan-center",
+            "nested-centers", "inf-radius", "list-radius", "list-dim", "fractional-dim",
+        ],
+    )
+    def test_rejects_non_finite_and_ragged_fields(self, data, invariant):
+        with pytest.raises(InvalidBody, match=invariant):
+            body_from_json(json.loads(json.dumps(data)))
 
     def test_rejects_with_diagnostic(self):
         with pytest.raises(InvalidBody, match="interior"):

@@ -181,6 +181,19 @@ def test_invalid_body_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["certify", "measure"])
+def test_non_finite_face_exits_2_naming_the_invariant(command, square_file, tmp_path, capsys):
+    # a NaN normal passed the unit-length test, and measure wrote the
+    # square's perimeter as if the face were absent
+    data = json.loads(square_file.read_text())
+    data["halfspaces"].append({"normal": [float("nan"), 1.0], "offset": 0.5})
+    square_file.write_text(json.dumps(data))
+    code = main([command, "--input", str(square_file), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: halfspace normals must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_epsilon_exits_2(lens_file, tmp_path, capsys):
     config = RunConfig(
         command="smooth",

@@ -241,6 +241,26 @@ class TestMemberKernels:
         pts = _query_points(seed, body.dim)
         assert np.array_equal(member_gauges(body, pts), member_gauges_reference(body, pts))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        body=ball_bodies(max_balls=32, min_interior=1e-7),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["rows", "stacked", "one row", "origin"]),
+    )
+    def test_body_gauge_values_are_the_max_of_the_member_gauges(self, body, seed, shape):
+        # member at a time with a running maximum: the bits of the max over
+        # the (N, m) two-branch form, the origin row (mu = 0) included
+        pts = _query_points(seed, body.dim)
+        if shape == "stacked":
+            pts = np.stack([pts, 3.0 * pts[::-1], -pts])
+        elif shape == "one row":
+            pts = pts[seed % (len(pts) - 1) :][:1]
+        elif shape == "origin":
+            pts = pts[-1:]
+        got = body_gauge_values(body, pts)
+        assert got.shape == pts.shape[:-1]
+        assert np.array_equal(got, np.max(member_gauges_reference(body, pts), axis=-1))
+
     def test_single_rows_match_the_batch_bit_for_bit(self):
         # centers with |a| up to R(1 - 1e-6): <x, a> is ill-conditioned
         # there, so any batch-dependent summation order shows in the gauge

@@ -8,6 +8,7 @@ import pytest
 from convexsmooth import (
     BallBody,
     BoundaryMesh,
+    BracketFailure,
     GridMismatch,
     HalfspaceBody,
     InvalidBody,
@@ -33,6 +34,7 @@ from helpers import (
     REPR_FALLBACK_FLOATS,
     block_end_rows,
     facet_measures_reference,
+    halfspace_radii_reference,
     off_text_reference,
     polyline_json_reference,
     random_ball_body,
@@ -99,6 +101,63 @@ class TestBoundaryMesh:
         assert np.allclose(radial_function(square, dirs), [0.5, 0.5, np.sqrt(0.5)], rtol=1e-15)
         mesh = boundary_mesh(square, 400)
         assert hausdorff_measure(mesh) == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("dim, faces", [(2, 3), (2, 7), (2, 40), (3, 4), (3, 6), (3, 30)])
+    def test_halfspace_radii_are_the_all_faces_form(self, dim, faces):
+        # one face at a time with a running minimum: the bits of the min
+        # over the (N, k) candidate table, rays parallel to a face included
+        rng = np.random.default_rng(100 * dim + faces)
+        normals = rng.standard_normal((faces, dim))
+        normals[: dim + 1] = np.vstack([np.eye(dim), -np.ones(dim)])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        body = HalfspaceBody(normals=normals, offsets=rng.uniform(0.2, 1.5, faces))
+        dirs = np.vstack([np.eye(dim), -np.eye(dim), direction_grid(dim, 1000 if dim == 2 else 3)[0]])
+        parallel = np.abs(dirs @ body.normals.T) == 0.0
+        assert parallel[: 2 * dim].any()  # axis rays run along the axis faces
+        ref = halfspace_radii_reference(body, dirs)
+        assert np.all(np.isfinite(ref))
+        assert np.array_equal(radial_function(body, dirs), ref)
+        for rows in (dirs[:1], dirs[:5]):
+            assert np.array_equal(radial_function(body, rows), halfspace_radii_reference(body, rows))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unbounded_halfspace_body_raises(self, dim):
+        # the axis faces leave every ray with a negative coordinate unbounded
+        body = HalfspaceBody(normals=np.eye(dim), offsets=np.ones(dim))
+        dirs = direction_grid(dim, 64 if dim == 2 else 2)[0]
+        assert np.isinf(halfspace_radii_reference(body, dirs)).any()
+        with pytest.raises(BracketFailure, match="unbounded"):
+            radial_function(body, dirs)
+        with pytest.raises(BracketFailure, match="unbounded"):
+            radial_function(body, -np.eye(dim)[:1])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BallBody(
+                radius=1.0,
+                centers=0.3 * np.column_stack([np.cos(np.arange(32) * 0.196), np.sin(np.arange(32) * 0.196)]),
+                dim=2,
+            ),
+            lambda: HalfspaceBody(
+                normals=np.column_stack([np.cos(np.arange(7) * 0.9), np.sin(np.arange(7) * 0.9)]),
+                offsets=np.linspace(0.5, 1.0, 7),
+            ),
+        ],
+        ids=["32-balls", "7-faces"],
+    )
+    def test_radial_function_memory_is_a_few_results(self, make):
+        # radii are taken one member (or face) at a time over all the
+        # directions, so temporaries are (N,) arrays, not (N, m) ones
+        body = make()
+        dirs = direction_grid(2, 2**16)[0]
+        tracemalloc.start()
+        try:
+            radii = radial_function(body, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * radii.nbytes
 
     def test_unsupported_dimension(self):
         with pytest.raises(InvalidBody, match="dim 2 and 3"):
@@ -324,6 +383,20 @@ class TestExports:
             assert polyline_json(mesh) == polyline_json_reference(mesh)
         else:
             assert off_text(mesh) == off_text_reference(mesh)
+
+    @pytest.mark.parametrize("vertices", [9_999, 10_000, 10_001])
+    @pytest.mark.parametrize("used", ["all", "low", "high"])
+    def test_off_face_rows_are_the_reference_text(self, vertices, used):
+        # face rows gather per-vertex index cells, 4 bytes wide up to index
+        # 9,999 and 8 bytes from 10,000 on, whichever vertices faces use
+        rng = np.random.default_rng(vertices)
+        dirs = rng.standard_normal((vertices, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        lo, hi = {"all": (0, vertices), "low": (0, 100), "high": (vertices - 100, vertices)}[used]
+        facets = rng.integers(lo, hi, size=(_BLOCK_ROWS + 7, 3))
+        facets[0] = [lo, hi - 1, lo]
+        mesh = BoundaryMesh(dim=3, directions=dirs, radii=rng.uniform(0.5, 2.0, vertices), facets=facets)
+        assert off_text(mesh) == off_text_reference(mesh)
 
     @pytest.mark.parametrize(
         "make",

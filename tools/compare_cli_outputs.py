@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the same CLI outputs on the bench corpora.
+
+Usage, from the repository root::
+
+    python3 tools/compare_cli_outputs.py OLD_TREE NEW_TREE [SEED ...]
+
+For every workload of ``bench/corpus.py`` and every seed (1, 2 and 3 when
+none is given), each tree's ``convexsmooth.cli.run`` runs in a fresh
+process over the corpus's warm-up, counted and known-defect ops, in order.
+Both trees read the inputs that this checkout's ``bench/corpus.py`` draws,
+so they see the same bytes. ``project`` ops are library queries, not CLI
+commands, and are skipped.
+
+Each op leaves its output files and an ``exit.txt`` holding the exit code
+and stderr (or the type and message of an exception that escaped
+``cli.run``). The output directory's path is masked in ``report.json``,
+which echoes it, and in ``exit.txt``. Every file present in one tree only,
+or differing between the trees, is listed; the exit status is 1 if any
+is, else 0.
+"""
+
+from __future__ import annotations
+
+import io
+import multiprocessing
+import os
+import shutil
+import sys
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_SEEDS = (1, 2, 3)
+MASKED = ("report.json", "exit.txt")
+# BLAS threads, pinned as bench/run.py pins them
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def write_outputs(tree: str, workload: str, seed: int, directory: str) -> None:
+    """Run one tree's CLI over one workload's ops; outputs go to
+    ``directory/out/<group>/<op>``. Runs in a fresh process, so that the
+    tree's ``convexsmooth`` is the one imported."""
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(Path(tree) / "src"), str(ROOT / "bench")]
+    import corpus
+
+    from convexsmooth import cli
+
+    if Path(cli.__file__).resolve().parents[1] != (Path(tree) / "src").resolve():
+        raise RuntimeError(f"imported convexsmooth from {cli.__file__}, not {tree}")
+    base = Path(directory)
+    built = corpus.build(workload, seed, base / "corpus")
+    groups = {"warmup": built.warmup, "ops": built.ops, "known": built.known_defects}
+    for group, ops in groups.items():
+        for op in ops:
+            if op.kind == "project":
+                continue
+            outdir = base / "out" / group / op.name.replace(":", "_")
+            config = cli.RunConfig(
+                command=op.kind, input=op.input, output=str(outdir), resolution=op.resolution
+            )
+            stderr = io.StringIO()
+            try:
+                with redirect_stderr(stderr):
+                    status = f"exit {cli.run(config)}"
+            except Exception as e:  # an escaped exception is an outcome to compare
+                status = f"exception {type(e).__name__}: {e}"
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "exit.txt").write_text(f"{status}\n{stderr.getvalue()}")
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory/out``, by relative path, with the
+    directory's own path masked in the files that echo it."""
+    out = directory / "out"
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name in MASKED:
+            data = data.replace(str(directory).encode(), b"<tree>")
+        files[str(path.relative_to(out))] = data
+    return files
+
+
+def compare(old: str, new: str, seeds) -> list[str]:
+    """Differences between the two trees' outputs, one line each."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import corpus
+
+    spawn = multiprocessing.get_context("spawn")
+    differences = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for workload in corpus.BUILDERS:
+            for seed in seeds:
+                sides = {}
+                for name, tree in (("old", old), ("new", new)):
+                    directory = Path(scratch) / name
+                    shutil.rmtree(directory, ignore_errors=True)
+                    worker = spawn.Process(
+                        target=write_outputs, args=(tree, workload, seed, str(directory))
+                    )
+                    worker.start()
+                    worker.join()
+                    if worker.exitcode != 0:
+                        raise RuntimeError(f"{name} tree failed on {workload} seed {seed}")
+                    sides[name] = _files(directory)
+                tag = f"{workload} seed {seed}"
+                for path in sorted(sides["old"].keys() | sides["new"].keys()):
+                    a, b = sides["old"].get(path), sides["new"].get(path)
+                    if a is None or b is None:
+                        differences.append(f"{tag}: {path} only in {'new' if a is None else 'old'}")
+                    elif a != b:
+                        differences.append(f"{tag}: {path} differs")
+                print(f"{tag}: {len(sides['new'])} files compared", file=sys.stderr)
+    return differences
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) < 2 or not all(a.isdigit() for a in args[2:]):
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    seeds = [int(a) for a in args[2:]] or list(DEFAULT_SEEDS)
+    differences = compare(args[0], args[1], seeds)
+    for line in differences:
+        print(line)
+    print(f"{len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
