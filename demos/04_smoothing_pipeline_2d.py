@@ -44,10 +44,10 @@ _, _, hess = blended_gauge_sq(gauge, on_ridge)
 print("  Hessian eigenvalues on the ridge:", np.linalg.eigvalsh(hess))
 
 # --- extract the smoothed body ----------------------------------------------
-# picks a level t0 in (1, 1+eps) whose level set meets the blend tube in
-# the least measure, then shrinks the sublevel set back by 1/t0
+# the level-1 body {g <= 1}: any other level t is level 1 of the blend of
+# width delta/t^2, so delta is the one width knob
 smoothed = extract_smoothed_body(lens, delta=1e-3, epsilon=0.05, order="C2")
-print("\nchosen regular value t0:", smoothed.t0)
+print("\nblend width delta:", smoothed.gauge.delta)
 for key, val in smoothed.checks.items():
     print(f"  {key}: {val}")
 

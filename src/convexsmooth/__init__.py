@@ -89,8 +89,6 @@ from .smooth import (
     blended_gauge_sq_many,
     blended_values,
     extract_smoothed_body,
-    level_disagreement_scan,
-    select_regular_value,
     smooth_max,
 )
 

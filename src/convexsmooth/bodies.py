@@ -89,7 +89,7 @@ def _fields_equal(self, other) -> bool:
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed ball with a given center and positive radius."""
+    """Closed ball with a given finite center and finite positive radius."""
 
     center: np.ndarray
     radius: float
@@ -98,9 +98,11 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen_array(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", float(_finite_array(self.radius, "ball radius", 0)))
         if self.center.ndim != 1:
             raise InvalidBody("ball center must be a vector")
+        if not np.all(np.isfinite(self.center)):
+            raise InvalidBody("ball center must be finite")
         if not self.radius > 0:
             raise InvalidBody("ball radius must be positive")
 

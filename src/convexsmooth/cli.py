@@ -4,7 +4,7 @@ Commands::
 
     convexsmooth certify --input body.json --output outdir [--resolution N --seed N]
     convexsmooth smooth  --input body.json --output outdir [--epsilon F --delta F
-                         --order c11|c2 --resolution N --scan N]
+                         --order c11|c2 --resolution N]
     convexsmooth measure --input body.json --output outdir [--resolution N]
     convexsmooth probe   --input probe.json --output outdir [--resolution N]
 
@@ -12,10 +12,11 @@ Each command parses, makes one library call and writes what it returns:
 ``certify`` runs ``certify_body`` (eq39, ball_support_b, ball_family_c,
 gauge_sq_hessian_d, level_set_e, whose radius ``certify`` sets, and
 halfspace_reconstruction on a ball body; ball_support_b at R = 1, 10, 100
-on a halfspace body), ``smooth`` ``extract_smoothed_body``, whose checks
-carry the verdict, ``measure`` ``boundary_mesh`` and ``probe``
-``boundary_surjectivity_probe``. An unset delta or mesh resolution takes
-the library's default.
+on a halfspace body), ``smooth`` ``extract_smoothed_body``, the level-1
+body of the blended squared gauge, whose only width knob is --delta and
+whose checks carry the verdict, ``measure`` ``boundary_mesh`` and
+``probe`` ``boundary_surjectivity_probe``. An unset delta or mesh
+resolution takes the library's default.
 
 Exit codes: 0 all-pass/success, 1 failed certificate or unmet epsilon
 bound, 2 input or validation errors, a flag the command does not read
@@ -63,7 +64,6 @@ class RunConfig:
     order: str = "c2"
     resolution: int | None = None
     seed: int = 0
-    scan: int = 64
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epsilon", type=float)
             p.add_argument("--delta", type=float)
             p.add_argument("--order", choices=("c11", "c2"))
-            p.add_argument("--scan", type=int)
         p.add_argument("--resolution", type=int)
         if name == "certify":
             p.add_argument("--seed", type=int)
@@ -144,11 +143,10 @@ def _run_smooth(config: RunConfig) -> int:
         delta=config.delta,
         epsilon=config.epsilon,
         order=order,
-        scan=config.scan,
         resolution=config.resolution,
     )
     checks = smoothed.checks
-    summary = {"t0": smoothed.t0, "delta": smoothed.gauge.delta}
+    summary = {"delta": smoothed.gauge.delta}
     summary.update((key, checks[key]) for key in _SMOOTH_SUMMARY if key in checks)
     mesh_file = _write_mesh(config, smoothed.meshes[1])
     _write_report(

@@ -230,17 +230,16 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
     """Mesh the boundary of a body or of a smoothed body.
 
     BallBody and HalfspaceBody radii come from :func:`radial_function`.
-    Smoothed bodies are meshed at their regular level and rescaled by it,
-    realizing the definition of the smoothed body as a shrunken level set;
-    their facets carry agreement flags. ``resolution`` is that of
-    :func:`direction_grid`, whose default None takes.
+    A smoothed body is meshed as the level set h = 1 of its blended gauge,
+    which is its boundary; off the blend tube its radii are 1/mu(u), the
+    original body's to the bit, and its facets carry agreement flags.
+    ``resolution`` is that of :func:`direction_grid`, whose default None
+    takes.
     """
     from .smooth import SmoothedBody, blended_level_mesh  # local: avoid cycle
 
     if isinstance(source, SmoothedBody):
-        return blended_level_mesh(
-            source.gauge, source.t0, resolution, rescale=source.t0
-        )
+        return blended_level_mesh(source.gauge, 1.0, resolution)
     if not isinstance(source, (BallBody, HalfspaceBody)):
         raise TypeError(f"cannot mesh a {type(source).__name__}")
     dirs, facets = direction_grid(source.dim, resolution)

@@ -1,4 +1,4 @@
-"""Smoothing pipeline: blended squared gauge and level-set extraction.
+"""Smoothing pipeline: blended squared gauge and its level-1 body.
 
 The squared body gauge is a maximum of smooth strongly convex member
 functions; it is smooth except on the ridge set where two members tie.
@@ -12,26 +12,29 @@ outside (-delta, delta) produces a function g that
   combination of members plus a positive-semidefinite rank-one term),
 - is C^{1,1} or C^2 across the blend boundary depending on the profile.
 
-Shrinking a sublevel set of h = sqrt(g) at a well-chosen level close to 1
-then yields an inscribed smooth strongly convex body whose boundary
-coincides with the original boundary outside a thin ridge tube; the level
-is picked by scanning candidates and keeping the one whose level set meets
-the disagreement region in the smallest measure.
+The sublevel set {g <= 1} is then an inscribed smooth strongly convex
+body whose boundary coincides with the original boundary outside a thin
+ridge tube. Level 1 is a regular value: g is strongly convex with its
+minimum inside the body, so its gradient vanishes nowhere on the level
+set. No other level is worth choosing. Both profiles are scale families,
+phi_delta(s) = delta * Phi(s/delta), and member squared gauges are
+2-homogeneous, so a shrunken level set (1/t) {sqrt(g_delta) <= t} is
+exactly {g_(delta/t^2) <= 1}: a level in (1, 1 + eps) only picks a blend
+width in (delta/(1 + eps)^2, delta), which delta sets directly. And g
+grows with delta, so {g <= 1} only grows toward the body as delta
+shrinks.
 
 Level sets are meshed without bisection. Member gauges are 1-homogeneous,
 so along a ray r u every member squared gauge is r^2 q_i(u): off the tube
 the level-t crossing is exactly t/mu(u), and inside it the crossing solves
 a convex increasing equation in s = r^2, done by a monotone Newton
-iteration that reuses q(u). One mesher handles a stack of levels at once:
-q(u) is computed once per grid, radii form one (levels x directions)
-array, and every tube row of every level goes through one Newton solve.
-Agreement flags need no per-level gauges either. A facet whose vertices
-all sit at t/mu(u) has its level-t centroid at t times its level-1
-centroid c_1, and member squared gauges are 2-homogeneous, so the top-two
-gap there is t^2 gap(c_1): one gauge pass over the level-1 centroids flags
-the facets of every level, and a facet with a tube vertex disagrees
-anyway. The level scan runs the mesher on all its candidates; a single
-level set is the one-level case, so the two agree bit for bit.
+iteration that reuses q(u); the level's tube directions go through one
+Newton solve. Agreement flags need no per-level gauges either. A facet
+whose vertices all sit at t/mu(u) has its level-t centroid at t times its
+level-1 centroid c_1, and member squared gauges are 2-homogeneous, so the
+top-two gap there is t^2 gap(c_1): one gauge pass over the level-1
+centroids flags the facets of any level, and a facet with a tube vertex
+disagrees anyway.
 """
 
 from __future__ import annotations
@@ -58,12 +61,6 @@ DEFAULT_DELTA_FACTOR = 1e-3
 # Iteration cap of the tube solve; monotone Newton from the right
 # converges in well under ten steps for any blend width.
 _NEWTON_MAX_STEPS = 64
-
-_DEFAULT_SCAN_RES = {2: 512, 3: 3}
-
-# Largest (levels x facets) count the scan meshes in one batch; larger
-# scans run in consecutive blocks of levels, which keeps memory O(facets).
-_SCAN_BLOCK_CELLS = 1 << 17
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -296,81 +293,53 @@ def _level_grid(gauge: BlendedGauge, resolution: int) -> _LevelGrid:
     return _LevelGrid(dirs, facets, mu, sq, gap)
 
 
-def _mesh_levels(
-    gauge: BlendedGauge, grid: _LevelGrid, levels: np.ndarray, rescale: float | None = None
-):
-    """Radii (L, N) and facet agreement flags (L, F) of the level sets
-    h = levels[l] over one grid from :func:`_level_grid`.
+def _level_mesh(gauge: BlendedGauge, grid: _LevelGrid, level: float) -> _measure.BoundaryMesh:
+    """Mesh of the level set h = level over a grid from :func:`_level_grid`.
 
     Where the top-two gap at r = level/mu(u) is at least
     delta * (1 + RIDGE_GUARD), every fold step is on its exact branch and r
-    is the crossing, in closed form; the (level, direction) rows left in the
-    tube are solved together by :func:`_tube_radii`. With ``rescale``,
-    closed-form radii are computed as (level/rescale)/mu(u), which is
-    1/mu(u) to the bit when rescale equals level, matching the original
-    body's mesh, and tube radii are divided by it.
+    is the crossing, in closed form; at level 1 that is 1/mu(u), the
+    original body's radius to the bit. The directions left in the tube are
+    solved together by :func:`_tube_radii`.
 
     A facet agrees when all its vertices took the closed form and the gap
     at its centroid passes the same test. The gap is needed only on facets
     whose vertices all sit at level/mu(u): their centroid is level times
     the level-1 centroid, and member squared gauges are 2-homogeneous, so
-    the gap there is level^2 times ``grid.gap``, up to rounding. One
-    broadcast comparison thus flags every level, with no member gauge
-    evaluated per level; facets with a tube vertex disagree whatever the
-    gap.
+    the gap there is level^2 times ``grid.gap``, up to rounding. Facets
+    with a tube vertex disagree whatever the gap.
     """
     dirs, facets, mu, sq, gap = grid
     threshold = gauge.delta * (1.0 + RIDGE_GUARD)
-    radii = levels[:, None] / mu
-    closed = np.ones(radii.shape, dtype=bool)
+    radii = level / mu
+    closed = np.ones(len(mu), dtype=bool)
     if sq is not None:
         closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= threshold
-        level, row = np.nonzero(~closed)
-        if level.size:
-            radii[level, row] = _tube_radii(gauge, sq[row], (levels * levels)[level])
-    flags = closed[:, facets].all(axis=2) & ((levels * levels)[:, None] * gap >= threshold)
-    if rescale is not None:
-        tube = radii[~closed] / rescale
-        radii = (levels / rescale)[:, None] / mu
-        radii[~closed] = tube
-    return radii, flags
-
-
-def _level_mesh(
-    gauge: BlendedGauge, grid: _LevelGrid, level: float, rescale: float | None = None
-) -> _measure.BoundaryMesh:
-    """Mesh of the level set h = level over a grid from :func:`_level_grid`:
-    the one-level case of :func:`_mesh_levels`."""
-    radii, flags = _mesh_levels(gauge, grid, np.array([level], dtype=float), rescale)
+        if not closed.all():
+            radii[~closed] = _tube_radii(gauge, sq[~closed], level * level)
+    agreement = closed[facets].all(axis=1) & (level * level * gap >= threshold)
     return _measure.BoundaryMesh(
-        dim=gauge.dim, directions=grid.dirs, radii=radii[0], facets=grid.facets, agreement=flags[0]
+        dim=gauge.dim, directions=dirs, radii=radii, facets=facets, agreement=agreement
     )
 
 
 def blended_level_mesh(
-    gauge: BlendedGauge,
-    level: float,
-    resolution: int,
-    rescale: float | None = None,
+    gauge: BlendedGauge, level: float, resolution: int | None
 ) -> _measure.BoundaryMesh:
-    """Mesh the level set h = level, optionally rescaling radii by 1/rescale.
-
-    The one-level case of the batched mesher (:func:`_mesh_levels`) that
-    the level scan runs, so a level's mesh is the scan's to the bit.
-    """
-    return _level_mesh(gauge, _level_grid(gauge, resolution), level, rescale)
+    """Mesh the level set h = level over the grid of
+    :func:`measure.direction_grid` at ``resolution``."""
+    return _level_mesh(gauge, _level_grid(gauge, resolution), level)
 
 
-def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, target: float) -> np.ndarray:
     """Level crossings along tube rows from their member squared gauges.
 
-    Row j holds q_i(u) sorted descending in ``sq[j]`` and its target
-    ``target[j]`` = level^2. Along the ray the blend is F(s) = fold(s q)
-    with s = r^2: convex (each fold step is convex and nondecreasing in
-    both inputs) and increasing. Newton's method started at s =
-    level^2/q_1, where F(s) >= s q_1 = level^2, therefore stays at or
-    right of the root and decreases monotonically to it. No member gauge
-    is recomputed.
+    Row j holds q_i(u) sorted descending in ``sq[j]``; ``target`` is
+    level^2. Along the ray the blend is F(s) = fold(s q) with s = r^2:
+    convex (each fold step is convex and nondecreasing in both inputs) and
+    increasing. Newton's method started at s = level^2/q_1, where
+    F(s) >= s q_1 = level^2, therefore stays at or right of the root and
+    decreases monotonically to it. No member gauge is recomputed.
 
     Each row stops once its own step is at most 4 ulp of s, so its radius
     is that of solving the row alone, bit for bit, in any batch.
@@ -380,7 +349,7 @@ def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, target: np.ndarray) -> np.n
     for _ in range(_NEWTON_MAX_STEPS):
         q = sq[live]
         value, slope, _ = _fold(s[live, None] * q, gauge.delta, gauge.order, grad=q[..., None])
-        step = np.maximum((value - target[live]) / slope[:, 0], 0.0)
+        step = np.maximum((value - target) / slope[:, 0], 0.0)
         s[live] = s[live] - step
         live = live[step > 4.0 * np.finfo(float).eps * s[live]]
         if live.size == 0:
@@ -388,71 +357,23 @@ def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, target: np.ndarray) -> np.n
     raise NonConvergence("tube radius solve did not converge")
 
 
-def level_disagreement_scan(
-    gauge: BlendedGauge,
-    epsilon: float,
-    scan: int,
-    resolution: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate levels in (1, 1 + epsilon) and their disagreement measures.
-
-    Each candidate level set of h is meshed and the measure of its portion
-    inside the blend tube (agreement flag false) is summed. All levels
-    share one grid and its member gauges, and are meshed together by
-    :func:`_mesh_levels`, in blocks of at most ``_SCAN_BLOCK_CELLS``
-    (levels x facets). Only the disagreeing facets are measured, those of
-    all levels in one call, and each level sums its own in facet order, so
-    each measure equals that of the level's own :func:`blended_level_mesh`
-    bit for bit. The minimum over candidates is at most the scan average,
-    which is the discrete form of slicing a small-measure tube by many
-    levels.
-    """
+# Kept only because the benchmark's tracer binds this name; the retrace of
+# ROADMAP item 1 deletes it. No pipeline or CLI path calls it.
+def level_disagreement_scan(gauge: BlendedGauge, epsilon: float, scan: int, resolution=None):
+    """Levels 1 + epsilon k/(scan + 1), k = 1..scan, and the measure of
+    each level set's facets that touch the blend tube."""
     _check_epsilon(epsilon)
-    if scan < 8:
-        raise ValueError("scan must be >= 8 candidate levels")
-    if resolution is None:
-        resolution = _DEFAULT_SCAN_RES[gauge.dim]
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
-    grid = _level_grid(gauge, resolution)
-    dirs, facets = grid.dirs, grid.facets
-    block = max(1, _SCAN_BLOCK_CELLS // len(facets))
-    measures = np.empty(scan)
-    for start in range(0, scan, block):
-        radii, flags = _mesh_levels(gauge, grid, levels[start : start + block])
-        # measure only the disagreeing facets, all levels in one call over
-        # the stacked vertices; rows come level by level, facets in order
-        tube = ~flags
-        level, facet = np.nonzero(tube)
-        points = (radii[..., None] * dirs).reshape(-1, dirs.shape[1])
-        sizes = _measure.facet_measures(points, facets[facet] + (level * len(dirs))[:, None])
-        ends = np.cumsum(np.count_nonzero(tube, axis=1))[:-1]
-        measures[start : start + block] = [np.sum(m) for m in np.split(sizes, ends)]
-    return levels, measures
-
-
-def select_regular_value(gauge: BlendedGauge, epsilon: float, scan: int) -> float:
-    """Level in (1, 1 + epsilon) whose level set meets the tube least.
-
-    Every candidate is a regular value of the blended gauge (a strongly
-    convex function with its minimum near the origin has nonvanishing
-    gradient on these level sets); the scan minimizes the disagreement
-    measure, breaking ties toward the scan midpoint, then the lower level.
-    """
-    levels, measures = level_disagreement_scan(gauge, epsilon, scan)
-    mid = 1.0 + epsilon / 2.0
-    best = min(
-        range(len(levels)),
-        key=lambda k: (measures[k], abs(levels[k] - mid), k),
-    )
-    return float(levels[best])
+    meshes = (blended_level_mesh(gauge, t, resolution) for t in levels)
+    return levels, np.array([_measure.hausdorff_measure(m, "disagree") for m in meshes])
 
 
 @dataclass(frozen=True)
 class SmoothedBody:
-    """Shrunken level-set body of a blended gauge.
+    """Level-1 body of a blended gauge.
 
-    The body is (1/t0) * {h <= t0} with h the square root of the blended
-    squared gauge; it is contained in the original body, has the blend's
+    The body is {h <= 1} with h the square root of the blended squared
+    gauge; it is contained in the original body, has the blend's
     smoothness, and its boundary coincides with the original boundary
     wherever the agreement indicator holds. ``meshes`` holds the original
     and the smoothed boundary mesh that :func:`extract_smoothed_body`
@@ -460,7 +381,6 @@ class SmoothedBody:
     """
 
     gauge: BlendedGauge
-    t0: float
     checks: dict = field(default_factory=dict, compare=False)
     meshes: tuple[_measure.BoundaryMesh, _measure.BoundaryMesh] | None = field(
         default=None, compare=False, repr=False
@@ -486,7 +406,6 @@ class SmoothedBody:
             "body": body_to_json(self.body),
             "delta": self.gauge.delta,
             "order": self.gauge.order,
-            "t0": self.t0,
         }
 
 
@@ -513,18 +432,23 @@ def extract_smoothed_body(
     delta: float | None,
     epsilon: float,
     order: Order = "C2",
-    scan: int = 64,
     resolution: int | None = None,
 ) -> SmoothedBody:
-    """Run the full smoothing pipeline on a ball body.
+    """Run the full smoothing pipeline on a ball body: W_eps = {g <= 1},
+    g the blended squared gauge of width ``delta``.
+
+    Level 1 is the only level used: a shrunken level t body
+    (1/t) {sqrt(g) <= t} is the level-1 body of width delta/t^2, so
+    ``delta`` is the one width knob, and a smaller one gives a larger
+    body, closer to the original.
 
     Raises :class:`ShrinkDelta` when the blend tube already eats more than
-    epsilon/4 of the boundary measure (the scan could not help then; the
-    message names balls with identical centers, which no delta separates),
-    and :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). Bodies
-    outside the meshing dimensions raise :class:`InvalidBody`. A ``delta``
-    of None takes DEFAULT_DELTA_FACTOR * R^2, and a ``resolution`` of None
-    the default of :func:`measure.direction_grid`.
+    epsilon/4 of the boundary measure (the message names balls with
+    identical centers, which no delta separates), and
+    :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). Bodies outside
+    the meshing dimensions raise :class:`InvalidBody`. A ``delta`` of None
+    takes DEFAULT_DELTA_FACTOR * R^2, and a ``resolution`` of None the
+    default of :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
     ``resolution``, and ``checks`` the run's verification data: whether
@@ -564,9 +488,7 @@ def extract_smoothed_body(
             f"boundary measure {boundary_measure:.3e}; {_tube_advice(body)}"
         )
 
-    t0 = select_regular_value(gauge, epsilon, scan)
-
-    we_mesh = _level_mesh(gauge, grid, t0, rescale=t0)
+    we_mesh = _level_mesh(gauge, grid, 1.0)
     contained = bool(np.all(contains_many(body, we_mesh.points)))
     mus = body_gauge_values(body, we_mesh.points)
     tube_ok = bool(np.all(mus >= 1.0 - 5.0 * epsilon) and np.all(mus <= 1.0 + 5.0 * epsilon))
@@ -586,4 +508,4 @@ def extract_smoothed_body(
     }
     if abs(breakdown["radius_based"] - breakdown["flag_based"]) > 0.01 * max(symdiff, 1e-300):
         checks["symdiff_breakdown"] = breakdown
-    return SmoothedBody(gauge=gauge, t0=t0, checks=checks, meshes=(w_mesh, we_mesh))
+    return SmoothedBody(gauge=gauge, checks=checks, meshes=(w_mesh, we_mesh))

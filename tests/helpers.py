@@ -202,19 +202,19 @@ def halfspace_radii_reference(body, dirs: np.ndarray) -> np.ndarray:
     return np.min(cand, axis=1)
 
 
-def level_flags_reference(gauge, grid, levels: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Facet agreement flags (L, F) of level sets with radii (L, N) over a
-    ``smooth._level_grid`` grid, tested on each level's own mesh: a facet
+def level_flags_reference(gauge, grid, level: float, radii: np.ndarray) -> np.ndarray:
+    """Facet agreement flags (F,) of the level set with radii (N,) over a
+    ``smooth._level_grid`` grid, tested on the level's own mesh: a facet
     agrees when every vertex takes the closed-form radius level/mu(u) and
     ``agreement_many`` passes at the facet's centroid (the per-level form
-    of ``smooth._mesh_levels``'s flags)."""
+    of ``smooth._level_mesh``'s flags, which scale the level-1 gaps)."""
     dirs, facets, mu, sq = grid[:4]
     closed = np.ones(radii.shape, dtype=bool)
     if sq is not None:
-        r = levels[:, None] / mu
+        r = level / mu
         closed = r * r * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
-    centroids = facet_centroids(radii[..., None] * dirs, facets)
-    return closed[:, facets].all(axis=2) & agreement_many(gauge, centroids)
+    centroids = facet_centroids(radii[:, None] * dirs, facets)
+    return closed[facets].all(axis=1) & agreement_many(gauge, centroids)
 
 
 def facet_measures_reference(points: np.ndarray, facets: np.ndarray) -> np.ndarray:

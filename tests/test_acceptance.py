@@ -338,7 +338,6 @@ def test_criterion_8_end_to_end_2d():
             delta=delta,
             epsilon=eps_rel,
             order="C2",
-            scan=64,
             resolution=4096,
         )
         w_mesh = boundary_mesh(body, resolution)
@@ -358,7 +357,7 @@ def test_criterion_8_end_to_end_2d():
         idx = rng.integers(0, len(we_mesh.points), size=200)
         eig_min = np.inf
         for i in idx:
-            _, _, hess = blended_gauge_sq(smoothed.gauge, smoothed.t0 * we_mesh.points[i])
+            _, _, hess = blended_gauge_sq(smoothed.gauge, we_mesh.points[i])
             eig_min = min(eig_min, float(np.linalg.eigvalsh(hess)[0]))
         worst_eig_ratio = min(worst_eig_ratio, eig_min / floor)
         assert eig_min >= 0.9 * floor, f"fixture {k}: curvature {eig_min:.4f}"

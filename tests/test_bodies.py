@@ -90,6 +90,23 @@ class TestEquality:
         assert lens() != Ball([0.5, 0.0], 1.0)
 
 
+class TestBall:
+    @pytest.mark.parametrize(
+        "center, radius, invariant",
+        [
+            ([math.nan, 0.0], math.inf, "ball radius must be finite"),
+            ([math.nan, 0.0], 1.0, "ball center must be finite"),
+            ([0.0, -math.inf], 1.0, "ball center must be finite"),
+            ([0.0, 0.0], math.nan, "ball radius must be finite"),
+            ([0.0, 0.0], [1.0], "ball radius must be a number"),
+        ],
+        ids=["nan-center-inf-radius", "nan-center", "inf-center", "nan-radius", "list-radius"],
+    )
+    def test_single_ball_rejects_non_finite_fields(self, center, radius, invariant):
+        with pytest.raises(InvalidBody, match=invariant):
+            Ball(center=center, radius=radius)
+
+
 class TestContains:
     def test_unit_ball(self):
         body = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)

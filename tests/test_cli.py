@@ -115,7 +115,6 @@ def test_smooth_lens_meets_epsilon(lens_file, tmp_path):
     summary = report["summary"]
     assert summary["symdiff_measure"] < 0.05 * summary["boundary_measure"]
     assert summary["contained"] and summary["tube_ok"]
-    assert 1.0 < summary["t0"] < 1.05
     assert (out / report["mesh_file"]).exists()
     mesh = json.loads((out / "mesh.json").read_text())
     assert len(mesh["points"]) == 2048
@@ -280,8 +279,9 @@ def test_each_command_takes_exactly_its_documented_flags():
         ["probe", "--scan", "8"],
         ["certify", "--epsilon", "0.1"],
         ["smooth", "--seed", "1"],
+        ["smooth", "--scan", "8"],
     ],
-    ids=["measure-seed", "probe-scan", "certify-epsilon", "smooth-seed"],
+    ids=["measure-seed", "probe-scan", "certify-epsilon", "smooth-seed", "smooth-scan"],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, lens_file, tmp_path, capsys):
     out = tmp_path / "out"
@@ -305,7 +305,7 @@ def test_reports_echo_every_config_field_at_its_default(ball_file, tmp_path):
         )
     )
     defaults = {
-        "epsilon": 0.05, "delta": None, "order": "c2", "resolution": None, "seed": 0, "scan": 64
+        "epsilon": 0.05, "delta": None, "order": "c2", "resolution": None, "seed": 0
     }
     for command, path in (("certify", ball_file), ("measure", ball_file), ("probe", probe_file)):
         out = tmp_path / command
@@ -367,7 +367,7 @@ def test_smooth_writes_the_verdict_of_extract_smoothed_body(name, flags, verdict
     checks = smoothed.checks
     keys = {"symdiff_measure", "boundary_measure", "hessian_min_eig", "contained", "tube_ok"}
     keys |= {"symdiff_breakdown"} & set(checks)
-    expected = {"t0": smoothed.t0, "delta": smoothed.gauge.delta, **{k: checks[k] for k in keys}}
+    expected = {"delta": smoothed.gauge.delta, **{k: checks[k] for k in keys}}
     assert summary == json.loads(json.dumps(expected))
     assert code == (0 if checks["passed"] else 1)
     assert (code, "symdiff_breakdown" in summary) == verdict

@@ -268,8 +268,8 @@ class TestSymmetricDifference:
     )
     @pytest.mark.parametrize("order", ["C11", "C2"])
     def test_off_tube_radii_are_bit_exact(self, body, resolution, order):
-        # the rescaled off-tube radius is (t0/t0)/mu(u) = 1/mu(u), the
-        # original body's radius to the last bit
+        # the level-1 off-tube radius is 1.0/mu(u), the original body's
+        # radius to the last bit
         smoothed = extract_smoothed_body(
             body, delta=1e-3, epsilon=0.05, order=order, resolution=resolution
         )

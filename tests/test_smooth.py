@@ -16,8 +16,6 @@ from convexsmooth import (
     contains,
     extract_smoothed_body,
     hausdorff_measure,
-    level_disagreement_scan,
-    select_regular_value,
     smooth_max,
 )
 from convexsmooth import smooth
@@ -32,10 +30,11 @@ from convexsmooth.measure import (
 from convexsmooth.smooth import (
     RIDGE_GUARD,
     _level_grid,
-    _mesh_levels,
+    _level_mesh,
     _phi_terms,
     blended_h_values,
     blended_level_mesh,
+    level_disagreement_scan,
 )
 from helpers import (
     ball_bodies,
@@ -283,14 +282,6 @@ class TestLevelMeshRadii:
         assert np.array_equal(mesh.directions, dirs)
         assert np.all(np.abs(mesh.radii - ref) <= RADIUS_REL_TOL * ref)
 
-    def test_rescaled_radii(self):
-        gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
-        plain = blended_level_mesh(gauge, 1.02, 512)
-        scaled = blended_level_mesh(gauge, 1.02, 512, rescale=1.02)
-        assert np.allclose(scaled.radii, plain.radii / 1.02, rtol=1e-15, atol=0.0)
-        assert np.array_equal(scaled.agreement, plain.agreement)
-        assert np.any(~plain.agreement)
-
     def test_blended_single_ball_levels_are_spheres(self):
         gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
         t0 = 1.02
@@ -328,20 +319,47 @@ def _straddle_points(gauge, rel_offset, radius=0.8):
 
 
 class TestRegularValueSelection:
-    def test_single_ball_returns_scan_midpoint(self):
-        gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
-        eps, scan = 0.05, 64
-        t0 = select_regular_value(gauge, eps, scan)
-        assert abs(t0 - (1 + eps / 2)) <= eps / (scan + 1)
-        assert 1.0 < t0 < 1.0 + eps
+    """Level 1 is the only level worth meshing: level t of a blend of width
+    delta is t times level 1 of width delta/t^2, and a narrower blend never
+    gives a smaller body. The level scan, kept for the benchmark's tracer,
+    still measures each level's tube facets."""
 
-    def test_lens_minimizes_disagreement(self):
-        gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
-        eps, scan = 0.05, 16
-        levels, measures = level_disagreement_scan(gauge, eps, scan, resolution=512)
-        t0 = select_regular_value(gauge, eps, scan)
-        at_t0 = measures[np.argmin(np.abs(levels - t0))]
-        assert at_t0 <= measures.min() + 1e-15
+    @pytest.mark.parametrize("order", ["C11", "C2"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        body=ball_bodies(),
+        log_delta=st.floats(-4.0, -1.0),
+        t=st.floats(1.0, 1.25, exclude_min=True, exclude_max=True),
+        res2d=st.integers(16, 400),
+    )
+    def test_level_t_is_level_one_of_a_narrower_blend(self, order, body, log_delta, t, res2d):
+        # phi_delta(s) = delta Phi(s/delta) and 2-homogeneous member squared
+        # gauges: (1/t) {sqrt(g_delta) <= t} = {g_(delta/t^2) <= 1}
+        delta = 10.0**log_delta * body.radius**2
+        resolution = res2d if body.dim == 2 else 2
+        level_t = blended_level_mesh(BlendedGauge(body, delta, order), t, resolution)
+        level_1 = blended_level_mesh(BlendedGauge(body, delta / t**2, order), 1.0, resolution)
+        assert np.all(np.abs(level_t.radii - t * level_1.radii) <= 1e-13 * level_t.radii)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        body=ball_bodies(),
+        order=st.sampled_from(["C11", "C2"]),
+        log_delta=st.floats(-4.0, -1.0),
+        shrink=st.floats(1e-3, 1.0),
+        res2d=st.integers(16, 400),
+        res3d=st.integers(2, 3),
+    )
+    def test_a_narrower_blend_never_shrinks_the_body(
+        self, body, order, log_delta, shrink, res2d, res3d
+    ):
+        # d phi_delta / d delta >= 0 for both profiles, so g grows with delta
+        # and the level-1 radii can only grow as delta shrinks
+        delta = 10.0**log_delta * body.radius**2
+        resolution = res2d if body.dim == 2 else res3d
+        wide = blended_level_mesh(BlendedGauge(body, delta, order), 1.0, resolution)
+        narrow = blended_level_mesh(BlendedGauge(body, shrink * delta, order), 1.0, resolution)
+        assert np.all(narrow.radii >= wide.radii * (1.0 - 1e-14))
 
     def test_min_bounded_by_scan_average(self):
         gauge = BlendedGauge(body=lens(), delta=5e-3, order="C2")
@@ -364,9 +382,7 @@ class TestRegularValueSelection:
         gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
         for bad in (0.0, 0.25, 0.5, -0.1):
             with pytest.raises(DegenerateEpsilon):
-                select_regular_value(gauge, bad, 16)
-        with pytest.raises(ValueError):
-            select_regular_value(gauge, 0.05, 4)
+                level_disagreement_scan(gauge, bad, 16)
 
 
 def ring(m, offset):
@@ -376,37 +392,22 @@ def ring(m, offset):
     )
 
 
-class TestBatchedScan:
-    """The scan meshes all its levels in one batch; every level must get
-    the measure, and radii, of meshing it alone."""
+class TestOneLevelMesher:
+    """A level's tube directions go through one Newton solve; every row must
+    get the radius of solving it alone, and the facets the flags of the
+    level's own centroids."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        body=ball_bodies(),
-        order=st.sampled_from(["C11", "C2"]),
-        log_delta=st.floats(-4.0, -1.0),
-        res2d=st.integers(16, 300),
-        scan=st.integers(8, 24),
-    )
-    def test_scan_measures_are_single_level_measures(self, body, order, log_delta, res2d, scan):
-        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
-        resolution = res2d if body.dim == 2 else 2
-        levels, measures = level_disagreement_scan(gauge, 0.05, scan, resolution=resolution)
-        for t, m in zip(levels, measures):
-            assert m == hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
-
-    @pytest.mark.parametrize(
-        "order, epsilon", [("C11", 0.2), ("C2", 0.05)], ids=["C11", "C2"]
-    )
-    def test_levels_taking_different_newton_step_counts(self, order, epsilon, monkeypatch):
-        # a wide blend on an 8-ball ring: some levels need one Newton step
-        # more than others, and each level still gets its own radii
+    @pytest.mark.parametrize("order", ["C11", "C2"])
+    def test_rows_taking_different_newton_step_counts(self, order, monkeypatch):
+        # a wide blend on an 8-ball ring: some rows need more Newton steps
+        # than others, and each still gets its own radius
         gauge = BlendedGauge(body=ring(8, 0.1), delta=0.1, order=order)
-        levels = 1.0 + epsilon * (np.arange(16) + 1.0) / 17.0
-        radii, _ = _mesh_levels(gauge, _level_grid(gauge, 256), levels)
+        grid = _level_grid(gauge, 256)
+        radii = _level_mesh(gauge, grid, 1.0).radii
+        tube = np.nonzero(grid.sq[:, 0] - grid.sq[:, 1] < gauge.delta * (1.0 + RIDGE_GUARD))[0]
         fold = smooth._fold
         steps = []
-        for t, batched in zip(levels, radii):
+        for row in tube:
             calls = []
 
             def counted(*args, **kwargs):
@@ -414,10 +415,10 @@ class TestBatchedScan:
                 return fold(*args, **kwargs)
 
             monkeypatch.setattr(smooth, "_fold", counted)
-            alone = blended_level_mesh(gauge, t, 256)
+            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1], 1.0)
             monkeypatch.setattr(smooth, "_fold", fold)
             steps.append(len(calls))
-            assert np.array_equal(batched, alone.radii)
+            assert radii[row] == alone[0]
         assert min(steps) > 0 and len(set(steps)) > 1
 
     @settings(max_examples=40, deadline=None)
@@ -425,67 +426,50 @@ class TestBatchedScan:
         body=ball_bodies(),
         order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, -1.0),
+        level=st.floats(1.0, 1.25),
         res2d=st.integers(16, 200),
-        scan=st.integers(8, 16),
     )
-    def test_each_tube_row_is_solved_as_if_alone(self, body, order, log_delta, res2d, scan):
+    def test_each_tube_row_is_solved_as_if_alone(self, body, order, log_delta, level, res2d):
         # every row stops on its own Newton step, so no row's radius depends
-        # on the rows batched with it, of its own level or of others
+        # on the rows batched with it
         gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
         grid = _level_grid(gauge, res2d if body.dim == 2 else 2)
-        levels = 1.0 + 0.05 * (np.arange(scan) + 1.0) / (scan + 1.0)
-        radii, _ = _mesh_levels(gauge, grid, levels)
+        radii = _level_mesh(gauge, grid, level).radii
         if grid.sq is None:
             return
-        r = levels[:, None] / grid.mu
+        r = level / grid.mu
         tube = r * r * (grid.sq[:, 0] - grid.sq[:, 1]) < gauge.delta * (1.0 + RIDGE_GUARD)
-        for level, row in zip(*np.nonzero(tube)):
-            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1], levels[level : level + 1] ** 2)
-            assert radii[level, row] == alone[0]
+        for row in np.nonzero(tube)[0]:
+            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1], level * level)
+            assert radii[row] == alone[0]
 
     @settings(max_examples=60, deadline=None)
     @given(
         body=ball_bodies(),
         order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, np.log10(0.3)),
-        epsilon=st.floats(0.01, 0.24),
+        level=st.floats(1.0, 1.25),
         res2d=st.integers(16, 700),
         res3d=st.integers(2, 3),
-        scan=st.integers(8, 24),
     )
-    def test_flags_are_those_of_each_level_centroid(
-        self, body, order, log_delta, epsilon, res2d, res3d, scan
+    def test_flags_are_those_of_the_level_centroids(
+        self, body, order, log_delta, level, res2d, res3d
     ):
-        # the batched flags scale one level-1 gap by level^2; testing each
-        # level's own centroids must agree except where the gap sits at the
-        # threshold to rounding
+        # the flags scale the level-1 gap by level^2; testing the level's own
+        # centroids must agree except where the gap sits at the threshold to
+        # rounding
         gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
         grid = _level_grid(gauge, res2d if body.dim == 2 else res3d)
-        levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
-        radii, flags = _mesh_levels(gauge, grid, levels)
-        ref = level_flags_reference(gauge, grid, levels, radii)
+        mesh = _level_mesh(gauge, grid, level)
+        ref = level_flags_reference(gauge, grid, level, mesh.radii)
         if len(body.centers) == 1:
-            assert np.array_equal(flags, ref) and np.all(flags)
+            assert np.array_equal(mesh.agreement, ref) and np.all(ref)
             return
         threshold = gauge.delta * (1.0 + RIDGE_GUARD)
-        gap = _gap_values(body, facet_centroids(radii[..., None] * grid.dirs, grid.facets))
+        gap = _gap_values(body, facet_centroids(mesh.radii[:, None] * grid.dirs, grid.facets))
         at_threshold = np.abs(gap - threshold) <= 1e-12 * threshold
-        assert np.array_equal(flags[~at_threshold], ref[~at_threshold])
-        assert np.count_nonzero(at_threshold) <= 1 + 1e-3 * flags.size
-
-    def test_scan_spanning_several_level_blocks(self, monkeypatch):
-        gauge = BlendedGauge(
-            body=random_ball_body(np.random.default_rng(21), 2, 6), delta=1e-3, order="C2"
-        )
-        resolution = 2048  # 2D: as many facets as directions
-        scan = 2 * (smooth._SCAN_BLOCK_CELLS // resolution) + 5
-        levels, measures = level_disagreement_scan(gauge, 0.05, scan, resolution=resolution)
-        for t, m in zip(levels, measures):
-            assert m == hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
-        monkeypatch.setattr(smooth, "_SCAN_BLOCK_CELLS", scan * resolution)
-        _, unblocked = level_disagreement_scan(gauge, 0.05, scan, resolution=resolution)
-        assert np.array_equal(measures, unblocked)
-        assert np.any(measures > 0.0)
+        assert np.array_equal(mesh.agreement[~at_threshold], ref[~at_threshold])
+        assert np.count_nonzero(at_threshold) <= 1 + 1e-3 * len(ref)
 
 
 class TestExtract:
@@ -494,7 +478,6 @@ class TestExtract:
 
         body = single()
         smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2")
-        assert 1.0 < smoothed.t0 < 1.05
         for res in (128, 512):
             w = boundary_mesh(body, res)
             we = boundary_mesh(smoothed, res)
@@ -591,9 +574,8 @@ class TestExtract:
     def test_serialization(self):
         smoothed = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
         data = smoothed.to_json()
-        assert set(data) == {"body", "delta", "order", "t0"}
+        assert set(data) == {"body", "delta", "order"}
         assert data["order"] == "C2"
-        assert data["t0"] == smoothed.t0
 
 
 class TestPipelineInvariants:
