@@ -17,12 +17,16 @@ and stderr (or the type and message of an exception that escaped
 ``cli.run``). The output directory's path is masked in ``report.json``,
 which echoes it, and in ``exit.txt``. Every file present in one tree only,
 or differing between the trees, is listed; the exit status is 1 if any
-is, else 0.
+is, else 0. Under a differing ``report.json`` go its differing JSON paths:
+keys present on one side only, changed non-numbers, and for numbers the
+largest relative change. The elements of a list that holds no objects
+(numbers, or lists of numbers) share one path, ``[*]``.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import multiprocessing
 import os
 import shutil
@@ -85,8 +89,49 @@ def _files(directory: Path) -> dict[str, bytes]:
     return files
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _walk(old, new, path: str, changes: dict, lines: list) -> None:
+    """Collect the differences of two JSON values under ``path``: numeric
+    changes into ``changes`` (path -> largest relative change), every other
+    difference into ``lines``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in new:
+                lines.append(f"{sub}: only in old")
+            elif key not in old:
+                lines.append(f"{sub}: only in new")
+            else:
+                _walk(old[key], new[key], sub, changes, lines)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            lines.append(f"{path}: {len(old)} items in old, {len(new)} in new")
+            return
+        numeric = all(not isinstance(v, dict) for v in old + new)
+        for i, (a, b) in enumerate(zip(old, new)):
+            _walk(a, b, f"{path}[{'*' if numeric else i}]", changes, lines)
+    elif _is_number(old) and _is_number(new):
+        if old != new:
+            rel = abs(old - new) / max(abs(old), abs(new))
+            changes[path] = max(changes.get(path, 0.0), rel)
+    elif old != new:
+        lines.append(f"{path}: {json.dumps(old)} in old, {json.dumps(new)} in new")
+
+
+def json_differences(old: bytes, new: bytes) -> list[str]:
+    """The JSON paths at which two JSON texts differ, one line each."""
+    changes, lines = {}, []
+    _walk(json.loads(old), json.loads(new), "", changes, lines)
+    lines += [f"{path}: largest relative change {rel:.3g}" for path, rel in changes.items()]
+    return sorted(lines)
+
+
 def compare(old: str, new: str, seeds) -> list[str]:
-    """Differences between the two trees' outputs, one line each."""
+    """Differences between the two trees' outputs, one entry per file; a
+    differing ``report.json`` adds an indented line per differing path."""
     sys.path.insert(0, str(ROOT / "bench"))
     import corpus
 
@@ -113,7 +158,10 @@ def compare(old: str, new: str, seeds) -> list[str]:
                     if a is None or b is None:
                         differences.append(f"{tag}: {path} only in {'new' if a is None else 'old'}")
                     elif a != b:
-                        differences.append(f"{tag}: {path} differs")
+                        details = json_differences(a, b) if path.endswith("report.json") else []
+                        differences.append(
+                            "\n".join([f"{tag}: {path} differs", *("    " + d for d in details)])
+                        )
                 print(f"{tag}: {len(sides['new'])} files compared", file=sys.stderr)
     return differences
 
