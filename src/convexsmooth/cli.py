@@ -42,15 +42,9 @@ from .errors import ConvexSmoothError, InvalidBody
 # Certificate samples and probe rays when --resolution is not given.
 DEFAULT_SAMPLES = 360
 
-# The checks of extract_smoothed_body that a smooth report summarizes
-# (symdiff_breakdown only when the library reports it).
+# The checks of extract_smoothed_body that a smooth report summarizes.
 _SMOOTH_SUMMARY = (
-    "symdiff_measure",
-    "boundary_measure",
-    "hessian_min_eig",
-    "contained",
-    "tube_ok",
-    "symdiff_breakdown",
+    "symdiff_measure", "boundary_measure", "hessian_min_eig", "contained", "tube_ok"
 )
 
 
@@ -118,7 +112,8 @@ def _write_mesh(config: RunConfig, mesh: meas.BoundaryMesh) -> str:
 
 def _run_certify(config: RunConfig) -> int:
     body = body_from_json(json.loads(Path(config.input).read_text()))
-    reports = cert.certify_body(body, config.resolution or DEFAULT_SAMPLES, config.seed)
+    samples = DEFAULT_SAMPLES if config.resolution is None else config.resolution
+    reports = cert.certify_body(body, samples, config.seed)
     passed = all(r.passed for r in reports)
     _write_report(
         config,
@@ -147,7 +142,7 @@ def _run_smooth(config: RunConfig) -> int:
     )
     checks = smoothed.checks
     summary = {"delta": smoothed.gauge.delta}
-    summary.update((key, checks[key]) for key in _SMOOTH_SUMMARY if key in checks)
+    summary.update((key, checks[key]) for key in _SMOOTH_SUMMARY)
     mesh_file = _write_mesh(config, smoothed.meshes[1])
     _write_report(
         config,
@@ -190,7 +185,7 @@ def _run_probe(config: RunConfig) -> int:
     outer = body_from_json(data["outer"])
     if not isinstance(inner, BallBody):
         raise InvalidBody("probe inner body must be a BallBody")
-    rays = config.resolution or DEFAULT_SAMPLES
+    rays = DEFAULT_SAMPLES if config.resolution is None else config.resolution
     _, report = proj.boundary_surjectivity_probe(inner, outer, rays)
     _write_report(config, {"command": "probe", "config": asdict(config), "summary": report})
     return 0 if report["passed"] else 1

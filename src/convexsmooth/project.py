@@ -212,8 +212,10 @@ def boundary_surjectivity_probe(
     most the threshold. Raises :class:`RayMiss` when a sampled inner boundary
     point lies outside the outer body (beyond ``MEMBERSHIP_SLACK``) or a
     ray never leaves it: the outer body does not enclose the inner one, or
-    is unbounded.
+    is unbounded; ValueError unless ``samples`` is positive.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     if outer.dim != inner.dim:
         raise InvalidBody(f"outer body has dim {outer.dim}, inner body dim {inner.dim}")
     points, normals = boundary_samples(inner, samples)

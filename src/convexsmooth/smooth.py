@@ -44,9 +44,9 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .bodies import BallBody, _as_vector, contains_many, body_to_json
+from .bodies import MEMBERSHIP_SLACK, BallBody, _as_vector, body_to_json
 from .errors import DegenerateEpsilon, NonConvergence, ShrinkDelta
-from .gauge import body_gauge_values, member_gauge_derivatives, member_gauges
+from .gauge import member_gauge_derivatives, member_gauges
 from . import measure as _measure
 
 Order = Literal["C11", "C2"]
@@ -451,17 +451,19 @@ def extract_smoothed_body(
     default of :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
-    ``resolution``, and ``checks`` the run's verification data: whether
-    every smoothed mesh vertex is ``contained`` in the body (so, the body
-    being convex around the origin, is each point between a vertex and the
-    origin) and stays in the gauge tube [1 - 5 eps, 1 + 5 eps]
-    (``tube_ok``); ``hessian_min_eig``, the blend's proven curvature floor
-    2/(2R - rho)^2 >= ``hessian_floor`` = 1/(2 R^2) (each member's is
-    2/(R + |a_i|)^2, and the fold adds only convex combinations and PSD
-    terms); the meshes' ``symdiff_measure``, with ``symdiff_breakdown``
-    when its radius- and flag-based routes differ by more than 1% of it;
-    and ``passed``, the ``smooth`` command's verdict: symdiff_measure
-    below epsilon * ``boundary_measure``, contained and tube_ok.
+    ``resolution``. ``checks`` reads the vertex checks off their radii:
+    mu is 1-homogeneous and the original radii are 1/mu(u), so a smoothed
+    vertex's body gauge is its radius over the original one. g >= q, and
+    each of the at most m - 1 fold steps adds at most delta/4, so that
+    ratio lies in [sqrt(1 - (m - 1) delta/4), 1]. ``contained``: every
+    smoothed radius is at most the original plus ``MEMBERSHIP_SLACK``;
+    ``tube_ok``: every ratio is in [1 - 5 eps, 1 + 5 eps];
+    ``gauge_range_on_boundary``: the least and largest ratio. Then the
+    proven curvature floor ``hessian_min_eig`` = 2/(2R - rho)^2 >=
+    ``hessian_floor`` = 1/(2 R^2), ``tube_estimate``, ``boundary_measure``,
+    the meshes' :func:`measure.symmetric_difference_measure` as
+    ``symdiff_measure``, and ``passed``, the ``smooth`` verdict:
+    symdiff_measure below epsilon * boundary_measure, contained and tube_ok.
     """
     _check_epsilon(epsilon)
     _measure.check_mesh_dim(body.dim)
@@ -489,16 +491,15 @@ def extract_smoothed_body(
         )
 
     we_mesh = _level_mesh(gauge, grid, 1.0)
-    contained = bool(np.all(contains_many(body, we_mesh.points)))
-    mus = body_gauge_values(body, we_mesh.points)
-    tube_ok = bool(np.all(mus >= 1.0 - 5.0 * epsilon) and np.all(mus <= 1.0 + 5.0 * epsilon))
-    breakdown = _measure.symmetric_difference_breakdown(w_mesh, we_mesh)
-    symdiff = breakdown["combined"]
+    ratio = we_mesh.radii / w_mesh.radii  # body gauges of the smoothed vertices
+    contained = bool(np.all(we_mesh.radii <= w_mesh.radii + MEMBERSHIP_SLACK))
+    tube_ok = bool(np.all((ratio >= 1.0 - 5.0 * epsilon) & (ratio <= 1.0 + 5.0 * epsilon)))
+    symdiff = _measure.symmetric_difference_measure(w_mesh, we_mesh)
 
     checks = {
         "contained": contained,
         "tube_ok": tube_ok,
-        "gauge_range_on_boundary": (float(np.min(mus)), float(np.max(mus))),
+        "gauge_range_on_boundary": (float(np.min(ratio)), float(np.max(ratio))),
         "hessian_min_eig": 2.0 / (2.0 * body.radius - body.interior_radius) ** 2,
         "hessian_floor": 1.0 / (2.0 * body.radius**2),
         "tube_estimate": tube_estimate,
@@ -506,6 +507,4 @@ def extract_smoothed_body(
         "symdiff_measure": symdiff,
         "passed": bool(symdiff < epsilon * boundary_measure and contained and tube_ok),
     }
-    if abs(breakdown["radius_based"] - breakdown["flag_based"]) > 0.01 * max(symdiff, 1e-300):
-        checks["symdiff_breakdown"] = breakdown
     return SmoothedBody(gauge=gauge, checks=checks, meshes=(w_mesh, we_mesh))

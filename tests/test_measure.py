@@ -83,6 +83,21 @@ class TestBoundaryMesh:
         with pytest.raises(ValueError, match="finite and positive"):
             BoundaryMesh(dim=2, directions=dirs, radii=radii, facets=facets)
 
+    @pytest.mark.parametrize(
+        "radii, agreement",
+        [
+            (np.ones(15), None),
+            (np.ones((16, 1)), None),
+            (np.ones(16), np.ones(15, dtype=bool)),
+            (np.ones(16), np.ones(17, dtype=bool)),
+        ],
+        ids=["short-radii", "column-radii", "short-agreement", "long-agreement"],
+    )
+    def test_radii_and_flags_must_match_the_grid(self, radii, agreement):
+        dirs, facets = direction_grid(2, 16)
+        with pytest.raises(ValueError, match="one radius per direction and one flag per facet"):
+            BoundaryMesh(dim=2, directions=dirs, radii=radii, facets=facets, agreement=agreement)
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             boundary_mesh(unit_ball(), 8)
