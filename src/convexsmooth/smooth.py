@@ -55,8 +55,8 @@ Order = Literal["C11", "C2"]
 # delta * (1 + RIDGE_GUARD) are strictly outside every blend zone.
 RIDGE_GUARD = 1e-9
 
-# Default blend width is DEFAULT_DELTA_FACTOR * R^2 (squared-gauge units).
-DEFAULT_DELTA_FACTOR = 1e-3
+# Default blend width; squared gauges are dimensionless, so it fits every scale.
+DEFAULT_DELTA = 1e-3
 
 # Iteration cap of the tube solve; monotone Newton from the right
 # converges in well under ten steps for any blend width.
@@ -447,7 +447,7 @@ def extract_smoothed_body(
     identical centers, which no delta separates), and
     :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). Bodies outside
     the meshing dimensions raise :class:`InvalidBody`. A ``delta`` of None
-    takes DEFAULT_DELTA_FACTOR * R^2, and a ``resolution`` of None the
+    takes DEFAULT_DELTA, and a ``resolution`` of None the
     default of :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
@@ -468,7 +468,7 @@ def extract_smoothed_body(
     _check_epsilon(epsilon)
     _measure.check_mesh_dim(body.dim)
     if delta is None:
-        delta = DEFAULT_DELTA_FACTOR * body.radius**2
+        delta = DEFAULT_DELTA
     gauge = BlendedGauge(body=body, delta=delta, order=order)
 
     # one grid for both output meshes; its radii 1/mu(u) are those of

@@ -545,6 +545,19 @@ class TestExtract:
         with pytest.raises(DegenerateEpsilon):
             extract_smoothed_body(lens(), delta=1e-3, epsilon=0.3, order="C2")
 
+    @pytest.mark.parametrize("scale", [0.25, 8.0], ids=["quarter", "eight"])
+    def test_default_width_is_scale_invariant(self, scale):
+        # squared gauges are dimensionless, so the default width fits every
+        # scale; a power-of-two scale multiplies each radius exactly
+        unit = extract_smoothed_body(lens(), delta=None, epsilon=0.05)
+        body = BallBody(radius=scale, centers=scale * lens().centers, dim=2)
+        scaled = extract_smoothed_body(body, delta=None, epsilon=0.05)
+        assert scaled.gauge.delta == unit.gauge.delta
+        for got, ref in zip(scaled.meshes, unit.meshes):
+            assert np.array_equal(got.radii, scale * ref.radii)
+            assert np.array_equal(got.agreement, ref.agreement)
+        assert scaled.checks["passed"] == unit.checks["passed"] is True
+
     @pytest.mark.parametrize(
         "body, resolution",
         [(lens(), None), (lens(), 100), (THREE_BALL, None)],
