@@ -304,8 +304,11 @@ def symmetric_difference_breakdown(w_mesh: BoundaryMesh, we_mesh: BoundaryMesh) 
     vertex is flagged), so ``combined`` equals ``flag_based`` there.
     """
     by_radius, by_flag = _symdiff_masks(w_mesh, we_mesh)
-    masks = {"combined": by_radius | by_flag, "radius_based": by_radius, "flag_based": by_flag}
-    return {key: _two_sided_measure(w_mesh, we_mesh, mask) for key, mask in masks.items()}
+    return {
+        "combined": _two_sided_measure(w_mesh, we_mesh, by_radius | by_flag),
+        "radius_based": _two_sided_measure(w_mesh, we_mesh, by_radius),
+        "flag_based": _two_sided_measure(w_mesh, we_mesh, by_flag),
+    }
 
 
 def polyline_json(mesh: BoundaryMesh) -> str:

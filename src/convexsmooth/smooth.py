@@ -451,19 +451,18 @@ def extract_smoothed_body(
     default of :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
-    ``resolution``. ``checks`` reads the vertex checks off their radii:
+    ``resolution``; ``checks`` reads its vertex checks off their radii.
     mu is 1-homogeneous and the original radii are 1/mu(u), so a smoothed
-    vertex's body gauge is its radius over the original one. g >= q, and
-    each of the at most m - 1 fold steps adds at most delta/4, so that
-    ratio lies in [sqrt(1 - (m - 1) delta/4), 1]. ``contained``: every
-    smoothed radius is at most the original plus ``MEMBERSHIP_SLACK``;
-    ``tube_ok``: every ratio is in [1 - 5 eps, 1 + 5 eps];
-    ``gauge_range_on_boundary``: the least and largest ratio. Then the
-    proven curvature floor ``hessian_min_eig`` = 2/(2R - rho)^2 >=
-    ``hessian_floor`` = 1/(2 R^2), ``tube_estimate``, ``boundary_measure``,
-    the meshes' :func:`measure.symmetric_difference_measure` as
-    ``symdiff_measure``, and ``passed``, the ``smooth`` verdict:
-    symdiff_measure below epsilon * boundary_measure, contained and tube_ok.
+    vertex's body gauge is its radius over the original one, and g >= q
+    plus at most m - 1 fold steps of at most delta/4 each put it in
+    [sqrt(1 - (m - 1) delta/4), 1]. ``contained``: no smoothed radius
+    exceeds the original by more than ``MEMBERSHIP_SLACK``; ``tube_ok``:
+    every ratio is in [1 - 5 eps, 1 + 5 eps]; ``gauge_range_on_boundary``:
+    the least and largest ratio. ``hessian_min_eig`` is the proven floor
+    2/(2R - rho)^2 >= ``hessian_floor`` = 1/(2 R^2), ``symdiff_measure``
+    the meshes' :func:`measure.symmetric_difference_measure`, and
+    ``passed`` the ``smooth`` verdict: symdiff_measure below epsilon *
+    ``boundary_measure``, contained and tube_ok.
     """
     _check_epsilon(epsilon)
     _measure.check_mesh_dim(body.dim)
