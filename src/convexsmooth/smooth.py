@@ -447,8 +447,8 @@ def extract_smoothed_body(
     identical centers, which no delta separates), and
     :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). Bodies outside
     the meshing dimensions raise :class:`InvalidBody`. A ``delta`` of None
-    takes DEFAULT_DELTA, and a ``resolution`` of None the
-    default of :func:`measure.direction_grid`.
+    takes DEFAULT_DELTA, and a ``resolution`` of None the default of
+    :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
     ``resolution``; ``checks`` reads its vertex checks off their radii.
