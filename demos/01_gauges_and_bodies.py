@@ -12,12 +12,13 @@ from convexsmooth import (
     BallBody,
     ball_gauge,
     ball_gauge_derivatives,
-    body_gauge,
     contains,
     diameter,
     gauge_lipschitz_bound,
+    member_gauges,
     normal_lift,
 )
+from convexsmooth.gauge import attaining_members
 
 # --- build a body ----------------------------------------------------------
 # invariants are enforced at construction: all centers must be closer to
@@ -48,8 +49,9 @@ print("floor 1/(2R^2) =", 1 / (2 * ball.radius**2))
 # the body gauge is the max over members; where two members tie you are
 # on a ridge (here: the vertical symmetry plane of the lens)
 tip = np.array([0.0, np.sqrt(0.75)])
-value, argmax = body_gauge(lens, tip)
-print("\nbody gauge at the lens tip:", value, "attained by members", argmax)
+mus = member_gauges(lens, tip)
+attaining = np.flatnonzero(attaining_members(mus)).tolist()
+print("\nbody gauge at the lens tip:", mus.max(), "attained by members", attaining)
 
 # --- coarse geometric data -------------------------------------------------
 print("\ndiameter (certified upper bound):", diameter(lens))
@@ -58,4 +60,4 @@ print("gauge Lipschitz bound 2/rho:", gauge_lipschitz_bound(lens))
 
 # the normal lift turns a subgradient of a graph function into the unit
 # outward normal of its epigraph; it is how slopes enter ball geometry
-print("\nnormal lift of slope (1,):", normal_lift([1.0]).lift)
+print("\nnormal lift of slope (1,):", normal_lift([1.0]))

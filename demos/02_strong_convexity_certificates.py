@@ -15,15 +15,15 @@ from convexsmooth import (
     BallBody,
     HalfspaceBody,
     PatchParams,
-    ball_gauge_derivatives,
     ball_support_check,
-    body_gauge,
     enclosing_radius,
     gauge_sq_hessian_check,
     halfspace_reconstruction_gap,
     level_set_radius,
+    member_gauge_derivatives,
     subgradient_certificate,
 )
+from convexsmooth.gauge import attaining_members
 
 lens = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
 square = HalfspaceBody(
@@ -67,14 +67,15 @@ print(
 
 # --- the subgradient inequality --------------------------------------------
 # strong convexity of a function is quadratic growth above every tangent;
-# realize it for the squared body gauge with its curvature floor
+# realize it for the squared body gauge with its curvature floor; an
+# attaining member's gradient is a subgradient of the body gauge
 rng = np.random.default_rng(0)
-pts = []
-while len(pts) < 40:
-    x = rng.standard_normal(2) * rng.uniform(0.3, 1.5)
-    value, argmax = body_gauge(lens, x)
-    ev = ball_gauge_derivatives(lens.balls()[argmax[0]], x)
-    pts.append((x, value**2, 2 * ev.value * ev.grad))
+xs = rng.standard_normal((40, 2)) * rng.uniform(0.3, 1.5, size=(40, 1))
+mus, grads, _ = member_gauge_derivatives(lens, xs)
+rows = np.arange(len(xs))
+first = np.argmax(attaining_members(mus), axis=1)
+mu = mus[rows, first]
+pts = list(zip(xs, mu**2, 2 * mu[:, None] * grads[rows, first]))
 print("subgradient inequality at eta = 0.5:", subgradient_certificate(pts, 0.5).passed)
 print("                  ... at eta = 3.0:", subgradient_certificate(pts, 3.0).passed)
 

@@ -12,32 +12,31 @@ import numpy as np
 from convexsmooth import (
     BallBody,
     BlendedGauge,
-    agreement_indicator,
     blended_gauge_sq,
+    blended_values,
+    body_gauge_values,
     boundary_mesh,
     extract_smoothed_body,
     hausdorff_measure,
     polyline_json,
-    smooth_max,
     symmetric_difference_measure,
 )
-
-# --- the blend at the heart of the pipeline ---------------------------------
-# a smoothed maximum that is EXACT (same floats) once the arguments
-# separate by delta, and convex in between
-for a, b in ((1.0, 0.2), (1.0, 0.95), (1.0, 1.0)):
-    value, weight = smooth_max(a, b, delta=0.1, order="C2")
-    print(f"smooth_max({a}, {b}) = {value:.6f}  (weight on a: {weight:.2f})")
+from convexsmooth.smooth import agreement_many
 
 # --- blending the squared gauge ---------------------------------------------
+# the member squared gauges go through a smoothed maximum that is EXACT
+# (same floats) once the top two separate by delta, and convex in between
 lens = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
 gauge = BlendedGauge(body=lens, delta=1e-3, order="C2")
 
 on_ridge = np.array([0.0, 0.8])
 off_ridge = np.array([0.6, 0.5])
-print("\nagreement with the squared gauge:")
-print("  on the ridge:", agreement_indicator(gauge, on_ridge))
-print("  off the ridge:", agreement_indicator(gauge, off_ridge))
+points = np.array([on_ridge, off_ridge])
+excess = blended_values(gauge, points) - body_gauge_values(lens, points) ** 2
+agree = agreement_many(gauge, points)
+print("\nblend minus squared gauge, and agreement with it:")
+print(f"  on the ridge:  {excess[0]:.3e}, {agree[0]}")
+print(f"  off the ridge: {excess[1]:.3e}, {agree[1]}")
 
 # the blend keeps the members' curvature floor
 _, _, hess = blended_gauge_sq(gauge, on_ridge)

@@ -12,7 +12,6 @@ from .bodies import (
     Ball,
     BallBody,
     HalfspaceBody,
-    NormalLift,
     body_from_json,
     body_to_json,
     contains,
@@ -55,7 +54,6 @@ from .gauge import (
     GaugeEval,
     ball_gauge,
     ball_gauge_derivatives,
-    body_gauge,
     body_gauge_values,
     gauge_lipschitz_bound,
     member_gauge_derivatives,
@@ -84,12 +82,10 @@ from .project import (
 from .smooth import (
     BlendedGauge,
     SmoothedBody,
-    agreement_indicator,
     blended_gauge_sq,
     blended_gauge_sq_many,
     blended_values,
     extract_smoothed_body,
-    smooth_max,
 )
 
 __version__ = "0.1.0"

@@ -59,11 +59,27 @@ def _frozen_array(value) -> np.ndarray:
 _FIELD_SHAPES = ("a number", "a list of numbers", "a list of equal-length lists of numbers")
 
 
+def _text_or_bool(value) -> bool:
+    """Whether a field holds a string or a boolean, which np.array would
+    quietly turn into a number. Two list levels are searched: a field
+    nested deeper fails its shape check anyway."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return value.dtype.kind in "bSU"
+    seq = (list, tuple, np.ndarray)
+    return any(
+        isinstance(x, (str, bytes, bool, np.bool_))
+        for row in (value if isinstance(value, seq) else (value,))
+        for x in (row if isinstance(row, seq) else (row,))
+    )
+
+
 def _finite_array(value, name: str, ndim: int) -> np.ndarray:
     """A body field as a float array of ``ndim`` axes (one axis fewer counts
-    as a single row), every entry finite; anything else raises
-    :class:`InvalidBody` naming the field."""
+    as a single row), every entry a finite int or float; anything else
+    raises :class:`InvalidBody` naming the field."""
     expected = f"{name} must be {_FIELD_SHAPES[ndim]}"
+    if _text_or_bool(value):
+        raise InvalidBody(expected)
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as e:
@@ -175,9 +191,6 @@ class BallBody:
         """rho = R - max_i |a_i|; B(0, rho) is inside the body."""
         return self.radius - float(np.max(np.linalg.norm(self.centers, axis=1)))
 
-    def balls(self) -> list[Ball]:
-        return [Ball(c, self.radius) for c in self.centers]
-
 
 @dataclass(frozen=True)
 class HalfspaceBody:
@@ -219,24 +232,14 @@ class HalfspaceBody:
 Body = Union[BallBody, HalfspaceBody]
 
 
-@dataclass(frozen=True)
-class NormalLift:
-    """Unit outward normal (xi, -1)/sqrt(1+|xi|^2) to an epigraph."""
-
-    xi: np.ndarray
-    lift: np.ndarray
-
-
-def normal_lift(xi) -> NormalLift:
+def normal_lift(xi) -> np.ndarray:
     """Lift a subgradient to the unit outward epigraph normal.
 
     The lift is (xi, -1)/sqrt(1 + |xi|^2): a unit vector whose last
     coordinate is strictly negative.
     """
     xi = _as_vector(xi)
-    scale = 1.0 / np.sqrt(1.0 + float(xi @ xi))
-    lift = np.append(xi, -1.0) * scale
-    return NormalLift(xi=xi, lift=lift)
+    return np.append(xi, -1.0) * (1.0 / np.sqrt(1.0 + float(xi @ xi)))
 
 
 def _row_dots(xs: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ the bits of ``np.max(member_gauges(...), axis=-1)`` in O(N) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,11 +111,6 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
     hess_sq = 2.0 * np.outer(grad, grad) + 2.0 * value * hess_mu
     hess_sq = 0.5 * (hess_sq + hess_sq.T)
     return GaugeEval(value=float(value), grad=grad, hess_sq=hess_sq)
-
-
-class BodyGauge(NamedTuple):
-    value: float
-    argmax_set: list[int]
 
 
 def _member_arrays(body: BallBody) -> tuple[np.ndarray, np.ndarray]:
@@ -217,25 +211,11 @@ def member_gauge_derivatives(body: BallBody, points) -> tuple[np.ndarray, np.nda
     return value, grad, hess_sq
 
 
-def body_gauge(body: BallBody, x) -> BodyGauge:
-    """Body gauge value and the list of members attaining it.
-
-    The attaining set lists every member whose squared gauge is within
-    ``GAP_TOL`` (absolute) of the maximum; more than one entry means x sits
-    on a ridge.
-    """
-    x = _as_vector(x, body.dim)
-    vals = member_gauges(body, x)
-    return BodyGauge(
-        value=float(np.max(vals)), argmax_set=np.flatnonzero(attaining_members(vals)).tolist()
-    )
-
-
 def attaining_members(values: np.ndarray) -> np.ndarray:
     """Mask of the members attaining the body gauge, from member gauges (..., m).
 
     A member attains it when its squared gauge is within ``GAP_TOL`` of the
-    largest: the batched ``argmax_set`` of :func:`body_gauge`.
+    largest; more than one attaining member means the point sits on a ridge.
     """
     sq = values * values
     return sq >= np.max(sq, axis=-1, keepdims=True) - GAP_TOL

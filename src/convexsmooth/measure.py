@@ -32,7 +32,8 @@ class BoundaryMesh:
 
     ``agreement`` flags, one per facet, mark facets whose vertices and
     centroid all lie outside the blend tube of the smoothed body the mesh
-    came from (plain bodies carry all-True flags).
+    came from (plain bodies carry all-True flags). Every array, the cached
+    ones included, is read-only: meshes are shared.
     """
 
     dim: int
@@ -43,16 +44,9 @@ class BoundaryMesh:
 
     def __post_init__(self):
         for name in ("directions", "radii", "facets"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.agreement is None:
-            object.__setattr__(
-                self, "agreement", np.ones(len(self.facets), dtype=bool)
-            )
-        agreement = np.asarray(self.agreement, dtype=bool)
-        agreement.setflags(write=False)
-        object.__setattr__(self, "agreement", agreement)
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name))))
+        flags = np.ones(len(self.facets), dtype=bool) if self.agreement is None else self.agreement
+        object.__setattr__(self, "agreement", _read_only(np.asarray(flags, dtype=bool)))
         shapes = (self.radii.shape, self.agreement.shape)
         if shapes != (self.directions.shape[:1], self.facets.shape[:1]):
             raise ValueError("a mesh takes one radius per direction and one flag per facet")
@@ -61,15 +55,20 @@ class BoundaryMesh:
 
     @cached_property
     def points(self) -> np.ndarray:
-        return self.radii[:, None] * self.directions
+        return _read_only(self.radii[:, None] * self.directions)
 
     @cached_property
     def facet_centroids(self) -> np.ndarray:
-        return facet_centroids(self.points, self.facets)
+        return _read_only(facet_centroids(self.points, self.facets))
 
     @cached_property
     def facet_measures(self) -> np.ndarray:
-        return facet_measures(self.points, self.facets)
+        return _read_only(facet_measures(self.points, self.facets))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _facet_corners(points: np.ndarray, facets: np.ndarray) -> list[np.ndarray]:
@@ -243,7 +242,7 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
     from .smooth import SmoothedBody, blended_level_mesh  # local: avoid cycle
 
     if isinstance(source, SmoothedBody):
-        return blended_level_mesh(source.gauge, 1.0, resolution)
+        return blended_level_mesh(source.gauge, resolution)
     if not isinstance(source, (BallBody, HalfspaceBody)):
         raise TypeError(f"cannot mesh a {type(source).__name__}")
     dirs, facets = direction_grid(source.dim, resolution)
@@ -251,17 +250,9 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
     return BoundaryMesh(dim=source.dim, directions=dirs, radii=radii, facets=facets)
 
 
-def hausdorff_measure(mesh: BoundaryMesh, which: str = "all") -> float:
-    """Total facet measure, optionally restricted by agreement flag."""
-    if which == "all":
-        mask = slice(None)
-    elif which == "agree":
-        mask = mesh.agreement
-    elif which == "disagree":
-        mask = ~mesh.agreement
-    else:
-        raise ValueError("filter must be 'all', 'agree' or 'disagree'")
-    return float(np.sum(mesh.facet_measures[mask]))
+def hausdorff_measure(mesh: BoundaryMesh) -> float:
+    """Total facet measure of a mesh: the boundary measure."""
+    return float(np.sum(mesh.facet_measures))
 
 
 def _symdiff_masks(

@@ -24,17 +24,12 @@ width in (delta/(1 + eps)^2, delta), which delta sets directly. And g
 grows with delta, so {g <= 1} only grows toward the body as delta
 shrinks.
 
-Level sets are meshed without bisection. Member gauges are 1-homogeneous,
-so along a ray r u every member squared gauge is r^2 q_i(u): off the tube
-the level-t crossing is exactly t/mu(u), and inside it the crossing solves
-a convex increasing equation in s = r^2, done by a monotone Newton
-iteration that reuses q(u); the level's tube directions go through one
-Newton solve. Agreement flags need no per-level gauges either. A facet
-whose vertices all sit at t/mu(u) has its level-t centroid at t times its
-level-1 centroid c_1, and member squared gauges are 2-homogeneous, so the
-top-two gap there is t^2 gap(c_1): one gauge pass over the level-1
-centroids flags the facets of any level, and a facet with a tube vertex
-disagrees anyway.
+The level-1 set is meshed without bisection. Member gauges are
+1-homogeneous, so along a ray r u every member squared gauge is
+r^2 q_i(u): off the tube the crossing is exactly 1/mu(u), and inside it
+the crossing solves a convex increasing equation in s = r^2, done by a
+monotone Newton iteration that reuses q(u); the tube directions go
+through one Newton solve.
 """
 
 from __future__ import annotations
@@ -101,25 +96,6 @@ def _phi_terms(t, delta: float, order: Order, derivs: int = 2):
     return tuple(terms)
 
 
-def smooth_max(a: float, b: float, delta: float, order: Order = "C11"):
-    """Smoothed maximum of two scalars with an exact outer branch.
-
-    Returns ``(value, weight_a)``. Outside the blend zone (|a - b| >=
-    delta) the exact maximum is returned, bit for bit, with weight 0 or 1.
-    Inside, value = (a + b + phi(a - b))/2 lies between max(a, b) and
-    max(a, b) + delta/4, and weight_a = (1 + phi'(a - b))/2 is in [0, 1].
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if order not in ("C11", "C2"):
-        raise ValueError("order must be 'C11' or 'C2'")
-    t = a - b
-    if abs(t) >= delta:
-        return (a, 1.0) if t > 0 else (b, 0.0)
-    phi, dphi = _phi_terms(t, delta, order, derivs=1)
-    return (a + b + float(phi)) / 2.0, (1.0 + float(dphi)) / 2.0
-
-
 @dataclass(frozen=True)
 class BlendedGauge:
     """Blended squared gauge of a ball body.
@@ -135,8 +111,8 @@ class BlendedGauge:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", float(self.delta))
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
         if self.order not in ("C11", "C2"):
             raise ValueError("order must be 'C11' or 'C2'")
 
@@ -224,21 +200,6 @@ def blended_gauge_sq(gauge: BlendedGauge, x):
     return float(value[0]), grad[0], hess[0]
 
 
-def blended_h_values(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
-    """h = sqrt of the blended squared gauge, batched."""
-    return np.sqrt(blended_values(gauge, points))
-
-
-def agreement_indicator(gauge: BlendedGauge, x) -> bool:
-    """True when the blend provably equals the squared body gauge at x.
-
-    Sufficient, exact by construction: the top-two member gap (in squared
-    gauge values) is at least delta * (1 + RIDGE_GUARD), which forces every
-    fold step onto its exact branch.
-    """
-    return bool(agreement_many(gauge, _as_vector(x, gauge.dim)[None, :])[0])
-
-
 def _top_two_gap(sq: np.ndarray) -> np.ndarray:
     """First minus second largest member value over the last axis (m >= 2).
 
@@ -254,7 +215,10 @@ def _top_two_gap(sq: np.ndarray) -> np.ndarray:
 
 
 def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
-    """:func:`agreement_indicator` over points of shape (..., n)."""
+    """Whether the blend provably equals the squared body gauge at points
+    (..., n): sufficient, exact by construction, the top-two member gap (in
+    squared gauge values) is at least delta * (1 + RIDGE_GUARD), which
+    forces every fold step onto its exact branch."""
     sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
     if sq.shape[-1] == 1:
         return np.ones(sq.shape[:-1], dtype=bool)
@@ -262,13 +226,13 @@ def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
 
 
 class _LevelGrid(NamedTuple):
-    """What every level set over one direction grid shares.
+    """The direction grid of the level-1 mesh and its member gauges.
 
     ``dirs`` and ``facets`` are the grid, ``mu`` the body gauge mu(u) of
     every direction and ``sq`` its member squared gauges q_i(u), sorted
     descending (None for a single ball). ``gap`` is the top-two gap of the
-    member squared gauges at the facet centroids of the level-1 set, whose
-    vertices are u/mu(u) (inf for a single ball).
+    member squared gauges at the facet centroids of the original mesh,
+    whose vertices are u/mu(u) (inf for a single ball).
     """
 
     dirs: np.ndarray
@@ -281,7 +245,7 @@ class _LevelGrid(NamedTuple):
 def _level_grid(gauge: BlendedGauge, resolution: int) -> _LevelGrid:
     """The :class:`_LevelGrid` of a resolution: one member gauge pass over
     the directions and, unless the body is a single ball, one over the
-    level-1 facet centroids."""
+    original mesh's facet centroids."""
     dirs, facets = _measure.direction_grid(gauge.dim, resolution)
     mus = member_gauges(gauge.body, dirs)
     mu = np.max(mus, axis=-1)
@@ -293,63 +257,58 @@ def _level_grid(gauge: BlendedGauge, resolution: int) -> _LevelGrid:
     return _LevelGrid(dirs, facets, mu, sq, gap)
 
 
-def _level_mesh(gauge: BlendedGauge, grid: _LevelGrid, level: float) -> _measure.BoundaryMesh:
-    """Mesh of the level set h = level over a grid from :func:`_level_grid`.
+def _level_mesh(gauge: BlendedGauge, grid: _LevelGrid) -> _measure.BoundaryMesh:
+    """Mesh of the level set h = 1 over a grid from :func:`_level_grid`.
 
-    Where the top-two gap at r = level/mu(u) is at least
+    Where the top-two gap at r = 1/mu(u) is at least
     delta * (1 + RIDGE_GUARD), every fold step is on its exact branch and r
-    is the crossing, in closed form; at level 1 that is 1/mu(u), the
-    original body's radius to the bit. The directions left in the tube are
-    solved together by :func:`_tube_radii`.
+    is the crossing, in closed form: the original body's radius to the
+    bit. The directions left in the tube are solved together by
+    :func:`_tube_radii`.
 
     A facet agrees when all its vertices took the closed form and the gap
-    at its centroid passes the same test. The gap is needed only on facets
-    whose vertices all sit at level/mu(u): their centroid is level times
-    the level-1 centroid, and member squared gauges are 2-homogeneous, so
-    the gap there is level^2 times ``grid.gap``, up to rounding. Facets
-    with a tube vertex disagree whatever the gap.
+    at its centroid, which is then the original mesh's centroid, passes
+    the same test. Facets with a tube vertex disagree whatever the gap.
     """
     dirs, facets, mu, sq, gap = grid
     threshold = gauge.delta * (1.0 + RIDGE_GUARD)
-    radii = level / mu
+    radii = 1.0 / mu
     closed = np.ones(len(mu), dtype=bool)
     if sq is not None:
         closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= threshold
         if not closed.all():
-            radii[~closed] = _tube_radii(gauge, sq[~closed], level * level)
-    agreement = closed[facets].all(axis=1) & (level * level * gap >= threshold)
+            radii[~closed] = _tube_radii(gauge, sq[~closed])
+    agreement = closed[facets].all(axis=1) & (gap >= threshold)
     return _measure.BoundaryMesh(
         dim=gauge.dim, directions=dirs, radii=radii, facets=facets, agreement=agreement
     )
 
 
-def blended_level_mesh(
-    gauge: BlendedGauge, level: float, resolution: int | None
-) -> _measure.BoundaryMesh:
-    """Mesh the level set h = level over the grid of
+def blended_level_mesh(gauge: BlendedGauge, resolution: int | None) -> _measure.BoundaryMesh:
+    """Mesh the level set h = 1 over the grid of
     :func:`measure.direction_grid` at ``resolution``."""
-    return _level_mesh(gauge, _level_grid(gauge, resolution), level)
+    return _level_mesh(gauge, _level_grid(gauge, resolution))
 
 
-def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, target: float) -> np.ndarray:
-    """Level crossings along tube rows from their member squared gauges.
+def _tube_radii(gauge: BlendedGauge, sq: np.ndarray) -> np.ndarray:
+    """Level-1 crossings along tube rows from their member squared gauges.
 
-    Row j holds q_i(u) sorted descending in ``sq[j]``; ``target`` is
-    level^2. Along the ray the blend is F(s) = fold(s q) with s = r^2:
-    convex (each fold step is convex and nondecreasing in both inputs) and
-    increasing. Newton's method started at s = level^2/q_1, where
-    F(s) >= s q_1 = level^2, therefore stays at or right of the root and
-    decreases monotonically to it. No member gauge is recomputed.
+    Row j holds q_i(u) sorted descending in ``sq[j]``. Along the ray the
+    blend is F(s) = fold(s q) with s = r^2: convex (each fold step is
+    convex and nondecreasing in both inputs) and increasing. Newton's
+    method started at s = 1/q_1, where F(s) >= s q_1 = 1, therefore stays
+    at or right of the root and decreases monotonically to it. No member
+    gauge is recomputed.
 
     Each row stops once its own step is at most 4 ulp of s, so its radius
     is that of solving the row alone, bit for bit, in any batch.
     """
-    s = target / sq[:, 0]
+    s = 1.0 / sq[:, 0]
     live = np.arange(len(s))
     for _ in range(_NEWTON_MAX_STEPS):
         q = sq[live]
         value, slope, _ = _fold(s[live, None] * q, gauge.delta, gauge.order, grad=q[..., None])
-        step = np.maximum((value - target) / slope[:, 0], 0.0)
+        step = np.maximum((value - 1.0) / slope[:, 0], 0.0)
         s[live] = s[live] - step
         live = live[step > 4.0 * np.finfo(float).eps * s[live]]
         if live.size == 0:
@@ -360,12 +319,21 @@ def _tube_radii(gauge: BlendedGauge, sq: np.ndarray, target: float) -> np.ndarra
 # Kept only because the benchmark's tracer binds this name; the retrace of
 # ROADMAP item 1 deletes it. No pipeline or CLI path calls it.
 def level_disagreement_scan(gauge: BlendedGauge, epsilon: float, scan: int, resolution=None):
-    """Levels 1 + epsilon k/(scan + 1), k = 1..scan, and the measure of
-    each level set's facets that touch the blend tube."""
+    """Levels t = 1 + epsilon k/(scan + 1), k = 1..scan, and the measure of
+    each level set's facets that touch the blend tube.
+
+    Level t at width delta is t times level 1 at width delta/t^2, so its
+    measure is t^(n - 1) times that of the narrower blend's disagreeing
+    facets.
+    """
     _check_epsilon(epsilon)
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
-    meshes = (blended_level_mesh(gauge, t, resolution) for t in levels)
-    return levels, np.array([_measure.hausdorff_measure(m, "disagree") for m in meshes])
+    measures = []
+    for t in levels:
+        narrow = BlendedGauge(gauge.body, gauge.delta / t**2, gauge.order)
+        mesh = blended_level_mesh(narrow, resolution)
+        measures.append(t ** (gauge.dim - 1) * np.sum(mesh.facet_measures[~mesh.agreement]))
+    return levels, np.array(measures)
 
 
 @dataclass(frozen=True)
@@ -375,7 +343,7 @@ class SmoothedBody:
     The body is {h <= 1} with h the square root of the blended squared
     gauge; it is contained in the original body, has the blend's
     smoothness, and its boundary coincides with the original boundary
-    wherever the agreement indicator holds. ``meshes`` holds the original
+    wherever :func:`agreement_many` holds. ``meshes`` holds the original
     and the smoothed boundary mesh that :func:`extract_smoothed_body`
     built on one grid, or None.
     """
@@ -393,13 +361,6 @@ class SmoothedBody:
     @property
     def dim(self) -> int:
         return self.gauge.dim
-
-    def h(self, points):
-        """sqrt of the blended squared gauge (scalar point or batch)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return float(blended_h_values(self.gauge, pts[None, :])[0])
-        return blended_h_values(self.gauge, pts)
 
     def to_json(self) -> dict:
         return {
@@ -437,18 +398,16 @@ def extract_smoothed_body(
     """Run the full smoothing pipeline on a ball body: W_eps = {g <= 1},
     g the blended squared gauge of width ``delta``.
 
-    Level 1 is the only level used: a shrunken level t body
-    (1/t) {sqrt(g) <= t} is the level-1 body of width delta/t^2, so
-    ``delta`` is the one width knob, and a smaller one gives a larger
-    body, closer to the original.
+    ``delta`` is the one width knob (any other level is level 1 of another
+    width), and a smaller one gives a larger body, closer to the original.
 
     Raises :class:`ShrinkDelta` when the blend tube already eats more than
     epsilon/4 of the boundary measure (the message names balls with
-    identical centers, which no delta separates), and
-    :class:`DegenerateEpsilon` for epsilon outside (0, 1/4). Bodies outside
-    the meshing dimensions raise :class:`InvalidBody`. A ``delta`` of None
-    takes DEFAULT_DELTA, and a ``resolution`` of None the default of
-    :func:`measure.direction_grid`.
+    identical centers, which no delta separates), :class:`DegenerateEpsilon`
+    for epsilon outside (0, 1/4) and ``ValueError`` for a delta that is not
+    positive and finite. Bodies outside the meshing dimensions raise
+    :class:`InvalidBody`. A ``delta`` of None takes DEFAULT_DELTA, and a
+    ``resolution`` of None the default of :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
     ``resolution``; ``checks`` reads its vertex checks off their radii.
@@ -481,7 +440,7 @@ def extract_smoothed_body(
     # ridge, spuriously rejecting hairline tubes at coarse resolution);
     # grid.gap is taken at exactly w_mesh's facet centroids
     flags = grid.gap >= gauge.delta * (1.0 + RIDGE_GUARD)
-    boundary_measure = float(np.sum(w_mesh.facet_measures))
+    boundary_measure = _measure.hausdorff_measure(w_mesh)
     tube_estimate = float(np.sum(w_mesh.facet_measures[~flags]))
     if tube_estimate >= 0.25 * epsilon * boundary_measure:
         raise ShrinkDelta(
@@ -489,7 +448,7 @@ def extract_smoothed_body(
             f"boundary measure {boundary_measure:.3e}; {_tube_advice(body)}"
         )
 
-    we_mesh = _level_mesh(gauge, grid, 1.0)
+    we_mesh = _level_mesh(gauge, grid)
     ratio = we_mesh.radii / w_mesh.radii  # body gauges of the smoothed vertices
     contained = bool(np.all(we_mesh.radii <= w_mesh.radii + MEMBERSHIP_SLACK))
     tube_ok = bool(np.all((ratio >= 1.0 - 5.0 * epsilon) & (ratio <= 1.0 + 5.0 * epsilon)))

@@ -206,8 +206,9 @@ def level_flags_reference(gauge, grid, level: float, radii: np.ndarray) -> np.nd
     """Facet agreement flags (F,) of the level set with radii (N,) over a
     ``smooth._level_grid`` grid, tested on the level's own mesh: a facet
     agrees when every vertex takes the closed-form radius level/mu(u) and
-    ``agreement_many`` passes at the facet's centroid (the per-level form
-    of ``smooth._level_mesh``'s flags, which scale the level-1 gaps)."""
+    ``agreement_many`` passes at the facet's centroid (the level-t form of
+    ``smooth._level_mesh``'s flags, which test the original mesh's
+    centroids)."""
     dirs, facets, mu, sq = grid[:4]
     closed = np.ones(radii.shape, dtype=bool)
     if sq is not None:

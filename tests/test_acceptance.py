@@ -19,7 +19,6 @@ from convexsmooth import (
     ball_gauge,
     ball_gauge_derivatives,
     ball_support_check,
-    body_gauge,
     boundary_mesh,
     boundary_projection,
     boundary_surjectivity_probe,
@@ -34,7 +33,7 @@ from convexsmooth import (
     symmetric_difference_measure,
 )
 from convexsmooth.bodies import contains_many
-from convexsmooth.gauge import body_gauge_values, member_gauges
+from convexsmooth.gauge import attaining_members, body_gauge_values, member_gauges
 from helpers import (
     QuadraticPatch,
     boundary_cloud,
@@ -81,11 +80,10 @@ def test_criterion_2_hessian_floor_and_finite_differences():
         dim = int(rng.integers(2, 4))
         body = random_ball_body(rng, dim, int(rng.integers(2, 6)))
         floor = 1.0 / (2.0 * body.radius**2)
-        balls = body.balls()
         for _ in range(1000):
             x = rng.standard_normal(dim) * rng.uniform(0.05, 2.5) * body.radius
             idx = int(np.argmax(member_gauges(body, x)))
-            ev = ball_gauge_derivatives(balls[idx], x)
+            ev = ball_gauge_derivatives(Ball(body.centers[idx], body.radius), x)
             min_margin = min(min_margin, np.linalg.eigvalsh(ev.hess_sq)[0] - floor)
     floor_ok = min_margin >= -1e-9
 
@@ -128,7 +126,7 @@ def test_criterion_3_enclosing_radius_containment():
         R = enclosing_radius(params)
         ts = patch.sample_domain(rng, 100)
         graph = np.column_stack([ts, [patch.value(t) for t in ts]])
-        lifts = np.array([normal_lift(patch.grad(t)).lift for t in ts])
+        lifts = np.array([normal_lift(patch.grad(t)) for t in ts])
         centers = graph - R * lifts
         margins = (
             np.linalg.norm(graph[None, :, :] - centers[:, None, :], axis=2) - R
@@ -154,13 +152,13 @@ def test_criterion_4_characterization_dichotomy():
         ok &= ball_support_check(body, body.radius, samples).passed
         ok &= gauge_sq_hessian_check(body).passed
         floor = 1.0 / (2.0 * body.radius**2)
-        balls = body.balls()
         pts = []
         for _ in range(40):
             x = rng.standard_normal(body.dim) * rng.uniform(0.3, 1.6) * body.radius
-            value, argmax = body_gauge(body, x)
-            ev = ball_gauge_derivatives(balls[argmax[0]], x)
-            pts.append((x, value**2, 2.0 * ev.value * ev.grad))
+            mus = member_gauges(body, x)
+            first = int(np.argmax(attaining_members(mus)))
+            ev = ball_gauge_derivatives(Ball(body.centers[first], body.radius), x)
+            pts.append((x, np.max(mus) ** 2, 2.0 * ev.value * ev.grad))
         ok &= subgradient_certificate(pts, eta=floor).passed
 
     square = HalfspaceBody(

@@ -338,18 +338,16 @@ class TestSphereLattice:
 
 class TestNormalLift:
     def test_zero_slope(self):
-        lift = normal_lift(np.zeros(3)).lift
-        assert np.allclose(lift, [0, 0, 0, -1])
+        assert np.allclose(normal_lift(np.zeros(3)), [0, 0, 0, -1])
 
     def test_unit_slope_1d(self):
-        lift = normal_lift([1.0]).lift
-        assert np.allclose(lift, np.array([1.0, -1.0]) / np.sqrt(2))
+        assert np.allclose(normal_lift([1.0]), np.array([1.0, -1.0]) / np.sqrt(2))
 
     def test_always_unit(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             xi = rng.standard_normal(rng.integers(1, 5)) * rng.uniform(0, 10)
-            lift = normal_lift(xi).lift
+            lift = normal_lift(xi)
             assert abs(np.linalg.norm(lift) - 1.0) <= 1e-12
             assert lift[-1] < 0
 
@@ -387,15 +385,33 @@ class TestJson:
             ({"dim": 2, "radius": [1.0], "centers": [[0.1, 0.0]]}, "radius must be a number"),
             ({"dim": [2], "radius": 1.0, "centers": [[0.1, 0.0]]}, "dim must be a number"),
             ({"dim": 2.5, "radius": 1.0, "centers": [[0.1, 0.0]]}, "dim must be an integer"),
+            ({"dim": "2", "radius": 1.0, "centers": [[0.1, 0.0]]}, "dim must be a number"),
+            ({"dim": True, "radius": 1.0, "centers": [[0.1, 0.0]]}, "dim must be a number"),
+            ({"dim": 2, "radius": True, "centers": [[0.1, 0.0]]}, "radius must be a number"),
+            ({"dim": 2, "radius": "1", "centers": [[0.1, 0.0]]}, "radius must be a number"),
+            ({"dim": 2, "radius": 1.0, "centers": [["0.5", 0.0]]}, "centers must be a list of equal-length lists of numbers"),
+            ({"dim": 2, "radius": 1.0, "centers": [[0.5, True]]}, "centers must be a list of equal-length lists of numbers"),
+            ({"halfspaces": SQUARE_FACES + [{"normal": ["1", 0], "offset": 0.5}]}, "normals must be a list of equal-length lists of numbers"),
+            ({"halfspaces": SQUARE_FACES + [{"normal": [0.0, True], "offset": 0.5}]}, "normals must be a list of equal-length lists of numbers"),
+            ({"halfspaces": SQUARE_FACES + [{"normal": [0.6, 0.8], "offset": "0.5"}]}, "offsets must be a list of numbers"),
+            ({"halfspaces": SQUARE_FACES + [{"normal": [0.6, 0.8], "offset": True}]}, "offsets must be a list of numbers"),
         ],
         ids=[
             "nan-normal", "ragged-normals", "inf-offset", "ragged-centers", "nan-center",
             "nested-centers", "inf-radius", "list-radius", "list-dim", "fractional-dim",
+            "string-dim", "bool-dim", "bool-radius", "string-radius", "string-center",
+            "bool-in-centers", "string-normal", "bool-in-normal", "string-offset", "bool-offset",
         ],
     )
     def test_rejects_non_finite_and_ragged_fields(self, data, invariant):
         with pytest.raises(InvalidBody, match=invariant):
             body_from_json(json.loads(json.dumps(data)))
+
+    def test_integers_are_numbers(self):
+        body = body_from_json({"dim": 2, "radius": 2, "centers": [[1, 0], [-1, 0]]})
+        assert body == BallBody(radius=2.0, centers=[[1.0, 0.0], [-1.0, 0.0]], dim=2)
+        square = body_from_json({"halfspaces": [{"normal": n, "offset": 1} for n in ([1, 0], [-1, 0], [0, 1], [0, -1])]})
+        assert np.array_equal(square.offsets, [1.0] * 4)
 
     def test_rejects_with_diagnostic(self):
         with pytest.raises(InvalidBody, match="interior"):

@@ -365,7 +365,7 @@ class TestPatchContainment:
             graph = np.column_stack([ts, [patch.value(t) for t in ts]])
             worst = -np.inf
             for t, z in zip(ts, graph):
-                lift = normal_lift(patch.grad(t)).lift
+                lift = normal_lift(patch.grad(t))
                 center = z - R * lift
                 margins = np.linalg.norm(graph - center, axis=1) - R
                 worst = max(worst, float(np.max(margins)))

@@ -205,6 +205,17 @@ def test_bad_epsilon_exits_2(lens_file, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_non_finite_delta_exits_2(delta, ball_file, tmp_path, capsys):
+    # such a width used to reach the tube estimate and be reported as a fat
+    # tube ("decrease delta"), even on a single ball
+    out = tmp_path / "out"
+    code = main(["smooth", "--input", str(ball_file), "--output", str(out), f"--delta={delta}"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: delta must be positive and finite\n"
+    assert not out.exists()
+
+
 def test_reports_are_deterministic(lens_file, tmp_path):
     out = tmp_path / "out"
     args = [

@@ -7,16 +7,15 @@ from convexsmooth import (
     BallBody,
     BlendedGauge,
     DegenerateBall,
-    agreement_indicator,
     ball_gauge,
     ball_gauge_derivatives,
-    body_gauge,
     body_gauge_values,
-    contains,
     gauge_lipschitz_bound,
     member_gauge_derivatives,
     member_gauges,
 )
+from convexsmooth.bodies import contains_many
+from convexsmooth.gauge import attaining_members
 from convexsmooth.smooth import RIDGE_GUARD, agreement_many
 from helpers import (
     ball_bodies,
@@ -139,42 +138,41 @@ class TestDerivatives:
 
 
 class TestBodyGauge:
+    """The body gauge is the maximum of the member gauges, attained by the
+    members that :func:`attaining_members` lists."""
+
     def test_single_ball(self):
         body = BallBody(radius=1.0, centers=[[0.2, 0.1]], dim=2)
-        value, argmax = body_gauge(body, [0.7, -0.3])
-        assert value == pytest.approx(ball_gauge(Ball([0.2, 0.1], 1.0), [0.7, -0.3]))
-        assert argmax == [0]
+        mus = member_gauges(body, [0.7, -0.3])
+        assert np.max(mus) == pytest.approx(ball_gauge(Ball([0.2, 0.1], 1.0), [0.7, -0.3]))
+        assert attaining_members(mus).tolist() == [True]
 
     def test_lens_tip_is_a_ridge_point(self):
-        value, argmax = body_gauge(lens(), [0.0, np.sqrt(0.75)])
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert argmax == [0, 1]
+        mus = member_gauges(lens(), [0.0, np.sqrt(0.75)])
+        assert np.max(mus) == pytest.approx(1.0, abs=1e-12)
+        assert attaining_members(mus).tolist() == [True, True]
 
     def test_dominates_members(self):
         body = lens()
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            x = rng.standard_normal(2)
-            value, _ = body_gauge(body, x)
-            for c in body.centers:
-                assert value >= ball_gauge(Ball(c, body.radius), x) - 1e-15
+        xs = rng.standard_normal((50, 2))
+        values = body_gauge_values(body, xs)
+        for c in body.centers:
+            assert np.all(values >= ball_gauge(Ball(c, body.radius), xs) - 1e-15)
 
     def test_subadditivity(self):
         body = lens()
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            vx = body_gauge(body, x).value
-            vy = body_gauge(body, y).value
-            assert body_gauge(body, x + y).value <= vx + vy + 1e-12
+        x, y = np.moveaxis(rng.standard_normal((200, 2, 2)), 1, 0)
+        vx, vy = body_gauge_values(body, x), body_gauge_values(body, y)
+        assert np.all(body_gauge_values(body, x + y) <= vx + vy + 1e-12)
 
     def test_level_set_matches_containment(self):
         rng = np.random.default_rng(7)
         body = random_ball_body(rng, 2, 4)
-        for _ in range(300):
-            x = rng.uniform(-2.5, 2.5, size=2)
-            value, _ = body_gauge(body, x)
-            assert contains(body, x) == (value <= 1.0 + 1e-9)
+        xs = rng.uniform(-2.5, 2.5, size=(300, 2))
+        values = body_gauge_values(body, xs)
+        assert np.array_equal(contains_many(body, xs), values <= 1.0 + 1e-9)
 
     def test_member_gradient_is_subgradient(self):
         body = lens()
@@ -182,15 +180,16 @@ class TestBodyGauge:
         checked = 0
         while checked < 100:
             x = rng.standard_normal(2) * rng.uniform(0.2, 2.0)
-            value, argmax = body_gauge(body, x)
-            if len(argmax) != 1:
+            mus = member_gauges(body, x)
+            attaining = np.flatnonzero(attaining_members(mus))
+            if len(attaining) != 1:
                 continue
             checked += 1
-            ev = ball_gauge_derivatives(Ball(body.centers[argmax[0]], body.radius), x)
+            ev = ball_gauge_derivatives(Ball(body.centers[attaining[0]], body.radius), x)
             for _ in range(5):
                 y = rng.standard_normal(2) * rng.uniform(0.2, 2.0)
-                vy = body_gauge(body, y).value
-                assert vy >= value + ev.grad @ (y - x) - 1e-9
+                vy = body_gauge_values(body, y[None])[0]
+                assert vy >= np.max(mus) + ev.grad @ (y - x) - 1e-9
 
 
 class TestLipschitzBound:
@@ -228,7 +227,7 @@ class TestMemberKernels:
     def test_member_gauges_match_ball_gauge_loop(self, body, seed):
         pts = _query_points(seed, body.dim)
         got = member_gauges(body, pts)
-        ref = np.stack([ball_gauge(b, pts) for b in body.balls()], axis=-1)
+        ref = np.stack([ball_gauge(Ball(c, body.radius), pts) for c in body.centers], axis=-1)
         assert got.shape == (len(pts), body.num_balls)
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = KERNEL_ULPS * np.finfo(float).eps * gauge_condition(body, pts) * ref
@@ -278,10 +277,10 @@ class TestMemberKernels:
             sq = -np.sort(-(batch**2), axis=1)
             for i, x in enumerate(pts):
                 assert np.array_equal(member_gauges(body, x), batch[i])
-                assert body_gauge(body, x).value == values[i]
+                assert np.max(member_gauges(body, x)) == values[i]
                 # a blend width that puts the agreement threshold at x's gap
                 gauge = BlendedGauge(body=body, delta=(sq[i, 0] - sq[i, 1]) / (1.0 + RIDGE_GUARD))
-                assert agreement_indicator(gauge, x) == agreement_many(gauge, pts)[i]
+                assert agreement_many(gauge, x[None])[0] == agreement_many(gauge, pts)[i]
                 # the top-two gap is that of the sorted member values
                 threshold = gauge.delta * (1.0 + RIDGE_GUARD)
                 assert np.array_equal(agreement_many(gauge, pts), sq[:, 0] - sq[:, 1] >= threshold)
@@ -299,7 +298,8 @@ class TestMemberKernels:
         pts = _query_points(seed, body.dim)
         value, grad, hess = member_gauge_derivatives(body, pts)
         assert np.array_equal(value, member_gauges(body, pts))
-        for j, ball in enumerate(body.balls()):
+        for j, center in enumerate(body.centers):
+            ball = Ball(center, body.radius)
             for i, x in enumerate(pts):
                 ev = ball_gauge_derivatives(ball, x)
                 for got, ref in ((grad[i, j], ev.grad), (hess[i, j], ev.hess_sq)):
@@ -309,7 +309,7 @@ class TestMemberKernels:
     def test_member_derivatives_origin_convention(self):
         body = lens()
         value, grad, hess = member_gauge_derivatives(body, np.zeros((1, 2)))
-        for j, ball in enumerate(body.balls()):
-            ev = ball_gauge_derivatives(ball, np.zeros(2))
+        for j, center in enumerate(body.centers):
+            ev = ball_gauge_derivatives(Ball(center, body.radius), np.zeros(2))
             assert value[0, j] == 0.0 and np.all(grad[0, j] == 0.0)
             assert np.allclose(hess[0, j], ev.hess_sq, rtol=1e-15, atol=0.0)

@@ -98,6 +98,32 @@ class TestBoundaryMesh:
         with pytest.raises(ValueError, match="one radius per direction and one flag per facet"):
             BoundaryMesh(dim=2, directions=dirs, radii=radii, facets=facets, agreement=agreement)
 
+    def test_every_exposed_array_is_read_only(self):
+        # meshes are shared (a smoothed body keeps its two), so a write to
+        # a cached array would change every later measure taken on them
+        ball_body = lens()
+        square = unit_square()
+        lattice = ball_body._lattice
+        mesh = extract_smoothed_body(ball_body, delta=1e-3, epsilon=0.05).meshes[1]
+        arrays = {
+            "BallBody.centers": ball_body.centers,
+            "HalfspaceBody.normals": square.normals,
+            "HalfspaceBody.offsets": square.offsets,
+            **{f"BoundaryMesh.{name}": getattr(mesh, name) for name in (
+                "directions", "radii", "facets", "agreement",
+                "points", "facet_centroids", "facet_measures",
+            )},
+            **{f"SphereLattice.{name}": getattr(lattice, name) for name in (
+                "centres", "radii", "span", "normal",
+            )},
+            "icosphere vertices": grids.icosphere(2)[0],
+            "icosphere faces": grids.icosphere(2)[1],
+        }
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             boundary_mesh(unit_ball(), 8)
@@ -230,19 +256,15 @@ class TestHausdorffMeasure:
     def test_partition(self):
         smoothed = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
         mesh = boundary_mesh(smoothed, 2048)
-        total = hausdorff_measure(mesh, "all")
-        parts = hausdorff_measure(mesh, "agree") + hausdorff_measure(mesh, "disagree")
-        assert parts == pytest.approx(total, rel=1e-12)
+        agree = mesh.agreement
+        parts = np.sum(mesh.facet_measures[agree]) + np.sum(mesh.facet_measures[~agree])
+        assert parts == pytest.approx(hausdorff_measure(mesh), rel=1e-12)
+        assert 0 < np.count_nonzero(agree) < len(agree)
 
     def test_single_ball_has_no_disagreement(self):
         smoothed = extract_smoothed_body(unit_ball(), delta=1e-3, epsilon=0.05, order="C2")
         mesh = boundary_mesh(smoothed, 256)
-        assert hausdorff_measure(mesh, "disagree") == 0.0
-
-    def test_filter_validation(self):
-        mesh = boundary_mesh(unit_ball(), 64)
-        with pytest.raises(ValueError):
-            hausdorff_measure(mesh, "everything")
+        assert np.all(mesh.agreement)
 
 
 class TestSymmetricDifference:

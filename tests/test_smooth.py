@@ -8,7 +8,6 @@ from convexsmooth import (
     ConvexSmoothError,
     DegenerateEpsilon,
     ShrinkDelta,
-    agreement_indicator,
     blended_gauge_sq,
     blended_gauge_sq_many,
     blended_values,
@@ -16,7 +15,6 @@ from convexsmooth import (
     contains,
     extract_smoothed_body,
     hausdorff_measure,
-    smooth_max,
 )
 from convexsmooth import smooth
 from convexsmooth.bodies import contains_many
@@ -25,15 +23,17 @@ from convexsmooth.measure import (
     batch_ray_crossings,
     direction_grid,
     facet_centroids,
+    facet_measures,
     symmetric_difference_breakdown,
     symmetric_difference_measure,
 )
 from convexsmooth.smooth import (
     RIDGE_GUARD,
+    _fold,
     _level_grid,
     _level_mesh,
     _phi_terms,
-    blended_h_values,
+    agreement_many,
     blended_level_mesh,
     level_disagreement_scan,
 )
@@ -67,19 +67,22 @@ THREE_BALL = BallBody(
 
 
 class TestSmoothMax:
+    """The pairwise blend of the fold on two members, sorted descending;
+    a gradient of the identity carries the weight of each member."""
+
     def test_exact_outside_blend_zone(self):
-        value, weight = smooth_max(0.0, 1.0, 0.5, "C11")
-        assert value == 1.0 and weight == 0.0  # bit-exact maximum
+        value, weights, _ = _fold(np.array([1.0, 0.0]), 0.5, "C11", grad=np.eye(2))
+        assert value == 1.0 and np.array_equal(weights, [1.0, 0.0])  # bit-exact maximum
 
     def test_tie_c11(self):
-        value, weight = smooth_max(1.0, 1.0, 0.5, "C11")
+        value, weights, _ = _fold(np.array([1.0, 1.0]), 0.5, "C11", grad=np.eye(2))
         assert value == pytest.approx(1.125)
-        assert weight == pytest.approx(0.5)
+        assert weights == pytest.approx([0.5, 0.5])
 
     def test_tie_c2(self):
-        value, weight = smooth_max(1.0, 1.0, 0.5, "C2")
+        value, weights, _ = _fold(np.array([1.0, 1.0]), 0.5, "C2", grad=np.eye(2))
         assert value == pytest.approx(1.09375)
-        assert weight == pytest.approx(0.5)
+        assert weights == pytest.approx([0.5, 0.5])
 
     @pytest.mark.parametrize("order", ["C11", "C2"])
     def test_profile_contact_at_delta(self, order):
@@ -99,35 +102,49 @@ class TestSmoothMax:
         for _ in range(500):
             a, b = rng.uniform(-2, 2, size=2)
             delta = rng.uniform(0.05, 1.0)
-            value, weight = smooth_max(a, b, delta, order)
-            assert max(a, b) - 1e-15 <= value <= max(a, b) + delta / 4 + 1e-15
-            assert 0.0 <= weight <= 1.0
+            top = max(a, b)
+            value, weights, _ = _fold(np.array([top, min(a, b)]), delta, order, grad=np.eye(2))
+            assert top - 1e-15 <= value <= top + delta / 4 + 1e-15
+            assert np.all((weights >= 0.0) & (weights <= 1.0))
+            assert weights.sum() == pytest.approx(1.0, rel=1e-15)
             if abs(a - b) >= delta:
-                assert value == max(a, b)
+                assert value == top
+
+    @staticmethod
+    def _blend_near_delta(delta, h, steps, order):
+        """Blend of (delta + k h, 0), k = -steps..steps, one fold over the batch."""
+        a = delta + h * np.arange(-steps, steps + 1)
+        return _fold(np.stack([a, np.zeros_like(a)], axis=-1), delta, order)[0]
 
     def test_c2_second_derivative_continuous(self):
         # one-sided second differences at the blend boundary agree within 1e-4
         delta, h = 1.0, 1e-5
-        f = lambda a: smooth_max(a, 0.0, delta, "C2")[0]
-        left = (2 * f(delta) - 5 * f(delta - h) + 4 * f(delta - 2 * h) - f(delta - 3 * h)) / h**2
-        right = (2 * f(delta) - 5 * f(delta + h) + 4 * f(delta + 2 * h) - f(delta + 3 * h)) / h**2
+        f = dict(zip(range(-3, 4), self._blend_near_delta(delta, h, 3, "C2")))
+        left = (2 * f[0] - 5 * f[-1] + 4 * f[-2] - f[-3]) / h**2
+        right = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h**2
         assert abs(left - right) <= 1e-4
 
     def test_c11_first_derivative_continuous_second_bounded(self):
         delta, h = 1.0, 1e-6
-        f = lambda a: smooth_max(a, 0.0, delta, "C11")[0]
-        dleft = (3 * f(delta) - 4 * f(delta - h) + f(delta - 2 * h)) / (2 * h)
-        dright = (-3 * f(delta) + 4 * f(delta + h) - f(delta + 2 * h)) / (2 * h)
+        f = dict(zip(range(-2, 3), self._blend_near_delta(delta, h, 2, "C11")))
+        dleft = (3 * f[0] - 4 * f[-1] + f[-2]) / (2 * h)
+        dright = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
         assert abs(dleft - dright) <= 1e-6
         h2 = 1e-4
-        inside = (2 * f(delta) - 5 * f(delta - h2) + 4 * f(delta - 2 * h2) - f(delta - 3 * h2)) / h2**2
+        f = dict(zip(range(-3, 4), self._blend_near_delta(delta, h2, 3, "C11")))
+        inside = (2 * f[0] - 5 * f[-1] + 4 * f[-2] - f[-3]) / h2**2
         assert abs(inside) <= 1.0 / (2 * delta) + 1e-3  # jumps but stays bounded
 
     def test_validation(self):
+        # a NaN or infinite width used to reach the tube estimate and be
+        # reported as a fat tube
+        for delta in (-0.1, 0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                BlendedGauge(body=lens(), delta=delta)
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                extract_smoothed_body(single(), delta=delta, epsilon=0.05)
         with pytest.raises(ValueError):
-            smooth_max(0.0, 1.0, -0.1, "C11")
-        with pytest.raises(ValueError):
-            smooth_max(0.0, 1.0, 0.1, "C3")
+            BlendedGauge(body=lens(), delta=0.1, order="C3")
 
 
 class TestBlendedGauge:
@@ -142,7 +159,7 @@ class TestBlendedGauge:
     def test_exact_off_the_ridge(self):
         gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
         x = np.array([0.9, 0.1])  # far from the symmetry plane
-        assert agreement_indicator(gauge, x)
+        assert agreement_many(gauge, x[None])[0]
         value, _, _ = blended_gauge_sq(gauge, x)
         assert value == body_gauge_values(lens(), x[None, :])[0] ** 2  # same floats
 
@@ -158,10 +175,10 @@ class TestBlendedGauge:
 
     def test_indicator_examples(self):
         gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
-        assert not agreement_indicator(gauge, np.array([0.0, 0.5]))  # symmetry plane
-        assert agreement_indicator(gauge, np.array([1.0, 0.0]))
+        on_plane, off_plane = agreement_many(gauge, np.array([[0.0, 0.5], [1.0, 0.0]]))
+        assert not on_plane and off_plane  # the symmetry plane is the ridge
         single_gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
-        assert agreement_indicator(single_gauge, np.array([0.3, -0.8]))
+        assert agreement_many(single_gauge, np.array([[0.3, -0.8]]))[0]
 
     @pytest.mark.parametrize("order", ["C11", "C2"])
     def test_derivatives_match_finite_differences(self, order):
@@ -177,7 +194,7 @@ class TestBlendedGauge:
                 x[0] = rng.uniform(-0.02, 0.02)
                 x[1] = rng.uniform(0.5, 1.2) * rng.choice([-1.0, 1.0])
             value, grad, hess = blended_gauge_sq(gauge, x)
-            if not agreement_indicator(gauge, x):
+            if not agreement_many(gauge, x[None])[0]:
                 tested_tube += 1
             f = lambda y: float(blended_values(gauge, y[None, :])[0])
             g_fd = fd_gradient(f, x, h=1e-6)
@@ -242,7 +259,7 @@ class TestBatchedBlend:
             in_tube = 0
             for x, v, g, h in zip(pts, values, grads, hessians):
                 rv, rg, rh = blended_gauge_sq_reference(gauge, x)
-                in_tube += not agreement_indicator(gauge, x)
+                in_tube += not agreement_many(gauge, x[None])[0]
                 assert abs(v - rv) <= HESSIAN_TOL * max(1.0, abs(rv))
                 assert np.abs(g - rg).max() <= HESSIAN_TOL * max(1.0, np.abs(rg).max())
                 assert np.abs(h - rh).max() <= HESSIAN_TOL * max(1.0, np.abs(rh).max())
@@ -262,7 +279,8 @@ class TestBatchedBlend:
 
 class TestLevelMeshRadii:
     """Closed-form and tube-solve radii of ``blended_level_mesh`` against
-    bisection of h along every grid direction (``batch_ray_crossings``)."""
+    bisection of h along every grid direction (``batch_ray_crossings``).
+    Level t at width delta is t times level 1 at width delta/t^2."""
 
     @pytest.mark.parametrize("order", ["C11", "C2"])
     @settings(max_examples=40, deadline=None)
@@ -273,21 +291,21 @@ class TestLevelMeshRadii:
         res2d=st.integers(16, 400),
     )
     def test_radii_match_bisection(self, order, body, log_delta, level, res2d):
-        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        delta = 10.0**log_delta * body.radius**2
+        gauge = BlendedGauge(body=body, delta=delta, order=order)
         resolution = res2d if body.dim == 2 else 2
-        mesh = blended_level_mesh(gauge, level, resolution)
+        mesh = blended_level_mesh(BlendedGauge(body, delta / level**2, order), resolution)
         dirs, _ = direction_grid(body.dim, resolution)
         ref = batch_ray_crossings(
-            lambda p: blended_h_values(gauge, p), dirs, level, 20.0 * body.radius
+            lambda p: np.sqrt(blended_values(gauge, p)), dirs, level, 20.0 * body.radius
         )
         assert np.array_equal(mesh.directions, dirs)
-        assert np.all(np.abs(mesh.radii - ref) <= RADIUS_REL_TOL * ref)
+        assert np.all(np.abs(level * mesh.radii - ref) <= RADIUS_REL_TOL * ref)
 
     def test_blended_single_ball_levels_are_spheres(self):
         gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
-        t0 = 1.02
-        mesh = blended_level_mesh(gauge, t0, 64)
-        assert np.allclose(mesh.radii, t0, rtol=1e-12, atol=0.0)
+        mesh = blended_level_mesh(gauge, 64)
+        assert np.allclose(mesh.radii, 1.0, rtol=1e-12, atol=0.0)
         assert np.all(mesh.agreement)
 
 
@@ -323,7 +341,7 @@ class TestRegularValueSelection:
     """Level 1 is the only level worth meshing: level t of a blend of width
     delta is t times level 1 of width delta/t^2, and a narrower blend never
     gives a smaller body. The level scan, kept for the benchmark's tracer,
-    still measures each level's tube facets."""
+    measures each level's tube facets through that identity."""
 
     @pytest.mark.parametrize("order", ["C11", "C2"])
     @settings(max_examples=40, deadline=None)
@@ -335,12 +353,14 @@ class TestRegularValueSelection:
     )
     def test_level_t_is_level_one_of_a_narrower_blend(self, order, body, log_delta, t, res2d):
         # phi_delta(s) = delta Phi(s/delta) and 2-homogeneous member squared
-        # gauges: (1/t) {sqrt(g_delta) <= t} = {g_(delta/t^2) <= 1}
+        # gauges: g_delta(t x) = t^2 g_(delta/t^2)(x), hence
+        # (1/t) {sqrt(g_delta) <= t} = {g_(delta/t^2) <= 1}
         delta = 10.0**log_delta * body.radius**2
-        resolution = res2d if body.dim == 2 else 2
-        level_t = blended_level_mesh(BlendedGauge(body, delta, order), t, resolution)
-        level_1 = blended_level_mesh(BlendedGauge(body, delta / t**2, order), 1.0, resolution)
-        assert np.all(np.abs(level_t.radii - t * level_1.radii) <= 1e-13 * level_t.radii)
+        dirs, _ = direction_grid(body.dim, res2d if body.dim == 2 else 2)
+        pts = np.vstack([dirs / body_gauge_values(body, dirs)[:, None], 0.5 * dirs])
+        wide = blended_values(BlendedGauge(body, delta, order), t * pts)
+        narrow = blended_values(BlendedGauge(body, delta / t**2, order), pts)
+        assert np.all(np.abs(wide - t * t * narrow) <= 1e-13 * wide)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -358,8 +378,8 @@ class TestRegularValueSelection:
         # and the level-1 radii can only grow as delta shrinks
         delta = 10.0**log_delta * body.radius**2
         resolution = res2d if body.dim == 2 else res3d
-        wide = blended_level_mesh(BlendedGauge(body, delta, order), 1.0, resolution)
-        narrow = blended_level_mesh(BlendedGauge(body, shrink * delta, order), 1.0, resolution)
+        wide = blended_level_mesh(BlendedGauge(body, delta, order), resolution)
+        narrow = blended_level_mesh(BlendedGauge(body, shrink * delta, order), resolution)
         assert np.all(narrow.radii >= wide.radii * (1.0 - 1e-14))
 
     def test_min_bounded_by_scan_average(self):
@@ -373,10 +393,14 @@ class TestRegularValueSelection:
         ids=["lens", "three-ball-3d", "six-ball-2d"],
     )
     def test_scan_measures_are_those_of_each_level_mesh(self, body, resolution):
+        # the level-t mesh is t times the level-1 mesh of width delta/t^2;
+        # its facet measures are taken on the scaled points
         gauge = BlendedGauge(body=body, delta=1e-3, order="C2")
         levels, measures = level_disagreement_scan(gauge, 0.05, 16, resolution=resolution)
         for t, m in zip(levels, measures):
-            assert m == hausdorff_measure(blended_level_mesh(gauge, t, resolution), "disagree")
+            mesh = blended_level_mesh(BlendedGauge(body, 1e-3 / t**2, "C2"), resolution)
+            level_t = facet_measures(t * mesh.points, mesh.facets)
+            assert m == pytest.approx(np.sum(level_t[~mesh.agreement]), rel=1e-12)
         assert np.any(measures > 0.0)
 
     def test_epsilon_validation(self):
@@ -404,7 +428,7 @@ class TestOneLevelMesher:
         # than others, and each still gets its own radius
         gauge = BlendedGauge(body=ring(8, 0.1), delta=0.1, order=order)
         grid = _level_grid(gauge, 256)
-        radii = _level_mesh(gauge, grid, 1.0).radii
+        radii = _level_mesh(gauge, grid).radii
         tube = np.nonzero(grid.sq[:, 0] - grid.sq[:, 1] < gauge.delta * (1.0 + RIDGE_GUARD))[0]
         fold = smooth._fold
         steps = []
@@ -416,7 +440,7 @@ class TestOneLevelMesher:
                 return fold(*args, **kwargs)
 
             monkeypatch.setattr(smooth, "_fold", counted)
-            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1], 1.0)
+            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1])
             monkeypatch.setattr(smooth, "_fold", fold)
             steps.append(len(calls))
             assert radii[row] == alone[0]
@@ -427,21 +451,20 @@ class TestOneLevelMesher:
         body=ball_bodies(),
         order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, -1.0),
-        level=st.floats(1.0, 1.25),
         res2d=st.integers(16, 200),
     )
-    def test_each_tube_row_is_solved_as_if_alone(self, body, order, log_delta, level, res2d):
+    def test_each_tube_row_is_solved_as_if_alone(self, body, order, log_delta, res2d):
         # every row stops on its own Newton step, so no row's radius depends
         # on the rows batched with it
         gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
         grid = _level_grid(gauge, res2d if body.dim == 2 else 2)
-        radii = _level_mesh(gauge, grid, level).radii
+        radii = _level_mesh(gauge, grid).radii
         if grid.sq is None:
             return
-        r = level / grid.mu
+        r = 1.0 / grid.mu
         tube = r * r * (grid.sq[:, 0] - grid.sq[:, 1]) < gauge.delta * (1.0 + RIDGE_GUARD)
         for row in np.nonzero(tube)[0]:
-            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1], level * level)
+            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1])
             assert radii[row] == alone[0]
 
     @settings(max_examples=60, deadline=None)
@@ -456,18 +479,20 @@ class TestOneLevelMesher:
     def test_flags_are_those_of_the_level_centroids(
         self, body, order, log_delta, level, res2d, res3d
     ):
-        # the flags scale the level-1 gap by level^2; testing the level's own
-        # centroids must agree except where the gap sits at the threshold to
-        # rounding
+        # level t at width delta is t times level 1 at width delta/t^2: the
+        # flags of the narrower blend, tested at the original mesh's
+        # centroids, must be those of the level-t set tested at its own
+        # centroids, except where the gap sits at the threshold to rounding
         gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
         grid = _level_grid(gauge, res2d if body.dim == 2 else res3d)
-        mesh = _level_mesh(gauge, grid, level)
-        ref = level_flags_reference(gauge, grid, level, mesh.radii)
+        narrow = BlendedGauge(body, gauge.delta / level**2, order)
+        mesh = _level_mesh(narrow, grid)
+        ref = level_flags_reference(gauge, grid, level, level * mesh.radii)
         if len(body.centers) == 1:
             assert np.array_equal(mesh.agreement, ref) and np.all(ref)
             return
         threshold = gauge.delta * (1.0 + RIDGE_GUARD)
-        gap = _gap_values(body, facet_centroids(mesh.radii[:, None] * grid.dirs, grid.facets))
+        gap = _gap_values(body, facet_centroids(level * mesh.points, grid.facets))
         at_threshold = np.abs(gap - threshold) <= 1e-12 * threshold
         assert np.array_equal(mesh.agreement[~at_threshold], ref[~at_threshold])
         assert np.count_nonzero(at_threshold) <= 1 + 1e-3 * len(ref)
