@@ -14,7 +14,6 @@ from convexsmooth import (
     boundary_mesh,
     contains,
     extract_smoothed_body,
-    hausdorff_measure,
 )
 from convexsmooth import smooth
 from convexsmooth.bodies import contains_many
