@@ -2,7 +2,8 @@
 # The full smoothing pipeline in 2D: replace a body having ridge corners
 # by an inscribed C2 strongly convex body whose boundary coincides with
 # the original except on an arbitrarily thin tube around the ridges.
-# Run with: python demos/04_smoothing_pipeline_2d.py
+# Run with: python demos/04_smoothing_pipeline_2d.py; the mesh export goes to
+# output/ under the working directory.
 
 import json
 from pathlib import Path
@@ -27,7 +28,7 @@ from convexsmooth.smooth import agreement_many
 # the member squared gauges go through a smoothed maximum that is EXACT
 # (same floats) once the top two separate by delta, and convex in between
 lens = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
-gauge = BlendedGauge(body=lens, delta=1e-3, order="C2")
+gauge = BlendedGauge(body=lens, delta=1e-3)
 
 on_ridge = np.array([0.0, 0.8])
 off_ridge = np.array([0.6, 0.5])
@@ -45,7 +46,7 @@ print("  Hessian eigenvalues on the ridge:", np.linalg.eigvalsh(hess))
 # --- extract the smoothed body ----------------------------------------------
 # the level-1 body {g <= 1}: any other level t is level 1 of the blend of
 # width delta/t^2, so delta is the one width knob
-smoothed = extract_smoothed_body(lens, delta=1e-3, epsilon=0.05, order="C2")
+smoothed = extract_smoothed_body(lens, delta=1e-3, epsilon=0.05)
 print("\nblend width delta:", smoothed.gauge.delta)
 for key, val in smoothed.checks.items():
     print(f"  {key}: {val}")
@@ -61,7 +62,7 @@ print(f"symmetric difference:        {symdiff:.6f}")
 print(f"epsilon * boundary measure:  {0.05 * boundary:.6f}")
 print("bound met?", symdiff < 0.05 * boundary)
 
-out = Path(__file__).resolve().parent / "output"
+out = Path("output")
 out.mkdir(exist_ok=True)
 # the export is JSON text whose floats read back to the mesh points exactly
 text = polyline_json(we_mesh)

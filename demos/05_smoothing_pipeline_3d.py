@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # The smoothing pipeline in 3D: ridge tubes become bands around curves,
 # meshes become icospheres, and the smoothed surface exports to OFF.
-# Run with: python demos/05_smoothing_pipeline_3d.py
+# Run with: python demos/05_smoothing_pipeline_3d.py; the mesh export goes to
+# output/ under the working directory.
 
 from pathlib import Path
 
@@ -23,7 +24,7 @@ print("3-ball body, interior radius", f"{body.interior_radius:.3f}")
 
 # icosphere subdivision level 4 for the pipeline internals, level 5
 # (10242 directions, 20480 triangles) for the final measurement
-smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2", resolution=4)
+smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, resolution=4)
 print("blend width delta:", smoothed.gauge.delta)
 print("containment and tube checks:",
       smoothed.checks["contained"], smoothed.checks["tube_ok"])
@@ -41,7 +42,7 @@ print("bound met?", symdiff < 0.05 * area)
 disagree = (~we_mesh.agreement).sum()
 print(f"facets touching the ridge tube: {disagree} of {len(we_mesh.facets)}")
 
-out = Path(__file__).resolve().parent / "output"
+out = Path("output")
 out.mkdir(exist_ok=True)
 # OFF text writes every coordinate as repr does, so it reads back exactly
 text = off_text(we_mesh)

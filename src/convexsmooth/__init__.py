@@ -4,7 +4,7 @@ Provides closed-form gauges with derivatives, certificates for
 the equivalent characterizations of strong convexity, metric projections
 (exact nearest points by active-set enumeration, boundary projection on
 its safe tube), a convexity-preserving smoothing pipeline producing
-inscribed C^{1,1}/C^2 bodies, and boundary-measure bookkeeping for the
+inscribed C^2 bodies, and boundary-measure bookkeeping for the
 symmetric difference the pipeline controls.
 """
 

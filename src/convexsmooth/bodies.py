@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from . import grids
-from .errors import InvalidBody
+from .errors import InvalidBody, NotBallBody
 
 # Absolute slack on |x - a_i| - R for membership tests. Computed boundary
 # points land within rounding (closed-form radii, projections) or solver
@@ -113,12 +113,11 @@ class Ball:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _frozen_array(self.center))
         object.__setattr__(self, "radius", float(_finite_array(self.radius, "ball radius", 0)))
-        if self.center.ndim != 1:
-            raise InvalidBody("ball center must be a vector")
-        if not np.all(np.isfinite(self.center)):
-            raise InvalidBody("ball center must be finite")
+        center = _finite_array(self.center, "ball center", 1)
+        if np.ndim(self.center) == 0:  # _finite_array takes a number as one row
+            raise InvalidBody("ball center must be a list of numbers")
+        object.__setattr__(self, "center", _frozen_array(center))
         if not self.radius > 0:
             raise InvalidBody("ball radius must be positive")
 
@@ -230,6 +229,13 @@ class HalfspaceBody:
 
 
 Body = Union[BallBody, HalfspaceBody]
+
+
+def _require_ball(body, what: str) -> None:
+    """Raise :class:`NotBallBody` unless ``body`` is a :class:`BallBody`,
+    naming ``what`` needs one."""
+    if not isinstance(body, BallBody):
+        raise NotBallBody(f"{what} needs a BallBody, got a {type(body).__name__}")
 
 
 def normal_lift(xi) -> np.ndarray:
@@ -441,8 +447,10 @@ def support_value(body: BallBody, direction):
     subset (see :func:`_extreme_points`), so the largest <u, p> over the
     feasible candidates attains the maximum. A guard of 1e-12 R on top
     makes the value a certified upper bound. A zero direction raises
-    ``ValueError``, naming its row in a batch.
+    ``ValueError``, naming its row in a batch, and a body other than a
+    ball body :class:`NotBallBody`.
     """
+    _require_ball(body, "the support function")
     U, single = _as_rows(direction, body.dim)
     norms = np.linalg.norm(U, axis=1, keepdims=True)
     zero = np.flatnonzero(norms[:, 0] == 0.0)
@@ -463,8 +471,10 @@ def diameter(body: BallBody) -> float:
     covering-angle secant (which dominates the true diameter for any convex
     set), and caps at 2R, an unconditional bound since the body sits inside
     each generating ball. Outside dims 2 and 3 there is no grid with a
-    certified covering angle, and the 2R cap is returned.
+    certified covering angle, and the 2R cap is returned. A body other than
+    a ball body raises :class:`NotBallBody`.
     """
+    _require_ball(body, "the diameter bound")
     if body.dim == 2:
         dirs = grids.circle_directions(256)
         cover = grids.circle_covering_angle(256)

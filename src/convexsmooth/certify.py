@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BallBody, Body, HalfspaceBody, farthest_point
-from .errors import DomainViolation, InsufficientData, NotBallBody
+from .bodies import BallBody, Body, HalfspaceBody, _require_ball, farthest_point
+from .errors import DomainViolation, InsufficientData
 from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 from .measure import boundary_samples, sample_directions
 from .project import project_body
@@ -216,8 +216,7 @@ def gauge_sq_hessian_check(body: Body) -> CertificateReport:
     and the witness the u_i of the smallest. Raises :class:`NotBallBody`
     for polyhedral bodies, which have no ball gauge to differentiate.
     """
-    if not isinstance(body, BallBody):
-        raise NotBallBody("squared-gauge curvature needs a BallBody")
+    _require_ball(body, "squared-gauge curvature")
     floor = 1.0 / (2.0 * body.radius**2)
     m = len(body.centers)
     norms = np.linalg.norm(body.centers, axis=1)

@@ -3,8 +3,7 @@
 Commands::
 
     convexsmooth certify --input body.json --output outdir [--resolution N --seed N]
-    convexsmooth smooth  --input body.json --output outdir [--epsilon F --delta F
-                         --order c11|c2 --resolution N]
+    convexsmooth smooth  --input body.json --output outdir [--epsilon F --delta F --resolution N]
     convexsmooth measure --input body.json --output outdir [--resolution N]
     convexsmooth probe   --input probe.json --output outdir [--resolution N]
 
@@ -55,7 +54,6 @@ class RunConfig:
     output: str
     epsilon: float = 0.05
     delta: float | None = None
-    order: str = "c2"
     resolution: int | None = None
     seed: int = 0
 
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "smooth":
             p.add_argument("--epsilon", type=float)
             p.add_argument("--delta", type=float)
-            p.add_argument("--order", choices=("c11", "c2"))
         p.add_argument("--resolution", type=int)
         if name == "certify":
             p.add_argument("--seed", type=int)
@@ -131,14 +128,8 @@ def _run_smooth(config: RunConfig) -> int:
     body = body_from_json(json.loads(Path(config.input).read_text()))
     if not isinstance(body, BallBody):
         raise InvalidBody("the smoothing pipeline needs a BallBody input")
-    order = "C2" if config.order == "c2" else "C11"
-
     smoothed = smth.extract_smoothed_body(
-        body,
-        delta=config.delta,
-        epsilon=config.epsilon,
-        order=order,
-        resolution=config.resolution,
+        body, delta=config.delta, epsilon=config.epsilon, resolution=config.resolution
     )
     checks = smoothed.checks
     summary = {"delta": smoothed.gauge.delta}

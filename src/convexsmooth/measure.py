@@ -33,7 +33,8 @@ class BoundaryMesh:
     ``agreement`` flags, one per facet, mark facets whose vertices and
     centroid all lie outside the blend tube of the smoothed body the mesh
     came from (plain bodies carry all-True flags). Every array, the cached
-    ones included, is read-only: meshes are shared.
+    ones included, is read-only: meshes are shared. A writeable array
+    passed in is copied, so the caller's stays writeable.
     """
 
     dim: int
@@ -44,9 +45,9 @@ class BoundaryMesh:
 
     def __post_init__(self):
         for name in ("directions", "radii", "facets"):
-            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name))))
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
         flags = np.ones(len(self.facets), dtype=bool) if self.agreement is None else self.agreement
-        object.__setattr__(self, "agreement", _read_only(np.asarray(flags, dtype=bool)))
+        object.__setattr__(self, "agreement", _frozen(np.asarray(flags, dtype=bool)))
         shapes = (self.radii.shape, self.agreement.shape)
         if shapes != (self.directions.shape[:1], self.facets.shape[:1]):
             raise ValueError("a mesh takes one radius per direction and one flag per facet")
@@ -69,6 +70,11 @@ class BoundaryMesh:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only, else a read-only copy of it."""
+    return arr if not arr.flags.writeable else _read_only(arr.copy())
 
 
 def _facet_corners(points: np.ndarray, facets: np.ndarray) -> list[np.ndarray]:

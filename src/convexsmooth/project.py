@@ -35,6 +35,7 @@ from .bodies import (
     _as_rows,
     _as_vector,
     _extreme_points,
+    _require_ball,
     _row_dots,
     contains,
     contains_many,
@@ -87,8 +88,10 @@ def project_body(body: BallBody, x) -> np.ndarray:
     for bit. Any other point goes to the nearest candidate of
     :func:`convexsmooth.bodies._extreme_points` that lies in the body; by
     KKT the true projection is one of them. There is no iteration, so no
-    tolerance and no :class:`NonConvergence`.
+    tolerance and no :class:`NonConvergence`. A body other than a ball body
+    raises :class:`NotBallBody`.
     """
+    _require_ball(body, "projection onto the body")
     pts, single = _as_rows(x, body.dim)
     out = pts.copy()
     outside = ~contains_many(body, pts)
@@ -149,8 +152,10 @@ def boundary_projection(body: BallBody, mesh: BoundaryMesh, x) -> np.ndarray:
     boundary point is the radial projection onto the sphere of a minimizing
     ball: exact up to rounding. Interior points with d at or above the
     mesh-estimated safe width raise :class:`OutsideDomain` -- a violated
-    hypothesis, not a numerical failure.
+    hypothesis, not a numerical failure. A body other than a ball body
+    raises :class:`NotBallBody`.
     """
+    _require_ball(body, "boundary projection")
     x = _as_vector(x, body.dim)
     if not contains(body, x):
         return project_body(body, x)
@@ -212,8 +217,10 @@ def boundary_surjectivity_probe(
     most the threshold. Raises :class:`RayMiss` when a sampled inner boundary
     point lies outside the outer body (beyond ``MEMBERSHIP_SLACK``) or a
     ray never leaves it: the outer body does not enclose the inner one, or
-    is unbounded; ValueError unless ``samples`` is positive.
+    is unbounded; ValueError unless ``samples`` is positive, and
+    :class:`NotBallBody` for an inner body other than a ball body.
     """
+    _require_ball(inner, "the probe's inner body")
     if samples < 1:
         raise ValueError("samples must be positive")
     if outer.dim != inner.dim:

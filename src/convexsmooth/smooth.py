@@ -10,13 +10,13 @@ outside (-delta, delta) produces a function g that
   (the blend reduces to an exact maximum there, same floats),
 - keeps the members' strong-convexity constant (the blend is a convex
   combination of members plus a positive-semidefinite rank-one term),
-- is C^{1,1} or C^2 across the blend boundary depending on the profile.
+- is C^2 across the blend boundary, where phi meets |t| to second order.
 
 The sublevel set {g <= 1} is then an inscribed smooth strongly convex
 body whose boundary coincides with the original boundary outside a thin
 ridge tube. Level 1 is a regular value: g is strongly convex with its
 minimum inside the body, so its gradient vanishes nowhere on the level
-set. No other level is worth choosing. Both profiles are scale families,
+set. No other level is worth choosing. The profile is a scale family,
 phi_delta(s) = delta * Phi(s/delta), and member squared gauges are
 2-homogeneous, so a shrunken level set (1/t) {sqrt(g_delta) <= t} is
 exactly {g_(delta/t^2) <= 1}: a level in (1, 1 + eps) only picks a blend
@@ -35,16 +35,14 @@ through one Newton solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import MEMBERSHIP_SLACK, BallBody, _as_vector, body_to_json
+from .bodies import MEMBERSHIP_SLACK, BallBody, _as_vector, _require_ball, body_to_json
 from .errors import DegenerateEpsilon, NonConvergence, ShrinkDelta
 from .gauge import member_gauge_derivatives, member_gauges
 from . import measure as _measure
-
-Order = Literal["C11", "C2"]
 
 # Relative inflation of delta in the agreement test; gaps above
 # delta * (1 + RIDGE_GUARD) are strictly outside every blend zone.
@@ -63,35 +61,24 @@ def _check_epsilon(epsilon: float) -> None:
         raise DegenerateEpsilon("epsilon must lie in (0, 1/4)")
 
 
-def _phi_terms(t, delta: float, order: Order, derivs: int = 2):
+def _phi_terms(t, delta: float, derivs: int = 2):
     """Blend profile phi(t) and its first ``derivs`` derivatives, vectorized.
 
     Returns a tuple of ``derivs + 1`` arrays, so each caller builds only
-    the terms it reads. phi is even, convex, C^1 (C11) or C^2 (C2),
-    satisfies phi(t) = |t| for |t| >= delta and |t| <= phi(t) <= |t| +
-    delta/2 inside.
+    the terms it reads. phi is even, convex, C^2, satisfies phi(t) = |t|
+    for |t| >= delta and |t| <= phi(t) <= |t| + 3 delta/8 inside.
     """
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     inside = at < delta
-    c2 = order == "C2"
     d3 = delta**3
-    if c2:
-        phi_in = -(t**4) / (8.0 * d3) + 3.0 * t * t / (4.0 * delta) + 3.0 * delta / 8.0
-    else:
-        phi_in = t * t / (2.0 * delta) + 0.5 * delta
+    phi_in = -(t**4) / (8.0 * d3) + 3.0 * t * t / (4.0 * delta) + 3.0 * delta / 8.0
     terms = [np.where(inside, phi_in, at)]
     if derivs >= 1:
-        if c2:
-            dphi_in = -(t**3) / (2.0 * d3) + 3.0 * t / (2.0 * delta)
-        else:
-            dphi_in = t / delta
+        dphi_in = -(t**3) / (2.0 * d3) + 3.0 * t / (2.0 * delta)
         terms.append(np.where(inside, dphi_in, np.sign(t)))
     if derivs >= 2:
-        if c2:
-            d2_in = -3.0 * t * t / (2.0 * d3) + 3.0 / (2.0 * delta)
-        else:
-            d2_in = np.full_like(t, 1.0 / delta)
+        d2_in = -3.0 * t * t / (2.0 * d3) + 3.0 / (2.0 * delta)
         terms.append(np.where(inside, d2_in, 0.0))
     return tuple(terms)
 
@@ -102,26 +89,25 @@ class BlendedGauge:
 
     ``delta`` is the blend width in squared-gauge units. The blended value
     always dominates the squared body gauge and equals it exactly wherever
-    the top-two member gap is at least delta.
+    the top-two member gap is at least delta. A body other than a ball body
+    raises :class:`NotBallBody`.
     """
 
     body: BallBody
     delta: float
-    order: Order = "C2"
 
     def __post_init__(self):
+        _require_ball(self.body, "the blended gauge")
         object.__setattr__(self, "delta", float(self.delta))
         if not 0.0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
-        if self.order not in ("C11", "C2"):
-            raise ValueError("order must be 'C11' or 'C2'")
 
     @property
     def dim(self) -> int:
         return self.body.dim
 
 
-def _fold(sq, delta: float, order: Order, grad=None, hess=None):
+def _fold(sq, delta: float, grad=None, hess=None):
     """Fold member values, sorted descending on the last axis, pairwise
     through the smoothed maximum; returns (value, grad, hess).
 
@@ -141,7 +127,7 @@ def _fold(sq, delta: float, order: Order, grad=None, hess=None):
         b = sq[..., k]
         t = acc - b  # >= 0: the accumulator dominates every later member
         exact = t >= delta
-        phi, *slopes = _phi_terms(t, delta, order, derivs)
+        phi, *slopes = _phi_terms(t, delta, derivs)
         if acc_g is not None:
             w = (0.5 * (1.0 + slopes[0]))[..., None]
             b_g = grad[..., k, :]
@@ -166,7 +152,7 @@ def blended_values(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
     off-tube values reproduce the squared body gauge to the last bit.
     """
     sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
-    return _fold(-np.sort(-sq, axis=-1), gauge.delta, gauge.order)[0]
+    return _fold(-np.sort(-sq, axis=-1), gauge.delta)[0]
 
 
 def blended_gauge_sq_many(gauge: BlendedGauge, points: np.ndarray):
@@ -186,7 +172,6 @@ def blended_gauge_sq_many(gauge: BlendedGauge, points: np.ndarray):
     return _fold(
         np.take_along_axis(sq, idx, axis=-1),
         gauge.delta,
-        gauge.order,
         grad=np.take_along_axis(sq_grad, idx[..., None], axis=-2),
         hess=np.take_along_axis(hess, idx[..., None, None], axis=-3),
     )
@@ -307,7 +292,7 @@ def _tube_radii(gauge: BlendedGauge, sq: np.ndarray) -> np.ndarray:
     live = np.arange(len(s))
     for _ in range(_NEWTON_MAX_STEPS):
         q = sq[live]
-        value, slope, _ = _fold(s[live, None] * q, gauge.delta, gauge.order, grad=q[..., None])
+        value, slope, _ = _fold(s[live, None] * q, gauge.delta, grad=q[..., None])
         step = np.maximum((value - 1.0) / slope[:, 0], 0.0)
         s[live] = s[live] - step
         live = live[step > 4.0 * np.finfo(float).eps * s[live]]
@@ -330,7 +315,7 @@ def level_disagreement_scan(gauge: BlendedGauge, epsilon: float, scan: int, reso
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
     measures = []
     for t in levels:
-        narrow = BlendedGauge(gauge.body, gauge.delta / t**2, gauge.order)
+        narrow = BlendedGauge(gauge.body, gauge.delta / t**2)
         mesh = blended_level_mesh(narrow, resolution)
         measures.append(t ** (gauge.dim - 1) * np.sum(mesh.facet_measures[~mesh.agreement]))
     return levels, np.array(measures)
@@ -366,7 +351,6 @@ class SmoothedBody:
         return {
             "body": body_to_json(self.body),
             "delta": self.gauge.delta,
-            "order": self.gauge.order,
         }
 
 
@@ -392,7 +376,6 @@ def extract_smoothed_body(
     body: BallBody,
     delta: float | None,
     epsilon: float,
-    order: Order = "C2",
     resolution: int | None = None,
 ) -> SmoothedBody:
     """Run the full smoothing pipeline on a ball body: W_eps = {g <= 1},
@@ -406,7 +389,8 @@ def extract_smoothed_body(
     identical centers, which no delta separates), :class:`DegenerateEpsilon`
     for epsilon outside (0, 1/4) and ``ValueError`` for a delta that is not
     positive and finite. Bodies outside the meshing dimensions raise
-    :class:`InvalidBody`. A ``delta`` of None takes DEFAULT_DELTA, and a
+    :class:`InvalidBody`, and a body other than a ball body
+    :class:`NotBallBody`. A ``delta`` of None takes DEFAULT_DELTA, and a
     ``resolution`` of None the default of :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
@@ -427,7 +411,7 @@ def extract_smoothed_body(
     _measure.check_mesh_dim(body.dim)
     if delta is None:
         delta = DEFAULT_DELTA
-    gauge = BlendedGauge(body=body, delta=delta, order=order)
+    gauge = BlendedGauge(body=body, delta=delta)
 
     # one grid for both output meshes; its radii 1/mu(u) are those of
     # measure.radial_function, to the bit

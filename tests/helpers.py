@@ -167,7 +167,7 @@ def blended_gauge_sq_reference(gauge, x):
         if t >= gauge.delta:
             continue
         b_g = 2.0 * evs[i].value * evs[i].grad
-        phi, dphi, d2 = _phi_terms(t, gauge.delta, gauge.order)
+        phi, dphi, d2 = _phi_terms(t, gauge.delta)
         w = 0.5 * (1.0 + float(dphi))
         diff = acc_g - b_g
         acc_v = 0.5 * (acc_v + b_v + float(phi))

@@ -335,7 +335,6 @@ def test_criterion_8_end_to_end_2d():
             body,
             delta=delta,
             epsilon=eps_rel,
-            order="C2",
             resolution=4096,
         )
         w_mesh = boundary_mesh(body, resolution)
@@ -382,7 +381,7 @@ def test_criterion_9_3d_smoke():
         centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]],
         dim=3,
     )
-    smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2", resolution=4)
+    smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, resolution=4)
     w_mesh = boundary_mesh(body, 5)
     we_mesh = boundary_mesh(smoothed, 5)
     symdiff = symmetric_difference_measure(w_mesh, we_mesh)

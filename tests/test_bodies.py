@@ -11,12 +11,16 @@ from convexsmooth import (
     BallBody,
     HalfspaceBody,
     InvalidBody,
+    NotBallBody,
     ball_support_check,
     body_from_json,
     body_to_json,
+    boundary_mesh,
+    boundary_projection,
     boundary_surjectivity_probe,
     contains,
     diameter,
+    extract_smoothed_body,
     halfspace_reconstruction_gap,
     normal_lift,
     outward_normal,
@@ -99,12 +103,40 @@ class TestBall:
             ([0.0, -math.inf], 1.0, "ball center must be finite"),
             ([0.0, 0.0], math.nan, "ball radius must be finite"),
             ([0.0, 0.0], [1.0], "ball radius must be a number"),
+            (["a", 0.0], 1.0, "ball center must be a list of numbers"),
+            ([True, 0.0], 1.0, "ball center must be a list of numbers"),
+            (0.5, 1.0, "ball center must be a list of numbers"),
         ],
-        ids=["nan-center-inf-radius", "nan-center", "inf-center", "nan-radius", "list-radius"],
+        ids=[
+            "nan-center-inf-radius", "nan-center", "inf-center", "nan-radius", "list-radius",
+            "string-center", "bool-center", "number-center",
+        ],
     )
     def test_single_ball_rejects_non_finite_fields(self, center, radius, invariant):
         with pytest.raises(InvalidBody, match=invariant):
             Ball(center=center, radius=radius)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda body: project_body(body, [2.0, 0.0]),
+        lambda body: support_value(body, [1.0, 0.0]),
+        lambda body: diameter(body),
+        lambda body: extract_smoothed_body(body, delta=1e-3, epsilon=0.05),
+        lambda body: boundary_projection(body, boundary_mesh(body, 64), [2.0, 0.0]),
+        lambda body: boundary_surjectivity_probe(
+            body, BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2), 64
+        ),
+    ],
+    ids=["project_body", "support_value", "diameter", "extract_smoothed_body",
+         "boundary_projection", "probe-inner"],
+)
+def test_ball_only_entry_points_reject_a_halfspace_body(call):
+    # each reads the ball family (centers, radius, sphere lattice); a
+    # halfspace body used to fail deep inside with an AttributeError
+    with pytest.raises(NotBallBody, match="needs a BallBody, got a HalfspaceBody"):
+        call(unit_square())
 
 
 class TestContains:

@@ -106,7 +106,6 @@ def test_smooth_lens_meets_epsilon(lens_file, tmp_path):
             "--output", str(out),
             "--epsilon", "0.05",
             "--delta", "1e-3",
-            "--order", "c2",
             "--resolution", "2048",
         ]
     )
@@ -224,7 +223,6 @@ def test_reports_are_deterministic(lens_file, tmp_path):
         "--output", str(out),
         "--epsilon", "0.05",
         "--delta", "1e-3",
-        "--order", "c2",
         "--resolution", "512",
     ]
     assert main(args) == 0
@@ -291,8 +289,12 @@ def test_each_command_takes_exactly_its_documented_flags():
         ["certify", "--epsilon", "0.1"],
         ["smooth", "--seed", "1"],
         ["smooth", "--scan", "8"],
+        ["smooth", "--order", "c2"],
     ],
-    ids=["measure-seed", "probe-scan", "certify-epsilon", "smooth-seed", "smooth-scan"],
+    ids=[
+        "measure-seed", "probe-scan", "certify-epsilon", "smooth-seed", "smooth-scan",
+        "smooth-order",
+    ],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, lens_file, tmp_path, capsys):
     out = tmp_path / "out"
@@ -339,9 +341,7 @@ def test_reports_echo_every_config_field_at_its_default(ball_file, tmp_path):
             }
         )
     )
-    defaults = {
-        "epsilon": 0.05, "delta": None, "order": "c2", "resolution": None, "seed": 0
-    }
+    defaults = {"epsilon": 0.05, "delta": None, "resolution": None, "seed": 0}
     for command, path in (("certify", ball_file), ("measure", ball_file), ("probe", probe_file)):
         out = tmp_path / command
         assert main([command, "--input", str(path), "--output", str(out)]) == 0

@@ -70,7 +70,7 @@ class TestBoundaryMesh:
 
     def test_smoothed_single_ball_has_identical_radii(self):
         body = unit_ball()
-        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2")
+        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
         w = boundary_mesh(body, 256)
         we = boundary_mesh(smoothed, 256)
         assert np.max(np.abs(w.radii - we.radii)) <= 1e-12
@@ -123,6 +123,28 @@ class TestBoundaryMesh:
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr[...] = 0
+
+    @pytest.mark.parametrize("dim, resolution", [(2, 16), (3, 2)], ids=["circle", "icosphere"])
+    def test_the_callers_arrays_stay_writeable(self, dim, resolution):
+        # a writeable array is copied, read-only; the cached icosphere grid
+        # is read-only already and is kept as is
+        dirs, facets = direction_grid(dim, resolution)
+        given = {
+            "directions": dirs,
+            "radii": np.ones(len(dirs)),
+            "facets": facets,
+            "agreement": np.ones(len(facets), dtype=bool),
+        }
+        writeable = {name: arr.flags.writeable for name, arr in given.items()}
+        mesh = BoundaryMesh(dim=dim, **given)
+        for name, arr in given.items():
+            kept = getattr(mesh, name)
+            assert arr.flags.writeable == writeable[name], name
+            assert not kept.flags.writeable, name
+            assert (kept is arr) != writeable[name], name
+            assert np.array_equal(kept, arr), name
+        given["radii"][0] = 2.0
+        assert mesh.radii[0] == 1.0
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -254,7 +276,7 @@ def test_batched_facet_measures_are_each_meshs_cross_and_norm(dim):
 
 class TestHausdorffMeasure:
     def test_partition(self):
-        smoothed = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
+        smoothed = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05)
         mesh = boundary_mesh(smoothed, 2048)
         agree = mesh.agreement
         parts = np.sum(mesh.facet_measures[agree]) + np.sum(mesh.facet_measures[~agree])
@@ -262,7 +284,7 @@ class TestHausdorffMeasure:
         assert 0 < np.count_nonzero(agree) < len(agree)
 
     def test_single_ball_has_no_disagreement(self):
-        smoothed = extract_smoothed_body(unit_ball(), delta=1e-3, epsilon=0.05, order="C2")
+        smoothed = extract_smoothed_body(unit_ball(), delta=1e-3, epsilon=0.05)
         mesh = boundary_mesh(smoothed, 256)
         assert np.all(mesh.agreement)
 
@@ -287,7 +309,7 @@ class TestSymmetricDifference:
 
     def test_agreement_facets_coincide_exactly(self):
         body = lens()
-        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2")
+        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
         w = boundary_mesh(body, 2048)
         we = boundary_mesh(smoothed, 2048)
         agree_vertices = np.unique(we.facets[we.agreement])
@@ -303,13 +325,10 @@ class TestSymmetricDifference:
         ],
         ids=["lens", "three-ball-3d", "six-ball-2d"],
     )
-    @pytest.mark.parametrize("order", ["C11", "C2"])
-    def test_off_tube_radii_are_bit_exact(self, body, resolution, order):
+    def test_off_tube_radii_are_bit_exact(self, body, resolution):
         # the level-1 off-tube radius is 1.0/mu(u), the original body's
         # radius to the last bit
-        smoothed = extract_smoothed_body(
-            body, delta=1e-3, epsilon=0.05, order=order, resolution=resolution
-        )
+        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, resolution=resolution)
         w = boundary_mesh(body, resolution)
         we = boundary_mesh(smoothed, resolution)
         agree_vertices = np.unique(we.facets[we.agreement])

@@ -70,39 +70,29 @@ class TestSmoothMax:
     a gradient of the identity carries the weight of each member."""
 
     def test_exact_outside_blend_zone(self):
-        value, weights, _ = _fold(np.array([1.0, 0.0]), 0.5, "C11", grad=np.eye(2))
+        value, weights, _ = _fold(np.array([1.0, 0.0]), 0.5, grad=np.eye(2))
         assert value == 1.0 and np.array_equal(weights, [1.0, 0.0])  # bit-exact maximum
 
-    def test_tie_c11(self):
-        value, weights, _ = _fold(np.array([1.0, 1.0]), 0.5, "C11", grad=np.eye(2))
-        assert value == pytest.approx(1.125)
-        assert weights == pytest.approx([0.5, 0.5])
-
     def test_tie_c2(self):
-        value, weights, _ = _fold(np.array([1.0, 1.0]), 0.5, "C2", grad=np.eye(2))
+        value, weights, _ = _fold(np.array([1.0, 1.0]), 0.5, grad=np.eye(2))
         assert value == pytest.approx(1.09375)
         assert weights == pytest.approx([0.5, 0.5])
 
-    @pytest.mark.parametrize("order", ["C11", "C2"])
-    def test_profile_contact_at_delta(self, order):
-        # phi(delta) = delta, phi'(delta) = 1, phi''(delta) = 0 for C2
+    def test_profile_contact_at_delta(self):
+        # phi(delta) = delta, phi'(delta) = 1, phi''(delta) = 0
         delta = 0.7
-        phi, dphi, d2 = _phi_terms(delta * (1 - 1e-15), delta, order)
+        phi, dphi, d2 = _phi_terms(delta * (1 - 1e-15), delta)
         assert float(phi) == pytest.approx(delta, rel=1e-12)
         assert float(dphi) == pytest.approx(1.0, rel=1e-12)
-        if order == "C2":
-            assert abs(float(d2)) <= 1e-12
-        else:
-            assert float(d2) == pytest.approx(1.0 / delta)
+        assert abs(float(d2)) <= 1e-12
 
-    @pytest.mark.parametrize("order", ["C11", "C2"])
-    def test_bounds_and_weights(self, order):
+    def test_bounds_and_weights(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             a, b = rng.uniform(-2, 2, size=2)
             delta = rng.uniform(0.05, 1.0)
             top = max(a, b)
-            value, weights, _ = _fold(np.array([top, min(a, b)]), delta, order, grad=np.eye(2))
+            value, weights, _ = _fold(np.array([top, min(a, b)]), delta, grad=np.eye(2))
             assert top - 1e-15 <= value <= top + delta / 4 + 1e-15
             assert np.all((weights >= 0.0) & (weights <= 1.0))
             assert weights.sum() == pytest.approx(1.0, rel=1e-15)
@@ -110,29 +100,18 @@ class TestSmoothMax:
                 assert value == top
 
     @staticmethod
-    def _blend_near_delta(delta, h, steps, order):
+    def _blend_near_delta(delta, h, steps):
         """Blend of (delta + k h, 0), k = -steps..steps, one fold over the batch."""
         a = delta + h * np.arange(-steps, steps + 1)
-        return _fold(np.stack([a, np.zeros_like(a)], axis=-1), delta, order)[0]
+        return _fold(np.stack([a, np.zeros_like(a)], axis=-1), delta)[0]
 
     def test_c2_second_derivative_continuous(self):
         # one-sided second differences at the blend boundary agree within 1e-4
         delta, h = 1.0, 1e-5
-        f = dict(zip(range(-3, 4), self._blend_near_delta(delta, h, 3, "C2")))
+        f = dict(zip(range(-3, 4), self._blend_near_delta(delta, h, 3)))
         left = (2 * f[0] - 5 * f[-1] + 4 * f[-2] - f[-3]) / h**2
         right = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h**2
         assert abs(left - right) <= 1e-4
-
-    def test_c11_first_derivative_continuous_second_bounded(self):
-        delta, h = 1.0, 1e-6
-        f = dict(zip(range(-2, 3), self._blend_near_delta(delta, h, 2, "C11")))
-        dleft = (3 * f[0] - 4 * f[-1] + f[-2]) / (2 * h)
-        dright = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-        assert abs(dleft - dright) <= 1e-6
-        h2 = 1e-4
-        f = dict(zip(range(-3, 4), self._blend_near_delta(delta, h2, 3, "C11")))
-        inside = (2 * f[0] - 5 * f[-1] + 4 * f[-2] - f[-3]) / h2**2
-        assert abs(inside) <= 1.0 / (2 * delta) + 1e-3  # jumps but stays bounded
 
     def test_validation(self):
         # a NaN or infinite width used to reach the tube estimate and be
@@ -142,13 +121,11 @@ class TestSmoothMax:
                 BlendedGauge(body=lens(), delta=delta)
             with pytest.raises(ValueError, match="delta must be positive and finite"):
                 extract_smoothed_body(single(), delta=delta, epsilon=0.05)
-        with pytest.raises(ValueError):
-            BlendedGauge(body=lens(), delta=0.1, order="C3")
 
 
 class TestBlendedGauge:
     def test_single_ball_is_plain_squared_gauge(self):
-        gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
+        gauge = BlendedGauge(body=single(), delta=1e-3)
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((100, 2))
         assert np.array_equal(
@@ -156,7 +133,7 @@ class TestBlendedGauge:
         )
 
     def test_exact_off_the_ridge(self):
-        gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
+        gauge = BlendedGauge(body=lens(), delta=1e-3)
         x = np.array([0.9, 0.1])  # far from the symmetry plane
         assert agreement_many(gauge, x[None])[0]
         value, _, _ = blended_gauge_sq(gauge, x)
@@ -166,25 +143,24 @@ class TestBlendedGauge:
         rng = np.random.default_rng(2)
         body = random_ball_body(rng, 2, 5)
         delta = 0.05
-        gauge = BlendedGauge(body=body, delta=delta, order="C11")
+        gauge = BlendedGauge(body=body, delta=delta)
         pts = rng.uniform(-2, 2, size=(2000, 2))
         excess = blended_values(gauge, pts) - body_gauge_values(body, pts) ** 2
         assert np.all(excess >= -1e-15)
         assert np.all(excess <= delta / 4 * (body.num_balls - 1) + 1e-12)
 
     def test_indicator_examples(self):
-        gauge = BlendedGauge(body=lens(), delta=1e-3, order="C2")
+        gauge = BlendedGauge(body=lens(), delta=1e-3)
         on_plane, off_plane = agreement_many(gauge, np.array([[0.0, 0.5], [1.0, 0.0]]))
         assert not on_plane and off_plane  # the symmetry plane is the ridge
-        single_gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
+        single_gauge = BlendedGauge(body=single(), delta=1e-3)
         assert agreement_many(single_gauge, np.array([[0.3, -0.8]]))[0]
 
-    @pytest.mark.parametrize("order", ["C11", "C2"])
-    def test_derivatives_match_finite_differences(self, order):
+    def test_derivatives_match_finite_differences(self):
         # wide blend keeps the finite differences well conditioned inside
         # the tube; the Hessian check differences the closed-form gradient
         delta = 0.08
-        gauge = BlendedGauge(body=lens(), delta=delta, order=order)
+        gauge = BlendedGauge(body=lens(), delta=delta)
         rng = np.random.default_rng(3)
         tested_tube = 0
         for k in range(40):
@@ -207,7 +183,7 @@ class TestBlendedGauge:
     def test_fold_preserves_strong_convexity(self):
         rng = np.random.default_rng(4)
         body = random_ball_body(rng, 2, 4)
-        gauge = BlendedGauge(body=body, delta=0.05, order="C2")
+        gauge = BlendedGauge(body=body, delta=0.05)
         floor = 1.0 / (2.0 * body.radius**2)
         for _ in range(200):
             x = rng.standard_normal(2) * rng.uniform(0.1, 2.0)
@@ -217,13 +193,12 @@ class TestBlendedGauge:
     @settings(max_examples=150, deadline=None)
     @given(
         body=ball_bodies(),
-        order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, -0.5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_blend_keeps_the_proven_floor(self, body, order, log_delta, seed):
+    def test_blend_keeps_the_proven_floor(self, body, log_delta, seed):
         # the floor extract_smoothed_body reports: 2/(2R - rho)^2
-        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((128, body.dim)) * rng.uniform(0.05, 3.0, (128, 1)) * body.radius
         _, _, hess = blended_gauge_sq_many(gauge, x)
@@ -233,26 +208,20 @@ class TestBlendedGauge:
 
     def test_hessian_field_continuous_across_blend_boundary_c2_only(self):
         # straddle the gap = delta surface at a relative offset of 1e-9;
-        # the C2 profile's curvature vanishes there, the C11 one jumps
-        body = lens()
-        jumps = {}
-        for order in ("C11", "C2"):
-            gauge = BlendedGauge(body=body, delta=1e-3, order=order)
-            x_in, x_out = _straddle_points(gauge, rel_offset=1e-9)
-            _, _, h_in = blended_gauge_sq(gauge, x_in)
-            _, _, h_out = blended_gauge_sq(gauge, x_out)
-            jumps[order] = float(np.abs(h_in - h_out).max())
-        assert jumps["C2"] <= 1e-4
-        assert jumps["C11"] > 1.0
+        # the profile's curvature vanishes there
+        gauge = BlendedGauge(body=lens(), delta=1e-3)
+        x_in, x_out = _straddle_points(gauge, rel_offset=1e-9)
+        _, _, h_in = blended_gauge_sq(gauge, x_in)
+        _, _, h_out = blended_gauge_sq(gauge, x_out)
+        assert float(np.abs(h_in - h_out).max()) <= 1e-4
 
 
 class TestBatchedBlend:
-    @pytest.mark.parametrize("order", ["C11", "C2"])
-    def test_batched_matches_member_by_member_fold(self, order):
+    def test_batched_matches_member_by_member_fold(self):
         rng = np.random.default_rng(11)
         for dim in (2, 3):
             body = random_ball_body(rng, dim, 5)
-            gauge = BlendedGauge(body=body, delta=0.05, order=order)
+            gauge = BlendedGauge(body=body, delta=0.05)
             pts = rng.standard_normal((300, dim)) * rng.uniform(0.2, 1.5, size=(300, 1))
             values, grads, hessians = blended_gauge_sq_many(gauge, pts)
             in_tube = 0
@@ -265,7 +234,7 @@ class TestBatchedBlend:
             assert in_tube >= 10  # the blend branch is exercised, not only the max
 
     def test_single_point_is_a_batch_of_one(self):
-        gauge = BlendedGauge(body=lens(), delta=0.08, order="C2")
+        gauge = BlendedGauge(body=lens(), delta=0.08)
         pts = np.array([[0.01, 0.8], [0.9, 0.1], [-0.3, -0.6]])
         values, grads, hessians = blended_gauge_sq_many(gauge, pts)
         for i, x in enumerate(pts):
@@ -281,7 +250,6 @@ class TestLevelMeshRadii:
     bisection of h along every grid direction (``batch_ray_crossings``).
     Level t at width delta is t times level 1 at width delta/t^2."""
 
-    @pytest.mark.parametrize("order", ["C11", "C2"])
     @settings(max_examples=40, deadline=None)
     @given(
         body=ball_bodies(),
@@ -289,11 +257,11 @@ class TestLevelMeshRadii:
         level=st.floats(1.0, 1.25, exclude_min=True),
         res2d=st.integers(16, 400),
     )
-    def test_radii_match_bisection(self, order, body, log_delta, level, res2d):
+    def test_radii_match_bisection(self, body, log_delta, level, res2d):
         delta = 10.0**log_delta * body.radius**2
-        gauge = BlendedGauge(body=body, delta=delta, order=order)
+        gauge = BlendedGauge(body=body, delta=delta)
         resolution = res2d if body.dim == 2 else 2
-        mesh = blended_level_mesh(BlendedGauge(body, delta / level**2, order), resolution)
+        mesh = blended_level_mesh(BlendedGauge(body, delta / level**2), resolution)
         dirs, _ = direction_grid(body.dim, resolution)
         ref = batch_ray_crossings(
             lambda p: np.sqrt(blended_values(gauge, p)), dirs, level, 20.0 * body.radius
@@ -302,7 +270,7 @@ class TestLevelMeshRadii:
         assert np.all(np.abs(level * mesh.radii - ref) <= RADIUS_REL_TOL * ref)
 
     def test_blended_single_ball_levels_are_spheres(self):
-        gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
+        gauge = BlendedGauge(body=single(), delta=1e-3)
         mesh = blended_level_mesh(gauge, 64)
         assert np.allclose(mesh.radii, 1.0, rtol=1e-12, atol=0.0)
         assert np.all(mesh.agreement)
@@ -342,7 +310,6 @@ class TestRegularValueSelection:
     gives a smaller body. The level scan, kept for the benchmark's tracer,
     measures each level's tube facets through that identity."""
 
-    @pytest.mark.parametrize("order", ["C11", "C2"])
     @settings(max_examples=40, deadline=None)
     @given(
         body=ball_bodies(),
@@ -350,39 +317,38 @@ class TestRegularValueSelection:
         t=st.floats(1.0, 1.25, exclude_min=True, exclude_max=True),
         res2d=st.integers(16, 400),
     )
-    def test_level_t_is_level_one_of_a_narrower_blend(self, order, body, log_delta, t, res2d):
+    def test_level_t_is_level_one_of_a_narrower_blend(self, body, log_delta, t, res2d):
         # phi_delta(s) = delta Phi(s/delta) and 2-homogeneous member squared
         # gauges: g_delta(t x) = t^2 g_(delta/t^2)(x), hence
         # (1/t) {sqrt(g_delta) <= t} = {g_(delta/t^2) <= 1}
         delta = 10.0**log_delta * body.radius**2
         dirs, _ = direction_grid(body.dim, res2d if body.dim == 2 else 2)
         pts = np.vstack([dirs / body_gauge_values(body, dirs)[:, None], 0.5 * dirs])
-        wide = blended_values(BlendedGauge(body, delta, order), t * pts)
-        narrow = blended_values(BlendedGauge(body, delta / t**2, order), pts)
+        wide = blended_values(BlendedGauge(body, delta), t * pts)
+        narrow = blended_values(BlendedGauge(body, delta / t**2), pts)
         assert np.all(np.abs(wide - t * t * narrow) <= 1e-13 * wide)
 
     @settings(max_examples=60, deadline=None)
     @given(
         body=ball_bodies(),
-        order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, -1.0),
         shrink=st.floats(1e-3, 1.0),
         res2d=st.integers(16, 400),
         res3d=st.integers(2, 3),
     )
     def test_a_narrower_blend_never_shrinks_the_body(
-        self, body, order, log_delta, shrink, res2d, res3d
+        self, body, log_delta, shrink, res2d, res3d
     ):
-        # d phi_delta / d delta >= 0 for both profiles, so g grows with delta
+        # d phi_delta / d delta >= 0, so g grows with delta
         # and the level-1 radii can only grow as delta shrinks
         delta = 10.0**log_delta * body.radius**2
         resolution = res2d if body.dim == 2 else res3d
-        wide = blended_level_mesh(BlendedGauge(body, delta, order), resolution)
-        narrow = blended_level_mesh(BlendedGauge(body, shrink * delta, order), resolution)
+        wide = blended_level_mesh(BlendedGauge(body, delta), resolution)
+        narrow = blended_level_mesh(BlendedGauge(body, shrink * delta), resolution)
         assert np.all(narrow.radii >= wide.radii * (1.0 - 1e-14))
 
     def test_min_bounded_by_scan_average(self):
-        gauge = BlendedGauge(body=lens(), delta=5e-3, order="C2")
+        gauge = BlendedGauge(body=lens(), delta=5e-3)
         _, measures = level_disagreement_scan(gauge, 0.05, 16, resolution=2048)
         assert measures.min() <= measures.mean() + 1e-15
 
@@ -394,16 +360,16 @@ class TestRegularValueSelection:
     def test_scan_measures_are_those_of_each_level_mesh(self, body, resolution):
         # the level-t mesh is t times the level-1 mesh of width delta/t^2;
         # its facet measures are taken on the scaled points
-        gauge = BlendedGauge(body=body, delta=1e-3, order="C2")
+        gauge = BlendedGauge(body=body, delta=1e-3)
         levels, measures = level_disagreement_scan(gauge, 0.05, 16, resolution=resolution)
         for t, m in zip(levels, measures):
-            mesh = blended_level_mesh(BlendedGauge(body, 1e-3 / t**2, "C2"), resolution)
+            mesh = blended_level_mesh(BlendedGauge(body, 1e-3 / t**2), resolution)
             level_t = facet_measures(t * mesh.points, mesh.facets)
             assert m == pytest.approx(np.sum(level_t[~mesh.agreement]), rel=1e-12)
         assert np.any(measures > 0.0)
 
     def test_epsilon_validation(self):
-        gauge = BlendedGauge(body=single(), delta=1e-3, order="C2")
+        gauge = BlendedGauge(body=single(), delta=1e-3)
         for bad in (0.0, 0.25, 0.5, -0.1):
             with pytest.raises(DegenerateEpsilon):
                 level_disagreement_scan(gauge, bad, 16)
@@ -421,11 +387,10 @@ class TestOneLevelMesher:
     get the radius of solving it alone, and the facets the flags of the
     level's own centroids."""
 
-    @pytest.mark.parametrize("order", ["C11", "C2"])
-    def test_rows_taking_different_newton_step_counts(self, order, monkeypatch):
+    def test_rows_taking_different_newton_step_counts(self, monkeypatch):
         # a wide blend on an 8-ball ring: some rows need more Newton steps
         # than others, and each still gets its own radius
-        gauge = BlendedGauge(body=ring(8, 0.1), delta=0.1, order=order)
+        gauge = BlendedGauge(body=ring(8, 0.1), delta=0.1)
         grid = _level_grid(gauge, 256)
         radii = _level_mesh(gauge, grid).radii
         tube = np.nonzero(grid.sq[:, 0] - grid.sq[:, 1] < gauge.delta * (1.0 + RIDGE_GUARD))[0]
@@ -448,14 +413,13 @@ class TestOneLevelMesher:
     @settings(max_examples=40, deadline=None)
     @given(
         body=ball_bodies(),
-        order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, -1.0),
         res2d=st.integers(16, 200),
     )
-    def test_each_tube_row_is_solved_as_if_alone(self, body, order, log_delta, res2d):
+    def test_each_tube_row_is_solved_as_if_alone(self, body, log_delta, res2d):
         # every row stops on its own Newton step, so no row's radius depends
         # on the rows batched with it
-        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2)
         grid = _level_grid(gauge, res2d if body.dim == 2 else 2)
         radii = _level_mesh(gauge, grid).radii
         if grid.sq is None:
@@ -469,22 +433,21 @@ class TestOneLevelMesher:
     @settings(max_examples=60, deadline=None)
     @given(
         body=ball_bodies(),
-        order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, np.log10(0.3)),
         level=st.floats(1.0, 1.25),
         res2d=st.integers(16, 700),
         res3d=st.integers(2, 3),
     )
     def test_flags_are_those_of_the_level_centroids(
-        self, body, order, log_delta, level, res2d, res3d
+        self, body, log_delta, level, res2d, res3d
     ):
         # level t at width delta is t times level 1 at width delta/t^2: the
         # flags of the narrower blend, tested at the original mesh's
         # centroids, must be those of the level-t set tested at its own
         # centroids, except where the gap sits at the threshold to rounding
-        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2, order=order)
+        gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2)
         grid = _level_grid(gauge, res2d if body.dim == 2 else res3d)
-        narrow = BlendedGauge(body, gauge.delta / level**2, order)
+        narrow = BlendedGauge(body, gauge.delta / level**2)
         mesh = _level_mesh(narrow, grid)
         ref = level_flags_reference(gauge, grid, level, level * mesh.radii)
         if len(body.centers) == 1:
@@ -502,7 +465,7 @@ class TestExtract:
         from convexsmooth import symmetric_difference_measure
 
         body = single()
-        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2")
+        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
         for res in (128, 512):
             w = boundary_mesh(body, res)
             we = boundary_mesh(smoothed, res)
@@ -512,7 +475,7 @@ class TestExtract:
         from convexsmooth import hausdorff_measure, symmetric_difference_measure
 
         body = lens()
-        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2")
+        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
         checks = smoothed.checks
         assert checks["contained"] and checks["tube_ok"]
         assert checks["hessian_min_eig"] >= 0.9 * 0.5
@@ -522,7 +485,7 @@ class TestExtract:
 
     def test_containment_chain(self):
         body = lens()
-        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C11")
+        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
         mesh = boundary_mesh(smoothed, 512)
         rng = np.random.default_rng(5)
         shrink = rng.random((len(mesh.points), 1)) ** 0.5
@@ -536,7 +499,7 @@ class TestExtract:
     )
     def test_returned_meshes_are_those_of_boundary_mesh(self, body, resolution):
         smoothed = extract_smoothed_body(
-            body, delta=1e-3, epsilon=0.05, order="C2", resolution=resolution
+            body, delta=1e-3, epsilon=0.05, resolution=resolution
         )
         res = resolution if resolution is not None else {2: 1024, 3: 4}[body.dim]
         for built, ref in zip(smoothed.meshes, (boundary_mesh(body, res), boundary_mesh(smoothed, res))):
@@ -546,28 +509,28 @@ class TestExtract:
         assert not np.all(smoothed.meshes[1].agreement)
 
     def test_separate_runs_compare_equal(self):
-        first = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
-        second = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
+        first = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05)
+        second = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05)
         assert first == second
-        assert first != extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C11")
+        assert first != extract_smoothed_body(lens(), delta=2e-3, epsilon=0.05)
 
     def test_fat_tube_rejected(self):
         with pytest.raises(ShrinkDelta):
-            extract_smoothed_body(lens(), delta=0.5, epsilon=0.05, order="C2")
+            extract_smoothed_body(lens(), delta=0.5, epsilon=0.05)
 
     def test_duplicate_centers_are_named(self):
         # identical balls tie on their whole boundary: no delta helps, so
         # the advice names the copies instead
         body = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]], dim=2)
         with pytest.raises(ShrinkDelta, match=r"balls \(0, 2\) have identical centers") as info:
-            extract_smoothed_body(body, delta=1e-3, epsilon=0.05, order="C2")
+            extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
         assert "remove" in str(info.value) and "decrease delta" not in str(info.value)
         with pytest.raises(ShrinkDelta, match="decrease delta"):
-            extract_smoothed_body(lens(), delta=0.5, epsilon=0.05, order="C2")
+            extract_smoothed_body(lens(), delta=0.5, epsilon=0.05)
 
     def test_epsilon_validation(self):
         with pytest.raises(DegenerateEpsilon):
-            extract_smoothed_body(lens(), delta=1e-3, epsilon=0.3, order="C2")
+            extract_smoothed_body(lens(), delta=1e-3, epsilon=0.3)
 
     @pytest.mark.parametrize("scale", [0.25, 8.0], ids=["quarter", "eight"])
     def test_default_width_is_scale_invariant(self, scale):
@@ -590,7 +553,7 @@ class TestExtract:
     def test_checks_carry_the_verdict(self, body, resolution):
         epsilon = 0.05
         smoothed = extract_smoothed_body(
-            body, delta=1e-3, epsilon=epsilon, order="C2", resolution=resolution
+            body, delta=1e-3, epsilon=epsilon, resolution=resolution
         )
         checks = smoothed.checks
         w_mesh, we_mesh = smoothed.meshes
@@ -607,10 +570,10 @@ class TestExtract:
         assert checks["hessian_min_eig"] >= checks["hessian_floor"]
 
     def test_serialization(self):
-        smoothed = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05, order="C2")
+        smoothed = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05)
         data = smoothed.to_json()
-        assert set(data) == {"body", "delta", "order"}
-        assert data["order"] == "C2"
+        assert set(data) == {"body", "delta"}
+        assert data["delta"] == 1e-3
 
 
 class TestPipelineInvariants:
@@ -621,19 +584,17 @@ class TestPipelineInvariants:
     @settings(max_examples=80, deadline=None)
     @given(
         body=ball_bodies(),
-        order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, -1.5),
         epsilon=st.floats(0.01, 0.2),
         res2d=st.integers(64, 1024),
         res3d=st.integers(2, 3),
     )
-    def test_named_error_or_invariants_hold(self, body, order, log_delta, epsilon, res2d, res3d):
+    def test_named_error_or_invariants_hold(self, body, log_delta, epsilon, res2d, res3d):
         try:
             smoothed = extract_smoothed_body(
                 body,
                 delta=10.0**log_delta * body.radius**2,
                 epsilon=epsilon,
-                order=order,
                 resolution=res2d if body.dim == 2 else res3d,
             )
         except ConvexSmoothError as e:
@@ -649,12 +610,11 @@ class TestPipelineInvariants:
     @settings(max_examples=80, deadline=None)
     @given(
         body=ball_bodies(),
-        order=st.sampled_from(["C11", "C2"]),
         log_delta=st.floats(-4.0, -1.5),
         res2d=st.integers(64, 1024),
         res3d=st.integers(2, 3),
     )
-    def test_smoothed_vertices_lie_in_the_gauge_band(self, body, order, log_delta, res2d, res3d):
+    def test_smoothed_vertices_lie_in_the_gauge_band(self, body, log_delta, res2d, res3d):
         # g >= q, and each of the m - 1 fold steps adds at most delta/4: on
         # the level-1 set the body gauge, the ratio of the smoothed radius to
         # the original one, lies in [sqrt(1 - (m - 1) delta/4), 1]
@@ -664,7 +624,6 @@ class TestPipelineInvariants:
                 body,
                 delta=delta,
                 epsilon=0.2,
-                order=order,
                 resolution=res2d if body.dim == 2 else res3d,
             )
         except ShrinkDelta:
