@@ -8,12 +8,9 @@ from convexsmooth import (
     BallBody,
     HalfspaceBody,
     OutsideDomain,
-    boundary_mesh,
     boundary_projection,
     boundary_surjectivity_probe,
-    normal_lipschitz_estimate,
     project_body,
-    projection_domain,
 )
 
 lens = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
@@ -32,25 +29,25 @@ print("moving the query by 0.05 moves the projection by",
       f"{np.linalg.norm(q - p):.4f}")
 
 # --- projection onto the boundary -------------------------------------------
-# interior points can be projected onto the boundary only inside a safe
-# tube whose width comes from the normal field's Lipschitz constant
-ball = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)
-mesh = boundary_mesh(ball, 720)
-print("\nnormal-field Lipschitz estimate (unit circle):",
-      f"{normal_lipschitz_estimate(mesh):.4f}")
-print("safe tube width:", f"{projection_domain(mesh).width:.4f}")
-
-print("boundary projection of (0.6, 0):",
-      boundary_projection(ball, mesh, np.array([0.6, 0.0])))
+# an interior point goes radially to its nearest sphere. The map is
+# 2-Lipschitz on a domain read off the body: the nearest sphere less than
+# R/2 deep and the next at least three times as deep. Near the lens tip the
+# two arcs are about equally deep, and the nearest one flips across the
+# medial axis, so points there are refused
+x = np.array([0.4, 0.2])
+print("\nboundary projection of (0.4, 0.2), in the right arc's face cell:",
+      boundary_projection(lens, x))
+tip = np.array([0.0, np.sqrt(0.75)])
 try:
-    boundary_projection(ball, mesh, np.array([0.3, 0.0]))
+    boundary_projection(lens, tip + [1e-7, -5e-4])
 except OutsideDomain as e:
-    print("too deep inside:", e)
+    print("just below the lens tip:", e)
 
 # --- the covering probe ------------------------------------------------------
 # projecting any enclosing boundary onto the body covers the whole body
 # boundary; the probe follows each outward normal ray to where it leaves
 # the enclosing body and projects that point back
+ball = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)
 square = HalfspaceBody(
     normals=[[1, 0], [-1, 0], [0, 1], [0, -1]], offsets=[2.0] * 4
 )

@@ -2,10 +2,11 @@
 
 Provides closed-form gauges with derivatives, certificates for
 the equivalent characterizations of strong convexity, metric projections
-(exact nearest points by active-set enumeration, boundary projection on
-its safe tube), a convexity-preserving smoothing pipeline producing
-inscribed C^2 bodies, and boundary-measure bookkeeping for the
-symmetric difference the pipeline controls.
+(exact nearest points by active-set enumeration, and a 2-Lipschitz
+boundary projection on a domain read off the body), a
+convexity-preserving smoothing pipeline producing inscribed C^2 bodies,
+and boundary-measure bookkeeping for the symmetric difference the
+pipeline controls.
 """
 
 from .bodies import (
@@ -71,13 +72,10 @@ from .measure import (
     symmetric_difference_measure,
 )
 from .project import (
-    ProjectionDomain,
     boundary_projection,
     boundary_surjectivity_probe,
-    normal_lipschitz_estimate,
     project_ball,
     project_body,
-    projection_domain,
 )
 from .smooth import (
     BlendedGauge,

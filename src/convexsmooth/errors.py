@@ -30,9 +30,9 @@ class NonConvergence(ConvexSmoothError):
 
 
 class OutsideDomain(ConvexSmoothError):
-    """Query point lies outside the neighborhood where the boundary projection
-    is guaranteed well defined (this flags a violated hypothesis, not a
-    numerical failure)."""
+    """Interior query point outside the boundary projection's domain: its
+    nearest sphere lies R/2 or more deep, or the next one less than three
+    times as deep (a violated hypothesis, not a numerical failure)."""
 
 
 class RayMiss(ConvexSmoothError):

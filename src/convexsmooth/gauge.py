@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ball, BallBody, _as_vector, _row_dots
+from .bodies import Ball, BallBody, _as_vector, _require_ball, _row_dots
 from .errors import DegenerateBall
 
 # Absolute tolerance on squared gauge values when listing the attaining
@@ -117,8 +117,10 @@ def _member_arrays(body: BallBody) -> tuple[np.ndarray, np.ndarray]:
     """Centers (m, n) and k_i = R^2 - |a_i|^2 (m,) of every member ball.
 
     k_i is formed exactly as :func:`ball_gauge` forms it: it cancels badly
-    as |a_i| -> R, and the two kernels must round it alike to agree.
+    as |a_i| -> R, and the two kernels must round it alike to agree. A body
+    other than a ball body raises :class:`NotBallBody`.
     """
+    _require_ball(body, "the member gauges")
     centers = body.centers
     k = body.radius**2 - np.array([float(c @ c) for c in centers])
     if np.any(k <= 0.0):

@@ -7,24 +7,18 @@ so it is the nearest feasible candidate on the body's intersection
 spheres, which are enumerated once per body and cached on it
 (:func:`convexsmooth.bodies._extreme_points`). The nearest
 boundary point of an interior point is its radial projection onto the
-sphere of the ball whose boundary is closest. That interior branch is
-exact wherever one sphere is nearest. On a face cell (the points whose
-farthest center is a given a_i) it is the radial map onto that sphere, and
-on the cell's points within boundary distance d it is R/(R - d)-Lipschitz.
-Across the medial axis, where the nearest sphere changes, the map jumps
-and no Lipschitz constant holds: at a ridge such as a lens tip, two
-interior points a tiny distance apart land on different spheres. Outside
-the body the map is the metric projection onto a convex set, hence
-1-Lipschitz. The interior branch is offered only on a tube whose width
-comes from a mesh estimate of the boundary normal field's Lipschitz
-constant. The probe follows each outward normal ray of the inner body to
+nearest sphere. Across the medial axis, where the nearest sphere changes,
+that map jumps, so the boundary projection takes interior points only
+where the nearest sphere lies less than R/2 deep and the next one at
+least three times as deep: a domain read off the body alone, on which the map is
+2-Lipschitz (:func:`boundary_projection` gives the proof). Outside the
+body it is the metric projection onto a convex set, hence 1-Lipschitz.
+The probe follows each outward normal ray of the inner body to
 where it leaves the outer body, a quadratic root per ball or a ratio per
 face, and projects it back.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,33 +35,10 @@ from .bodies import (
     contains_many,
 )
 from .errors import InvalidBody, OutsideDomain, RayMiss
-from .measure import BoundaryMesh, boundary_samples
+from .measure import boundary_samples
 
 # Largest gap at which the surjectivity probe passes.
 PROBE_GAP_THRESHOLD = 1e-6
-
-
-@dataclass(frozen=True)
-class ProjectionDomain:
-    """Neighborhood of the boundary where boundary projection is offered.
-
-    ``width`` = 1 / (2 * lip_normal), from the mesh estimate of the normal
-    field's Lipschitz constant; :func:`boundary_projection` accepts the
-    whole exterior and interior points closer to the boundary than
-    ``width``. On that domain the map is exact where one sphere is
-    nearest, and R/(R - d)-Lipschitz on the points of one face cell (one
-    farthest center) within boundary distance d. It has no Lipschitz
-    constant across the medial axis, where the nearest sphere changes:
-    near a ridge, interior points arbitrarily close together project to
-    points a fixed distance apart.
-    """
-
-    width: float
-    lip_normal: float
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
 
 
 def project_ball(ball: Ball, x) -> np.ndarray:
@@ -103,57 +74,42 @@ def project_body(body: BallBody, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def normal_lipschitz_estimate(mesh: BoundaryMesh) -> float:
-    """Estimated Lipschitz constant of the outward normal field.
+def boundary_projection(body: BallBody, x) -> np.ndarray:
+    """Nearest boundary point, on a domain D where the map is 2-Lipschitz.
 
-    Maximum of |normal difference| / |centroid difference| over adjacent
-    facet pairs, inflated by 10% as a discretization guard. Corners blow
-    the estimate up (the true constant is infinite there), which correctly
-    shrinks the safe projection tube.
-    """
-    if len(mesh.facets) < 8:
-        raise ValueError("mesh needs at least 8 facets")
-    # outward unit facet normals, outward meaning away from the origin
-    pts = mesh.points[mesh.facets]
-    if mesh.dim == 2:
-        e = pts[:, 1] - pts[:, 0]
-        normals = np.column_stack([e[:, 1], -e[:, 0]])
-    else:
-        normals = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    normals[np.einsum("ij,ij->i", normals, mesh.facet_centroids) < 0] *= -1.0
-    # facets sharing an edge: consecutive segments in 2D; in 3D each edge
-    # of the closed grid has two facets, adjacent once edges sort by key
-    if mesh.dim == 2:
-        i = np.arange(len(mesh.facets))
-        pairs = np.column_stack([i, (i + 1) % len(i)])
-    else:
-        edges = np.sort(mesh.facets[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        key = edges[:, 0] * len(mesh.points) + edges[:, 1]
-        pairs = (np.argsort(key, kind="stable") // 3).reshape(-1, 2)
-    dn = np.linalg.norm(normals[pairs[:, 0]] - normals[pairs[:, 1]], axis=1)
-    dc = np.linalg.norm(
-        mesh.facet_centroids[pairs[:, 0]] - mesh.facet_centroids[pairs[:, 1]], axis=1
-    )
-    return 1.1 * float(np.max(dn / dc))
+    An exterior point goes to :func:`project_body`, which lands on the
+    boundary. An interior point x has sphere depths d_i = R - |x - a_i|.
+    B(x, d_1), d_1 the smallest, lies in every ball, so the nearest
+    boundary point is the radial projection
+    p(x) = a_i + R (x - a_i)/|x - a_i| onto a sphere i of depth d_1, exact
+    up to rounding, and |p(x) - x| = d_1. d_2 >= d_1 is the smallest depth
+    of the other spheres (a repeated center is the same sphere), inf if
+    there are none. D holds every exterior point and each interior point
+    with d_1 < R/2 and d_2 >= 3 d_1, so it is read off the body alone. Any
+    other interior point raises :class:`OutsideDomain`, a violated
+    hypothesis, not a numerical failure.
 
+    p is 2-Lipschitz on D for every pair x, y, however close:
 
-def projection_domain(mesh: BoundaryMesh) -> ProjectionDomain:
-    lip = normal_lipschitz_estimate(mesh)
-    return ProjectionDomain(width=1.0 / (2.0 * lip), lip_normal=lip)
+    1. x and y interior, on the same sphere i: the radial map onto a
+       sphere of radius R is R/r-Lipschitz on the points at least r from
+       its center, and |x - a_i|, |y - a_i| > R/2.
+    2. x interior on sphere i, y interior on sphere j != i: f = d_j - d_i
+       is 2-Lipschitz, f(x) >= d_2(x) - d_1(x) >= 2 d_1(x) and
+       f(y) <= -2 d_1(y). So d_1(x) + d_1(y) <= |x - y|, and
+       |p(x) - p(y)| <= d_1(x) + |x - y| + d_1(y) <= 2 |x - y|.
+    3. x interior, y exterior: the segment from x to y crosses the
+       boundary at a point z of D that both branches fix. p is 2-Lipschitz
+       from x to z by 1 or 2, and 1-Lipschitz from z to y, where it is the
+       projection onto a convex set; z lies on the segment, so
+       |p(x) - p(y)| <= 2 |x - z| + |z - y| <= 2 |x - y|. On two
+       exterior points p is that projection, hence 1-Lipschitz.
 
-
-def boundary_projection(body: BallBody, mesh: BoundaryMesh, x) -> np.ndarray:
-    """Nearest boundary point, on the domain where that is guaranteed.
-
-    Exterior points delegate to the body projection, which lands on the
-    boundary. An interior point x lies at distance d = min_i (R - |x - a_i|)
-    from the boundary, and B(x, d) is inside every ball, so its nearest
-    boundary point is the radial projection onto the sphere of a minimizing
-    ball: exact up to rounding. Interior points with d at or above the
-    mesh-estimated safe width raise :class:`OutsideDomain` -- a violated
-    hypothesis, not a numerical failure. A body other than a ball body
-    raises :class:`NotBallBody`.
+    Near the medial axis, where d_2 - d_1 -> 0, no constant holds: two
+    interior points a tiny distance apart on either side of a lens tip's
+    axis land on different arcs. No tube about the boundary avoids this, since the
+    boundary has reach 0 from inside at every ridge. A body other than a
+    ball body raises :class:`NotBallBody`.
     """
     _require_ball(body, "boundary projection")
     x = _as_vector(x, body.dim)
@@ -162,12 +118,15 @@ def boundary_projection(body: BallBody, mesh: BoundaryMesh, x) -> np.ndarray:
     v = x - body.centers
     dist = np.linalg.norm(v, axis=1)
     i = int(np.argmax(dist))
-    depth = body.radius - float(dist[i])
-    width = projection_domain(mesh).width
-    if depth >= width:
+    depths = body.radius - dist
+    d1 = float(depths[i])
+    other = np.any(body.centers != body.centers[i], axis=1)
+    d2 = float(np.min(depths[other], initial=np.inf))
+    if not (d1 < 0.5 * body.radius and d2 >= 3.0 * d1):
         raise OutsideDomain(
-            f"interior point at boundary distance {depth:.6g} >= "
-            f"safe width {width:.6g}"
+            f"interior point with sphere depths {d1:.6g} (nearest) and {d2:.6g} "
+            f"(next) is outside the projection domain: it needs nearest < R/2 = "
+            f"{0.5 * body.radius:.6g} and next >= 3 x nearest"
         )
     return body.centers[i] + (body.radius / dist[i]) * v[i]
 

@@ -281,39 +281,16 @@ def off_text_reference(mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def normal_lipschitz_reference(mesh) -> float:
-    """Normal Lipschitz estimate of a mesh with its adjacent facets paired
-    edge by edge through a dict (the loop form of
-    ``project.normal_lipschitz_estimate``)."""
-    pts = mesh.points[mesh.facets]
-    if mesh.dim == 2:
-        e = pts[:, 1] - pts[:, 0]
-        normals = np.column_stack([e[:, 1], -e[:, 0]])
-    else:
-        normals = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    flip = np.einsum("ij,ij->i", normals, mesh.facet_centroids) < 0
-    normals[flip] *= -1.0
-    nf = len(mesh.facets)
-    if mesh.dim == 2:
-        i = np.arange(nf)
-        pairs = np.column_stack([i, (i + 1) % nf])
-    else:
-        edges: dict[tuple[int, int], int] = {}
-        found = []
-        for fi, (a, b, c) in enumerate(mesh.facets):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                other = edges.pop(key, None)
-                if other is None:
-                    edges[key] = fi
-                else:
-                    found.append((other, fi))
-        pairs = np.array(found, dtype=np.int64)
-    dn = np.linalg.norm(normals[pairs[:, 0]] - normals[pairs[:, 1]], axis=1)
-    centroids = mesh.facet_centroids
-    dc = np.linalg.norm(centroids[pairs[:, 0]] - centroids[pairs[:, 1]], axis=1)
-    return 1.1 * float(np.max(dn / dc))
+def boundary_projection_accepts(body: BallBody, x) -> bool:
+    """Whether x lies in ``project.boundary_projection``'s domain: outside
+    the body, or inside with its two smallest depths d_i = R - |x - a_i|
+    over the distinct spheres satisfying d_1 < R/2 and d_2 >= 3 d_1."""
+    if not contains(body, x):
+        return True
+    centers = np.unique(body.centers, axis=0)
+    depths = np.sort(body.radius - np.linalg.norm(x - centers, axis=1))
+    d2 = depths[1] if len(depths) > 1 else np.inf
+    return bool(depths[0] < 0.5 * body.radius and d2 >= 3.0 * depths[0])
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -37,6 +37,7 @@ from convexsmooth.gauge import attaining_members, body_gauge_values, member_gaug
 from helpers import (
     QuadraticPatch,
     boundary_cloud,
+    boundary_projection_accepts,
     brute_distance,
     fd_gradient,
     fd_jacobian,
@@ -212,49 +213,56 @@ def test_criterion_5_projection_vs_brute_force():
 def test_criterion_6_boundary_projection_domain():
     start = time.time()
     rng = np.random.default_rng(60)
-    from convexsmooth import projection_domain
 
     worst_ratio = 0.0
+    domain_ok = True
+    kept_interior = 0
     circle = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)
     lens = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
     for body, n_interior, n_exterior in ((circle, 400, 400), (lens, 100, 500)):
         mesh = boundary_mesh(body, 1440)
-        width = projection_domain(mesh).width
         pts = []
         for _ in range(n_interior):
             k = int(rng.integers(0, len(mesh.points)))
             p = mesh.points[k]
-            depth = rng.uniform(1e-3, 0.9 * width)
+            depth = rng.uniform(1e-3, 0.9 * body.radius / 2.0)
             pts.append(p * (1.0 - depth / np.linalg.norm(p)))
         for _ in range(n_exterior):
             u = rng.standard_normal(2)
             u /= np.linalg.norm(u)
             pts.append(rng.uniform(1.01, 2.0) * u / body_gauge_values(body, u[None])[0] * 1.0)
-        pts = np.array(pts)
-        projs = np.array(
-            [boundary_projection(body, mesh, x) for x in pts]
-        )
+        # draws outside the closed-form domain must raise, and leave the pairs
+        kept, projs = [], []
+        for k, x in enumerate(pts):
+            in_domain = boundary_projection_accepts(body, x)
+            try:
+                projs.append(boundary_projection(body, x))
+                kept.append(x)
+                kept_interior += k < n_interior
+                domain_ok &= in_domain
+            except OutsideDomain:
+                domain_ok &= not in_domain
+        kept, projs = np.array(kept), np.array(projs)
         for _ in range(5000):
-            i, j = rng.integers(0, len(pts), size=2)
-            sep = np.linalg.norm(pts[i] - pts[j])
-            if sep < 0.01:
+            i, j = rng.integers(0, len(kept), size=2)
+            if i == j:
                 continue
+            sep = np.linalg.norm(kept[i] - kept[j])
             worst_ratio = max(
                 worst_ratio, float(np.linalg.norm(projs[i] - projs[j]) / sep)
             )
 
-    cmesh = boundary_mesh(circle, 720)
     raised = False
     try:
-        boundary_projection(circle, cmesh, np.array([0.3, 0.0]))
+        boundary_projection(circle, np.array([0.3, 0.0]))
     except OutsideDomain:
         raised = True
     elapsed = time.time() - start
     _report(
         6,
-        worst_ratio <= 2.0 + 1e-6 and raised and elapsed < 10.0,
-        f"projection ratio <= 2 on pairs at least 0.01 apart inside the mesh-estimated tube, "
-        f"worst ratio {worst_ratio:.6f}, deep interior rejected, {elapsed:.1f}s",
+        worst_ratio <= 2.0 + 1e-6 and domain_ok and raised and elapsed < 10.0,
+        f"projection ratio <= 2 on the closed-form domain, {kept_interior} of 500 interior "
+        f"draws in it, worst ratio {worst_ratio:.6f}, deep interior rejected, {elapsed:.1f}s",
     )
 
 

@@ -12,16 +12,18 @@ from convexsmooth import (
     HalfspaceBody,
     InvalidBody,
     NotBallBody,
+    ball_family_check,
     ball_support_check,
     body_from_json,
     body_to_json,
-    boundary_mesh,
     boundary_projection,
     boundary_surjectivity_probe,
     contains,
     diameter,
     extract_smoothed_body,
     halfspace_reconstruction_gap,
+    member_gauge_derivatives,
+    member_gauges,
     normal_lift,
     outward_normal,
     project_body,
@@ -124,13 +126,18 @@ class TestBall:
         lambda body: support_value(body, [1.0, 0.0]),
         lambda body: diameter(body),
         lambda body: extract_smoothed_body(body, delta=1e-3, epsilon=0.05),
-        lambda body: boundary_projection(body, boundary_mesh(body, 64), [2.0, 0.0]),
+        lambda body: boundary_projection(body, [2.0, 0.0]),
         lambda body: boundary_surjectivity_probe(
             body, BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2), 64
         ),
+        lambda body: member_gauges(body, [[0.1, 0.2]]),
+        lambda body: member_gauge_derivatives(body, [[0.1, 0.2]]),
+        lambda body: body_gauge_values(body, [[0.1, 0.2]]),
+        lambda body: ball_family_check(body, 64),
     ],
     ids=["project_body", "support_value", "diameter", "extract_smoothed_body",
-         "boundary_projection", "probe-inner"],
+         "boundary_projection", "probe-inner", "member_gauges", "member_gauge_derivatives",
+         "body_gauge_values", "ball_family_check"],
 )
 def test_ball_only_entry_points_reject_a_halfspace_body(call):
     # each reads the ball family (centers, radius, sphere lattice); a

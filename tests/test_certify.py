@@ -253,7 +253,7 @@ class TestLevelSetFromBallSupport:
             return ball_support_check(*args)
 
         monkeypatch.setattr(certify, "ball_support_check", counted)
-        reports = {r.condition: r for r in certify_body(body, 100, 0)}
+        reports = {r.condition: r for r in certify_body(body, 100)}
         assert calls == [body.radius]
         b, e = reports["ball_support_b"], reports["level_set_e"]
         assert e.passed == b.passed and e.samples == b.samples

@@ -244,6 +244,19 @@ def test_unsupported_dimension_exits_2_with_named_error(command, tmp_path, capsy
     assert "meshing supports dim 2 and 3 only, got dim 4" in err
 
 
+@pytest.mark.parametrize("command", ["smooth", "probe"])
+def test_halfspace_body_where_a_ball_body_is_needed_exits_2(command, square_file, tmp_path, capsys):
+    path = square_file
+    if command == "probe":
+        path = tmp_path / "probe.json"
+        outer = {"dim": 2, "radius": 2.0, "centers": [[0.0, 0.0]]}
+        path.write_text(json.dumps({"inner": json.loads(square_file.read_text()), "outer": outer}))
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--output", str(out)]) == 2
+    assert "needs a BallBody, got a HalfspaceBody" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_centers_exit_2_naming_the_copies(tmp_path, capsys):
     body = tmp_path / "dup-lens.json"
     body.write_text(
@@ -290,10 +303,11 @@ def test_each_command_takes_exactly_its_documented_flags():
         ["smooth", "--seed", "1"],
         ["smooth", "--scan", "8"],
         ["smooth", "--order", "c2"],
+        ["certify", "--seed", "1"],
     ],
     ids=[
         "measure-seed", "probe-scan", "certify-epsilon", "smooth-seed", "smooth-scan",
-        "smooth-order",
+        "smooth-order", "certify-seed",
     ],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, lens_file, tmp_path, capsys):
@@ -341,7 +355,7 @@ def test_reports_echo_every_config_field_at_its_default(ball_file, tmp_path):
             }
         )
     )
-    defaults = {"epsilon": 0.05, "delta": None, "resolution": None, "seed": 0}
+    defaults = {"epsilon": 0.05, "delta": None, "resolution": None}
     for command, path in (("certify", ball_file), ("measure", ball_file), ("probe", probe_file)):
         out = tmp_path / command
         assert main([command, "--input", str(path), "--output", str(out)]) == 0
@@ -357,7 +371,7 @@ THREE_BALL = {
 
 
 @pytest.mark.parametrize(
-    "flags", [[], ["--resolution", "100", "--seed", "7"]], ids=["defaults", "res100-seed7"]
+    "flags", [[], ["--resolution", "100"]], ids=["defaults", "res100-seed7"]
 )
 @pytest.mark.parametrize("name", ["lens", "three-ball", "square"])
 def test_certify_writes_the_reports_of_certify_body(
@@ -370,8 +384,8 @@ def test_certify_writes_the_reports_of_certify_body(
     out = tmp_path / "out"
     code = main(["certify", "--input", str(path), "--output", str(out), *flags])
     report = json.loads((out / "report.json").read_text())
-    samples, seed = (100, 7) if flags else (360, 0)
-    reports = certify_body(body_from_json(json.loads(path.read_text())), samples, seed)
+    samples = 100 if flags else 360
+    reports = certify_body(body_from_json(json.loads(path.read_text())), samples)
     assert report["reports"] == json.loads(json.dumps([r.to_json() for r in reports]))
     assert code == (0 if all(r.passed for r in reports) else 1)
 

@@ -6,7 +6,6 @@ from scipy.optimize import nnls
 from convexsmooth import (
     Ball,
     BallBody,
-    BoundaryMesh,
     HalfspaceBody,
     InvalidBody,
     OutsideDomain,
@@ -15,16 +14,14 @@ from convexsmooth import (
     boundary_projection,
     boundary_surjectivity_probe,
     contains,
-    normal_lipschitz_estimate,
     project_ball,
     project_body,
-    projection_domain,
 )
 from convexsmooth.bodies import MEMBERSHIP_SLACK
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import boundary_samples
 from convexsmooth.project import PROBE_GAP_THRESHOLD, _ray_exits
-from helpers import ball_bodies, boundary_cloud, brute_distance, normal_lipschitz_reference
+from helpers import ball_bodies, boundary_cloud, boundary_projection_accepts, brute_distance
 
 
 def lens():
@@ -156,92 +153,111 @@ class TestProjectBodyProperties:
         assert np.all(moved <= apart + 1e-12 * R)
 
 
-class TestNormalLipschitz:
-    def test_unit_circle(self):
-        est = normal_lipschitz_estimate(boundary_mesh(unit_ball(), 720))
-        assert 1.0 <= est <= 1.1 * 1.005
-
-    def test_scales_inversely_with_radius(self):
-        body = BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2)
-        est = normal_lipschitz_estimate(boundary_mesh(body, 720))
-        assert est == pytest.approx(0.5 * 1.1, rel=1e-3)
-
-    def test_collinear_facets_give_zero(self):
-        # points on a straight line: all facet normals equal
-        theta = np.linspace(-0.3, 0.3, 16)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        radii = 1.0 / np.cos(theta)  # x = 1 line
-        mesh = BoundaryMesh(
-            dim=2,
-            directions=dirs,
-            radii=radii,
-            facets=np.column_stack([np.arange(16), (np.arange(16) + 1) % 16]),
-        )
-        assert normal_lipschitz_estimate(mesh) == pytest.approx(0.0, abs=1e-10)
-
-    def test_domain_width(self):
-        mesh = boundary_mesh(unit_ball(), 720)
-        dom = projection_domain(mesh)
-        assert dom.width == pytest.approx(1.0 / (2.0 * dom.lip_normal))
-
-
 class TestBoundaryProjection:
     def test_interior_point_projects_radially(self):
-        mesh = boundary_mesh(unit_ball(), 720)
-        p = boundary_projection(unit_ball(), mesh, np.array([0.6, 0.0]))
+        p = boundary_projection(unit_ball(), np.array([0.6, 0.0]))
         assert np.linalg.norm(p - [1.0, 0.0]) <= 1e-7
 
     def test_exterior_point(self):
-        mesh = boundary_mesh(unit_ball(), 720)
-        p = boundary_projection(unit_ball(), mesh, np.array([2.0, 0.0]))
+        p = boundary_projection(unit_ball(), np.array([2.0, 0.0]))
         assert np.linalg.norm(p - [1.0, 0.0]) <= 1e-9
 
     def test_deep_interior_raises(self):
-        mesh = boundary_mesh(unit_ball(), 720)
-        with pytest.raises(OutsideDomain):
-            boundary_projection(unit_ball(), mesh, np.array([0.3, 0.0]))
+        with pytest.raises(OutsideDomain, match="sphere depths 0.7 "):
+            boundary_projection(unit_ball(), np.array([0.3, 0.0]))
 
     def test_two_lipschitz_on_domain(self):
         body = unit_ball()
-        mesh = boundary_mesh(body, 720)
-        width = projection_domain(mesh).width
         rng = np.random.default_rng(4)
         pts, projs = [], []
         for _ in range(120):
             u = rng.standard_normal(2)
             u /= np.linalg.norm(u)
             if rng.random() < 0.5:
-                x = (1.0 - rng.uniform(0.01, 0.95) * width) * u
+                x = (1.0 - rng.uniform(0.01, 0.95) * 0.5) * u
             else:
                 x = rng.uniform(1.01, 2.0) * u
             pts.append(x)
-            projs.append(boundary_projection(body, mesh, x))
+            projs.append(boundary_projection(body, x))
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 sep = np.linalg.norm(pts[i] - pts[j])
-                if sep < 0.01:
-                    continue
                 ratio = np.linalg.norm(projs[i] - projs[j]) / sep
                 assert ratio <= 2.0 + 1e-6
 
     def test_interior_lens_points_reach_the_nearest_arc(self):
         body = lens()
         mesh = boundary_mesh(body, 1440)
-        width = projection_domain(mesh).width
         cloud = boundary_cloud(body, 100_000)
         rng = np.random.default_rng(6)
         for k in rng.choice(len(mesh.points), size=20, replace=False):
-            x = mesh.points[k] * (1.0 - 0.5 * width / np.linalg.norm(mesh.points[k]))
-            p = boundary_projection(body, mesh, x)
+            x = mesh.points[k] * (1.0 - 1e-3 / np.linalg.norm(mesh.points[k]))
+            p = boundary_projection(body, x)
             assert np.max(np.linalg.norm(p - body.centers, axis=1)) == pytest.approx(1.0, abs=1e-15)
             nearest_sample = np.min(np.linalg.norm(cloud - x, axis=1))
             assert np.linalg.norm(x - p) <= nearest_sample + 1e-15
 
     def test_interior_3d(self):
         body = BallBody(radius=1.0, centers=[[0.0, 0.0, 0.0]], dim=3)
-        mesh = boundary_mesh(body, 4)
-        p = boundary_projection(body, mesh, np.array([0.0, 0.0, 0.7]))
+        p = boundary_projection(body, np.array([0.0, 0.0, 0.7]))
         assert np.linalg.norm(p - [0.0, 0.0, 1.0]) <= 1e-6
+
+    def test_points_straddling_the_lens_tip_axis_raise(self):
+        # 2e-7 apart, on either side of the medial axis x = 0: the nearest
+        # boundary points lie on different arcs, 4.3e-4 apart
+        tip = np.array([0.0, np.sqrt(0.75)])
+        for side in (-1.0, 1.0):
+            with pytest.raises(OutsideDomain):
+                boundary_projection(lens(), tip + [side * 1e-7, -5e-4])
+
+    def test_a_repeated_center_is_one_sphere(self):
+        twice = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]], dim=2)
+        x = np.array([-0.45, 0.1])
+        assert np.array_equal(boundary_projection(twice, x), boundary_projection(lens(), x))
+
+
+class TestBoundaryProjectionProperties:
+    """The 2-Lipschitz bound and the exact images on random bodies.
+
+    Pairs are as close as 1e-9 R, so the rounding of the images, a few ulp
+    of R, moves a ratio by at most ~1e-7.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=ball_bodies(), seed=st.integers(0, 2**32 - 1))
+    def test_two_lipschitz_at_any_separation_and_exact_images(self, body, seed):
+        rng = np.random.default_rng(seed)
+        R, A = body.radius, body.centers
+        u = rng.standard_normal((8, body.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        boundary = u / body_gauge_values(body, u)[:, None]
+        # six points moved in from the boundary by 1e-8 R to R, two moved
+        # out, and a neighbor of each from 1e-9 R to R away
+        depth = 10.0 ** rng.uniform(-8.0, 0.0, (8, 1)) * R
+        depth[6:] *= -1.0
+        base = boundary - depth * u
+        step = rng.standard_normal((8, body.dim))
+        step *= 10.0 ** rng.uniform(-9.0, 0.0, (8, 1)) * R / np.linalg.norm(step, axis=1, keepdims=True)
+        pts = np.vstack([base, base + step])
+
+        kept, images = [], []
+        for x in pts:
+            if not boundary_projection_accepts(body, x):
+                with pytest.raises(OutsideDomain):
+                    boundary_projection(body, x)
+                continue
+            p = boundary_projection(body, x)
+            assert abs(np.max(np.linalg.norm(p - A, axis=1)) - R) <= MEMBERSHIP_SLACK
+            if contains(body, x):
+                depth = R - np.max(np.linalg.norm(x - A, axis=1))
+                assert abs(np.linalg.norm(x - p) - depth) <= 8 * np.finfo(float).eps * R
+            kept.append(x)
+            images.append(p)
+        kept, images = np.array(kept), np.array(images)
+        for i in range(len(kept)):
+            sep = np.linalg.norm(kept[i + 1 :] - kept[i], axis=1)
+            moved = np.linalg.norm(images[i + 1 :] - images[i], axis=1)
+            assert np.all(moved <= (2.0 + 1e-6) * sep)
 
 
 def three_ball():
@@ -253,17 +269,6 @@ def three_ball():
 def box(dim, offsets):
     eye = np.eye(dim)
     return HalfspaceBody(normals=np.vstack([eye, -eye]), offsets=offsets)
-
-
-@pytest.mark.parametrize(
-    "make, resolution",
-    [(lens, 1440), (three_ball, 3), (three_ball, 4)],
-    ids=["lens-1440", "three-ball-level-3", "three-ball-level-4"],
-)
-def test_normal_lipschitz_estimate_is_the_edge_loops(make, resolution):
-    # the same max over the same facet pairs, however they are found
-    mesh = boundary_mesh(make(), resolution)
-    assert normal_lipschitz_estimate(mesh) == normal_lipschitz_reference(mesh)
 
 
 class TestSurjectivityProbe:
