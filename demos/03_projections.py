@@ -23,10 +23,13 @@ p = project_body(lens, x)
 print("projection of (0, 2) onto the lens:", p)
 print("expected lens tip:                 ", [0.0, np.sqrt(0.75)])
 
-# the projection is 1-Lipschitz; two nearby queries project nearby
-q = project_body(lens, x + [0.05, 0.0])
-print("moving the query by 0.05 moves the projection by",
-      f"{np.linalg.norm(q - p):.4f}")
+# the projection is 1-Lipschitz; two nearby queries project nearby. Both
+# queries sit off the tip's normal cone (whose points all go to the tip), so
+# the projection moves, by less than the query
+y = np.array([1.0, 2.0])
+q = project_body(lens, y + [0.05, 0.0]) - project_body(lens, y)
+print("moving the query (1, 2) by 0.05 moves its projection by",
+      f"{np.linalg.norm(q):.4f}")
 
 # --- projection onto the boundary -------------------------------------------
 # an interior point goes radially to its nearest sphere. The map is

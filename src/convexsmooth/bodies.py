@@ -185,6 +185,12 @@ class BallBody:
         frozen and the lattice's arrays are read-only, so it cannot go stale."""
         return _sphere_lattice(self)
 
+    @cached_property
+    def _samples(self) -> dict:
+        """Boundary samples drawn on this body, by sample count (see
+        :func:`convexsmooth.measure.boundary_samples`)."""
+        return {}
+
     @property
     def interior_radius(self) -> float:
         """rho = R - max_i |a_i|; B(0, rho) is inside the body."""
@@ -227,6 +233,12 @@ class HalfspaceBody:
     def dim(self) -> int:
         return self.normals.shape[1]
 
+    @cached_property
+    def _samples(self) -> dict:
+        """Boundary samples drawn on this body, by sample count (see
+        :func:`convexsmooth.measure.boundary_samples`)."""
+        return {}
+
 
 Body = Union[BallBody, HalfspaceBody]
 
@@ -261,6 +273,62 @@ def _row_dots(xs: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rows of the membership table built at a time: points times centers in
+# contains_many, queries times candidates times centers in _extreme_points.
+# Memory then stays fixed whatever the number of queries
+_BLOCK_ROWS = 1 << 17
+
+
+def _blocks(count: int, per_row: int):
+    """Slices covering range(count), each of at most _BLOCK_ROWS // per_row
+    rows and at least one."""
+    step = max(1, _BLOCK_ROWS // per_row)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _norm(v) -> np.ndarray:
+    """Euclidean norm over the coordinates v[0], v[1], ... (arrays that
+    broadcast, or one array with its coordinates first), the squares summed
+    in index order.
+
+    On fewer than 8 coordinates that is np.linalg.norm's order over a last
+    axis, so the bits are the same, without its overhead on short axes.
+    """
+    s = v[0] * v[0]
+    for k in range(1, len(v)):
+        s = s + v[k] * v[k]
+    return np.sqrt(s)
+
+
+def _dot(x, y) -> np.ndarray:
+    """Sum over the coordinates k of x[k] * y[k] (laid out as for
+    :func:`_norm`, at least two), in np.einsum's order for a contracted
+    innermost axis of a C-contiguous operand: the even-indexed terms and
+    the odd-indexed terms each in index order, then the two sums.
+
+    Those are einsum's two SIMD lanes of doubles on numpy 2's x86-64
+    baseline, so on fewer than 8 coordinates the bits are einsum's: on 3,
+    (t0 + t2) + t1. Like einsum's sums, which start from +0.0, the result
+    is never -0.0.
+    """
+    even = x[0] * y[0]
+    for k in range(2, len(x), 2):
+        even = even + x[k] * y[k]
+    odd = x[1] * y[1]
+    for k in range(3, len(x), 2):
+        odd = odd + x[k] * y[k]
+    return even + odd + 0.0
+
+
+def _combination(coeffs, basis) -> np.ndarray:
+    """sum_j coeffs[j] * basis[j] in index order and from +0.0: np.einsum's
+    sum over a contracted axis that is not innermost."""
+    out = coeffs[0] * basis[0] + 0.0
+    for j in range(1, len(coeffs)):
+        out = out + coeffs[j] * basis[j]
+    return out
+
+
 def contains(body: Body, x) -> bool:
     """Membership test with absolute slack ``MEMBERSHIP_SLACK``: the
     :func:`contains_many` row of a batch of one."""
@@ -268,11 +336,21 @@ def contains(body: Body, x) -> bool:
 
 
 def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership for an (N, dim) array of points."""
+    """Vectorized membership for an (N, dim) array of points.
+
+    A point is in a ball body when |x - a_i| <= R + ``MEMBERSHIP_SLACK``
+    for every center, the distance summed as in :func:`_norm`. The points
+    go in blocks of ``_BLOCK_ROWS`` point-center pairs, so memory does not
+    grow with N beyond the result.
+    """
     pts = np.asarray(points, dtype=float)
     if isinstance(body, BallBody):
-        d = np.linalg.norm(pts[:, None, :] - body.centers[None, :, :], axis=2)
-        return np.all(d <= body.radius + MEMBERSHIP_SLACK, axis=1)
+        inside = np.empty(len(pts), dtype=bool)
+        centers = body.centers.T[:, None, :]
+        for rows in _blocks(len(pts), body.num_balls):
+            d = _norm(pts[rows].T[:, :, None] - centers)
+            inside[rows] = np.logical_and.reduce(d <= body.radius + MEMBERSHIP_SLACK, axis=1)
+        return inside
     return np.all(_row_dots(pts, body.normals) - body.offsets <= MEMBERSHIP_SLACK, axis=1)
 
 
@@ -289,7 +367,7 @@ def outward_normal(body: Body, y) -> np.ndarray:
     Y, single = _as_rows(y, body.dim)
     if isinstance(body, BallBody):
         diff = Y[:, None, :] - body.centers
-        d = np.linalg.norm(diff, axis=2)
+        d = _norm(diff.T).T
         active = np.abs(d - body.radius) <= NORMAL_ATOL * body.radius
         active |= ~np.any(active, axis=1, keepdims=True) & (
             d >= np.max(d, axis=1, keepdims=True) - NORMAL_ATOL * body.radius
@@ -304,7 +382,7 @@ def outward_normal(body: Body, y) -> np.ndarray:
         )
         terms = body.normals
     n = np.sum(np.where(active[..., None], terms, 0.0), axis=1)
-    norm = np.linalg.norm(n, axis=1, keepdims=True)
+    norm = _norm(n.T)[:, None]
     if np.any(norm == 0.0):
         raise ValueError("degenerate normal cone selection")
     n /= norm
@@ -313,17 +391,20 @@ def outward_normal(body: Body, y) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SphereLattice:
-    """The intersection spheres of a ball body, one row per sphere.
+    """The intersection spheres of a ball body, coordinates first.
 
     Every affinely independent subset S of at most n centers whose spheres
     meet cuts out an intersection sphere: centre c_S (the circumcentre of
     a_S), radius r_S = sqrt(R^2 - |c_S - a_0|^2), lying in the affine plane
     through c_S orthogonal to V_S = span(a_j - a_0). ``span`` holds
-    orthonormal rows of V_S and ``normal`` orthonormal rows of its
-    orthogonal complement, each padded with zero rows, (S, n - 1, n) and
-    (S, n, n). Singletons come first, as the balls themselves. Subsets
-    whose differences a_j - a_0 have a singular value at most 1e-14 R are
-    skipped. Every array is read-only.
+    orthonormal vectors spanning V_S and ``normal`` orthonormal vectors
+    spanning its orthogonal complement, each padded with zero vectors. The
+    sphere index comes last, so that one coordinate of every sphere is one
+    contiguous row: ``centres`` is (n, S), ``radii`` (S,), ``span``
+    (n - 1, n, S) and ``normal`` (n, n, S), with ``span[j, :, s]`` the j-th
+    vector of sphere s. Singletons come first, as the balls themselves.
+    Subsets whose differences a_j - a_0 have a singular value at most
+    1e-14 R are skipped. Every array is read-only.
     """
 
     centres: np.ndarray
@@ -356,13 +437,43 @@ def _sphere_lattice(body: BallBody) -> SphereLattice:
         perp = np.linalg.svd(Vt[meet], full_matrices=True)[2][:, k - 1 :]
         normals.append(np.pad(perp, ((0, 0), (0, k - 1), (0, 0))))
     parts = [np.concatenate(p) for p in (centres, radii, spans, normals)]
+    parts = [np.ascontiguousarray(np.moveaxis(p, 0, -1)) for p in parts]
     for arr in parts:
         arr.setflags(write=False)
     return SphereLattice(*parts)
 
 
-def _extreme_points(body: BallBody, W: np.ndarray, mode: str):
-    """Nearest-point, support-point or farthest-point candidates per row of W.
+def _candidates(body: BallBody, X: np.ndarray, mode: str):
+    """The candidates of :func:`_extreme_points` for the rows of X, coordinates
+    first, (n, N, spheres) or (n, N, 2 spheres) in farthest mode, and whether
+    each lies in the body within ``MEMBERSHIP_SLACK``, (N, spheres) or
+    (N, 2 spheres)."""
+    R, L = body.radius, body._lattice
+    C = L.centres[:, None, :]
+    Xt = X.T[:, :, None]
+    if mode == "farthest":
+        v = Xt - C
+        z = [_dot(basis, v) for basis in L.normal[:, :, None, :]]
+        norm = _norm(z)
+        axis = norm <= 4.0 * np.finfo(float).eps * R
+        scale = np.where(axis, 1.0, norm)
+        z = [np.where(axis, float(j == 0), zj) / scale for j, zj in enumerate(z)]
+        ru = L.radii * _combination(z, L.normal[:, :, None, :])
+        cand = np.concatenate([C + ru, C - ru], axis=2)
+    else:
+        w = Xt - C if mode == "nearest" else Xt
+        span = L.span[:, :, None, :]
+        w = w - _combination([_dot(basis, w) for basis in span], span)
+        norm = _norm(w)
+        unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
+        cand = C + L.radii * unit
+    # contains_many's membership test, of every candidate against every center
+    d = _norm(cand[:, None] - body.centers.T[:, :, None, None])
+    return cand, np.logical_and.reduce(d <= R + MEMBERSHIP_SLACK, axis=0)
+
+
+def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point, support point or farthest point of the body per row of W.
 
     The candidates lie on the intersection spheres of the body's cached
     :class:`SphereLattice`. In ``"nearest"`` mode the rows of W are query
@@ -386,56 +497,55 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str):
     x - c = sum_S lambda_i (x - a_i) with lambda >= 0, so the part of x - c_S
     orthogonal to V_S is parallel to that of c - c_S, of either sign: x is
     one of its subset's two candidates, or, when c is on the axis, as far
-    as each of them. Returns the candidates, (N, spheres, n) or
-    (N, 2 spheres, n) in farthest mode, and whether each lies in the body
-    within ``MEMBERSHIP_SLACK``, of the same leading shape.
+    as each of them.
+
+    A candidate is feasible when it lies in the body within
+    ``MEMBERSHIP_SLACK``, by :func:`contains_many`'s rule. Returns per row
+    the first feasible candidate of least distance to x (nearest), of
+    greatest <p, u> (support) or of greatest distance to c (farthest), (N, n),
+    and that distance or <p, u>, (N,); inf, -inf or -inf and the first
+    candidate when none is feasible. Distances and <p, u> are summed as in
+    :func:`_norm` and :func:`_dot`. The rows go in blocks of at most
+    ``_BLOCK_ROWS`` candidate-center pairs, each reduced to its picks
+    before the next, so memory is fixed by the block size and the output,
+    whatever N.
     """
-    R, A = body.radius, body.centers
-    L = body._lattice
-    C, r = L.centres, L.radii
-    if mode == "farthest":
-        z = np.einsum("sjd,nsd->nsj", L.normal, W[:, None, :] - C)
-        norm = np.linalg.norm(z, axis=2, keepdims=True)
-        axis = norm <= 4.0 * np.finfo(float).eps * R
-        z = np.where(axis, np.eye(A.shape[1])[0], z)
-        u = np.einsum("nsj,sjd->nsd", z / np.where(axis, 1.0, norm), L.normal)
-        cand = np.concatenate([C + r[:, None] * u, C - r[:, None] * u], axis=1)
-    else:
-        w = W[:, None, :] - C if mode == "nearest" else np.repeat(W[:, None, :], len(C), axis=1)
-        w -= np.einsum("sjd,nsj->nsd", L.span, np.einsum("sjd,nsd->nsj", L.span, w))
-        norm = np.linalg.norm(w, axis=2, keepdims=True)
-        unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
-        cand = C + r[:, None] * unit
-    # the membership test of contains_many, one center at a time to keep
-    # memory at the size of cand
-    feasible = np.all(
-        [np.linalg.norm(cand - a, axis=2) <= R + MEMBERSHIP_SLACK for a in A], axis=0
-    )
-    return cand, feasible
+    points, scores = np.empty(W.shape), np.empty(len(W))
+    per_row = len(body._lattice.radii) * (2 if mode == "farthest" else 1) * body.num_balls
+    for rows in _blocks(len(W), per_row):
+        X = W[rows]
+        cand, feasible = _candidates(body, X, mode)
+        Xt = X.T[:, :, None]
+        if mode == "support":
+            score = np.where(feasible, _dot(cand, Xt), -np.inf)
+        else:
+            score = np.where(feasible, _norm(cand - Xt), np.inf if mode == "nearest" else -np.inf)
+        pick = np.argmin(score, axis=1) if mode == "nearest" else np.argmax(score, axis=1)
+        i = np.arange(len(X))
+        points[rows] = cand[:, i, pick].T
+        scores[rows] = score[i, pick]
+    return points, scores
 
 
 def farthest_point(body: Body, x) -> np.ndarray:
     """Farthest point of the body from a point, or from each row of an
     (N, n) batch.
 
-    A ball body's farthest point is the farthest feasible candidate of
-    :func:`_extreme_points` in farthest mode, exact up to rounding. A
-    halfspace body's is its farthest vertex, from scipy's
-    ``HalfspaceIntersection``; the body must be bounded.
+    A ball body's farthest point is :func:`_extreme_points`' pick in
+    farthest mode, exact up to rounding. A halfspace body's is its farthest
+    vertex, from scipy's ``HalfspaceIntersection``; the body must be
+    bounded.
     """
     X, single = _as_rows(x, body.dim)
     if isinstance(body, BallBody):
-        cand, feasible = _extreme_points(body, X, "farthest")
+        out, _ = _extreme_points(body, X, "farthest")
     else:
         # imported here, so that importing the package loads no scipy
         from scipy.spatial import HalfspaceIntersection
 
         halfspaces = np.column_stack([body.normals, -body.offsets])
         vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
-        cand = np.broadcast_to(vertices, (len(X),) + vertices.shape)
-        feasible = np.ones(cand.shape[:2], dtype=bool)
-    dist = np.where(feasible, np.linalg.norm(cand - X[:, None, :], axis=2), -np.inf)
-    out = cand[np.arange(len(X)), np.argmax(dist, axis=1)]
+        out = vertices[np.argmax(_norm(vertices.T[:, None, :] - X.T[:, :, None]), axis=1)]
     return out[0] if single else out
 
 
@@ -452,14 +562,12 @@ def support_value(body: BallBody, direction):
     """
     _require_ball(body, "the support function")
     U, single = _as_rows(direction, body.dim)
-    norms = np.linalg.norm(U, axis=1, keepdims=True)
+    norms = _norm(U.T)[:, None]
     zero = np.flatnonzero(norms[:, 0] == 0.0)
     if zero.size:
         raise ValueError("direction must be nonzero" if single else f"direction {zero[0]} is zero")
-    U = U / norms
-    cand, feasible = _extreme_points(body, U, "support")
-    reach = np.where(feasible, np.einsum("nsd,nd->ns", cand, U), -np.inf)
-    h = np.max(reach, axis=1) + 1e-12 * body.radius
+    _, reach = _extreme_points(body, U / norms, "support")
+    h = reach + 1e-12 * body.radius
     return float(h[0]) if single else h
 
 

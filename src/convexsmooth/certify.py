@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BallBody, Body, HalfspaceBody, _require_ball, farthest_point
+from .bodies import BallBody, Body, HalfspaceBody, _dot, _norm, _require_ball, farthest_point
 from .errors import DomainViolation, InsufficientData
 from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 from .measure import boundary_samples, sample_directions
@@ -166,7 +166,7 @@ def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
     pts, normals = boundary_samples(body, samples)
     centers = pts - R * normals
     far = farthest_point(body, centers)
-    margins = np.linalg.norm(far - centers, axis=1) - R
+    margins = _norm((far - centers).T) - R
     j = int(np.argmax(margins))
     worst = float(margins[j])
     return CertificateReport(
@@ -191,7 +191,7 @@ def ball_family_check(body: BallBody, samples: int) -> CertificateReport:
     """
     _require_ball(body, "the ball-family check")
     pts, _ = boundary_samples(body, samples)
-    d = np.linalg.norm(pts[:, None, :] - body.centers[None, :, :], axis=2)
+    d = _norm(pts.T[:, :, None] - body.centers.T[:, None, :])
     on_sphere = np.min(np.abs(d - body.radius), axis=1)
     inside = np.max(d - body.radius, axis=1)
     margins = np.maximum(on_sphere, inside)
@@ -338,10 +338,10 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     if normal_samples < 4:
         raise ValueError("normal_samples must be >= 4")
     pts, normals = boundary_samples(body, normal_samples)
-    offsets = np.einsum("ij,ij->i", normals, pts)
+    offsets = _dot(normals.T, pts.T)
     halfspaces = np.column_stack([normals, -offsets])
     vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
-    return float(np.max(np.linalg.norm(vertices - project_body(body, vertices), axis=1)))
+    return float(np.max(_norm((vertices - project_body(body, vertices)).T)))
 
 
 def certify_body(body: Body, samples: int) -> list[CertificateReport]:

@@ -195,10 +195,21 @@ def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     about the origin makes the radial points exhaustive; ridge and corner
     points take the normalized average of their active constraints'
     normals, a valid selection in the normal cone.
+
+    The samples are drawn once per body and sample count and cached on the
+    body as read-only arrays, so the certificates and the probe of one
+    body share one draw. The body is frozen, so the cache cannot go stale,
+    and it goes with the body.
     """
-    dirs, _ = sample_directions(body.dim, samples)
-    pts = radial_function(body, dirs)[:, None] * dirs
-    return pts, outward_normal(body, pts)
+    drawn = body._samples.get(samples)
+    if drawn is None:
+        dirs, _ = sample_directions(body.dim, samples)
+        pts = radial_function(body, dirs)[:, None] * dirs
+        drawn = (pts, outward_normal(body, pts))
+        for arr in drawn:
+            arr.setflags(write=False)
+        body._samples[samples] = drawn
+    return drawn
 
 
 def batch_ray_crossings(

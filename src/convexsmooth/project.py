@@ -28,7 +28,9 @@ from .bodies import (
     Body,
     _as_rows,
     _as_vector,
+    _dot,
     _extreme_points,
+    _norm,
     _require_ball,
     _row_dots,
     contains,
@@ -67,10 +69,7 @@ def project_body(body: BallBody, x) -> np.ndarray:
     out = pts.copy()
     outside = ~contains_many(body, pts)
     if np.any(outside):
-        q = pts[outside]
-        cand, feasible = _extreme_points(body, q, "nearest")
-        dist = np.where(feasible, np.linalg.norm(cand - q[:, None, :], axis=2), np.inf)
-        out[outside] = cand[np.arange(len(q)), np.argmin(dist, axis=1)]
+        out[outside] = _extreme_points(body, pts[outside], "nearest")[0]
     return out[0] if single else out
 
 
@@ -116,7 +115,7 @@ def boundary_projection(body: BallBody, x) -> np.ndarray:
     if not contains(body, x):
         return project_body(body, x)
     v = x - body.centers
-    dist = np.linalg.norm(v, axis=1)
+    dist = _norm(v.T)
     i = int(np.argmax(dist))
     depths = body.radius - dist
     d1 = float(depths[i])
@@ -144,9 +143,9 @@ def _ray_exits(body: Body, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     negative numerator; b^2 - c and t are clamped at 0 for them.
     """
     if isinstance(body, BallBody):
-        w = x[:, None, :] - body.centers
-        b = np.einsum("nmd,nd->nm", w, v)
-        c = np.einsum("nmd,nmd->nm", w, w) - body.radius**2
+        w = x.T[:, :, None] - body.centers.T[:, None, :]
+        b = _dot(w, v.T[:, :, None])
+        c = _dot(w, w) - body.radius**2
         root = np.sqrt(np.maximum(b * b - c, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(b > 0.0, -c / (b + root), root - b)
@@ -194,7 +193,7 @@ def boundary_surjectivity_probe(
         k = int(np.argmin(np.isfinite(t)))
         raise RayMiss(f"ray from {points[k].tolist()} never leaves the outer body")
     hits = points + t[:, None] * normals
-    gaps = np.linalg.norm(project_body(inner, hits) - points, axis=1)
+    gaps = _norm((project_body(inner, hits) - points).T)
 
     worst = int(np.argmax(gaps))
     report = {

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
 from convexsmooth._text import _BLOCK_ROWS
-from convexsmooth.bodies import _row_dots
+from convexsmooth.bodies import MEMBERSHIP_SLACK, NORMAL_ATOL, _row_dots
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import boundary_samples, facet_centroids
 from convexsmooth.smooth import RIDGE_GUARD, _phi_terms, agreement_many
@@ -116,6 +116,28 @@ def ball_bodies(draw, dims=(2, 3), max_balls: int = 5, min_interior: float = 1e-
     return BallBody(radius=radius, centers=np.array(centers), dim=dim)
 
 
+def many_ball_body(count: int = 16, seed: int = 0) -> BallBody:
+    """A 3D body of R = 1 whose centers lie in random directions at 0.2-0.6 R,
+    drawn from ``default_rng(seed)``: any count succeeds, and 16 balls give
+    677 intersection spheres."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((count, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return BallBody(radius=1.0, centers=u * rng.uniform(0.2, 0.6, count)[:, None], dim=3)
+
+
+def extreme_queries(body: BallBody, seed: int) -> np.ndarray:
+    """Points around a body at scales from 0.01 R to 3 R, the centers, the
+    origin with either sign of zero, and points with a negative-zero
+    coordinate."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((24, body.dim)) * rng.uniform(0.01, 3.0, (24, 1)) * body.radius
+    signed = x[:4].copy()
+    signed[:, 0] = -0.0
+    zeros = np.array([np.zeros(body.dim), np.full(body.dim, -0.0)])
+    return np.vstack([x, signed, zeros, body.centers])
+
+
 # Degenerate bodies for farthest points, where a naive candidate rule breaks.
 # c = a_i puts c on the axis of every sphere through a_i, which is then
 # equally far from c everywhere
@@ -189,6 +211,100 @@ def member_gauges_reference(body: BallBody, points: np.ndarray) -> np.ndarray:
         neg = (s - xa) / k
     val = np.where(xa >= 0.0, pos, neg)
     return np.where(xx == 0.0, 0.0, val)
+
+
+def contains_many_reference(body: BallBody, points: np.ndarray) -> np.ndarray:
+    """Ball-body membership from the (N, m) np.linalg.norm table of every
+    point-center distance (the one-pass form of ``contains_many``)."""
+    d = np.linalg.norm(points[:, None, :] - body.centers[None, :, :], axis=2)
+    return np.all(d <= body.radius + MEMBERSHIP_SLACK, axis=1)
+
+
+def outward_normal_reference(body: BallBody, y: np.ndarray) -> np.ndarray:
+    """Ball-body outward normals at the rows of y with np.linalg.norm (the
+    library's rule, in its (N, m, n) form)."""
+    diff = y[:, None, :] - body.centers
+    d = np.linalg.norm(diff, axis=2)
+    active = np.abs(d - body.radius) <= NORMAL_ATOL * body.radius
+    active |= ~np.any(active, axis=1, keepdims=True) & (
+        d >= np.max(d, axis=1, keepdims=True) - NORMAL_ATOL * body.radius
+    )
+    n = np.sum(np.where(active[..., None], diff / body.radius, 0.0), axis=1)
+    return n / np.linalg.norm(n, axis=1, keepdims=True)
+
+
+def _lattice_rows(body: BallBody):
+    """The body's sphere lattice with the sphere index first, (S, ...), each
+    array C-contiguous, as np.einsum's summation order depends on strides."""
+    L = body._lattice
+    return tuple(np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (L.centres, L.span, L.normal))
+
+
+def extreme_points_reference(body: BallBody, W: np.ndarray, mode: str):
+    """Every candidate of ``bodies._extreme_points`` per row of W, (N,
+    spheres, n) or (N, 2 spheres, n) in farthest mode, and whether each is
+    feasible: the all-candidates form with np.einsum and np.linalg.norm."""
+    R, A = body.radius, body.centers
+    C, span, normal = _lattice_rows(body)
+    r = body._lattice.radii
+    if mode == "farthest":
+        z = np.einsum("sjd,nsd->nsj", normal, W[:, None, :] - C)
+        norm = np.linalg.norm(z, axis=2, keepdims=True)
+        axis = norm <= 4.0 * np.finfo(float).eps * R
+        z = np.where(axis, np.eye(A.shape[1])[0], z)
+        u = np.einsum("nsj,sjd->nsd", z / np.where(axis, 1.0, norm), normal)
+        cand = np.concatenate([C + r[:, None] * u, C - r[:, None] * u], axis=1)
+    else:
+        w = W[:, None, :] - C if mode == "nearest" else np.repeat(W[:, None, :], len(C), axis=1)
+        w -= np.einsum("sjd,nsj->nsd", span, np.einsum("sjd,nsd->nsj", span, w))
+        norm = np.linalg.norm(w, axis=2, keepdims=True)
+        unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
+        cand = C + r[:, None] * unit
+    feasible = np.all(
+        [np.linalg.norm(cand - a, axis=2) <= R + MEMBERSHIP_SLACK for a in A], axis=0
+    )
+    return cand, feasible
+
+
+def extreme_picks_reference(body: BallBody, W: np.ndarray, mode: str):
+    """``bodies._extreme_points``' picks and scores, reduced from every
+    candidate of :func:`extreme_points_reference` at once."""
+    cand, feasible = extreme_points_reference(body, W, mode)
+    if mode == "support":
+        score = np.where(feasible, np.einsum("nsd,nd->ns", cand, W), -np.inf)
+    else:
+        dist = np.linalg.norm(cand - W[:, None, :], axis=2)
+        score = np.where(feasible, dist, np.inf if mode == "nearest" else -np.inf)
+    pick = np.argmin(score, axis=1) if mode == "nearest" else np.argmax(score, axis=1)
+    i = np.arange(len(W))
+    return cand[i, pick], score[i, pick]
+
+
+def project_body_reference(body: BallBody, x: np.ndarray) -> np.ndarray:
+    """``project_body`` on an (N, n) batch from the reference membership and picks."""
+    out = x.copy()
+    outside = ~contains_many_reference(body, x)
+    if np.any(outside):
+        out[outside] = extreme_picks_reference(body, x[outside], "nearest")[0]
+    return out
+
+
+def support_value_reference(body: BallBody, u: np.ndarray) -> np.ndarray:
+    """``support_value`` on an (N, n) batch of nonzero directions from the
+    reference picks."""
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    return extreme_picks_reference(body, u, "support")[1] + 1e-12 * body.radius
+
+
+def ray_exits_reference(body: BallBody, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``project._ray_exits`` on a ball body with np.einsum."""
+    w = x[:, None, :] - body.centers
+    b = np.einsum("nmd,nd->nm", w, v)
+    c = np.einsum("nmd,nmd->nm", w, w) - body.radius**2
+    root = np.sqrt(np.maximum(b * b - c, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(b > 0.0, -c / (b + root), root - b)
+    return np.maximum(np.min(t, axis=1), 0.0)
 
 
 def halfspace_radii_reference(body, dirs: np.ndarray) -> np.ndarray:

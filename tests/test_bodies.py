@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,13 +34,23 @@ from convexsmooth.bodies import MEMBERSHIP_SLACK, contains_many, farthest_point
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.grids import icosphere
 from convexsmooth.measure import boundary_samples, radial_function
+from convexsmooth.project import _ray_exits
 from helpers import (
     AXIS_CASE,
     NEAR_COPY_CASE,
     TINY_W_CASE,
     ball_bodies,
     boundary_cloud,
+    contains_many_reference,
+    extreme_picks_reference,
+    extreme_points_reference,
+    extreme_queries,
+    many_ball_body,
+    outward_normal_reference,
+    project_body_reference,
     random_ball_body,
+    ray_exits_reference,
+    support_value_reference,
     unit_square,
 )
 
@@ -373,6 +384,82 @@ class TestSphereLattice:
         for arr in (lattice.centres, lattice.radii, lattice.span, lattice.normal):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+
+MODES = ("nearest", "support", "farthest")
+
+
+class TestExtremePointEngine:
+    @settings(max_examples=80, deadline=None)
+    @given(body=ball_bodies(max_balls=12), seed=st.integers(0, 2**32 - 1))
+    @example(body=AXIS_CASE, seed=0)
+    @example(body=TINY_W_CASE, seed=0)
+    @example(body=NEAR_COPY_CASE, seed=0)
+    def test_bit_equal_to_the_einsum_and_norm_forms(self, body, seed):
+        x = extreme_queries(body, seed)
+        for mode in MODES:
+            cand, feasible = bodies._candidates(body, x, mode)
+            ref_cand, ref_feasible = extreme_points_reference(body, x, mode)
+            assert np.moveaxis(cand, 0, -1).tobytes() == ref_cand.tobytes(), mode
+            assert np.array_equal(feasible, ref_feasible), mode
+            points, scores = bodies._extreme_points(body, x, mode)
+            ref_points, ref_scores = extreme_picks_reference(body, x, mode)
+            assert points.tobytes() == ref_points.tobytes(), mode
+            assert scores.tobytes() == ref_scores.tobytes(), mode
+        assert np.array_equal(contains_many(body, x), contains_many_reference(body, x))
+        assert project_body(body, x).tobytes() == project_body_reference(body, x).tobytes()
+        far = extreme_picks_reference(body, x, "farthest")[0]
+        assert farthest_point(body, x).tobytes() == far.tobytes()
+        u = x[np.linalg.norm(x, axis=1) > 0.0]
+        assert support_value(body, u).tobytes() == support_value_reference(body, u).tobytes()
+        # boundary points: samples, and projections of points 3 R out
+        pts, normals = boundary_samples(body, 40)
+        y = np.vstack([pts, project_body(body, 3.0 * body.radius * u / np.linalg.norm(u, axis=1)[:, None])])
+        assert outward_normal(body, y).tobytes() == outward_normal_reference(body, y).tobytes()
+        assert _ray_exits(body, pts, normals).tobytes() == ray_exits_reference(body, pts, normals).tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocks_give_the_rows_of_one_at_a_time_calls(self, mode):
+        body = many_ball_body()
+        per_row = len(body._lattice.radii) * (2 if mode == "farthest" else 1) * body.num_balls
+        B = bodies._BLOCK_ROWS // per_row
+        assert B > 2
+        x = np.random.default_rng(3).standard_normal((2 * B + 3, 3)) * 2.0
+        if mode == "support":
+            x /= np.linalg.norm(x, axis=1)[:, None]
+        singles = [bodies._extreme_points(body, x[i : i + 1], mode) for i in range(len(x))]
+        for n in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+            points, scores = bodies._extreme_points(body, x[:n], mode)
+            assert points.shape == (n, 3) and scores.shape == (n,)
+            assert points.tobytes() == b"".join(p.tobytes() for p, _ in singles[:n])
+            assert scores.tobytes() == b"".join(h.tobytes() for _, h in singles[:n])
+
+    def test_membership_blocks_give_the_rows_of_one_at_a_time_calls(self):
+        body = many_ball_body()
+        B = bodies._BLOCK_ROWS // body.num_balls
+        x = np.random.default_rng(4).standard_normal((2 * B + 3, 3)) * 0.5
+        singles = np.array([contains_many(body, x[i : i + 1])[0] for i in range(len(x))])
+        assert 0 < np.count_nonzero(singles) < len(x)
+        for n in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+            assert np.array_equal(contains_many(body, x[:n]), singles[:n])
+
+    def test_projection_memory_does_not_grow_with_the_query_count(self):
+        # blocks are reduced to their picks, so only the (N, n) input and
+        # output grow with N, not the (N, spheres, n) candidates
+        body = many_ball_body()
+        body._lattice  # enumerated before measuring
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n in (2000, 20000):
+            u = rng.standard_normal((n, 3))
+            x = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(1.0, 3.0, (n, 1))
+            tracemalloc.start()
+            try:
+                project_body(body, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestNormalLift:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from convexsmooth import certify
+from convexsmooth import certify, measure
 from convexsmooth import (
     BallBody,
     HalfspaceBody,
@@ -259,6 +259,32 @@ class TestLevelSetFromBallSupport:
         assert e.passed == b.passed and e.samples == b.samples
         assert e.constant == pytest.approx(16.0 * body.radius**2 / body.interior_radius, rel=1e-15)
         assert e.worst_witness == {"implied_by": "ball_support_b", "margin_bound": b.worst_witness["margin"]}
+
+
+    @pytest.mark.parametrize(
+        "make",
+        [lens, lambda: BallBody(radius=1.0, centers=THREE_BALL.centers, dim=3), unit_square],
+        ids=["lens", "three-ball", "square"],
+    )
+    def test_suite_draws_each_sample_set_once(self, make, monkeypatch):
+        # ball_support_b, ball_family_c and the reconstruction gap (a
+        # halfspace body's three ball_support_b radii) share one draw per
+        # body and sample count
+        draws = []
+        radial = measure.radial_function
+
+        def counted(body, dirs):
+            draws.append(len(dirs))
+            return radial(body, dirs)
+
+        monkeypatch.setattr(measure, "radial_function", counted)
+        body = make()
+        first = [r.to_json() for r in certify_body(body, 100)]
+        assert len(draws) == 1
+        assert [r.to_json() for r in certify_body(body, 100)] == first
+        assert len(draws) == 1
+        certify_body(body, 200)
+        assert len(draws) == 2
 
 
 class TestLevelSetRadius:

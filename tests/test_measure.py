@@ -19,7 +19,7 @@ from convexsmooth import (
     polyline_json,
     symmetric_difference_measure,
 )
-from convexsmooth import grids
+from convexsmooth import grids, measure
 from convexsmooth._text import _BLOCK_ROWS
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import (
@@ -116,6 +116,7 @@ class TestBoundaryMesh:
             **{f"SphereLattice.{name}": getattr(lattice, name) for name in (
                 "centres", "radii", "span", "normal",
             )},
+            **dict(zip(("boundary sample points", "boundary sample normals"), boundary_samples(ball_body, 100))),
             "icosphere vertices": grids.icosphere(2)[0],
             "icosphere faces": grids.icosphere(2)[1],
         }
@@ -254,6 +255,29 @@ def test_sample_directions_are_the_certificate_grid(dim, samples):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     nearest = np.arccos(np.clip(np.max(u @ dirs.T, axis=1), -1.0, 1.0))
     assert np.max(nearest) <= cover
+
+
+def test_boundary_samples_are_drawn_once_per_body_and_count(monkeypatch):
+    draws = []
+    radial = radial_function
+
+    def counted(body, dirs):
+        draws.append(body)
+        return radial(body, dirs)
+
+    monkeypatch.setattr(measure, "radial_function", counted)
+    body, twin = lens(), lens()
+    assert body == twin
+    points, normals = boundary_samples(body, 100)
+    again = boundary_samples(body, 100)
+    assert again[0] is points and again[1] is normals
+    assert draws == [body]
+    # an equal body built separately draws its own
+    twin_points, twin_normals = boundary_samples(twin, 100)
+    assert draws == [body, twin] and twin_points is not points
+    assert twin_points.tobytes() == points.tobytes() and twin_normals.tobytes() == normals.tobytes()
+    boundary_samples(body, 200)
+    assert len(draws) == 3
 
 
 @pytest.mark.parametrize("dim, default", [(2, 1024), (3, 4)])

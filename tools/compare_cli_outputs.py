@@ -10,17 +10,21 @@ none is given), each tree's ``convexsmooth.cli.run`` runs in a fresh
 process over the corpus's warm-up, counted and known-defect ops, in order.
 Both trees read the inputs that this checkout's ``bench/corpus.py`` draws,
 so they see the same bytes. ``project`` ops are library queries, not CLI
-commands, and are skipped.
+commands: each runs ``project_body`` on its body (one body object per
+body name, as ``bench/run.py`` keeps them) and query.
 
-Each op leaves its output files and an ``exit.txt`` holding the exit code
-and stderr (or the type and message of an exception that escaped
-``cli.run``). The output directory's path is masked in ``report.json``,
-which echoes it, and in ``exit.txt``. Every file present in one tree only,
-or differing between the trees, is listed; the exit status is 1 if any
-is, else 0. Under a differing ``report.json`` go its differing JSON paths:
-keys present on one side only, changed non-numbers, and for numbers the
-largest relative change. The elements of a list that holds no objects
-(numbers, or lists of numbers) share one path, ``[*]``.
+Each CLI op leaves its output files and an ``exit.txt`` holding the exit
+code and stderr (or the type and message of an exception that escaped
+``cli.run``); each ``project`` op leaves ``point.bin``, the bytes of the
+returned float64 point, and an ``exit.txt`` saying that it returned (or
+the exception it raised). The output directory's path is masked in
+``report.json``, which echoes it, and in ``exit.txt``. Every file present
+in one tree only, or differing between the trees, is listed; the exit
+status is 1 if any is, else 0. Under a differing ``report.json`` go its
+differing JSON paths: keys present on one side only, changed non-numbers,
+and for numbers the largest relative change. The elements of a list that
+holds no objects (numbers, or lists of numbers) share one path, ``[*]``.
+Under a differing ``point.bin`` go the two points.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEEDS = (1, 2, 3)
@@ -51,25 +57,33 @@ def write_outputs(tree: str, workload: str, seed: int, directory: str) -> None:
     sys.path[:0] = [str(Path(tree) / "src"), str(ROOT / "bench")]
     import corpus
 
-    from convexsmooth import cli
+    from convexsmooth import body_from_json, cli, project_body
 
     if Path(cli.__file__).resolve().parents[1] != (Path(tree) / "src").resolve():
         raise RuntimeError(f"imported convexsmooth from {cli.__file__}, not {tree}")
     base = Path(directory)
     built = corpus.build(workload, seed, base / "corpus")
     groups = {"warmup": built.warmup, "ops": built.ops, "known": built.known_defects}
+    bodies = {}
     for group, ops in groups.items():
         for op in ops:
-            if op.kind == "project":
-                continue
             outdir = base / "out" / group / op.name.replace(":", "_")
-            config = cli.RunConfig(
-                command=op.kind, input=op.input, output=str(outdir), resolution=op.resolution
-            )
             stderr = io.StringIO()
             try:
                 with redirect_stderr(stderr):
-                    status = f"exit {cli.run(config)}"
+                    if op.kind == "project":
+                        name = op.meta["body"]
+                        if name not in bodies:
+                            bodies[name] = body_from_json(op.body)
+                        point = project_body(bodies[name], np.asarray(op.x, dtype=float))
+                        outdir.mkdir(parents=True, exist_ok=True)
+                        (outdir / "point.bin").write_bytes(point.tobytes())
+                        status = "returned"
+                    else:
+                        config = cli.RunConfig(
+                            command=op.kind, input=op.input, output=str(outdir), resolution=op.resolution
+                        )
+                        status = f"exit {cli.run(config)}"
             except Exception as e:  # an escaped exception is an outcome to compare
                 status = f"exception {type(e).__name__}: {e}"
             outdir.mkdir(parents=True, exist_ok=True)
@@ -129,6 +143,11 @@ def json_differences(old: bytes, new: bytes) -> list[str]:
     return sorted(lines)
 
 
+def point_differences(old: bytes, new: bytes) -> list[str]:
+    """The two float64 points of a differing ``point.bin``, one line each."""
+    return [f"{side}: {np.frombuffer(data).tolist()}" for side, data in (("old", old), ("new", new))]
+
+
 def compare(old: str, new: str, seeds) -> list[str]:
     """Differences between the two trees' outputs, one entry per file; a
     differing ``report.json`` adds an indented line per differing path."""
@@ -158,7 +177,12 @@ def compare(old: str, new: str, seeds) -> list[str]:
                     if a is None or b is None:
                         differences.append(f"{tag}: {path} only in {'new' if a is None else 'old'}")
                     elif a != b:
-                        details = json_differences(a, b) if path.endswith("report.json") else []
+                        if path.endswith("report.json"):
+                            details = json_differences(a, b)
+                        elif path.endswith("point.bin"):
+                            details = point_differences(a, b)
+                        else:
+                            details = []
                         differences.append(
                             "\n".join([f"{tag}: {path} differs", *("    " + d for d in details)])
                         )
