@@ -10,7 +10,7 @@ rolling-ball property that the certificates check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
 from typing import Union
@@ -274,8 +274,9 @@ def _row_dots(xs: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 # Rows of the membership table built at a time: points times centers in
-# contains_many, queries times candidates times centers in _extreme_points.
-# Memory then stays fixed whatever the number of queries
+# contains_many and in _extreme_points' nearest-mode membership, queries
+# times candidates times centers for its candidates. Memory then stays
+# fixed whatever the number of queries
 _BLOCK_ROWS = 1 << 17
 
 
@@ -329,6 +330,12 @@ def _combination(coeffs, basis) -> np.ndarray:
     return out
 
 
+def _within(X: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray:
+    """Whether each row of X is within ``limit`` of every center, the
+    centers laid out (n, 1, m) and the distances summed as in :func:`_norm`."""
+    return np.logical_and.reduce(_norm(X.T[:, :, None] - centers) <= limit, axis=1)
+
+
 def contains(body: Body, x) -> bool:
     """Membership test with absolute slack ``MEMBERSHIP_SLACK``: the
     :func:`contains_many` row of a batch of one."""
@@ -346,10 +353,9 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if isinstance(body, BallBody):
         inside = np.empty(len(pts), dtype=bool)
-        centers = body.centers.T[:, None, :]
+        centers, limit = body.centers.T[:, None, :], body.radius + MEMBERSHIP_SLACK
         for rows in _blocks(len(pts), body.num_balls):
-            d = _norm(pts[rows].T[:, :, None] - centers)
-            inside[rows] = np.logical_and.reduce(d <= body.radius + MEMBERSHIP_SLACK, axis=1)
+            inside[rows] = _within(pts[rows], centers, limit)
         return inside
     return np.all(_row_dots(pts, body.normals) - body.offsets <= MEMBERSHIP_SLACK, axis=1)
 
@@ -402,15 +408,47 @@ class SphereLattice:
     sphere index comes last, so that one coordinate of every sphere is one
     contiguous row: ``centres`` is (n, S), ``radii`` (S,), ``span``
     (n - 1, n, S) and ``normal`` (n, n, S), with ``span[j, :, s]`` the j-th
-    vector of sphere s. Singletons come first, as the balls themselves.
-    Subsets whose differences a_j - a_0 have a singular value at most
-    1e-14 R are skipped. Every array is read-only.
+    vector of sphere s. Singletons come first, as the balls themselves:
+    the first ``balls`` spheres, so ``centres[:, :balls]`` are the ball
+    centers and ``radii[0]`` is R. Subsets whose differences a_j - a_0
+    have a singular value at most 1e-14 R are skipped.
+
+    The remaining attributes are what :func:`_extreme_points` broadcasts
+    against, built once with the lattice: ``limit`` = R +
+    ``MEMBERSHIP_SLACK``, the membership bound on a distance to a center;
+    ``axis_tol`` = 4 ulp R, below which a farthest query is on a sphere's
+    axis; the ball centers as (n, 1, m) for (n, N, 1) query rows and as
+    (n, m, 1, 1) for (n, N, S) candidates; ``centres`` as (n, 1, S); and
+    each ``span`` and ``normal`` vector as (n, 1, S). Every array is
+    read-only.
     """
 
     centres: np.ndarray
     radii: np.ndarray
     span: np.ndarray
     normal: np.ndarray
+    balls: int
+    limit: float = field(init=False)
+    axis_tol: float = field(init=False)
+    query_balls: np.ndarray = field(init=False, repr=False)
+    candidate_balls: np.ndarray = field(init=False, repr=False)
+    centre_rows: np.ndarray = field(init=False, repr=False)
+    span_rows: tuple = field(init=False, repr=False)
+    normal_rows: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        R, m = float(self.radii[0]), self.balls
+        views = {
+            "limit": R + MEMBERSHIP_SLACK,
+            "axis_tol": 4.0 * np.finfo(float).eps * R,
+            "query_balls": self.centres[:, None, :m],
+            "candidate_balls": self.centres[:, :m, None, None],
+            "centre_rows": self.centres[:, None, :],
+            "span_rows": tuple(basis[:, None, :] for basis in self.span),
+            "normal_rows": tuple(basis[:, None, :] for basis in self.normal),
+        }
+        for name, value in views.items():
+            object.__setattr__(self, name, value)
 
 
 def _sphere_lattice(body: BallBody) -> SphereLattice:
@@ -440,36 +478,56 @@ def _sphere_lattice(body: BallBody) -> SphereLattice:
     parts = [np.ascontiguousarray(np.moveaxis(p, 0, -1)) for p in parts]
     for arr in parts:
         arr.setflags(write=False)
-    return SphereLattice(*parts)
+    return SphereLattice(*parts, balls=m)
 
 
-def _candidates(body: BallBody, X: np.ndarray, mode: str):
-    """The candidates of :func:`_extreme_points` for the rows of X, coordinates
-    first, (n, N, spheres) or (n, N, 2 spheres) in farthest mode, and whether
-    each lies in the body within ``MEMBERSHIP_SLACK``, (N, spheres) or
-    (N, 2 spheres)."""
-    R, L = body.radius, body._lattice
-    C = L.centres[:, None, :]
+def _candidates(L: SphereLattice, X: np.ndarray, mode: str):
+    """The candidates of :func:`_extreme_points` on lattice L for the rows
+    of X, coordinates first, (n, N, spheres) or (n, N, 2 spheres) in
+    farthest mode, and whether each lies in the body within
+    ``MEMBERSHIP_SLACK``, (N, spheres) or (N, 2 spheres)."""
+    C = L.centre_rows
     Xt = X.T[:, :, None]
     if mode == "farthest":
         v = Xt - C
-        z = [_dot(basis, v) for basis in L.normal[:, :, None, :]]
+        z = [_dot(basis, v) for basis in L.normal_rows]
         norm = _norm(z)
-        axis = norm <= 4.0 * np.finfo(float).eps * R
+        axis = norm <= L.axis_tol
         scale = np.where(axis, 1.0, norm)
         z = [np.where(axis, float(j == 0), zj) / scale for j, zj in enumerate(z)]
-        ru = L.radii * _combination(z, L.normal[:, :, None, :])
+        ru = L.radii * _combination(z, L.normal_rows)
         cand = np.concatenate([C + ru, C - ru], axis=2)
     else:
         w = Xt - C if mode == "nearest" else Xt
-        span = L.span[:, :, None, :]
+        span = L.span_rows
         w = w - _combination([_dot(basis, w) for basis in span], span)
         norm = _norm(w)
-        unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
+        unit = np.divide(w, norm, out=np.zeros(w.shape), where=norm > 0.0)
         cand = C + L.radii * unit
-    # contains_many's membership test, of every candidate against every center
-    d = _norm(cand[:, None] - body.centers.T[:, :, None, None])
-    return cand, np.logical_and.reduce(d <= R + MEMBERSHIP_SLACK, axis=0)
+    # contains_many's membership rule, of every candidate against every
+    # center: the largest distance is within the limit exactly when all are
+    d = _norm(cand[:, None] - L.candidate_balls)
+    return cand, d.max(axis=0) <= L.limit
+
+
+def _picks(L: SphereLattice, X: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_extreme_points`' candidate picks for every row of X, in blocks
+    of at most ``_BLOCK_ROWS`` candidate-center pairs."""
+    points, scores = np.empty(X.shape), np.empty(len(X))
+    per_row = len(L.radii) * (2 if mode == "farthest" else 1) * L.balls
+    for rows in _blocks(len(X), per_row):
+        Y = X[rows]
+        cand, feasible = _candidates(L, Y, mode)
+        Yt = Y.T[:, :, None]
+        if mode == "support":
+            score = np.where(feasible, _dot(cand, Yt), -np.inf)
+        else:
+            score = np.where(feasible, _norm(cand - Yt), np.inf if mode == "nearest" else -np.inf)
+        pick = score.argmin(axis=1) if mode == "nearest" else score.argmax(axis=1)
+        i = np.arange(len(Y))
+        points[rows] = cand[:, i, pick].T
+        scores[rows] = score[i, pick]
+    return points, scores
 
 
 def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -504,26 +562,33 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     the first feasible candidate of least distance to x (nearest), of
     greatest <p, u> (support) or of greatest distance to c (farthest), (N, n),
     and that distance or <p, u>, (N,); inf, -inf or -inf and the first
-    candidate when none is feasible. Distances and <p, u> are summed as in
-    :func:`_norm` and :func:`_dot`. The rows go in blocks of at most
+    candidate when none is feasible. In nearest mode a row x that lies in
+    the body, by the same rule, is its own nearest point, at distance 0.0,
+    and pays for no candidates. Distances and <p, u> are summed as in
+    :func:`_norm` and :func:`_dot`.
+
+    In nearest mode the rows go in blocks of at most ``_BLOCK_ROWS``
+    point-center pairs, and each block is resolved in one pass: its
+    membership first, against the lattice's cached views, then candidates
+    for its exterior rows only, the whole block with no gather or scatter
+    when every row is exterior. Candidates go in blocks of at most
     ``_BLOCK_ROWS`` candidate-center pairs, each reduced to its picks
     before the next, so memory is fixed by the block size and the output,
     whatever N.
     """
-    points, scores = np.empty(W.shape), np.empty(len(W))
-    per_row = len(body._lattice.radii) * (2 if mode == "farthest" else 1) * body.num_balls
-    for rows in _blocks(len(W), per_row):
+    L = body._lattice
+    if mode != "nearest":
+        return _picks(L, W, mode)
+    points, scores = W.copy(), np.zeros(len(W))
+    for rows in _blocks(len(W), L.balls):
         X = W[rows]
-        cand, feasible = _candidates(body, X, mode)
-        Xt = X.T[:, :, None]
-        if mode == "support":
-            score = np.where(feasible, _dot(cand, Xt), -np.inf)
-        else:
-            score = np.where(feasible, _norm(cand - Xt), np.inf if mode == "nearest" else -np.inf)
-        pick = np.argmin(score, axis=1) if mode == "nearest" else np.argmax(score, axis=1)
-        i = np.arange(len(X))
-        points[rows] = cand[:, i, pick].T
-        scores[rows] = score[i, pick]
+        inside = _within(X, L.query_balls, L.limit)
+        k = np.count_nonzero(inside)
+        if k == 0:
+            points[rows], scores[rows] = _picks(L, X, mode)
+        elif k < len(X):
+            outside = rows.start + np.flatnonzero(~inside)
+            points[outside], scores[outside] = _picks(L, W[outside], mode)
     return points, scores
 
 
@@ -556,17 +621,24 @@ def support_value(body: BallBody, direction):
     Exact up to rounding: the support point is the candidate of its active
     subset (see :func:`_extreme_points`), so the largest <u, p> over the
     feasible candidates attains the maximum. A guard of 1e-12 R on top
-    makes the value a certified upper bound. A zero direction raises
-    ``ValueError``, naming its row in a batch, and a body other than a
-    ball body :class:`NotBallBody`.
+    makes the value a certified upper bound. A nonzero direction whose
+    squared length underflows is divided by its largest |coordinate|
+    first. A zero direction raises ``ValueError``, naming its row in a
+    batch, and a body other than a ball body :class:`NotBallBody`.
     """
     _require_ball(body, "the support function")
     U, single = _as_rows(direction, body.dim)
-    norms = _norm(U.T)[:, None]
-    zero = np.flatnonzero(norms[:, 0] == 0.0)
-    if zero.size:
-        raise ValueError("direction must be nonzero" if single else f"direction {zero[0]} is zero")
-    _, reach = _extreme_points(body, U / norms, "support")
+    norms = _norm(U.T)
+    if not norms.all():
+        # only the rows that underflow are rescaled: the others are divided
+        # by 1.0 and keep their bits
+        top = np.max(np.abs(U), axis=1)
+        U = U / np.where((norms == 0.0) & (top > 0.0), top, 1.0)[:, None]
+        norms = _norm(U.T)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ValueError("direction must be nonzero" if single else f"direction {zero[0]} is zero")
+    _, reach = _extreme_points(body, U / norms[:, None], "support")
     h = reach + 1e-12 * body.radius
     return float(h[0]) if single else h
 

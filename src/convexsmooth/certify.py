@@ -377,7 +377,19 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
     # margin max over x in the body of |x - y + r v| - r is a maximum of
     # functions of r with slope <x - y + r v, v>/|x - y + r v| - 1 <= 0, so
     # it does not increase in r either: ball_support_b's margins bound
-    # those at this radius
+    # those at this radius. Computed margins add rounding, a few ulp of the
+    # radius, and the farthest pick's membership rule, which takes
+    # candidates up to s = MEMBERSHIP_SLACK outside a ball. At this radius
+    # the farthest point of the body is y itself, so the pick may be such
+    # a candidate near y. With n the mean unit normal of the spheres active
+    # at y, v = n/|n|, and c = y - R v is an affine combination of y and
+    # their centers, so every x within s of all balls has
+    #   |x - c|^2 <= R^2 + (2 R s + s^2)/|n| - (1/|n| - 1)|x - y|^2.
+    # At a smooth sample, where |n| = 1, a margin at this radius is thus at
+    # most s plus rounding. ball_support_b's worst margin is exactly 0,
+    # attained by a candidate, so computed it is at least minus rounding,
+    # and the two differ by at most MEMBERSHIP_SLACK plus rounding. At a
+    # ridge sample the slack term grows by up to 1/|n| for picks near y
     radius_e = level_set_radius(2.0 * 2.0 * gauge_lipschitz_bound(body), floor)
     margin_b = report_b.worst_witness["margin"]
     reports.append(

@@ -4,8 +4,11 @@ projecting an enclosing boundary covers the body's boundary.
 All are closed forms, exact up to rounding, with no iteration and no
 tolerance. The nearest point of the body is active on at most n spheres,
 so it is the nearest feasible candidate on the body's intersection
-spheres, which are enumerated once per body and cached on it
-(:func:`convexsmooth.bodies._extreme_points`). The nearest
+spheres, which are enumerated once per body and cached on it. A batch is
+projected block by block, each block in one pass of
+:func:`convexsmooth.bodies._extreme_points`: membership first, and
+candidates only for the block's exterior rows, so interior points cost a
+membership test and nothing more. The nearest
 boundary point of an interior point is its radial projection onto the
 nearest sphere. Across the medial axis, where the nearest sphere changes,
 that map jumps, so the boundary projection takes interior points only
@@ -23,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies import (
+    MEMBERSHIP_SLACK,
     Ball,
     BallBody,
     Body,
@@ -33,7 +37,6 @@ from .bodies import (
     _norm,
     _require_ball,
     _row_dots,
-    contains,
     contains_many,
 )
 from .errors import InvalidBody, OutsideDomain, RayMiss
@@ -56,20 +59,19 @@ def project_ball(ball: Ball, x) -> np.ndarray:
 def project_body(body: BallBody, x) -> np.ndarray:
     """Nearest point of the ball intersection, exact up to rounding.
 
-    Accepts one point or an (N, n) batch. Points in the body (within
-    ``MEMBERSHIP_SLACK``) come back unchanged, so the map is idempotent bit
-    for bit. Any other point goes to the nearest candidate of
-    :func:`convexsmooth.bodies._extreme_points` that lies in the body; by
-    KKT the true projection is one of them. There is no iteration, so no
-    tolerance and no :class:`NonConvergence`. A body other than a ball body
-    raises :class:`NotBallBody`.
+    Accepts one point or an (N, n) batch, resolved block by block in one
+    pass of :func:`convexsmooth.bodies._extreme_points` in nearest mode.
+    Each block's points in the body (within ``MEMBERSHIP_SLACK``) come
+    back unchanged, so the map is idempotent bit for bit, and cost no
+    candidates. Any other point goes to the nearest candidate on the
+    body's intersection spheres that lies in the body; by KKT the true
+    projection is one of them. There is no iteration, so no tolerance and
+    no :class:`NonConvergence`. A body other than a ball body raises
+    :class:`NotBallBody`.
     """
     _require_ball(body, "projection onto the body")
     pts, single = _as_rows(x, body.dim)
-    out = pts.copy()
-    outside = ~contains_many(body, pts)
-    if np.any(outside):
-        out[outside] = _extreme_points(body, pts[outside], "nearest")[0]
+    out = _extreme_points(body, pts, "nearest")[0]
     return out[0] if single else out
 
 
@@ -112,10 +114,11 @@ def boundary_projection(body: BallBody, x) -> np.ndarray:
     """
     _require_ball(body, "boundary projection")
     x = _as_vector(x, body.dim)
-    if not contains(body, x):
-        return project_body(body, x)
     v = x - body.centers
     dist = _norm(v.T)
+    # contains_many's rule and summation order, on the distances at hand
+    if not np.all(dist <= body.radius + MEMBERSHIP_SLACK):
+        return project_body(body, x)
     i = int(np.argmax(dist))
     depths = body.radius - dist
     d1 = float(depths[i])

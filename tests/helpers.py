@@ -268,7 +268,9 @@ def extreme_points_reference(body: BallBody, W: np.ndarray, mode: str):
 
 def extreme_picks_reference(body: BallBody, W: np.ndarray, mode: str):
     """``bodies._extreme_points``' picks and scores, reduced from every
-    candidate of :func:`extreme_points_reference` at once."""
+    candidate of :func:`extreme_points_reference` at once. In nearest mode
+    a row in the body (:func:`contains_many_reference`) is its own pick, at
+    distance 0.0."""
     cand, feasible = extreme_points_reference(body, W, mode)
     if mode == "support":
         score = np.where(feasible, np.einsum("nsd,nd->ns", cand, W), -np.inf)
@@ -277,7 +279,11 @@ def extreme_picks_reference(body: BallBody, W: np.ndarray, mode: str):
         score = np.where(feasible, dist, np.inf if mode == "nearest" else -np.inf)
     pick = np.argmin(score, axis=1) if mode == "nearest" else np.argmax(score, axis=1)
     i = np.arange(len(W))
-    return cand[i, pick], score[i, pick]
+    points, scores = cand[i, pick], score[i, pick]
+    if mode == "nearest":
+        inside = contains_many_reference(body, W)
+        points[inside], scores[inside] = W[inside], 0.0
+    return points, scores
 
 
 def project_body_reference(body: BallBody, x: np.ndarray) -> np.ndarray:

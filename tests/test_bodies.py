@@ -312,6 +312,13 @@ class TestSupportValue:
         dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="direction 2 is zero"):
             support_value(lens(), dirs)
+        with pytest.raises(ValueError, match="direction 1 is zero"):
+            support_value(lens(), [[1e-300, 0.0], [0.0, 0.0]])
+
+    def test_a_direction_whose_square_underflows_is_not_zero(self):
+        assert support_value(lens(), [1e-300, 0.0]) == support_value(lens(), [1.0, 0.0])
+        tiny = support_value(lens(), [[1e-300, 0.0], [0.3, 0.4], [0.0, -5e-324]])
+        assert tiny.tobytes() == support_value(lens(), [[1.0, 0.0], [0.3, 0.4], [0.0, -1.0]]).tobytes()
 
 
 class TestFarthestPoint:
@@ -398,7 +405,7 @@ class TestExtremePointEngine:
     def test_bit_equal_to_the_einsum_and_norm_forms(self, body, seed):
         x = extreme_queries(body, seed)
         for mode in MODES:
-            cand, feasible = bodies._candidates(body, x, mode)
+            cand, feasible = bodies._candidates(body._lattice, x, mode)
             ref_cand, ref_feasible = extreme_points_reference(body, x, mode)
             assert np.moveaxis(cand, 0, -1).tobytes() == ref_cand.tobytes(), mode
             assert np.array_equal(feasible, ref_feasible), mode
@@ -433,6 +440,37 @@ class TestExtremePointEngine:
             assert points.shape == (n, 3) and scores.shape == (n,)
             assert points.tobytes() == b"".join(p.tobytes() for p, _ in singles[:n])
             assert scores.tobytes() == b"".join(h.tobytes() for _, h in singles[:n])
+
+    def test_projection_blocks_give_the_rows_of_one_at_a_time_calls(self):
+        # project_body tests membership in blocks of _BLOCK_ROWS point-center
+        # pairs and picks for the exterior rows in blocks of _BLOCK_ROWS
+        # candidate-center pairs; batches around both block sizes mix
+        # interior, boundary and exterior rows
+        body = many_ball_body()
+        candidate_rows = bodies._BLOCK_ROWS // (len(body._lattice.radii) * body.num_balls)
+        membership_rows = bodies._BLOCK_ROWS // body.num_balls
+        assert 2 < candidate_rows < membership_rows
+        rng = np.random.default_rng(6)
+        n = 2 * membership_rows + 3
+        u = rng.standard_normal((n, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        exterior = u * rng.uniform(1.05, 3.0, (n, 1))
+        x = u * rng.uniform(0.0, 0.9 * body.interior_radius, (n, 1))
+        kind = rng.integers(0, 3, n)  # 0 interior, 1 boundary, 2 exterior
+        kind[2 * candidate_rows + 3 :] = np.where(rng.random(n - 2 * candidate_rows - 3) < 0.1, 1, 0)
+        kind[[membership_rows - 1, membership_rows, 2 * membership_rows - 1, 2 * membership_rows, n - 1]] = 2
+        x[kind == 2] = exterior[kind == 2]
+        boundary = project_body(body, exterior[:64])
+        x[kind == 1] = boundary[np.arange(np.count_nonzero(kind == 1)) % 64]
+        inside = contains_many(body, x)
+        assert np.array_equal(inside, kind != 2)
+        singles = np.array([project_body(body, row) for row in x])
+        for B in (candidate_rows, membership_rows):
+            for rows in (B - 1, B, B + 1, 2 * B + 3):
+                batch = project_body(body, x[:rows])
+                assert batch.tobytes() == singles[:rows].tobytes(), rows
+                assert batch.tobytes() == project_body_reference(body, x[:rows]).tobytes(), rows
+        assert np.array_equal(singles[inside], x[inside])
 
     def test_membership_blocks_give_the_rows_of_one_at_a_time_calls(self):
         body = many_ball_body()
