@@ -468,12 +468,15 @@ def _sphere_lattice(body: BallBody) -> SphereLattice:
         y = np.einsum("sji,sj->si", U, 0.5 * np.einsum("sjd,sjd->sj", D, D)) / sig
         r2 = R * R - np.einsum("si,si->s", y, y)
         meet = r2 >= 0.0
-        centres.append(a0[meet] + np.einsum("si,sid->sd", y[meet], Vt[meet]))
+        V = Vt[meet]
+        centres.append(a0[meet] + np.einsum("si,sid->sd", y[meet], V))
         radii.append(np.sqrt(r2[meet]))
-        spans.append(np.pad(Vt[meet], ((0, 0), (0, n - k), (0, 0))))
+        span, normal = np.zeros((len(V), n - 1, n)), np.zeros((len(V), n, n))
+        span[:, : k - 1] = V
         # the last n - k + 1 rows of a full orthonormal basis around V_S
-        perp = np.linalg.svd(Vt[meet], full_matrices=True)[2][:, k - 1 :]
-        normals.append(np.pad(perp, ((0, 0), (0, k - 1), (0, 0))))
+        normal[:, : n - k + 1] = np.linalg.svd(V, full_matrices=True)[2][:, k - 1 :]
+        spans.append(span)
+        normals.append(normal)
     parts = [np.concatenate(p) for p in (centres, radii, spans, normals)]
     parts = [np.ascontiguousarray(np.moveaxis(p, 0, -1)) for p in parts]
     for arr in parts:

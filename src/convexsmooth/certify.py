@@ -30,10 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .bodies import BallBody, Body, HalfspaceBody, _dot, _norm, _require_ball, farthest_point
+from .bodies import (
+    MEMBERSHIP_SLACK,
+    BallBody,
+    Body,
+    HalfspaceBody,
+    _dot,
+    _norm,
+    _require_ball,
+    farthest_point,
+)
 from .errors import DomainViolation, InsufficientData
 from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
 from .measure import boundary_samples, sample_directions
@@ -118,13 +128,29 @@ def subgradient_certificate(points, eta: float) -> CertificateReport:
     (eta/2)|y - x|^2 for every ordered pair. One subgradient per point
     suffices: if the inequality holds for some subgradient at each point
     it holds for all of them.
+
+    Every x and subgradient must have the first x's length, and every
+    entry must be finite; otherwise :class:`ValueError` names the first
+    offending triple. A non-finite eta raises :class:`ValueError` too.
     """
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
     pts = list(points)
     if len(pts) < 2:
         raise InsufficientData("need at least 2 sample points")
-    X = np.array([np.asarray(p[0], dtype=float).ravel() for p in pts])
+    xs = [np.asarray(p[0], dtype=float).ravel() for p in pts]
+    gs = [np.asarray(p[2], dtype=float).ravel() for p in pts]
+    dim = len(xs[0])
+    for k, (x, g) in enumerate(zip(xs, gs)):
+        if len(x) != dim or len(g) != dim:
+            raise ValueError(
+                f"triple {k}: expected x and subgradient of length {dim}, got lengths {len(x)} and {len(g)}"
+            )
+    X, G = np.array(xs), np.array(gs)
     U = np.array([float(p[1]) for p in pts])
-    G = np.array([np.asarray(p[2], dtype=float).ravel() for p in pts])
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(U) & np.isfinite(G).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"triple {int(np.argmin(finite))}: x, value and subgradient must be finite")
 
     diff = X[None, :, :] - X[:, None, :]  # diff[i, j] = x_j - x_i
     lin = np.einsum("ik,ijk->ij", G, diff)
@@ -330,7 +356,28 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     The body always sits inside the intersection of its sampled supporting
     halfspaces; the gap is how far that intersection's farthest point is
     from the body, and it shrinks to zero as the samples densify (for a
-    unit ball it is the circumscribed-polygon excess sec(pi/m) - 1).
+    unit ball it is the circumscribed-polygon excess sec(pi/m) - 1). The
+    farthest point is a vertex v of the intersection, so the gap is the
+    largest distance |v - p(v)| to its projection p(v) = project_body(v).
+
+    Only the vertices that can attain it are projected. With
+    s(v) = max_i (|v - a_i| - R)_+, every ball holds the body W, so
+    dist(v, W) >= s(v). And B(0, rho) lies in W, rho = ``interior_radius``,
+    so for s > 0 the point rho/(rho + s) v lies in every ball B_i: it is
+    rho/(rho + s) q_i + s/(rho + s) w with q_i the nearest point of B_i to
+    v, |v - q_i| <= s, and w = rho/s (v - q_i) in B(0, rho). Hence
+    dist(v, W) <= u(v) = |v| s/(rho + s). The gap is at least the largest
+    s, S, so no vertex with u < S can attain it. And as
+    |v - a_i| - R <= |v| - rho, s <= |v| - rho, so u(v) >= s(v): the vertex
+    of largest s has u >= S and always survives the pruning.
+
+    Computed, u takes s + tol and rho - tol, tol = 1e-12 (R + max |v|),
+    so that it bounds the exact u, and a vertex is left out when it falls
+    below S - (MEMBERSHIP_SLACK + 2 tol + 1e-9 S); the comment in the code
+    derives that margin from the rounding of each term. Each kept row
+    projects to the same bits as in a projection of every vertex, as rows
+    are independent, so the gap is the same float as the full one. When
+    rho - tol <= 0 every vertex is projected.
     """
     # imported here, so that importing the package loads no scipy
     from scipy.spatial import HalfspaceIntersection
@@ -341,26 +388,62 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     offsets = _dot(normals.T, pts.T)
     halfspaces = np.column_stack([normals, -offsets])
     vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+    V = np.ascontiguousarray(vertices.T)
+    length = _norm(V)
+    s = np.maximum(_norm(V[:, None, :] - body.centers.T[:, :, None]).max(axis=0) - body.radius, 0.0)
+    S = float(np.max(s))
+    # Margin. Every coordinate is at most scale = R + max |v|, and each
+    # computed s, |v|, rho and projection distance is within a few ulp of
+    # scale of its exact value: tol = 1e-12 scale covers each of them more
+    # than a hundredfold. u is increasing in s and decreasing in rho, so
+    # u computed from s + tol and rho - tol is an upper bound on the
+    # exact u, up to a relative few ulp of its own rounding. A pruned
+    # vertex then has a computed distance below u + a few ulp of scale
+    # (its projection is exact up to rounding) < S - margin + 1e-15 S +
+    # 1e-15 scale. The kept vertex of largest s projects to a candidate
+    # within MEMBERSHIP_SLACK plus rounding of its farthest ball, so its
+    # computed distance is at least S - tol - MEMBERSHIP_SLACK - 1e-15
+    # scale. margin = MEMBERSHIP_SLACK + 2 tol + 1e-9 S covers the two sides
+    # with room to spare, so no pruned vertex reaches the computed gap.
+    tol = 1e-12 * (body.radius + float(np.max(length)))
+    rho = body.interior_radius - tol
+    if rho > 0.0:
+        u = length * (s + tol) / (rho + s + tol)
+        vertices = vertices[u >= S - (MEMBERSHIP_SLACK + 2.0 * tol + 1e-9 * S)]
     return float(np.max(_norm((vertices - project_body(body, vertices)).T)))
+
+
+@cache
+def _eq39_points(dim: int) -> np.ndarray:
+    """eq39's 48 seeded points for R = 1, (48, dim), read-only and built
+    once per dimension: u r with u uniform on the sphere and r uniform in
+    [0.3, 1.6), each point drawing its direction and then its radius from
+    ``np.random.default_rng(0)``. Scaled by R they are the points
+    (u/|u| r) R, in that order of operations."""
+    rng = np.random.default_rng(0)
+    x = np.empty((48, dim))
+    for k in range(48):
+        u = rng.standard_normal(dim)
+        x[k] = u / np.linalg.norm(u) * rng.uniform(0.3, 1.6)
+    x.setflags(write=False)
+    return x
 
 
 def certify_body(body: Body, samples: int) -> list[CertificateReport]:
     """The certificate suite of the ``certify`` command (see the module
     docstring), ``samples`` boundary samples each; eq39's points come from
     ``np.random.default_rng(0)``, so the reports are deterministic.
-    level_set_e passes exactly when ball_support_b does."""
+    level_set_e passes exactly when ball_support_b does. Fewer than 8
+    samples raise :class:`ValueError` before any certificate runs."""
+    if samples < 8:
+        raise ValueError("samples must be >= 8")
     if isinstance(body, HalfspaceBody):
         return [ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)]
     floor = 1.0 / (2.0 * body.radius**2)
 
     # the squared gauge and, as its subgradient, that of the first attaining
-    # member, at 48 seeded points u r: u uniform on the sphere, r uniform in
-    # [0.3 R, 1.6 R), each point drawing its direction and then its radius
-    rng = np.random.default_rng(0)
-    x = np.empty((48, body.dim))
-    for k in range(48):
-        u = rng.standard_normal(body.dim)
-        x[k] = u / np.linalg.norm(u) * rng.uniform(0.3, 1.6) * body.radius
+    # member, at eq39's 48 points
+    x = _eq39_points(body.dim) * body.radius
     values, grads, _ = member_gauge_derivatives(body, x)
     member = np.argmax(attaining_members(values), axis=1)
     value = values[np.arange(48), member]

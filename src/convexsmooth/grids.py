@@ -8,6 +8,7 @@ angle: every unit vector lies within that angle of some grid direction.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -96,12 +97,13 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([verts, m]), new_faces.reshape(-1, 3)
 
 
+@cache
 def icosphere_covering_angle(level: int) -> float:
     """Covering angle of the level-`level` icosphere vertex set.
 
     Computed as the largest spherical circumradius over all faces: any unit
     vector lies inside some face, whose vertices are within the face
-    circumradius of it.
+    circumradius of it. Computed once per level and cached.
     """
     verts, faces = icosphere(level)
     tri = verts[faces]

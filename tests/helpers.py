@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
 from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
 from convexsmooth._text import _BLOCK_ROWS
-from convexsmooth.bodies import MEMBERSHIP_SLACK, NORMAL_ATOL, _row_dots
+from convexsmooth.bodies import MEMBERSHIP_SLACK, NORMAL_ATOL, _dot, _norm, _row_dots
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import boundary_samples, facet_centroids
+from convexsmooth.project import project_body
 from convexsmooth.smooth import RIDGE_GUARD, _phi_terms, agreement_many
 
 
@@ -240,6 +242,33 @@ def _lattice_rows(body: BallBody):
     return tuple(np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (L.centres, L.span, L.normal))
 
 
+def sphere_lattice_reference(body: BallBody):
+    """``bodies._sphere_lattice``'s centres, radii, span and normal arrays,
+    the span and normal blocks of each subset size padded with np.pad (the
+    padded form of the enumeration)."""
+    R, A = body.radius, body.centers
+    m, n = A.shape
+    centres, radii, spans = [A], [np.full(m, R)], [np.zeros((m, n - 1, n))]
+    normals = [np.broadcast_to(np.eye(n), (m, n, n))]
+    for k in range(2, min(m, n) + 1):
+        S = np.array(list(combinations(range(m), k)))
+        a0 = A[S[:, 0]]
+        D = A[S[:, 1:]] - a0[:, None, :]
+        U, sig, Vt = np.linalg.svd(D, full_matrices=False)
+        ok = sig[:, -1] > 1e-14 * R
+        a0, D, U, sig, Vt = a0[ok], D[ok], U[ok], sig[ok], Vt[ok]
+        y = np.einsum("sji,sj->si", U, 0.5 * np.einsum("sjd,sjd->sj", D, D)) / sig
+        r2 = R * R - np.einsum("si,si->s", y, y)
+        meet = r2 >= 0.0
+        centres.append(a0[meet] + np.einsum("si,sid->sd", y[meet], Vt[meet]))
+        radii.append(np.sqrt(r2[meet]))
+        spans.append(np.pad(Vt[meet], ((0, 0), (0, n - k), (0, 0))))
+        perp = np.linalg.svd(Vt[meet], full_matrices=True)[2][:, k - 1 :]
+        normals.append(np.pad(perp, ((0, 0), (0, k - 1), (0, 0))))
+    parts = [np.concatenate(p) for p in (centres, radii, spans, normals)]
+    return [np.ascontiguousarray(np.moveaxis(p, 0, -1)) for p in parts]
+
+
 def extreme_points_reference(body: BallBody, W: np.ndarray, mode: str):
     """Every candidate of ``bodies._extreme_points`` per row of W, (N,
     spheres, n) or (N, 2 spheres, n) in farthest mode, and whether each is
@@ -413,6 +442,29 @@ def boundary_projection_accepts(body: BallBody, x) -> bool:
     depths = np.sort(body.radius - np.linalg.norm(x - centers, axis=1))
     d2 = depths[1] if len(depths) > 1 else np.inf
     return bool(depths[0] < 0.5 * body.radius and d2 >= 3.0 * depths[0])
+
+
+def halfspace_gap_reference(body: BallBody, samples: int) -> float:
+    """``halfspace_reconstruction_gap`` from the projections of every vertex
+    of the sampled-halfspace intersection (the unpruned form)."""
+    from scipy.spatial import HalfspaceIntersection
+
+    pts, normals = boundary_samples(body, samples)
+    halfspaces = np.column_stack([normals, -_dot(normals.T, pts.T)])
+    vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+    return float(np.max(_norm((vertices - project_body(body, vertices)).T)))
+
+
+def eq39_points_reference(dim: int, radius: float) -> np.ndarray:
+    """eq39's 48 points, each drawn from ``np.random.default_rng(0)`` and
+    scaled by the radius in one expression (the per-point form of
+    ``certify._eq39_points``)."""
+    rng = np.random.default_rng(0)
+    x = np.empty((48, dim))
+    for k in range(48):
+        u = rng.standard_normal(dim)
+        x[k] = u / np.linalg.norm(u) * rng.uniform(0.3, 1.6) * radius
+    return x
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

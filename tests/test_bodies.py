@@ -50,6 +50,7 @@ from helpers import (
     project_body_reference,
     random_ball_body,
     ray_exits_reference,
+    sphere_lattice_reference,
     support_value_reference,
     unit_square,
 )
@@ -385,6 +386,18 @@ class TestSphereLattice:
         assert len(built) == 1 and built[0] is body
         project_body(BallBody(radius=1.0, centers=body.centers, dim=3), [2.0, 0.0, 0.0])
         assert len(built) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=ball_bodies(max_balls=12))
+    @example(body=many_ball_body())
+    @example(body=NEAR_COPY_CASE)
+    @example(body=TINY_W_CASE)
+    def test_arrays_equal_the_padded_form(self, body):
+        # np.einsum's bits depend on strides, so the layout must match too
+        L = body._lattice
+        for got, ref in zip((L.centres, L.radii, L.span, L.normal), sphere_lattice_reference(body)):
+            assert (got.dtype, got.shape, got.strides) == (ref.dtype, ref.shape, ref.strides)
+            assert got.tobytes() == ref.tobytes()
 
     def test_arrays_are_read_only(self):
         lattice = lens()._lattice

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from convexsmooth import (
     halfspace_reconstruction_gap,
     level_set_radius,
     normal_lift,
+    project_body,
     subgradient_certificate,
 )
 from convexsmooth.bodies import MEMBERSHIP_SLACK
@@ -35,7 +37,9 @@ from helpers import (
     TINY_W_CASE,
     QuadraticPatch,
     ball_bodies,
+    eq39_points_reference,
     fd_jacobian,
+    halfspace_gap_reference,
     pairwise_ball_support_margin,
     random_ball_body,
     unit_square,
@@ -78,6 +82,27 @@ class TestSubgradientCertificate:
     def test_needs_two_points(self):
         with pytest.raises(InsufficientData):
             subgradient_certificate([(np.zeros(2), 0.0, np.zeros(2))], eta=1.0)
+
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            ((np.zeros(3), 0.0, np.zeros(3)), "expected x and subgradient of length 2, got lengths 3 and 3"),
+            ((np.zeros(2), 0.0, np.zeros(3)), "expected x and subgradient of length 2, got lengths 2 and 3"),
+            ((np.zeros(2), math.nan, np.zeros(2)), "x, value and subgradient must be finite"),
+            ((np.array([0.0, math.inf]), 0.0, np.zeros(2)), "x, value and subgradient must be finite"),
+            ((np.zeros(2), 0.0, np.array([-math.inf, 0.0])), "x, value and subgradient must be finite"),
+        ],
+        ids=["x-length", "subgradient-length", "nan-value", "inf-x", "inf-subgradient"],
+    )
+    def test_malformed_triples_are_named(self, triple, message):
+        pts = [(np.ones(2), 2.0, 2.0 * np.ones(2)), triple, (np.zeros(2), 0.0, np.zeros(2))]
+        with pytest.raises(ValueError, match=f"^triple 1: {re.escape(message)}$"):
+            subgradient_certificate(pts, eta=1.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_modulus_must_be_finite(self, eta):
+        with pytest.raises(ValueError, match="^eta must be finite$"):
+            subgradient_certificate(self.grid_points(), eta=eta)
 
 
 class TestEnclosingRadius:
@@ -292,6 +317,28 @@ class TestLevelSetFromBallSupport:
         assert len(draws) == 2
 
 
+    @pytest.mark.parametrize("make", [lens, unit_square], ids=["lens", "square"])
+    def test_suite_checks_the_sample_count_first(self, make, monkeypatch):
+        ran = []
+        for name in ("subgradient_certificate", "ball_support_check"):
+            monkeypatch.setattr(certify, name, lambda *args, _name=name, **kwargs: ran.append(_name))
+        with pytest.raises(ValueError, match="^samples must be >= 8$"):
+            certify_body(make(), 7)
+        assert ran == []
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_eq39_points_are_the_per_point_draws(self, dim):
+        table = certify._eq39_points(dim)
+        assert table.shape == (48, dim) and not table.flags.writeable
+        assert certify._eq39_points(dim) is table
+        for radius in (0.01, 0.37, 1.0, 8.0, 100.0):
+            assert (table * radius).tobytes() == eq39_points_reference(dim, radius).tobytes()
+        body = lens() if dim == 2 else THREE_BALL
+        report = certify_body(body, 100)[0]
+        points = eq39_points_reference(dim, body.radius).tolist()
+        assert report.worst_witness["x"] in points and report.worst_witness["y"] in points
+
+
 class TestLevelSetRadius:
     def test_values(self):
         assert level_set_radius(2.0, 0.5) == pytest.approx(4.0)
@@ -351,6 +398,17 @@ class TestCapGraph:
             cap_graph_height(1.0, np.array([1.5, 0.0]), np.zeros(2))
 
 
+@st.composite
+def _gap_bodies(draw):
+    """Ball bodies of 1-12 balls, near copies and +-0.999 lenses included,
+    scaled to a radius between 0.01 and 100."""
+    tip = [[0.999], [-0.999]]
+    thin_lens = st.sampled_from([2, 3]).map(lambda dim: BallBody(radius=1.0, centers=tip * np.eye(1, dim), dim=dim))
+    body = draw(st.one_of(ball_bodies(max_balls=12), thin_lens))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0)) / body.radius
+    return BallBody(radius=body.radius * scale, centers=body.centers * scale, dim=body.dim)
+
+
 class TestHalfspaceReconstruction:
     def test_dense_sampling_matches_polygon_geometry(self):
         body = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)
@@ -367,6 +425,57 @@ class TestHalfspaceReconstruction:
         gaps = [halfspace_reconstruction_gap(body, k) for k in (16, 32, 64, 128)]
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=_gap_bodies(), samples=st.integers(4, 1000))
+    # the vertex of largest s(v) is not the farthest from the body
+    @example(
+        body=BallBody(
+            radius=1.0,
+            centers=[[-0.05, 0.02, -0.02], [0.25, 0.13, -0.05], [-0.14, -0.13, 0.61], [-0.27, -0.01, -0.52]],
+            dim=3,
+        ),
+        samples=16,
+    )
+    def test_pruned_gap_is_the_gap_of_every_vertex(self, body, samples):
+        gap = halfspace_reconstruction_gap(body, samples)
+        fresh = BallBody(radius=body.radius, centers=body.centers, dim=body.dim)
+        assert np.float64(gap).tobytes() == np.float64(halfspace_gap_reference(fresh, samples)).tobytes()
+
+    @pytest.mark.parametrize(
+        "radius, centers, samples",
+        [
+            (0.01, [[0.0, 0.0]], 8500),
+            (100.0, [[0.0, 0.0]], 12000),
+            (
+                0.23110825560250928,
+                [[-1.6882327893094732e-11, -6.264025909716651e-12], [-4.46112622905098e-12, 9.951335947681504e-13]],
+                24740,
+            ),
+        ],
+        ids=["disc-0.01", "disc-100", "near-copies"],
+    )
+    def test_near_ties_keep_the_gap_of_every_vertex(self, radius, centers, samples):
+        # on a disc about the origin every vertex is equally far from the
+        # body, and its bound u(v) = s(v) is tight: the computed distances
+        # differ by rounding alone, so only the margin's absolute part
+        # keeps the vertex whose computed distance is the largest
+        body = BallBody(radius=radius, centers=centers, dim=2)
+        gap = halfspace_reconstruction_gap(body, samples)
+        fresh = BallBody(radius=radius, centers=centers, dim=2)
+        assert np.float64(gap).tobytes() == np.float64(halfspace_gap_reference(fresh, samples)).tobytes()
+
+    def test_only_vertices_that_can_attain_the_gap_are_projected(self, monkeypatch):
+        projected = []
+
+        def counted(body, x):
+            projected.append(len(x))
+            return project_body(body, x)
+
+        monkeypatch.setattr(certify, "project_body", counted)
+        halfspace_reconstruction_gap(THREE_BALL, 360)
+        # 21 of the 1,280 vertices, with scipy 1.17's qhull
+        assert len(projected) == 1 and projected[0] < 64
 
 
 class TestRepresentationCheck:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from convexsmooth import grids
 from convexsmooth.grids import icosphere
 from helpers import subdivide_reference
 
@@ -12,3 +13,22 @@ def test_icosphere_equals_the_loop_subdivision():
         assert np.array_equal(got_faces, faces), level
         assert got_faces.dtype == np.int64
         verts, faces = subdivide_reference(verts, faces)
+
+
+def test_covering_angle_is_computed_once_per_level(monkeypatch):
+    grids.icosphere_covering_angle.cache_clear()
+    built = []
+    build = grids.icosphere
+
+    def counted(level):
+        built.append(level)
+        return build(level)
+
+    monkeypatch.setattr(grids, "icosphere", counted)
+    angles = {level: grids.icosphere_covering_angle(level) for level in (0, 2, 3)}
+    for level, angle in angles.items():
+        assert grids.icosphere_covering_angle(level) == angle
+    assert built == [0, 2, 3]
+    monkeypatch.undo()
+    for level, angle in angles.items():
+        assert angle == grids.icosphere_covering_angle.__wrapped__(level)

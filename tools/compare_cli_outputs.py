@@ -3,9 +3,10 @@
 
 Usage, from the repository root::
 
-    python3 tools/compare_cli_outputs.py OLD_TREE NEW_TREE [SEED ...]
+    python3 tools/compare_cli_outputs.py OLD_TREE NEW_TREE [SEED ...] [--workload NAME ...]
 
-For every workload of ``bench/corpus.py`` and every seed (1, 2 and 3 when
+For every workload of ``bench/corpus.py`` (or only those named with
+``--workload``, which may be repeated) and every seed (1, 2 and 3 when
 none is given), each tree's ``convexsmooth.cli.run`` runs in a fresh
 process over the corpus's warm-up, counted and known-defect ops, in order.
 Both trees read the inputs that this checkout's ``bench/corpus.py`` draws,
@@ -29,6 +30,7 @@ Under a differing ``point.bin`` go the two points.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import multiprocessing
@@ -148,16 +150,14 @@ def point_differences(old: bytes, new: bytes) -> list[str]:
     return [f"{side}: {np.frombuffer(data).tolist()}" for side, data in (("old", old), ("new", new))]
 
 
-def compare(old: str, new: str, seeds) -> list[str]:
-    """Differences between the two trees' outputs, one entry per file; a
-    differing ``report.json`` adds an indented line per differing path."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    import corpus
-
+def compare(old: str, new: str, seeds, workloads) -> list[str]:
+    """Differences between the two trees' outputs over the named workloads,
+    one entry per file; a differing ``report.json`` adds an indented line
+    per differing path."""
     spawn = multiprocessing.get_context("spawn")
     differences = []
     with tempfile.TemporaryDirectory() as scratch:
-        for workload in corpus.BUILDERS:
+        for workload in workloads:
             for seed in seeds:
                 sides = {}
                 for name, tree in (("old", old), ("new", new)):
@@ -191,12 +191,17 @@ def compare(old: str, new: str, seeds) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) < 2 or not all(a.isdigit() for a in args[2:]):
-        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
-        return 2
-    seeds = [int(a) for a in args[2:]] or list(DEFAULT_SEEDS)
-    differences = compare(args[0], args[1], seeds)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import corpus
+
+    parser = argparse.ArgumentParser(usage=__doc__.split("\n\n")[2].strip())
+    parser.add_argument("old", metavar="OLD_TREE")
+    parser.add_argument("new", metavar="NEW_TREE")
+    parser.add_argument("seeds", metavar="SEED", nargs="*", type=int)
+    parser.add_argument("--workload", metavar="NAME", action="append", choices=list(corpus.BUILDERS))
+    args = parser.parse_intermixed_args(argv)
+    seeds = args.seeds or list(DEFAULT_SEEDS)
+    differences = compare(args.old, args.new, seeds, args.workload or list(corpus.BUILDERS))
     for line in differences:
         print(line)
     print(f"{len(differences)} differences")
