@@ -8,7 +8,7 @@ angle: every unit vector lies within that angle of some grid direction.
 from __future__ import annotations
 
 import math
-from functools import cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,16 @@ def circle_facets(count: int) -> np.ndarray:
     return np.column_stack([i, (i + 1) % count])
 
 
-_ICO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@dataclass
+class _Icosphere:
+    verts: np.ndarray
+    faces: np.ndarray
+    covering_angle: float | None = None  # set by the first icosphere_covering_angle call
+
+
+# one entry per level built, holding its grid and covering angle, so that
+# clearing it drops both
+_ICO_CACHE: dict[int, _Icosphere] = {}
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,6 +50,11 @@ def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (vertices, faces) with 10*4**level + 2 unit vertices and
     20*4**level triangles. Level 0 is the icosahedron itself.
     """
+    grid = _icosphere(level)
+    return grid.verts, grid.faces
+
+
+def _icosphere(level: int) -> _Icosphere:
     if level < 0:
         raise ValueError("level must be >= 0")
     if level in _ICO_CACHE:
@@ -71,8 +85,8 @@ def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
 
     verts.setflags(write=False)
     faces.setflags(write=False)
-    _ICO_CACHE[level] = (verts, faces)
-    return verts, faces
+    _ICO_CACHE[level] = _Icosphere(verts, faces)
+    return _ICO_CACHE[level]
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,15 +111,21 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([verts, m]), new_faces.reshape(-1, 3)
 
 
-@cache
 def icosphere_covering_angle(level: int) -> float:
     """Covering angle of the level-`level` icosphere vertex set.
 
     Computed as the largest spherical circumradius over all faces: any unit
     vector lies inside some face, whose vertices are within the face
-    circumradius of it. Computed once per level and cached.
+    circumradius of it. Computed once per level, and kept with the level's
+    grid.
     """
-    verts, faces = icosphere(level)
+    grid = _icosphere(level)
+    if grid.covering_angle is None:
+        grid.covering_angle = _covering_angle(grid.verts, grid.faces)
+    return grid.covering_angle
+
+
+def _covering_angle(verts: np.ndarray, faces: np.ndarray) -> float:
     tri = verts[faces]
     # circumcenter direction: equidistant from the three vertices
     n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])

@@ -426,7 +426,7 @@ class TestHalfspaceReconstruction:
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-12
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(body=_gap_bodies(), samples=st.integers(4, 1000))
     # the vertex of largest s(v) is not the farthest from the body
     @example(

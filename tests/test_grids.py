@@ -16,19 +16,21 @@ def test_icosphere_equals_the_loop_subdivision():
 
 
 def test_covering_angle_is_computed_once_per_level(monkeypatch):
-    grids.icosphere_covering_angle.cache_clear()
-    built = []
-    build = grids.icosphere
+    computed = []
+    compute = grids._covering_angle
 
-    def counted(level):
-        built.append(level)
-        return build(level)
+    def counted(verts, faces):
+        computed.append(len(faces))
+        return compute(verts, faces)
 
-    monkeypatch.setattr(grids, "icosphere", counted)
+    monkeypatch.setattr(grids, "_covering_angle", counted)
+    monkeypatch.setattr(grids, "_ICO_CACHE", {})
     angles = {level: grids.icosphere_covering_angle(level) for level in (0, 2, 3)}
     for level, angle in angles.items():
         assert grids.icosphere_covering_angle(level) == angle
-    assert built == [0, 2, 3]
-    monkeypatch.undo()
-    for level, angle in angles.items():
-        assert angle == grids.icosphere_covering_angle.__wrapped__(level)
+        assert angle == compute(*icosphere(level))
+    assert computed == [20, 320, 1280]
+    # the angle is kept with its level's grid: clearing the grids drops it
+    grids._ICO_CACHE.clear()
+    assert grids.icosphere_covering_angle(2) == angles[2]
+    assert computed == [20, 320, 1280, 320]
