@@ -20,9 +20,10 @@ import numpy as np
 from . import grids
 from .errors import InvalidBody, NotBallBody
 
-# Absolute slack on |x - a_i| - R for membership tests. Computed boundary
-# points land within rounding (closed-form radii, projections) or solver
-# tolerance (ridge-tube radii) of the sphere.
+# Slack on |x - a_i| - R for membership tests, relative to R (to the
+# largest offset for a halfspace body). Computed boundary points land within
+# rounding (closed-form radii, projections) or solver tolerance (ridge-tube
+# radii) of the sphere, both of which grow with R.
 MEMBERSHIP_SLACK = 1e-12
 
 # Slack, relative to R or to the largest offset, of outward_normal's active
@@ -337,7 +338,7 @@ def _within(X: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray:
 
 
 def contains(body: Body, x) -> bool:
-    """Membership test with absolute slack ``MEMBERSHIP_SLACK``: the
+    """Membership test with relative slack ``MEMBERSHIP_SLACK``: the
     :func:`contains_many` row of a batch of one."""
     return bool(contains_many(body, _as_vector(x, body.dim)[None, :])[0])
 
@@ -345,19 +346,23 @@ def contains(body: Body, x) -> bool:
 def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (N, dim) array of points.
 
-    A point is in a ball body when |x - a_i| <= R + ``MEMBERSHIP_SLACK``
-    for every center, the distance summed as in :func:`_norm`. The points
-    go in blocks of ``_BLOCK_ROWS`` point-center pairs, so memory does not
-    grow with N beyond the result.
+    A point is in a ball body when |x - a_i| <= R + ``MEMBERSHIP_SLACK`` R
+    for every center, the distance summed as in :func:`_norm`, and in a
+    halfspace body when <n, x> - offset is at most ``MEMBERSHIP_SLACK``
+    times the largest offset on every face. The points go in blocks of
+    ``_BLOCK_ROWS`` point-center pairs, so memory does not grow with N
+    beyond the result.
     """
     pts = np.asarray(points, dtype=float)
     if isinstance(body, BallBody):
         inside = np.empty(len(pts), dtype=bool)
-        centers, limit = body.centers.T[:, None, :], body.radius + MEMBERSHIP_SLACK
+        R = body.radius
+        centers, limit = body.centers.T[:, None, :], R + MEMBERSHIP_SLACK * R
         for rows in _blocks(len(pts), body.num_balls):
             inside[rows] = _within(pts[rows], centers, limit)
         return inside
-    return np.all(_row_dots(pts, body.normals) - body.offsets <= MEMBERSHIP_SLACK, axis=1)
+    slack = MEMBERSHIP_SLACK * np.max(body.offsets)
+    return np.all(_row_dots(pts, body.normals) - body.offsets <= slack, axis=1)
 
 
 def outward_normal(body: Body, y) -> np.ndarray:
@@ -368,7 +373,8 @@ def outward_normal(body: Body, y) -> np.ndarray:
     points (several constraints active within ``NORMAL_ATOL``) it is the
     normalized average of the active normals, which lies in the normal
     cone; any such selection supports the body. Each row of a batch equals the normal of
-    that point alone, bit for bit.
+    that point alone, bit for bit. A point with a coordinate that is not
+    finite raises ``ValueError`` naming its row.
     """
     Y, single = _as_rows(y, body.dim)
     if isinstance(body, BallBody):
@@ -389,7 +395,8 @@ def outward_normal(body: Body, y) -> np.ndarray:
         terms = body.normals
     n = np.sum(np.where(active[..., None], terms, 0.0), axis=1)
     norm = _norm(n.T)[:, None]
-    if np.any(norm == 0.0):
+    if not np.all((norm > 0.0) & (norm < np.inf)):
+        _require_finite(Y)
         raise ValueError("degenerate normal cone selection")
     n /= norm
     return n[0] if single else n
@@ -415,7 +422,7 @@ class SphereLattice:
 
     The remaining attributes are what :func:`_extreme_points` broadcasts
     against, built once with the lattice: ``limit`` = R +
-    ``MEMBERSHIP_SLACK``, the membership bound on a distance to a center;
+    ``MEMBERSHIP_SLACK`` R, the membership bound on a distance to a center;
     ``axis_tol`` = 4 ulp R, below which a farthest query is on a sphere's
     axis; the ball centers as (n, 1, m) for (n, N, 1) query rows and as
     (n, m, 1, 1) for (n, N, S) candidates; ``centres`` as (n, 1, S); and
@@ -439,7 +446,7 @@ class SphereLattice:
     def __post_init__(self):
         R, m = float(self.radii[0]), self.balls
         views = {
-            "limit": R + MEMBERSHIP_SLACK,
+            "limit": R + MEMBERSHIP_SLACK * R,
             "axis_tol": 4.0 * np.finfo(float).eps * R,
             "query_balls": self.centres[:, None, :m],
             "candidate_balls": self.centres[:, :m, None, None],
@@ -488,7 +495,7 @@ def _candidates(L: SphereLattice, X: np.ndarray, mode: str):
     """The candidates of :func:`_extreme_points` on lattice L for the rows
     of X, coordinates first, (n, N, spheres) or (n, N, 2 spheres) in
     farthest mode, and whether each lies in the body within
-    ``MEMBERSHIP_SLACK``, (N, spheres) or (N, 2 spheres)."""
+    ``MEMBERSHIP_SLACK`` R, (N, spheres) or (N, 2 spheres)."""
     C = L.centre_rows
     Xt = X.T[:, :, None]
     if mode == "farthest":
@@ -533,6 +540,13 @@ def _picks(L: SphereLattice, X: np.ndarray, mode: str) -> tuple[np.ndarray, np.n
     return points, scores
 
 
+def _require_finite(X: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first row of X that is not finite, if any."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} of the query, {X[bad[0]].tolist()}, is not finite")
+
+
 def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point, support point or farthest point of the body per row of W.
 
@@ -561,7 +575,7 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     as each of them.
 
     A candidate is feasible when it lies in the body within
-    ``MEMBERSHIP_SLACK``, by :func:`contains_many`'s rule. Returns per row
+    ``MEMBERSHIP_SLACK`` R, by :func:`contains_many`'s rule. Returns per row
     the first feasible candidate of least distance to x (nearest), of
     greatest <p, u> (support) or of greatest distance to c (farthest), (N, n),
     and that distance or <p, u>, (N,); inf, -inf or -inf and the first
@@ -569,6 +583,10 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     the body, by the same rule, is its own nearest point, at distance 0.0,
     and pays for no candidates. Distances and <p, u> are summed as in
     :func:`_norm` and :func:`_dot`.
+
+    A row that is not finite gets no finite score and raises
+    ``ValueError`` naming it; the rows are scanned only when a score is
+    not finite, so finite queries pay for no separate scan.
 
     In nearest mode the rows go in blocks of at most ``_BLOCK_ROWS``
     point-center pairs, and each block is resolved in one pass: its
@@ -581,17 +599,20 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     """
     L = body._lattice
     if mode != "nearest":
-        return _picks(L, W, mode)
-    points, scores = W.copy(), np.zeros(len(W))
-    for rows in _blocks(len(W), L.balls):
-        X = W[rows]
-        inside = _within(X, L.query_balls, L.limit)
-        k = np.count_nonzero(inside)
-        if k == 0:
-            points[rows], scores[rows] = _picks(L, X, mode)
-        elif k < len(X):
-            outside = rows.start + np.flatnonzero(~inside)
-            points[outside], scores[outside] = _picks(L, W[outside], mode)
+        points, scores = _picks(L, W, mode)
+    else:
+        points, scores = W.copy(), np.zeros(len(W))
+        for rows in _blocks(len(W), L.balls):
+            X = W[rows]
+            inside = _within(X, L.query_balls, L.limit)
+            k = np.count_nonzero(inside)
+            if k == 0:
+                points[rows], scores[rows] = _picks(L, X, mode)
+            elif k < len(X):
+                outside = rows.start + np.flatnonzero(~inside)
+                points[outside], scores[outside] = _picks(L, W[outside], mode)
+    if not np.isfinite(scores).all():
+        _require_finite(W)
     return points, scores
 
 
@@ -602,7 +623,8 @@ def farthest_point(body: Body, x) -> np.ndarray:
     A ball body's farthest point is :func:`_extreme_points`' pick in
     farthest mode, exact up to rounding. A halfspace body's is its farthest
     vertex, from scipy's ``HalfspaceIntersection``; the body must be
-    bounded.
+    bounded. A point with a coordinate that is not finite raises
+    ``ValueError`` naming its row.
     """
     X, single = _as_rows(x, body.dim)
     if isinstance(body, BallBody):
@@ -611,6 +633,7 @@ def farthest_point(body: Body, x) -> np.ndarray:
         # imported here, so that importing the package loads no scipy
         from scipy.spatial import HalfspaceIntersection
 
+        _require_finite(X)
         halfspaces = np.column_stack([body.normals, -body.offsets])
         vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
         out = vertices[np.argmax(_norm(vertices.T[:, None, :] - X.T[:, :, None]), axis=1)]
@@ -625,18 +648,20 @@ def support_value(body: BallBody, direction):
     subset (see :func:`_extreme_points`), so the largest <u, p> over the
     feasible candidates attains the maximum. A guard of 1e-12 R on top
     makes the value a certified upper bound. A nonzero direction whose
-    squared length underflows is divided by its largest |coordinate|
-    first. A zero direction raises ``ValueError``, naming its row in a
-    batch, and a body other than a ball body :class:`NotBallBody`.
+    squared length underflows or overflows is divided by its largest
+    |coordinate| first. A zero direction or one with a coordinate that is
+    not finite raises ``ValueError``, naming its row in a batch, and a
+    body other than a ball body :class:`NotBallBody`.
     """
     _require_ball(body, "the support function")
     U, single = _as_rows(direction, body.dim)
     norms = _norm(U.T)
-    if not norms.all():
-        # only the rows that underflow are rescaled: the others are divided
-        # by 1.0 and keep their bits
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        _require_finite(U)
+        # only the rows that underflow or overflow are rescaled: the others
+        # are divided by 1.0 and keep their bits
         top = np.max(np.abs(U), axis=1)
-        U = U / np.where((norms == 0.0) & (top > 0.0), top, 1.0)[:, None]
+        U = U / np.where(((norms == 0.0) | (norms == np.inf)) & (top > 0.0), top, 1.0)[:, None]
         norms = _norm(U.T)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:

@@ -373,12 +373,14 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
 
     Computed, u takes s + tol and rho - tol, tol = 1e-12 (R + max |v|),
     so that it bounds the exact u, and a vertex is left out when it falls
-    below S - (MEMBERSHIP_SLACK + 2 tol + 1e-9 S); the comment in the code
+    below S - (MEMBERSHIP_SLACK R + 2 tol + 1e-9 S); the comment in the code
     derives that margin from the rounding of each term. Each kept row
     projects to the same bits as in a projection of every vertex, as rows
     are independent, so the gap is the same float as the full one. When
-    rho - tol <= 0 every vertex is projected.
+    rho - tol <= 0 every vertex is projected. A body other than a ball
+    body raises :class:`NotBallBody`.
     """
+    _require_ball(body, "the reconstruction gap")
     # imported here, so that importing the package loads no scipy
     from scipy.spatial import HalfspaceIntersection
 
@@ -401,15 +403,15 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     # vertex then has a computed distance below u + a few ulp of scale
     # (its projection is exact up to rounding) < S - margin + 1e-15 S +
     # 1e-15 scale. The kept vertex of largest s projects to a candidate
-    # within MEMBERSHIP_SLACK plus rounding of its farthest ball, so its
-    # computed distance is at least S - tol - MEMBERSHIP_SLACK - 1e-15
-    # scale. margin = MEMBERSHIP_SLACK + 2 tol + 1e-9 S covers the two sides
-    # with room to spare, so no pruned vertex reaches the computed gap.
+    # within MEMBERSHIP_SLACK R plus rounding of its farthest ball, so its
+    # computed distance is at least S - tol - MEMBERSHIP_SLACK R - 1e-15
+    # scale. margin = MEMBERSHIP_SLACK R + 2 tol + 1e-9 S covers the two
+    # sides with room to spare, so no pruned vertex reaches the computed gap.
     tol = 1e-12 * (body.radius + float(np.max(length)))
     rho = body.interior_radius - tol
     if rho > 0.0:
         u = length * (s + tol) / (rho + s + tol)
-        vertices = vertices[u >= S - (MEMBERSHIP_SLACK + 2.0 * tol + 1e-9 * S)]
+        vertices = vertices[u >= S - (MEMBERSHIP_SLACK * body.radius + 2.0 * tol + 1e-9 * S)]
     return float(np.max(_norm((vertices - project_body(body, vertices)).T)))
 
 
@@ -462,7 +464,7 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
     # it does not increase in r either: ball_support_b's margins bound
     # those at this radius. Computed margins add rounding, a few ulp of the
     # radius, and the farthest pick's membership rule, which takes
-    # candidates up to s = MEMBERSHIP_SLACK outside a ball. At this radius
+    # candidates up to s = MEMBERSHIP_SLACK R outside a ball. At this radius
     # the farthest point of the body is y itself, so the pick may be such
     # a candidate near y. With n the mean unit normal of the spheres active
     # at y, v = n/|n|, and c = y - R v is an affine combination of y and
@@ -471,7 +473,7 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
     # At a smooth sample, where |n| = 1, a margin at this radius is thus at
     # most s plus rounding. ball_support_b's worst margin is exactly 0,
     # attained by a candidate, so computed it is at least minus rounding,
-    # and the two differ by at most MEMBERSHIP_SLACK plus rounding. At a
+    # and the two differ by at most MEMBERSHIP_SLACK R plus rounding. At a
     # ridge sample the slack term grows by up to 1/|n| for picks near y
     radius_e = level_set_radius(2.0 * 2.0 * gauge_lipschitz_bound(body), floor)
     margin_b = report_b.worst_witness["margin"]

@@ -61,13 +61,14 @@ def project_body(body: BallBody, x) -> np.ndarray:
 
     Accepts one point or an (N, n) batch, resolved block by block in one
     pass of :func:`convexsmooth.bodies._extreme_points` in nearest mode.
-    Each block's points in the body (within ``MEMBERSHIP_SLACK``) come
+    Each block's points in the body (within ``MEMBERSHIP_SLACK`` R) come
     back unchanged, so the map is idempotent bit for bit, and cost no
     candidates. Any other point goes to the nearest candidate on the
     body's intersection spheres that lies in the body; by KKT the true
     projection is one of them. There is no iteration, so no tolerance and
-    no :class:`NonConvergence`. A body other than a ball body raises
-    :class:`NotBallBody`.
+    no :class:`NonConvergence`. A point with a coordinate that is not
+    finite raises ``ValueError`` naming its row, and a body other than a
+    ball body :class:`NotBallBody`.
     """
     _require_ball(body, "projection onto the body")
     pts, single = _as_rows(x, body.dim)
@@ -117,7 +118,7 @@ def boundary_projection(body: BallBody, x) -> np.ndarray:
     v = x - body.centers
     dist = _norm(v.T)
     # contains_many's rule and summation order, on the distances at hand
-    if not np.all(dist <= body.radius + MEMBERSHIP_SLACK):
+    if not np.all(dist <= body.radius + MEMBERSHIP_SLACK * body.radius):
         return project_body(body, x)
     i = int(np.argmax(dist))
     depths = body.radius - dist
@@ -175,11 +176,12 @@ def boundary_surjectivity_probe(
     return (numerically) x. The report's max gap certifies desk-scale
     surjectivity; the report also carries ``threshold``
     (``PROBE_GAP_THRESHOLD``) and ``passed``, whether the max gap is at
-    most the threshold. Raises :class:`RayMiss` when a sampled inner boundary
-    point lies outside the outer body (beyond ``MEMBERSHIP_SLACK``) or a
-    ray never leaves it: the outer body does not enclose the inner one, or
-    is unbounded; ValueError unless ``samples`` is positive, and
-    :class:`NotBallBody` for an inner body other than a ball body.
+    most the threshold. Raises :class:`RayMiss` when a sampled inner
+    boundary point lies outside the outer body (beyond the relative
+    ``MEMBERSHIP_SLACK`` of :func:`contains_many`) or a ray never leaves
+    it: the outer body does not enclose the inner one, or is unbounded;
+    ValueError unless ``samples`` is positive, and :class:`NotBallBody`
+    for an inner body other than a ball body.
     """
     _require_ball(inner, "the probe's inner body")
     if samples < 1:

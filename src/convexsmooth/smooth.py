@@ -27,15 +27,16 @@ shrinks.
 The level-1 set is meshed without bisection. Member gauges are
 1-homogeneous, so along a ray r u every member squared gauge is
 r^2 q_i(u): off the tube the crossing is exactly 1/mu(u), and inside it
-the crossing solves a convex increasing equation in s = r^2, done by a
-monotone Newton iteration that reuses q(u); the tube directions go
-through one Newton solve.
+the crossing solves a convex increasing equation in s = r^2, done by one
+monotone Newton solve over the tube directions that reuses q(u). Each
+tube fact, a top-two gap of at least delta (1 + RIDGE_GUARD), is computed
+once: per direction for the radii, and per facet centroid of the
+original mesh for the flags that every verdict reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -210,69 +211,42 @@ def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
     return _top_two_gap(sq) >= gauge.delta * (1.0 + RIDGE_GUARD)
 
 
-class _LevelGrid(NamedTuple):
-    """The direction grid of the level-1 mesh and its member gauges.
-
-    ``dirs`` and ``facets`` are the grid, ``mu`` the body gauge mu(u) of
-    every direction and ``sq`` its member squared gauges q_i(u), sorted
-    descending (None for a single ball). ``gap`` is the top-two gap of the
-    member squared gauges at the facet centroids of the original mesh,
-    whose vertices are u/mu(u) (inf for a single ball).
-    """
-
-    dirs: np.ndarray
-    facets: np.ndarray
-    mu: np.ndarray
-    sq: np.ndarray | None
-    gap: np.ndarray
-
-
-def _level_grid(gauge: BlendedGauge, resolution: int) -> _LevelGrid:
-    """The :class:`_LevelGrid` of a resolution: one member gauge pass over
-    the directions and, unless the body is a single ball, one over the
-    original mesh's facet centroids."""
+def _original_mesh(gauge: BlendedGauge, resolution: int | None):
+    """(w_mesh, mus, flags): the original body's mesh at ``resolution``,
+    with radii 1/mu(u) (:func:`measure.radial_function`'s, to the bit), the
+    (N, m) member gauges of its directions, and :func:`agreement_many` at
+    its facet centroids, the run's one tube test."""
     dirs, facets = _measure.direction_grid(gauge.dim, resolution)
     mus = member_gauges(gauge.body, dirs)
-    mu = np.max(mus, axis=-1)
-    if mus.shape[-1] == 1:
-        return _LevelGrid(dirs, facets, mu, None, np.full(len(facets), np.inf))
-    sq = -np.sort(-(mus * mus), axis=-1)
-    centroids = _measure.facet_centroids((1.0 / mu)[:, None] * dirs, facets)
-    gap = _top_two_gap(member_gauges(gauge.body, centroids) ** 2)
-    return _LevelGrid(dirs, facets, mu, sq, gap)
+    w_mesh = _measure.BoundaryMesh(gauge.dim, dirs, 1.0 / np.max(mus, axis=-1), facets)
+    return w_mesh, mus, agreement_many(gauge, w_mesh.facet_centroids)
 
 
-def _level_mesh(gauge: BlendedGauge, grid: _LevelGrid) -> _measure.BoundaryMesh:
-    """Mesh of the level set h = 1 over a grid from :func:`_level_grid`.
+def _level_mesh(gauge: BlendedGauge, w_mesh, mus, flags) -> _measure.BoundaryMesh:
+    """Mesh of the level set h = 1 over the grid of an :func:`_original_mesh`.
 
-    Where the top-two gap at r = 1/mu(u) is at least
-    delta * (1 + RIDGE_GUARD), every fold step is on its exact branch and r
-    is the crossing, in closed form: the original body's radius to the
-    bit. The directions left in the tube are solved together by
-    :func:`_tube_radii`.
-
-    A facet agrees when all its vertices took the closed form and the gap
-    at its centroid, which is then the original mesh's centroid, passes
-    the same test. Facets with a tube vertex disagree whatever the gap.
+    A direction whose top-two member gap at r = 1/mu(u) is at least
+    delta * (1 + RIDGE_GUARD) has every fold step on its exact branch, so r
+    is the crossing in closed form, the original radius to the bit. Only
+    the tube directions have their member values sorted, for one
+    :func:`_tube_radii` solve. A facet agrees when all its vertices took
+    the closed form and its ``flags`` entry holds.
     """
-    dirs, facets, mu, sq, gap = grid
-    threshold = gauge.delta * (1.0 + RIDGE_GUARD)
-    radii = 1.0 / mu
-    closed = np.ones(len(mu), dtype=bool)
-    if sq is not None:
-        closed = radii * radii * (sq[:, 0] - sq[:, 1]) >= threshold
+    radii = np.array(w_mesh.radii)
+    closed = np.ones(len(radii), dtype=bool)
+    if mus.shape[-1] > 1:
+        sq = mus * mus
+        closed = radii * radii * _top_two_gap(sq) >= gauge.delta * (1.0 + RIDGE_GUARD)
         if not closed.all():
-            radii[~closed] = _tube_radii(gauge, sq[~closed])
-    agreement = closed[facets].all(axis=1) & (gap >= threshold)
-    return _measure.BoundaryMesh(
-        dim=gauge.dim, directions=dirs, radii=radii, facets=facets, agreement=agreement
-    )
+            radii[~closed] = _tube_radii(gauge, -np.sort(-sq[~closed], axis=-1))
+    agreement = closed[w_mesh.facets].all(axis=1) & flags
+    return _measure.BoundaryMesh(gauge.dim, w_mesh.directions, radii, w_mesh.facets, agreement)
 
 
 def blended_level_mesh(gauge: BlendedGauge, resolution: int | None) -> _measure.BoundaryMesh:
     """Mesh the level set h = 1 over the grid of
     :func:`measure.direction_grid` at ``resolution``."""
-    return _level_mesh(gauge, _level_grid(gauge, resolution))
+    return _level_mesh(gauge, *_original_mesh(gauge, resolution))
 
 
 def _tube_radii(gauge: BlendedGauge, sq: np.ndarray) -> np.ndarray:
@@ -394,16 +368,20 @@ def extract_smoothed_body(
     ``resolution`` of None the default of :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
-    ``resolution``; ``checks`` reads its vertex checks off their radii.
-    mu is 1-homogeneous and the original radii are 1/mu(u), so a smoothed
+    ``resolution``. One tube test, :func:`agreement_many` at the original
+    mesh's facet centroids, gives both the ``tube_estimate`` behind
+    ShrinkDelta and the smoothed mesh's flags; ``checks`` reads its vertex
+    checks off the radii. mu is 1-homogeneous and the original radii are 1/mu(u), so a smoothed
     vertex's body gauge is its radius over the original one, and g >= q
     plus at most m - 1 fold steps of at most delta/4 each put it in
     [sqrt(1 - (m - 1) delta/4), 1]. ``contained``: no smoothed radius
-    exceeds the original by more than ``MEMBERSHIP_SLACK``; ``tube_ok``:
+    exceeds the original by more than ``MEMBERSHIP_SLACK`` R; ``tube_ok``:
     every ratio is in [1 - 5 eps, 1 + 5 eps]; ``gauge_range_on_boundary``:
     the least and largest ratio. ``hessian_min_eig`` is the proven floor
     2/(2R - rho)^2 >= ``hessian_floor`` = 1/(2 R^2), ``symdiff_measure``
-    the meshes' :func:`measure.symmetric_difference_measure`, and
+    the measure of the flagged facets, on both meshes: the meshes'
+    :func:`measure.symmetric_difference_measure`, since radii differ only
+    at tube vertices, whose facets are all flagged, and
     ``passed`` the ``smooth`` verdict: symdiff_measure below epsilon *
     ``boundary_measure``, contained and tube_ok.
     """
@@ -413,17 +391,10 @@ def extract_smoothed_body(
         delta = DEFAULT_DELTA
     gauge = BlendedGauge(body=body, delta=delta)
 
-    # one grid for both output meshes; its radii 1/mu(u) are those of
-    # measure.radial_function, to the bit
-    grid = _level_grid(gauge, resolution)
-    w_mesh = _measure.BoundaryMesh(
-        dim=body.dim, directions=grid.dirs, radii=1.0 / grid.mu, facets=grid.facets
-    )
-    # centroid-based tube estimate: converges to the true tube measure
-    # (vertex-inclusive flags would overshoot by two facet widths per
-    # ridge, spuriously rejecting hairline tubes at coarse resolution);
-    # grid.gap is taken at exactly w_mesh's facet centroids
-    flags = grid.gap >= gauge.delta * (1.0 + RIDGE_GUARD)
+    # one grid for both meshes. The centroid flags converge to the true tube
+    # measure; vertex-inclusive ones would overshoot by two facet widths per
+    # ridge, spuriously rejecting hairline tubes at coarse resolution
+    w_mesh, mus, flags = _original_mesh(gauge, resolution)
     boundary_measure = _measure.hausdorff_measure(w_mesh)
     tube_estimate = float(np.sum(w_mesh.facet_measures[~flags]))
     if tube_estimate >= 0.25 * epsilon * boundary_measure:
@@ -432,11 +403,11 @@ def extract_smoothed_body(
             f"boundary measure {boundary_measure:.3e}; {_tube_advice(body)}"
         )
 
-    we_mesh = _level_mesh(gauge, grid)
+    we_mesh = _level_mesh(gauge, w_mesh, mus, flags)
     ratio = we_mesh.radii / w_mesh.radii  # body gauges of the smoothed vertices
-    contained = bool(np.all(we_mesh.radii <= w_mesh.radii + MEMBERSHIP_SLACK))
+    contained = bool(np.all(we_mesh.radii <= w_mesh.radii + MEMBERSHIP_SLACK * body.radius))
     tube_ok = bool(np.all((ratio >= 1.0 - 5.0 * epsilon) & (ratio <= 1.0 + 5.0 * epsilon)))
-    symdiff = _measure.symmetric_difference_measure(w_mesh, we_mesh)
+    symdiff = _measure._two_sided_measure(w_mesh, we_mesh, ~we_mesh.agreement)
 
     checks = {
         "contained": contained,

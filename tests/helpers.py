@@ -219,7 +219,7 @@ def contains_many_reference(body: BallBody, points: np.ndarray) -> np.ndarray:
     """Ball-body membership from the (N, m) np.linalg.norm table of every
     point-center distance (the one-pass form of ``contains_many``)."""
     d = np.linalg.norm(points[:, None, :] - body.centers[None, :, :], axis=2)
-    return np.all(d <= body.radius + MEMBERSHIP_SLACK, axis=1)
+    return np.all(d <= body.radius + MEMBERSHIP_SLACK * body.radius, axis=1)
 
 
 def outward_normal_reference(body: BallBody, y: np.ndarray) -> np.ndarray:
@@ -290,7 +290,7 @@ def extreme_points_reference(body: BallBody, W: np.ndarray, mode: str):
         unit = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
         cand = C + r[:, None] * unit
     feasible = np.all(
-        [np.linalg.norm(cand - a, axis=2) <= R + MEMBERSHIP_SLACK for a in A], axis=0
+        [np.linalg.norm(cand - a, axis=2) <= R + MEMBERSHIP_SLACK * R for a in A], axis=0
     )
     return cand, feasible
 
@@ -353,20 +353,21 @@ def halfspace_radii_reference(body, dirs: np.ndarray) -> np.ndarray:
     return np.min(cand, axis=1)
 
 
-def level_flags_reference(gauge, grid, level: float, radii: np.ndarray) -> np.ndarray:
-    """Facet agreement flags (F,) of the level set with radii (N,) over a
-    ``smooth._level_grid`` grid, tested on the level's own mesh: a facet
-    agrees when every vertex takes the closed-form radius level/mu(u) and
-    ``agreement_many`` passes at the facet's centroid (the level-t form of
-    ``smooth._level_mesh``'s flags, which test the original mesh's
-    centroids)."""
-    dirs, facets, mu, sq = grid[:4]
+def level_flags_reference(gauge, w_mesh, mus, level: float, radii: np.ndarray) -> np.ndarray:
+    """Facet agreement flags (F,) of the level set with radii (N,) over the
+    grid of a ``smooth._original_mesh`` (its mesh ``w_mesh`` and member
+    gauges ``mus``), tested on the level's own mesh: a facet agrees when
+    every vertex takes the closed-form radius level/mu(u), its top two
+    member values read off a full sort, and ``agreement_many`` passes at
+    the facet's centroid (the level-t form of ``smooth._level_mesh``'s
+    flags, which test the original mesh's centroids)."""
     closed = np.ones(radii.shape, dtype=bool)
-    if sq is not None:
-        r = level / mu
+    if mus.shape[-1] > 1:
+        sq = -np.sort(-(mus * mus), axis=-1)
+        r = level / np.max(mus, axis=-1)
         closed = r * r * (sq[:, 0] - sq[:, 1]) >= gauge.delta * (1.0 + RIDGE_GUARD)
-    centroids = facet_centroids(radii[:, None] * dirs, facets)
-    return closed[facets].all(axis=1) & agreement_many(gauge, centroids)
+    centroids = facet_centroids(radii[:, None] * w_mesh.directions, w_mesh.facets)
+    return closed[w_mesh.facets].all(axis=1) & agreement_many(gauge, centroids)
 
 
 def facet_measures_reference(points: np.ndarray, facets: np.ndarray) -> np.ndarray:

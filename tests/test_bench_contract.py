@@ -57,3 +57,36 @@ def test_install_then_uninstall_restores_every_binding(tracing):
     finally:
         tracer.uninstall()
     assert all(getattr(m, attr) is value for m, attr, value in before)
+
+
+# Library names that bench/run.py and bench/checks.py read, as they reach
+# them from the package. A rename would surface only as a failed benchmark
+# run.
+BENCH_NAMES = (
+    "__version__",
+    "bodies.body_from_json",
+    "bodies.BallBody",
+    "errors.ConvexSmoothError",
+    "project.project_body",
+    "cli.run",
+    "cli.RunConfig",
+    "gauge.body_gauge_values",
+)
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    cs = importlib.import_module("convexsmooth")
+    for module in ("cli", "errors", "project"):  # bench/run.py imports these itself
+        importlib.import_module(f"convexsmooth.{module}")
+    for path in BENCH_NAMES:
+        value = cs
+        for attr in path.split("."):
+            value = getattr(value, attr, None)
+        assert value is not None, path
+    config = cs.cli.RunConfig(command="smooth", input="in.json", output="out", resolution=64)
+    assert (config.command, config.input, config.output, config.resolution) == (
+        "smooth", "in.json", "out", 64
+    )
+    # clear_icosphere_cache reads it with getattr(..., None), so a rename
+    # would skip the clear silently
+    assert isinstance(cs.grids._ICO_CACHE, dict)

@@ -257,14 +257,14 @@ class TestLevelSetFromBallSupport:
     @given(body=ball_bodies(), samples=st.integers(8, 200))
     @example(body=BallBody(radius=0.5, centers=[[0.0, 0.0], [5e-7, 0.0]], dim=2), samples=8)
     def test_margins_at_the_level_set_radius_are_at_most_those_at_R(self, body, samples):
-        # the farthest pick may lie up to MEMBERSHIP_SLACK outside a ball,
+        # the farthest pick may lie up to MEMBERSHIP_SLACK R outside a ball,
         # so the margins carry that slack besides rounding (certify_body's
         # level_set_e comment); on the pinned body it shows as 1.9e-13
         R = body.radius
         radius_e = 16.0 * R * R / body.interior_radius
         at_R = ball_support_check(body, R, samples).worst_witness["margin"]
         at_e = ball_support_check(body, radius_e, samples).worst_witness["margin"]
-        assert at_e <= at_R + MEMBERSHIP_SLACK + 8.0 * np.finfo(float).eps * radius_e
+        assert at_e <= at_R + MEMBERSHIP_SLACK * R + 8.0 * np.finfo(float).eps * radius_e
 
     def test_thin_lens_rounding_stays_within_eight_ulp(self):
         thin = BallBody(radius=1.0, centers=[[0.99, 0.0], [-0.99, 0.0]], dim=2)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexsmooth import (
     BallBody,
@@ -12,6 +13,7 @@ from convexsmooth import (
     GridMismatch,
     HalfspaceBody,
     InvalidBody,
+    ShrinkDelta,
     boundary_mesh,
     extract_smoothed_body,
     hausdorff_measure,
@@ -29,9 +31,11 @@ from convexsmooth.measure import (
     radial_function,
     sample_directions,
 )
+from oracle import ray_exit_radii, ulps
 from helpers import (
     BLOCK_ROW_COUNTS,
     REPR_FALLBACK_FLOATS,
+    ball_bodies,
     block_end_rows,
     facet_measures_reference,
     halfspace_radii_reference,
@@ -165,6 +169,48 @@ class TestBoundaryMesh:
         assert np.allclose(radial_function(square, dirs), [0.5, 0.5, np.sqrt(0.5)], rtol=1e-15)
         mesh = boundary_mesh(square, 400)
         assert hausdorff_measure(mesh) == pytest.approx(4.0, rel=1e-12)
+
+    # Closed-form radii against the 50-digit ray exit, in ulp of each
+    # radius per unit of 1 + R/rho, rho the interior radius: 1/mu(u) loses
+    # accuracy as a center nears the sphere of radius R. Six batches of
+    # ball_bodies() examples, 17,500 in all, each reached 1.5 (1 + R/rho)
+    # ulp; an earlier batch of 1,500 reached 3.9 R/rho ulp, which this
+    # bound covers twice over. The largest error was 7,123 ulp, at R/rho =
+    # 1e4 on a 2D body whose nearest center was 1e-4 R inside that sphere.
+    ORACLE_ULPS_PER_CONDITION = 8.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(body=ball_bodies(), res2d=st.integers(16, 300))
+    def test_ball_radii_match_the_high_precision_ray_exit(self, body, res2d):
+        dirs, _ = direction_grid(body.dim, res2d if body.dim == 2 else 2)
+        bound = self.ORACLE_ULPS_PER_CONDITION * (1.0 + body.radius / body.interior_radius)
+        assert np.max(ulps(radial_function(body, dirs), ray_exit_radii(body, dirs))) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        body=ball_bodies(),
+        log_delta=st.floats(-4.0, -1.5),
+        res2d=st.integers(16, 300),
+    )
+    def test_off_tube_smoothed_radii_match_the_high_precision_ray_exit(
+        self, body, log_delta, res2d
+    ):
+        # every vertex of an agreeing facet took the closed form, so it is
+        # the original boundary's radius within the same bound
+        try:
+            smoothed = extract_smoothed_body(
+                body,
+                delta=10.0**log_delta * body.radius**2,
+                epsilon=0.2,
+                resolution=res2d if body.dim == 2 else 2,
+            )
+        except ShrinkDelta:
+            return
+        we_mesh = smoothed.meshes[1]
+        off = np.unique(we_mesh.facets[we_mesh.agreement])
+        ref = ray_exit_radii(body, we_mesh.directions[off])
+        bound = self.ORACLE_ULPS_PER_CONDITION * (1.0 + body.radius / body.interior_radius)
+        assert np.all(ulps(we_mesh.radii[off], ref) <= bound)
 
     @pytest.mark.parametrize("dim, faces", [(2, 3), (2, 7), (2, 40), (3, 4), (3, 6), (3, 30)])
     def test_halfspace_radii_are_the_all_faces_form(self, dim, faces):

@@ -137,10 +137,10 @@ class TestProjectBodyProperties:
         proj = project_body(body, pts)
 
         excess = np.linalg.norm(proj[:, None, :] - A[None], axis=2) - R
-        assert np.all(excess <= MEMBERSHIP_SLACK)
+        assert np.all(excess <= MEMBERSHIP_SLACK * R)
         for x, p, e in zip(pts, proj, excess):
             r = x - p
-            active = np.abs(e) <= MEMBERSHIP_SLACK
+            active = np.abs(e) <= MEMBERSHIP_SLACK * R
             if np.any(active):
                 normals = (p - A[active]).T / R
                 lam, _ = nnls(normals, r)

@@ -19,6 +19,7 @@ from convexsmooth import smooth
 from convexsmooth.bodies import contains_many
 from convexsmooth.gauge import body_gauge_values, member_gauges
 from convexsmooth.measure import (
+    _symdiff_masks,
     batch_ray_crossings,
     direction_grid,
     facet_centroids,
@@ -29,8 +30,8 @@ from convexsmooth.measure import (
 from convexsmooth.smooth import (
     RIDGE_GUARD,
     _fold,
-    _level_grid,
     _level_mesh,
+    _original_mesh,
     _phi_terms,
     agreement_many,
     blended_level_mesh,
@@ -382,6 +383,15 @@ def ring(m, offset):
     )
 
 
+def _tube_rows(gauge, w_mesh, mus):
+    """Tube directions of a grid and their member squared gauges, sorted
+    descending: the rows ``_level_mesh`` hands to ``_tube_radii``."""
+    sq = -np.sort(-(mus * mus), axis=-1)
+    r = w_mesh.radii
+    tube = r * r * (sq[:, 0] - sq[:, 1]) < gauge.delta * (1.0 + RIDGE_GUARD)
+    return np.nonzero(tube)[0], sq
+
+
 class TestOneLevelMesher:
     """A level's tube directions go through one Newton solve; every row must
     get the radius of solving it alone, and the facets the flags of the
@@ -391,9 +401,9 @@ class TestOneLevelMesher:
         # a wide blend on an 8-ball ring: some rows need more Newton steps
         # than others, and each still gets its own radius
         gauge = BlendedGauge(body=ring(8, 0.1), delta=0.1)
-        grid = _level_grid(gauge, 256)
-        radii = _level_mesh(gauge, grid).radii
-        tube = np.nonzero(grid.sq[:, 0] - grid.sq[:, 1] < gauge.delta * (1.0 + RIDGE_GUARD))[0]
+        w_mesh, mus, flags = _original_mesh(gauge, 256)
+        radii = _level_mesh(gauge, w_mesh, mus, flags).radii
+        tube, sq = _tube_rows(gauge, w_mesh, mus)
         fold = smooth._fold
         steps = []
         for row in tube:
@@ -404,7 +414,7 @@ class TestOneLevelMesher:
                 return fold(*args, **kwargs)
 
             monkeypatch.setattr(smooth, "_fold", counted)
-            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1])
+            alone = smooth._tube_radii(gauge, sq[row : row + 1])
             monkeypatch.setattr(smooth, "_fold", fold)
             steps.append(len(calls))
             assert radii[row] == alone[0]
@@ -418,16 +428,20 @@ class TestOneLevelMesher:
     )
     def test_each_tube_row_is_solved_as_if_alone(self, body, log_delta, res2d):
         # every row stops on its own Newton step, so no row's radius depends
-        # on the rows batched with it
+        # on the rows batched with it; closed-form rows keep the original
+        # radius to the bit
         gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2)
-        grid = _level_grid(gauge, res2d if body.dim == 2 else 2)
-        radii = _level_mesh(gauge, grid).radii
-        if grid.sq is None:
+        w_mesh, mus, flags = _original_mesh(gauge, res2d if body.dim == 2 else 2)
+        radii = _level_mesh(gauge, w_mesh, mus, flags).radii
+        if mus.shape[-1] == 1:
+            assert np.array_equal(radii, w_mesh.radii)
             return
-        r = 1.0 / grid.mu
-        tube = r * r * (grid.sq[:, 0] - grid.sq[:, 1]) < gauge.delta * (1.0 + RIDGE_GUARD)
-        for row in np.nonzero(tube)[0]:
-            alone = smooth._tube_radii(gauge, grid.sq[row : row + 1])
+        tube, sq = _tube_rows(gauge, w_mesh, mus)
+        closed = np.ones(len(radii), dtype=bool)
+        closed[tube] = False
+        assert np.array_equal(radii[closed], w_mesh.radii[closed])
+        for row in tube:
+            alone = smooth._tube_radii(gauge, sq[row : row + 1])
             assert radii[row] == alone[0]
 
     @settings(max_examples=60, deadline=None)
@@ -446,15 +460,15 @@ class TestOneLevelMesher:
         # centroids, must be those of the level-t set tested at its own
         # centroids, except where the gap sits at the threshold to rounding
         gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2)
-        grid = _level_grid(gauge, res2d if body.dim == 2 else res3d)
         narrow = BlendedGauge(body, gauge.delta / level**2)
-        mesh = _level_mesh(narrow, grid)
-        ref = level_flags_reference(gauge, grid, level, level * mesh.radii)
+        w_mesh, mus, flags = _original_mesh(narrow, res2d if body.dim == 2 else res3d)
+        mesh = _level_mesh(narrow, w_mesh, mus, flags)
+        ref = level_flags_reference(gauge, w_mesh, mus, level, level * mesh.radii)
         if len(body.centers) == 1:
             assert np.array_equal(mesh.agreement, ref) and np.all(ref)
             return
         threshold = gauge.delta * (1.0 + RIDGE_GUARD)
-        gap = _gap_values(body, facet_centroids(level * mesh.points, grid.facets))
+        gap = _gap_values(body, facet_centroids(level * mesh.points, w_mesh.facets))
         at_threshold = np.abs(gap - threshold) <= 1e-12 * threshold
         assert np.array_equal(mesh.agreement[~at_threshold], ref[~at_threshold])
         assert np.count_nonzero(at_threshold) <= 1 + 1e-3 * len(ref)
@@ -507,6 +521,22 @@ class TestExtract:
             assert np.array_equal(built.radii, ref.radii)
             assert np.array_equal(built.agreement, ref.agreement)
         assert not np.all(smoothed.meshes[1].agreement)
+
+    @pytest.mark.parametrize("body", [lens(), THREE_BALL], ids=["lens", "three-ball-3d"])
+    def test_one_run_makes_two_member_gauge_passes(self, body, monkeypatch):
+        # one over the grid directions and one over the original mesh's
+        # facet centroids; the tube solve and every check reuse them
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return member_gauges(*args, **kwargs)
+
+        monkeypatch.setattr(smooth, "member_gauges", counted)
+        smoothed = extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
+        w_mesh, we_mesh = smoothed.meshes
+        assert not np.array_equal(w_mesh.radii, we_mesh.radii)  # the tube solve ran
+        assert len(calls) == 2
 
     def test_separate_runs_compare_equal(self):
         first = extract_smoothed_body(lens(), delta=1e-3, epsilon=0.05)
@@ -647,3 +677,30 @@ class TestPipelineInvariants:
         # the flags alone give the symmetric difference
         breakdown = symmetric_difference_breakdown(w_mesh, we_mesh)
         assert checks["symdiff_measure"] == breakdown["combined"] == breakdown["flag_based"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        body=ball_bodies(),
+        log_delta=st.floats(-4.0, -1.5),
+        res2d=st.integers(16, 1024),
+        res3d=st.integers(2, 3),
+    )
+    def test_flags_alone_give_the_symmetric_difference(self, body, log_delta, res2d, res3d):
+        # a vertex whose radii differ is a tube vertex, so every facet it
+        # touches is flagged: the pipeline's flag-only measure is that of
+        # symmetric_difference_measure, whose radius mask adds nothing
+        try:
+            smoothed = extract_smoothed_body(
+                body,
+                delta=10.0**log_delta * body.radius**2,
+                epsilon=0.2,
+                resolution=res2d if body.dim == 2 else res3d,
+            )
+        except ShrinkDelta:
+            return
+        w_mesh, we_mesh = smoothed.meshes
+        assert smoothed.checks["symdiff_measure"] == symmetric_difference_measure(w_mesh, we_mesh)
+        by_radius, by_flag = _symdiff_masks(w_mesh, we_mesh)
+        assert not np.any(by_radius & ~by_flag)
+        differ = (w_mesh.radii != we_mesh.radii)[w_mesh.facets].any(axis=1)
+        assert not np.any(differ & ~by_flag)
