@@ -32,8 +32,10 @@ square = HalfspaceBody(
 
 # --- the rolling-ball condition --------------------------------------------
 # at each of 720 sampled boundary points the rolled ball is tested against
-# the whole lens, exactly: the lens's farthest point from the ball's centre
-# must lie inside it
+# the whole lens: for an intersection of balls of radius R, the
+# supporting-ball identity bounds how far any point of the body can leave
+# it, from the spheres active at the sample; on the square the body's
+# farthest point from the ball's centre is tested instead
 report = ball_support_check(lens, R=1.0, samples=720)
 print("lens, enclosing balls of radius 1:", "PASS" if report.passed else "FAIL")
 

@@ -10,6 +10,7 @@ rolling-ball property that the certificates check.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
@@ -365,6 +366,21 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     return np.all(_row_dots(pts, body.normals) - body.offsets <= slack, axis=1)
 
 
+def _active_spheres(body: BallBody, Y: np.ndarray):
+    """The offsets y - a_i of the rows y of Y from the centers, (N, m, n),
+    their lengths d_i, (N, m), and the spheres :func:`outward_normal`
+    averages at each row, (N, m): those with |d_i - R| within
+    ``NORMAL_ATOL`` R or, when there are none, those within ``NORMAL_ATOL``
+    R of the largest d_i."""
+    diff = Y[:, None, :] - body.centers
+    d = _norm(diff.T).T
+    active = np.abs(d - body.radius) <= NORMAL_ATOL * body.radius
+    active |= ~np.any(active, axis=1, keepdims=True) & (
+        d >= np.max(d, axis=1, keepdims=True) - NORMAL_ATOL * body.radius
+    )
+    return diff, d, active
+
+
 def outward_normal(body: Body, y) -> np.ndarray:
     """Outward unit normal at a boundary point, or at each row of an (N, n)
     batch of them.
@@ -377,24 +393,21 @@ def outward_normal(body: Body, y) -> np.ndarray:
     finite raises ``ValueError`` naming its row.
     """
     Y, single = _as_rows(y, body.dim)
-    if isinstance(body, BallBody):
-        diff = Y[:, None, :] - body.centers
-        d = _norm(diff.T).T
-        active = np.abs(d - body.radius) <= NORMAL_ATOL * body.radius
-        active |= ~np.any(active, axis=1, keepdims=True) & (
-            d >= np.max(d, axis=1, keepdims=True) - NORMAL_ATOL * body.radius
-        )
-        terms = diff / body.radius
-    else:
-        slack = body.offsets - _row_dots(Y, body.normals)
-        scale = NORMAL_ATOL * np.max(body.offsets)
-        active = np.abs(slack) <= scale
-        active |= ~np.any(active, axis=1, keepdims=True) & (
-            slack <= np.min(slack, axis=1, keepdims=True) + scale
-        )
-        terms = body.normals
-    n = np.sum(np.where(active[..., None], terms, 0.0), axis=1)
-    norm = _norm(n.T)[:, None]
+    # a row that is not finite is named below, not warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(body, BallBody):
+            diff, _, active = _active_spheres(body, Y)
+            terms = diff / body.radius
+        else:
+            slack = body.offsets - _row_dots(Y, body.normals)
+            scale = NORMAL_ATOL * np.max(body.offsets)
+            active = np.abs(slack) <= scale
+            active |= ~np.any(active, axis=1, keepdims=True) & (
+                slack <= np.min(slack, axis=1, keepdims=True) + scale
+            )
+            terms = body.normals
+        n = np.sum(np.where(active[..., None], terms, 0.0), axis=1)
+        norm = _norm(n.T)[:, None]
     if not np.all((norm > 0.0) & (norm < np.inf)):
         _require_finite(Y)
         raise ValueError("degenerate normal cone selection")
@@ -547,6 +560,30 @@ def _require_finite(X: np.ndarray) -> None:
         raise ValueError(f"row {bad[0]} of the query, {X[bad[0]].tolist()}, is not finite")
 
 
+# Rows whose coordinates are all below this in magnitude, on a body whose
+# radius is too, give no numpy warning: every offset from a candidate or a
+# center stays below 4e150, so its squares sum to well below the float range
+_MODEST = 1e150
+
+
+def _resolve(L: SphereLattice, W: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_extreme_points`' picks and scores on lattice L, with the
+    nearest-mode membership pass (see there)."""
+    if mode != "nearest":
+        return _picks(L, W, mode)
+    points, scores = W.copy(), np.zeros(len(W))
+    for rows in _blocks(len(W), L.balls):
+        X = W[rows]
+        inside = _within(X, L.query_balls, L.limit)
+        k = np.count_nonzero(inside)
+        if k == 0:
+            points[rows], scores[rows] = _picks(L, X, mode)
+        elif k < len(X):
+            outside = rows.start + np.flatnonzero(~inside)
+            points[outside], scores[outside] = _picks(L, W[outside], mode)
+    return points, scores
+
+
 def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point, support point or farthest point of the body per row of W.
 
@@ -585,8 +622,11 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     :func:`_norm` and :func:`_dot`.
 
     A row that is not finite gets no finite score and raises
-    ``ValueError`` naming it; the rows are scanned only when a score is
-    not finite, so finite queries pay for no separate scan.
+    ``ValueError`` naming it; so does a finite row whose squared distances
+    overflow (coordinates beyond about 1e154), which would otherwise get no
+    feasible candidate and come back as the first one. The rows are
+    scanned only when a score is not finite, so finite queries pay for no
+    separate scan. Neither kind of row raises a numpy warning on the way.
 
     In nearest mode the rows go in blocks of at most ``_BLOCK_ROWS``
     point-center pairs, and each block is resolved in one pass: its
@@ -598,21 +638,24 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     whatever N.
     """
     L = body._lattice
-    if mode != "nearest":
-        points, scores = _picks(L, W, mode)
+    # A row that is not finite, or whose squares overflow, is named below,
+    # not warned about on the way. One modest query row, the common case,
+    # is told apart, and its score checked, in Python floats, which costs
+    # less than np.errstate and np.isfinite (a NaN, which max may pass
+    # over, warns nowhere)
+    if len(W) == 1 and L.limit < _MODEST and max(map(abs, W[0].tolist())) < _MODEST:
+        points, scores = _resolve(L, W, mode)
+        if math.isfinite(scores[0]):
+            return points, scores
     else:
-        points, scores = W.copy(), np.zeros(len(W))
-        for rows in _blocks(len(W), L.balls):
-            X = W[rows]
-            inside = _within(X, L.query_balls, L.limit)
-            k = np.count_nonzero(inside)
-            if k == 0:
-                points[rows], scores[rows] = _picks(L, X, mode)
-            elif k < len(X):
-                outside = rows.start + np.flatnonzero(~inside)
-                points[outside], scores[outside] = _picks(L, W[outside], mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            points, scores = _resolve(L, W, mode)
     if not np.isfinite(scores).all():
         _require_finite(W)
+        i = int(np.argmin(np.isfinite(scores)))
+        raise ValueError(
+            f"row {i} of the query, {W[i].tolist()}, is too large: its squared distances overflow"
+        )
     return points, scores
 
 
@@ -624,7 +667,8 @@ def farthest_point(body: Body, x) -> np.ndarray:
     farthest mode, exact up to rounding. A halfspace body's is its farthest
     vertex, from scipy's ``HalfspaceIntersection``; the body must be
     bounded. A point with a coordinate that is not finite raises
-    ``ValueError`` naming its row.
+    ``ValueError`` naming its row, and so does a point of a ball body whose
+    squared distances overflow.
     """
     X, single = _as_rows(x, body.dim)
     if isinstance(body, BallBody):
@@ -655,7 +699,8 @@ def support_value(body: BallBody, direction):
     """
     _require_ball(body, "the support function")
     U, single = _as_rows(direction, body.dim)
-    norms = _norm(U.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _norm(U.T)
     if not np.all((norms > 0.0) & (norms < np.inf)):
         _require_finite(U)
         # only the rows that underflow or overflow are rescaled: the others

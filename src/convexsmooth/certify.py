@@ -19,11 +19,16 @@ strongly convex body and reports pass/fail with the worst witness found:
 :func:`certify_body` is the ``certify`` command's suite: all six on a ball
 body, on a halfspace body ball_support_b at R = 1, 10 and 100 (a flat
 face fails every R). ball_support_b tests each sampled boundary point's
-rolled ball against the whole body, exactly, through the body's farthest
-point from its centre; gauge_sq_hessian_d evaluates each member where its
+rolled ball against the whole body: on a ball body by the closed-form
+supporting-ball bound of ball-polyhedra, from the spheres active at the
+point, and on a halfspace body exactly, through the body's farthest point
+from the ball's centre; gauge_sq_hessian_d evaluates each member where its
 proven minimum lies; level_set_e follows from the ball_support_b report;
-the others sample. Every report carries its sample count and minimum
-margin so failures are reproducible.
+the reconstruction gap takes the vertices of the sampled halfspaces in
+closed form in 2D, with no scipy, and from qhull in 3D; the others
+sample. Margins are compared against ``CERT_TOL`` relative to the body's
+scale. Every report carries its sample count and minimum margin so
+failures are reproducible.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .bodies import (
     BallBody,
     Body,
     HalfspaceBody,
+    _active_spheres,
     _dot,
     _norm,
     _require_ball,
@@ -49,8 +55,13 @@ from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_deriva
 from .measure import boundary_samples, sample_directions
 from .project import project_body
 
-# Absolute margin below which a sampled inequality counts as violated.
-# Closed forms are accurate to ~1e-12, leaving headroom.
+# Margin below which a sampled inequality counts as violated, relative to
+# the scale R of what is tested: length margins are compared against
+# CERT_TOL R, the squared gauge's curvature against CERT_TOL/R^2 and a cap
+# graph's against CERT_TOL/R, and eq39's dimensionless margin against
+# CERT_TOL itself. Closed forms are accurate to ~1e-12 relative, leaving
+# headroom; an absolute tolerance failed the three-ball body scaled to
+# R = 1e8 on rounding alone (one ulp of 1e8 is 1.5e-8).
 CERT_TOL = 1e-9
 
 
@@ -173,39 +184,104 @@ def subgradient_certificate(points, eta: float) -> CertificateReport:
 
 
 def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
-    """Exact check of the enclosing-ball condition at radius R, at sampled
-    boundary points.
+    """Check of the enclosing-ball condition at radius R, at sampled
+    boundary points, against the whole body.
 
     For each sampled boundary point y with outward normal v, the ball of
-    radius R centered at c = y - R v must contain the whole body. The
-    margin is max over x in the body of |x - c|, minus R, with x the
-    farthest point of the body from c (:func:`convexsmooth.bodies.farthest_point`):
-    exact up to rounding, so the body is tested everywhere, not only at the
-    other samples. The witness is y, that farthest point and the margin.
-    Bodies with a flat face fail for every R: a face corner leaves the ball
-    by about s^2/(2R) at distance s along the face.
+    radius R centered at c = y - R v must contain the whole body; the
+    margin is max over x in the body of |x - c|, minus R, and the check
+    passes when every margin is at most ``CERT_TOL`` R.
+
+    On a ball body with R at least its radius r the margin has a closed
+    form bound, the supporting-ball property of ball-polyhedra (Bezdek,
+    Langi, Naszodi, Papez, "Ball-polyhedra", DCG 38, 2007). Take the set
+    A of the k spheres that :func:`convexsmooth.bodies.outward_normal`
+    averages at y, d_i = |y - a_i|, n = mean over A of (y - a_i)/r and
+    v = n/|n|. Then c = y - r v = (1 - 1/|n|) y + (1/|n|) g, with g the
+    mean of the centers in A, and for every x in the body, where
+    |x - a_i| <= r,
+        |x - c|^2 <= r^2 - (1/|n| - 1)|x - y|^2
+                     + (1/(k|n|)) sum_A (r^2 - d_i^2)
+    (expand the affine combination and use |x - g|^2 = mean_A |x - a_i|^2
+    - mean_A |a_i - g|^2). So the margin at r is at most E/(2r), with
+    E = (1/(k|n|)) sum_A (r^2 - d_i^2)_+ + (1 - 1/|n|)_+ (r + min_A d_i)^2,
+    the last term for a y rounded just outside its spheres, where |n| can
+    exceed 1 and |x - y| <= r + d_i. The margin does not increase in R for
+    a unit v (see :func:`certify_body`'s level_set_e comment), so the
+    bound at r holds at every R >= r, and it is what is reported. v is the
+    exact normalized mean, which ``outward_normal`` returns rounded.
+    :func:`_supporting_ball_margins` derives the rounding of the computed
+    bound, a few ulp of r times k/|n| and the dimension. The witness is y,
+    the indices of A, 1/|n| (``inverse_normal``) and the margin.
+
+    On a halfspace body, and on a ball body at R below its radius, the
+    margin is taken exactly instead, through the body's farthest point
+    from each c (:func:`convexsmooth.bodies.farthest_point`), so the body
+    is tested everywhere, not only at the other samples; the witness is y,
+    that farthest point and the margin. Bodies with a flat face fail for
+    every R: a face corner leaves the ball by about s^2/(2R) at distance s
+    along the face.
     """
     if not R > 0:
         raise ValueError("R must be positive")
     if samples < 8:
         raise ValueError("samples must be >= 8")
     pts, normals = boundary_samples(body, samples)
-    centers = pts - R * normals
-    far = farthest_point(body, centers)
-    margins = _norm((far - centers).T) - R
-    j = int(np.argmax(margins))
+    if isinstance(body, BallBody) and R >= body.radius:
+        margins, active, inverse = _supporting_ball_margins(body, pts)
+        j = int(np.argmax(margins))
+        witness = {
+            "boundary_point": pts[j].tolist(),
+            "active": np.flatnonzero(active[j]).tolist(),
+            "inverse_normal": float(inverse[j]),
+        }
+    else:
+        centers = pts - R * normals
+        far = farthest_point(body, centers)
+        margins = _norm((far - centers).T) - R
+        j = int(np.argmax(margins))
+        witness = {"boundary_point": pts[j].tolist(), "tested_point": far[j].tolist()}
     worst = float(margins[j])
     return CertificateReport(
         condition="ball_support_b",
-        passed=worst <= CERT_TOL,
+        passed=worst <= CERT_TOL * R,
         constant=float(R),
-        worst_witness={
-            "boundary_point": pts[j].tolist(),
-            "tested_point": far[j].tolist(),
-            "margin": worst,
-        },
+        worst_witness={**witness, "margin": worst},
         samples=len(pts),
     )
+
+
+def _supporting_ball_margins(body: BallBody, Y: np.ndarray):
+    """Upper bounds on the margins of the supporting balls of radius r at
+    the rows y of Y (see :func:`ball_support_check`), (N,), each sample's
+    active set, (N, m), and its computed 1/|n|, (N,).
+
+    The bound is E/(2r) for E evaluated in floats from upper bounds on
+    each exact term, with u = eps/2 the unit roundoff. Each computed d_i
+    is within (n/2 + 2) u d_i of the exact |y - a_i| (one rounding of each
+    offset, n squares summed, a square root), so r^2 - d_i^2, computed as
+    (r - d_i)(r + d_i), is within (n + 4) u d_i^2 of exact, and the term
+    (n + 4) eps D^2 r^2, D = max_A d_i/r, covers it twice over. The sum S
+    of the k terms (y - a_i)/r is computed with error at most
+    (k + 1) u sum_A d_i/r (two roundings per term, k - 1 additions; the
+    inactive spheres add exact zeros), so 1/|n| = k/|S| is within a
+    relative (k + 1) u D/|n| + (n/2 + 2) u of exact; ``slack`` is twice
+    that. The remaining roundings, of the sums, products and the final
+    division, are relative and below (k + n + 4) eps. Every bound is a
+    multiple of r, so the bound scales with the body.
+    """
+    r, eps = body.radius, np.finfo(float).eps
+    dim = body.dim
+    diff, d, active = _active_spheres(body, Y)
+    k = np.count_nonzero(active, axis=1)
+    inverse = k / _norm(np.sum(np.where(active[..., None], diff / r, 0.0), axis=1).T)
+    top = np.max(np.where(active, d, 0.0), axis=1) / r
+    near = np.min(np.where(active, d, np.inf), axis=1)
+    slack = eps * ((k + 1) * inverse * np.maximum(top, 1.0) + dim + 4)
+    defect = np.sum(np.where(active, np.maximum((r - d) * (r + d), 0.0), 0.0), axis=1) / k
+    outside = np.maximum(1.0 - inverse * (1.0 - slack), 0.0) * (r + near) ** 2
+    E = inverse * (1.0 + slack) * (defect + (dim + 4) * eps * top**2 * r * r) + outside
+    return E * (1.0 + (k + dim + 4) * eps) / (2.0 * r), active, inverse
 
 
 def ball_family_check(body: BallBody, samples: int) -> CertificateReport:
@@ -225,7 +301,7 @@ def ball_family_check(body: BallBody, samples: int) -> CertificateReport:
     worst = float(margins[k])
     return CertificateReport(
         condition="ball_family_c",
-        passed=worst <= CERT_TOL,
+        passed=worst <= CERT_TOL * body.radius,
         constant=float(body.radius),
         worst_witness={"boundary_point": pts[k].tolist(), "margin": worst},
         samples=len(pts),
@@ -257,7 +333,7 @@ def gauge_sq_hessian_check(body: Body) -> CertificateReport:
     worst = float(lam[k])
     return CertificateReport(
         condition="gauge_sq_hessian_d",
-        passed=worst >= floor - CERT_TOL,
+        passed=worst >= floor - CERT_TOL / body.radius**2,
         constant=floor,
         worst_witness={"x": u[k].tolist(), "min_eigenvalue": worst, "margin": worst - floor},
         samples=m,
@@ -343,7 +419,7 @@ def cap_graph_hessian_check(R: float, xi_y, z_offsets) -> CertificateReport:
             }
     return CertificateReport(
         condition="cap_graph_a",
-        passed=worst >= floor - CERT_TOL,
+        passed=worst >= floor - CERT_TOL / R,
         constant=floor,
         worst_witness=witness,
         samples=len(offsets),
@@ -359,6 +435,10 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     unit ball it is the circumscribed-polygon excess sec(pi/m) - 1). The
     farthest point is a vertex v of the intersection, so the gap is the
     largest distance |v - p(v)| to its projection p(v) = project_body(v).
+
+    In 2D the vertices are closed forms (:func:`_reconstruction_vertices`),
+    the meeting points of adjacent support lines, and no scipy is loaded;
+    in 3D they come from scipy's ``HalfspaceIntersection``.
 
     Only the vertices that can attain it are projected. With
     s(v) = max_i (|v - a_i| - R)_+, every ball holds the body W, so
@@ -378,18 +458,13 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     projects to the same bits as in a projection of every vertex, as rows
     are independent, so the gap is the same float as the full one. When
     rho - tol <= 0 every vertex is projected. A body other than a ball
-    body raises :class:`NotBallBody`.
+    body raises :class:`NotBallBody`, and 2D samples whose halfspaces bound
+    no polygon :class:`DomainViolation`.
     """
     _require_ball(body, "the reconstruction gap")
-    # imported here, so that importing the package loads no scipy
-    from scipy.spatial import HalfspaceIntersection
-
     if normal_samples < 4:
         raise ValueError("normal_samples must be >= 4")
-    pts, normals = boundary_samples(body, normal_samples)
-    offsets = _dot(normals.T, pts.T)
-    halfspaces = np.column_stack([normals, -offsets])
-    vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+    vertices = _reconstruction_vertices(*boundary_samples(body, normal_samples))
     V = np.ascontiguousarray(vertices.T)
     length = _norm(V)
     s = np.maximum(_norm(V[:, None, :] - body.centers.T[:, :, None]).max(axis=0) - body.radius, 0.0)
@@ -413,6 +488,44 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
         u = length * (s + tol) / (rho + s + tol)
         vertices = vertices[u >= S - (MEMBERSHIP_SLACK * body.radius + 2.0 * tol + 1e-9 * S)]
     return float(np.max(_norm((vertices - project_body(body, vertices)).T)))
+
+
+def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Vertices of the intersection of the supporting halfspaces
+    <v_i, x> <= <v_i, y_i> at boundary samples y_i with normals v_i, (V, n).
+
+    In 2D the samples of :func:`convexsmooth.measure.boundary_samples` go
+    counterclockwise and their normals turn monotonically, so vertex i is
+    where support lines i and i + 1 meet (wrapping around), in the local
+    form y_i + t tau_i, tau_i = v_i turned by +90 degrees and
+    t = <v_{i+1}, y_{i+1} - y_i>/<v_{i+1}, tau_i>. The denominator is the
+    sine of the turn from v_i to v_{i+1}; when it is not positive the
+    samples are not in convex position (with few samples a turn can pass
+    pi, and the halfspaces are then unbounded), and
+    :class:`DomainViolation` names the pair. Every term is an O(|y_{i+1} - y_i|) difference, so a vertex
+    carries a few ulp of R however fine the sampling, where the same
+    vertex solved from the O(R) offsets <v_i, y_i> (Cramer's rule) loses
+    their rounding over the small turn. In 3D scipy's
+    ``HalfspaceIntersection`` enumerates them, imported here, so that
+    importing the package loads no scipy.
+    """
+    if pts.shape[1] != 2:
+        from scipy.spatial import HalfspaceIntersection
+
+        halfspaces = np.column_stack([normals, -_dot(normals.T, pts.T)])
+        return HalfspaceIntersection(halfspaces, np.zeros(pts.shape[1])).intersections
+    tangent = np.column_stack([-normals[:, 1], normals[:, 0]])
+    following = np.roll(normals, -1, axis=0)
+    turn = _dot(following.T, tangent.T)
+    if not np.all(turn > 0.0):
+        i = int(np.argmin(turn > 0.0))
+        raise DomainViolation(
+            f"boundary samples {i} and {(i + 1) % len(pts)} are not in convex position: "
+            f"the sine of the turn between their normals is {turn[i]:.3g}, so the "
+            "sampled halfspaces bound no polygon"
+        )
+    t = _dot(following.T, (np.roll(pts, -1, axis=0) - pts).T) / turn
+    return pts + t[:, None] * tangent
 
 
 @cache
@@ -458,23 +571,13 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
 
     # sublevel realization: the squared gauge at level 1 gives back the
     # body, and its slope where the gauge stays below 2 is at most 8/rho.
-    # That radius is at least R. At a boundary sample y with normal v the
-    # margin max over x in the body of |x - y + r v| - r is a maximum of
+    # That radius is at least R. At a boundary sample y with unit normal v
+    # the margin max over x in the body of |x - y + r v| - r is a maximum of
     # functions of r with slope <x - y + r v, v>/|x - y + r v| - 1 <= 0, so
-    # it does not increase in r either: ball_support_b's margins bound
-    # those at this radius. Computed margins add rounding, a few ulp of the
-    # radius, and the farthest pick's membership rule, which takes
-    # candidates up to s = MEMBERSHIP_SLACK R outside a ball. At this radius
-    # the farthest point of the body is y itself, so the pick may be such
-    # a candidate near y. With n the mean unit normal of the spheres active
-    # at y, v = n/|n|, and c = y - R v is an affine combination of y and
-    # their centers, so every x within s of all balls has
-    #   |x - c|^2 <= R^2 + (2 R s + s^2)/|n| - (1/|n| - 1)|x - y|^2.
-    # At a smooth sample, where |n| = 1, a margin at this radius is thus at
-    # most s plus rounding. ball_support_b's worst margin is exactly 0,
-    # attained by a candidate, so computed it is at least minus rounding,
-    # and the two differ by at most MEMBERSHIP_SLACK R plus rounding. At a
-    # ridge sample the slack term grows by up to 1/|n| for picks near y
+    # it does not increase in r: ball_support_b's margin, a bound at R for
+    # the exact unit normal, rounding included, bounds those at this
+    # radius too, and it is at most CERT_TOL R <= CERT_TOL radius_e when
+    # ball_support_b passes
     radius_e = level_set_radius(2.0 * 2.0 * gauge_lipschitz_bound(body), floor)
     margin_b = report_b.worst_witness["margin"]
     reports.append(

@@ -67,8 +67,9 @@ def project_body(body: BallBody, x) -> np.ndarray:
     body's intersection spheres that lies in the body; by KKT the true
     projection is one of them. There is no iteration, so no tolerance and
     no :class:`NonConvergence`. A point with a coordinate that is not
-    finite raises ``ValueError`` naming its row, and a body other than a
-    ball body :class:`NotBallBody`.
+    finite, or whose squared distances overflow (beyond about 1e154),
+    raises ``ValueError`` naming its row, and a body other than a ball
+    body :class:`NotBallBody`.
     """
     _require_ball(body, "projection onto the body")
     pts, single = _as_rows(x, body.dim)

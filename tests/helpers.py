@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from convexsmooth import Ball, BallBody, ball_gauge_derivatives, contains
 from convexsmooth._text import _BLOCK_ROWS
-from convexsmooth.bodies import MEMBERSHIP_SLACK, NORMAL_ATOL, _dot, _norm, _row_dots
+from convexsmooth.bodies import MEMBERSHIP_SLACK, NORMAL_ATOL, _dot, _norm, _row_dots, farthest_point
 from convexsmooth.gauge import body_gauge_values
 from convexsmooth.measure import boundary_samples, facet_centroids
 from convexsmooth.project import project_body
@@ -445,14 +445,22 @@ def boundary_projection_accepts(body: BallBody, x) -> bool:
     return bool(depths[0] < 0.5 * body.radius and d2 >= 3.0 * depths[0])
 
 
-def halfspace_gap_reference(body: BallBody, samples: int) -> float:
-    """``halfspace_reconstruction_gap`` from the projections of every vertex
-    of the sampled-halfspace intersection (the unpruned form)."""
+def halfspace_vertices_reference(body: BallBody, samples: int) -> np.ndarray:
+    """Vertices of the sampled-halfspace intersection from scipy's
+    ``HalfspaceIntersection`` in any dimension (the form
+    ``certify._reconstruction_vertices`` keeps for 3D)."""
     from scipy.spatial import HalfspaceIntersection
 
     pts, normals = boundary_samples(body, samples)
     halfspaces = np.column_stack([normals, -_dot(normals.T, pts.T)])
-    vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+    return HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+
+
+def halfspace_gap_reference(body: BallBody, samples: int) -> float:
+    """``halfspace_reconstruction_gap`` from the projections of every
+    vertex of :func:`halfspace_vertices_reference` (the unpruned qhull
+    form)."""
+    vertices = halfspace_vertices_reference(body, samples)
     return float(np.max(_norm((vertices - project_body(body, vertices)).T)))
 
 
@@ -493,6 +501,19 @@ def boundary_cloud(body: BallBody, count: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(count) / count
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     return dirs / body_gauge_values(body, dirs)[:, None]
+
+
+def ball_support_margins_reference(body, R: float, samples: int):
+    """Each boundary sample's margin of the enclosing-ball condition at
+    radius R, (N,), and the body's farthest point from the ball's centre,
+    (N, n): the farthest-point form of ``certify.ball_support_check``,
+    which the library keeps for halfspace bodies and for radii below a
+    ball body's own. The centres are y - R v with the normals v that
+    :func:`boundary_samples` returns."""
+    pts, normals = boundary_samples(body, samples)
+    centers = pts - R * normals
+    far = farthest_point(body, centers)
+    return _norm((far - centers).T) - R, far
 
 
 def pairwise_ball_support_margin(body, R: float, samples: int) -> float:

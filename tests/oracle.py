@@ -38,6 +38,51 @@ def ray_exit_radii(body, directions: np.ndarray) -> np.ndarray:
     return out
 
 
+def adjacent_line_vertices(pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Where the lines <v_i, x> = <v_i, y_i> and <v_{i+1}, x> = <v_{i+1}, y_{i+1}>
+    meet, for consecutive 2D samples y_i with normals v_i (the last pair
+    wrapping around), rounded to float, (N, 2).
+
+    Solved by Cramer's rule on the float inputs, unit or not, with no
+    rounding before the solve."""
+    out = np.empty(pts.shape)
+    with mpmath.workdps(DIGITS):
+        rows = [
+            ([mpmath.mpf(float(c)) for c in y], [mpmath.mpf(float(c)) for c in v])
+            for y, v in zip(np.asarray(pts, dtype=float), np.asarray(normals, dtype=float))
+        ]
+        for i, (y, v) in enumerate(rows):
+            z, w = rows[(i + 1) % len(rows)]
+            h, g = v[0] * y[0] + v[1] * y[1], w[0] * z[0] + w[1] * z[1]
+            det = v[0] * w[1] - v[1] * w[0]
+            out[i] = [float((h * w[1] - g * v[1]) / det), float((v[0] * g - w[0] * h) / det)]
+    return out
+
+
+def supporting_ball_bounds(body, pts: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The supporting-ball bound E/(2R) at each boundary point y with its
+    set A of active centers (rows of a boolean mask), rounded to float:
+    n = mean over A of (y - a_i)/R and
+    E = (1/(k|n|)) sum_A (R^2 - |y - a_i|^2)_+ + (1 - 1/|n|)_+ (R + min_A |y - a_i|)^2,
+    from the float inputs with no rounding before the end (see
+    ``certify.ball_support_check``)."""
+    out = np.empty(len(pts))
+    with mpmath.workdps(DIGITS):
+        R = mpmath.mpf(float(body.radius))
+        centers = [[mpmath.mpf(float(c)) for c in row] for row in body.centers]
+        for j, (row, mask) in enumerate(zip(np.asarray(pts, dtype=float), active)):
+            y = [mpmath.mpf(float(c)) for c in row]
+            A = [centers[i] for i in np.flatnonzero(mask)]
+            offsets = [[yc - ac for yc, ac in zip(y, a)] for a in A]
+            n = [mpmath.fsum(o[c] for o in offsets) / (len(A) * R) for c in range(len(y))]
+            inverse = 1 / mpmath.sqrt(mpmath.fsum(c * c for c in n))
+            d2 = [mpmath.fsum(c * c for c in o) for o in offsets]
+            defect = mpmath.fsum(max(R * R - e, 0) for e in d2) / len(A)
+            outside = max(1 - inverse, 0) * (R + mpmath.sqrt(min(d2))) ** 2
+            out[j] = float((inverse * defect + outside) / (2 * R))
+    return out
+
+
 def ulps(got: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """|got - ref| in units of the last place of ref."""
     return np.abs(got - ref) / np.spacing(np.abs(ref))

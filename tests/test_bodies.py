@@ -328,15 +328,40 @@ class TestSupportValue:
         assert huge.tobytes() == support_value(lens(), [[0.0, -1.0], [0.3, 0.4]]).tobytes()
 
 
+# nearly degenerate bodies: a thin lens of two balls 1e-4 R from tangency,
+# with a third ball about the origin. The rim, the circle where the two
+# spheres meet, has radius 0.014 R. On the first (its centers rounded as
+# they were logged) the pick fell 7.2e-15 short of the boundary cloud; on
+# the second it falls 2.7 times the old allowance of 16 ulp (R + |c|) short
+RIM_CASES = [
+    BallBody(radius=1.0, centers=[[0.0, 0.0, 0.0], [0.9999, 0.0, 0.0], [-0.99989982, 5.98e-4, 0.0]], dim=3),
+    BallBody(
+        radius=1.0,
+        centers=[[0.0, 0.0, 0.0], [0.9999, 0.0, 0.0], [-0.9998999894873704, 0.00014499364393962235, 0.0]],
+        dim=3,
+    ),
+]
+
+
 class TestFarthestPoint:
     @settings(max_examples=100, deadline=None)
     @given(body=ball_bodies(), seed=st.integers(0, 2**32 - 1))
     @example(body=AXIS_CASE, seed=0)
     @example(body=TINY_W_CASE, seed=0)
     @example(body=NEAR_COPY_CASE, seed=0)
+    @example(body=RIM_CASES[0], seed=0)
+    @example(body=RIM_CASES[1], seed=0)
     def test_no_boundary_point_is_farther(self, body, seed):
         # from random points, from each center and from the centers of the
-        # balls rolled to the boundary samples
+        # balls rolled to the boundary samples. The farthest point x* lies
+        # on some intersection sphere S, whose candidate is computed within
+        # the rounding of its centre and radius: r_S = sqrt(R^2 - |c_S -
+        # a_0|^2) loses up to ~5 ulp of R^2 to the difference, so r_S is
+        # off by up to 2.5 ulp R^2/r_S, a thousand ulp on a 0.014 R rim.
+        # So |x* - c| is at most the largest, over feasible candidates, of
+        # distance + 4 ulp R^2/r_S, and the pick, the farthest feasible
+        # candidate, falls short by at most that excess, plus 16 ulp
+        # (1 + |c|) for the distances and the cloud's own rounding
         rng = np.random.default_rng(seed)
         pts, normals = boundary_samples(body, 400)
         c = np.vstack(
@@ -349,7 +374,13 @@ class TestFarthestPoint:
         far = farthest_point(body, c)
         reach = np.linalg.norm(far - c, axis=1)
         cloud = np.max(np.linalg.norm(pts[None, :, :] - c[:, None, :], axis=2), axis=1)
-        assert np.all(reach >= cloud - 16.0 * np.finfo(float).eps * (body.radius + np.linalg.norm(c, axis=1)))
+        eps = np.finfo(float).eps
+        cand, feasible = extreme_points_reference(body, c, "farthest")
+        radius_error = 4.0 * eps * body.radius**2 / np.tile(body._lattice.radii, 2)
+        dist = np.linalg.norm(cand - c[:, None, :], axis=2)
+        assert np.all(reach == np.max(np.where(feasible, dist, -np.inf), axis=1))
+        excess = np.max(np.where(feasible, dist + radius_error, -np.inf), axis=1) - reach
+        assert np.all(reach >= cloud - 16.0 * eps * (1.0 + np.linalg.norm(c, axis=1)) - excess)
         assert np.all(contains_many(body, far))
 
     def test_one_point_is_the_batch_row(self):
@@ -421,6 +452,27 @@ class TestNonFiniteQueries:
         batch = [[0.3, 0.2], [2.0, 0.0], [0.0, bad], [bad, 1.0]]
         with pytest.raises(ValueError, match=r"row 2 of the query, \[.*\], is not finite"):
             call(lens(), batch)
+
+    @pytest.mark.parametrize(
+        "body, x",
+        [
+            (lens(), [0.0, 1e155]),
+            (lens(), [0.0, 1e200]),
+            (lens(), [0.0, -1e200]),
+            (THREE_BALL, [1e160, 1e160, 0.0]),
+        ],
+        ids=["lens-1e155", "lens-1e200", "lens-minus-1e200", "three-ball-1e160"],
+    )
+    @pytest.mark.parametrize("call", [project_body, farthest_point], ids=["project_body", "farthest_point"])
+    def test_a_row_whose_squares_overflow_is_named(self, call, body, x):
+        # every distance overflows, and the first candidate came back
+        with pytest.raises(ValueError, match=r"^row 1 of the query, \[.*\], is too large: its squared distances overflow$"):
+            call(body, [np.zeros(body.dim), x])
+        with pytest.raises(ValueError, match=r"^row 0 of the query"):
+            call(body, x)
+
+    def test_a_row_whose_squares_fit_is_answered(self):
+        assert np.allclose(project_body(lens(), [0.0, 1e154]), [0.0, math.sqrt(0.75)], rtol=0.0, atol=1e-15)
 
     def test_a_halfspace_body_names_the_row_too(self):
         with pytest.raises(ValueError, match="row 1 of the query"):

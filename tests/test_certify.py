@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,18 +32,21 @@ from convexsmooth import (
     project_body,
     subgradient_certificate,
 )
-from convexsmooth.bodies import MEMBERSHIP_SLACK
+from convexsmooth.bodies import MEMBERSHIP_SLACK, NORMAL_ATOL
 from convexsmooth.gauge import member_gauge_derivatives
 from convexsmooth.measure import boundary_samples
+import oracle
 from helpers import (
     AXIS_CASE,
     NEAR_COPY_CASE,
     TINY_W_CASE,
     QuadraticPatch,
     ball_bodies,
+    ball_support_margins_reference,
     eq39_points_reference,
     fd_jacobian,
     halfspace_gap_reference,
+    halfspace_vertices_reference,
     pairwise_ball_support_margin,
     random_ball_body,
     unit_square,
@@ -53,6 +60,17 @@ def lens():
 THREE_BALL = BallBody(
     radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3
 )
+
+
+def _thin_lenses():
+    """Lenses of two unit balls centred at +-t along the first axis, in 2D
+    and 3D: thin ones, t from 0.99 to 0.9999, and near copies, t from
+    5e-8 to 5e-3."""
+    def lens_of(dim, t):
+        return BallBody(radius=1.0, centers=np.outer([t, -t], np.eye(dim)[0]), dim=dim)
+
+    dims = st.sampled_from([2, 3])
+    return st.one_of(st.builds(lens_of, dims, st.floats(0.99, 0.9999)), st.builds(lens_of, dims, st.floats(5e-8, 5e-3)))
 
 
 class TestSubgradientCertificate:
@@ -173,11 +191,74 @@ class TestBallSupport:
     @example(body=TINY_W_CASE, samples=8, scale=1.0)
     @example(body=NEAR_COPY_CASE, samples=8, scale=1.0)
     def test_margin_bounds_the_pairwise_margin(self, body, samples, scale):
+        # the reported margin bounds the sampled one at every radius from
+        # the body's own; the pairwise form rolls the ball with the rounded
+        # normal, whose centre is off by up to r |dv| (_normal_rounding)
         r = scale * body.radius
         report = ball_support_check(body, r, samples)
-        exact = report.worst_witness["margin"]
-        assert exact >= pairwise_ball_support_margin(body, r, samples) - 16.0 * np.finfo(float).eps * r
-        assert contains(body, report.worst_witness["tested_point"])
+        witness = report.worst_witness
+        pts, _ = boundary_samples(body, samples)
+        _, active, inverse = certify._supporting_ball_margins(body, pts)
+        rounding = r * np.max(_normal_rounding(np.count_nonzero(active, axis=1), inverse, body.dim))
+        eps = np.finfo(float).eps
+        assert witness["margin"] >= pairwise_ball_support_margin(body, r, samples) - 16.0 * eps * r - rounding
+        # the witness is a boundary sample, and its active spheres are the
+        # outermost from it, within the normal's slack
+        y = np.array(witness["boundary_point"])
+        assert contains(body, y)
+        assert np.any(np.all(pts == y, axis=1))
+        d = np.linalg.norm(y - body.centers, axis=1)
+        assert np.all(d[witness["active"]] >= np.max(d) - 2.0 * NORMAL_ATOL * body.radius)
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=st.one_of(ball_bodies(), _thin_lenses()), samples=st.integers(8, 400))
+    @example(body=NEAR_COPY_CASE, samples=8)
+    @example(body=BallBody(radius=1.0, centers=[[0.9999, 0.0], [-0.9999, 0.0]], dim=2), samples=360)
+    def test_identity_bound_is_at_least_the_farthest_point_margin(self, body, samples):
+        # the reference takes each sample's margin exactly, through the
+        # farthest point, with the rounded normal v: the exact unit normal's
+        # ball differs by R |dv| (_normal_rounding), the pick may lie up to
+        # MEMBERSHIP_SLACK R outside a ball, which moves the margin by up to
+        # that slack times 1/|n| (|x - c|^2 <= R^2 + (2 R s + s^2)/|n| for x
+        # within s of every ball), and the pick itself carries 16 ulp
+        R = body.radius
+        pts, normals = boundary_samples(body, samples)
+        bound, active, inverse = certify._supporting_ball_margins(body, pts)
+        reference, _ = ball_support_margins_reference(body, R, samples)
+        k = np.count_nonzero(active, axis=1)
+        eps = np.finfo(float).eps
+        slack = MEMBERSHIP_SLACK * R * inverse + 16.0 * eps * (R + np.linalg.norm(pts - R * normals, axis=1))
+        assert np.all(bound >= reference - R * _normal_rounding(k, inverse, body.dim) - slack)
+        report = ball_support_check(body, R, samples)
+        assert report.worst_witness["margin"] == np.max(bound)
+        assert "tested_point" not in report.worst_witness
+
+    @settings(max_examples=30, deadline=None)
+    @given(body=st.one_of(ball_bodies(), _thin_lenses()), samples=st.integers(8, 200))
+    @example(body=BallBody(radius=1.0, centers=[[0.9999, 0.0], [-0.9999, 0.0]], dim=2), samples=200)
+    def test_identity_bound_covers_its_exact_value(self, body, samples):
+        # the computed bound, rounding terms included, is at least the
+        # bound evaluated in 50 digits from the same samples and active sets
+        pts, _ = boundary_samples(body, samples)
+        bound, active, _ = certify._supporting_ball_margins(body, pts)
+        assert np.all(bound >= oracle.supporting_ball_bounds(body, pts, active))
+
+    def test_a_radius_below_the_body_s_takes_the_farthest_point(self):
+        report = ball_support_check(lens(), 0.5, 360)
+        assert not report.passed
+        margins, far = ball_support_margins_reference(lens(), 0.5, 360)
+        j = int(np.argmax(margins))
+        assert report.worst_witness["margin"] == margins[j]
+        assert report.worst_witness["tested_point"] == far[j].tolist()
+
+
+def _normal_rounding(k, inverse, dim):
+    """Bound on |v - v*|, relative, for the rounded normal v of a sample
+    with k active spheres against the exact normalized mean v* of their
+    (y - a_i)/R (see certify._supporting_ball_margins): twice the relative
+    error of the sum, (k + 1) u/|n| each way, and the rounding of the
+    normalization, with u = eps/2."""
+    return np.finfo(float).eps * ((k + 1) * np.asarray(inverse) + dim + 2)
 
 
 # ball_support_check margins of the unit square at 360 samples
@@ -257,22 +338,36 @@ class TestLevelSetFromBallSupport:
     @given(body=ball_bodies(), samples=st.integers(8, 200))
     @example(body=BallBody(radius=0.5, centers=[[0.0, 0.0], [5e-7, 0.0]], dim=2), samples=8)
     def test_margins_at_the_level_set_radius_are_at_most_those_at_R(self, body, samples):
-        # the farthest pick may lie up to MEMBERSHIP_SLACK R outside a ball,
-        # so the margins carry that slack besides rounding (certify_body's
-        # level_set_e comment); on the pinned body it shows as 1.9e-13
+        # the margins taken exactly at the level-set radius stay below the
+        # bound reported at R (certify_body's level_set_e comment), less
+        # the reference's rounding: the farthest pick may lie up to
+        # MEMBERSHIP_SLACK R outside a ball, and the rounded normal moves
+        # the centre by radius_e |dv|; on the pinned body the slack showed
+        # as 1.9e-13
         R = body.radius
         radius_e = 16.0 * R * R / body.interior_radius
-        at_R = ball_support_check(body, R, samples).worst_witness["margin"]
-        at_e = ball_support_check(body, radius_e, samples).worst_witness["margin"]
-        assert at_e <= at_R + MEMBERSHIP_SLACK * R + 8.0 * np.finfo(float).eps * radius_e
+        report = ball_support_check(body, R, samples)
+        at_R = report.worst_witness["margin"]
+        assert ball_support_check(body, radius_e, samples).worst_witness["margin"] == at_R
+        pts, _ = boundary_samples(body, samples)
+        _, active, inverse = certify._supporting_ball_margins(body, pts)
+        at_e, _ = ball_support_margins_reference(body, radius_e, samples)
+        rounding = radius_e * _normal_rounding(np.count_nonzero(active, axis=1), inverse, body.dim)
+        eps = np.finfo(float).eps
+        assert np.all(at_e <= at_R + MEMBERSHIP_SLACK * R * inverse + rounding + 8.0 * eps * radius_e)
 
-    def test_thin_lens_rounding_stays_within_eight_ulp(self):
+    def test_thin_lens_rounding_stays_within_the_normal_s_rounding(self):
+        # at radius 1600 the rounded normal's ball leaves the body by more
+        # than the bound at R, by less than 1600 |dv| (_normal_rounding)
         thin = BallBody(radius=1.0, centers=[[0.99, 0.0], [-0.99, 0.0]], dim=2)
         radius_e = 16.0 / thin.interior_radius  # 1600
         at_R = ball_support_check(thin, 1.0, 360).worst_witness["margin"]
-        at_e = ball_support_check(thin, radius_e, 360).worst_witness["margin"]
-        assert at_e > at_R  # rounding of the larger radius shows
-        assert at_e <= at_R + 8.0 * np.finfo(float).eps * radius_e
+        at_e, _ = ball_support_margins_reference(thin, radius_e, 360)
+        pts, _ = boundary_samples(thin, 360)
+        _, active, inverse = certify._supporting_ball_margins(thin, pts)
+        rounding = radius_e * _normal_rounding(np.count_nonzero(active, axis=1), inverse, 2)
+        assert np.max(at_e) > at_R  # rounding of the larger radius shows
+        assert np.all(at_e <= at_R + rounding)
 
     @pytest.mark.parametrize("body", [lens(), THREE_BALL], ids=["lens", "three-ball"])
     def test_suite_runs_one_ball_support_check(self, body, monkeypatch):
@@ -399,14 +494,44 @@ class TestCapGraph:
 
 
 @st.composite
-def _gap_bodies(draw):
+def _gap_bodies(draw, dims=(2, 3)):
     """Ball bodies of 1-12 balls, near copies and +-0.999 lenses included,
     scaled to a radius between 0.01 and 100."""
     tip = [[0.999], [-0.999]]
-    thin_lens = st.sampled_from([2, 3]).map(lambda dim: BallBody(radius=1.0, centers=tip * np.eye(1, dim), dim=dim))
-    body = draw(st.one_of(ball_bodies(max_balls=12), thin_lens))
+    thin_lens = st.sampled_from(dims).map(lambda dim: BallBody(radius=1.0, centers=tip * np.eye(1, dim), dim=dim))
+    body = draw(st.one_of(ball_bodies(dims=dims, max_balls=12), thin_lens))
     scale = 10.0 ** draw(st.floats(-2.0, 2.0)) / body.radius
     return BallBody(radius=body.radius * scale, centers=body.centers * scale, dim=body.dim)
+
+
+def _widest_turn(body, samples):
+    """The widest angle between normals of consecutive 2D boundary
+    samples, in angular order, from arctan2."""
+    _, normals = boundary_samples(body, samples)
+    angles = np.sort(np.arctan2(normals[:, 1], normals[:, 0]))
+    return float(np.max(np.diff(np.append(angles, angles[0] + 2.0 * math.pi))))
+
+
+def _every_vertex_gap(body, samples):
+    """The reconstruction gap from the projections of every vertex the
+    library builds (the unpruned form)."""
+    V = certify._reconstruction_vertices(*boundary_samples(body, samples))
+    return float(np.max(np.linalg.norm(V - project_body(body, V), axis=1)))
+
+
+def _vertex_rounding(pts, normals, V):
+    """Bound on the rounding of each closed-form 2D vertex y + t tau, with
+    s the sine of the turn and dy = y_{i+1} - y_i: to first order in the
+    unit roundoff u, the numerator <v_{i+1}, dy> carries 3 u |dy| (one
+    difference, a two-term dot product), s carries 2 u, and t = num/s
+    adds u |t|, so |dt| <= (3 |dy| + 2 |t|) u/s + u |t|; the product and
+    the sum add u |t| and u |v|, and rounding the oracle's vertex u |v|.
+    Twice that, in eps = 2u."""
+    s = np.sum(np.roll(normals, -1, axis=0) * np.column_stack([-normals[:, 1], normals[:, 0]]), axis=1)
+    dy = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    t = np.linalg.norm(V - pts, axis=1)
+    eps = np.finfo(float).eps
+    return eps * ((3.0 * dy + 2.0 * t) / s + 2.0 * t + 2.0 * np.linalg.norm(V, axis=1))
 
 
 class TestHalfspaceReconstruction:
@@ -438,9 +563,16 @@ class TestHalfspaceReconstruction:
         samples=16,
     )
     def test_pruned_gap_is_the_gap_of_every_vertex(self, body, samples):
-        gap = halfspace_reconstruction_gap(body, samples)
         fresh = BallBody(radius=body.radius, centers=body.centers, dim=body.dim)
-        assert np.float64(gap).tobytes() == np.float64(halfspace_gap_reference(fresh, samples)).tobytes()
+        if body.dim == 2 and _widest_turn(body, samples) >= math.pi:
+            # the halfspaces are unbounded, and the 2D vertices say so
+            with pytest.raises(DomainViolation, match="not in convex position"):
+                halfspace_reconstruction_gap(body, samples)
+            return
+        gap = halfspace_reconstruction_gap(body, samples)
+        assert np.float64(gap).tobytes() == np.float64(_every_vertex_gap(fresh, samples)).tobytes()
+        if body.dim == 3:
+            assert np.float64(gap).tobytes() == np.float64(halfspace_gap_reference(fresh, samples)).tobytes()
 
     @pytest.mark.parametrize(
         "radius, centers, samples",
@@ -463,7 +595,54 @@ class TestHalfspaceReconstruction:
         body = BallBody(radius=radius, centers=centers, dim=2)
         gap = halfspace_reconstruction_gap(body, samples)
         fresh = BallBody(radius=radius, centers=centers, dim=2)
-        assert np.float64(gap).tobytes() == np.float64(halfspace_gap_reference(fresh, samples)).tobytes()
+        assert np.float64(gap).tobytes() == np.float64(_every_vertex_gap(fresh, samples)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(body=_gap_bodies(dims=(2,)), samples=st.integers(4, 400))
+    @example(body=BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2), samples=360)
+    @example(body=BallBody(radius=1.0, centers=[[0.999, 0.0], [-0.999, 0.0]], dim=2), samples=400)
+    def test_2d_vertices_are_the_adjacent_support_lines_meeting_points(self, body, samples):
+        if _widest_turn(body, samples) >= math.pi:
+            return  # named by test_pruned_gap_is_the_gap_of_every_vertex
+        pts, normals = boundary_samples(body, samples)
+        V = certify._reconstruction_vertices(pts, normals)
+        exact = oracle.adjacent_line_vertices(pts, normals)
+        bound = _vertex_rounding(pts, normals, V)
+        assert np.all(np.linalg.norm(V - exact, axis=1) <= bound)
+        # qhull's vertices carry their own rounding, read off the oracle:
+        # the two gaps differ by at most both vertex errors plus the
+        # projections' rounding. Over 300 random bodies at 4-1000 samples
+        # the closed-form vertices erred by up to 0.35 of their bound (366
+        # ulp of R + max |v| at a turn near pi), qhull's by up to 1,926 ulp,
+        # and the gaps by up to 1,926 ulp, 0.39 ulp inside B + q
+        qhull = halfspace_vertices_reference(body, samples)
+        apart = np.linalg.norm(qhull[:, None] - exact[None], axis=2)
+        q = max(apart.min(axis=0).max(), apart.min(axis=1).max())
+        scale = body.radius + np.max(np.linalg.norm(V, axis=1))
+        gap = halfspace_reconstruction_gap(body, samples)
+        fresh = BallBody(radius=body.radius, centers=body.centers, dim=2)
+        eps = np.finfo(float).eps
+        assert abs(gap - halfspace_gap_reference(fresh, samples)) <= np.max(bound) + q + 8.0 * eps * scale
+
+    def test_samples_not_in_convex_position_are_named(self):
+        # at 4 samples the normals of this body turn by 203 degrees from
+        # the first sample to the second, so the halfspaces are unbounded
+        body = BallBody(radius=1.0, centers=[[0.9, 0.0], [0.48627208, 0.75732389]], dim=2)
+        assert _widest_turn(body, 4) > math.pi
+        with pytest.raises(DomainViolation, match="^boundary samples 0 and 1 are not in convex position: "):
+            halfspace_reconstruction_gap(body, 4)
+
+    def test_2d_certify_loads_no_scipy(self):
+        code = (
+            "import sys; from convexsmooth import BallBody, certify_body; "
+            "body = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2); "
+            "assert all(r.passed for r in certify_body(body, 360)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(certify.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_only_vertices_that_can_attain_the_gap_are_projected(self, monkeypatch):
         projected = []
@@ -476,6 +655,20 @@ class TestHalfspaceReconstruction:
         halfspace_reconstruction_gap(THREE_BALL, 360)
         # 21 of the 1,280 vertices, with scipy 1.17's qhull
         assert len(projected) == 1 and projected[0] < 64
+
+
+class TestScaledVerdicts:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+    @pytest.mark.parametrize("make", [lens, lambda: THREE_BALL], ids=["lens", "three-ball"])
+    def test_a_scaled_body_gets_the_unit_body_s_verdicts(self, make, scale):
+        # every tolerance scales with R; an absolute one failed the
+        # three-ball body at R = 1e8 on ball_support_b, ball_family_c and
+        # level_set_e, whose margins there are an ulp of 1e8 or two
+        unit = make()
+        body = BallBody(radius=scale * unit.radius, centers=scale * unit.centers, dim=unit.dim)
+        verdicts = {r.condition: r.passed for r in certify_body(body, 360)}
+        assert verdicts == {r.condition: r.passed for r in certify_body(unit, 360)}
+        assert all(verdicts.values())
 
 
 class TestRepresentationCheck:
