@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from . import grids
-from .errors import InvalidBody, NotBallBody
+from .errors import BracketFailure, InvalidBody, NotBallBody
 
 # Slack on |x - a_i| - R for membership tests, relative to R (to the
 # largest offset for a halfspace body). Computed boundary points land within
@@ -321,6 +321,12 @@ def _dot(x, y) -> np.ndarray:
     for k in range(3, len(x), 2):
         odd = odd + x[k] * y[k]
     return even + odd + 0.0
+
+
+def _cross(a, b) -> np.ndarray:
+    """a x b for 3D vectors laid out as for :func:`_norm`, coordinates
+    first."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
 
 def _combination(coeffs, basis) -> np.ndarray:
@@ -665,23 +671,67 @@ def farthest_point(body: Body, x) -> np.ndarray:
 
     A ball body's farthest point is :func:`_extreme_points`' pick in
     farthest mode, exact up to rounding. A halfspace body's is its farthest
-    vertex, from scipy's ``HalfspaceIntersection``; the body must be
-    bounded. A point with a coordinate that is not finite raises
-    ``ValueError`` naming its row, and so does a point of a ball body whose
-    squared distances overflow.
+    vertex, from :func:`_halfspace_vertices`, with no scipy; a halfspace
+    body whose faces bound no polytope raises :class:`BracketFailure`. A
+    point with a coordinate that is not finite raises ``ValueError``
+    naming its row, and so does a point of a ball body whose squared
+    distances overflow.
     """
     X, single = _as_rows(x, body.dim)
     if isinstance(body, BallBody):
         out, _ = _extreme_points(body, X, "farthest")
     else:
-        # imported here, so that importing the package loads no scipy
-        from scipy.spatial import HalfspaceIntersection
-
         _require_finite(X)
-        halfspaces = np.column_stack([body.normals, -body.offsets])
-        vertices = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+        vertices = _halfspace_vertices(body)
         out = vertices[np.argmax(_norm(vertices.T[:, None, :] - X.T[:, :, None]), axis=1)]
     return out[0] if single else out
+
+
+def _halfspace_vertices(body: HalfspaceBody) -> np.ndarray:
+    """Vertices of a halfspace body, (V, n): where each n of its k faces
+    meet (pairs in 2D, triples in 3D), kept when the point lies within
+    ``MEMBERSHIP_SLACK`` times the largest offset of every face. A body has
+    few faces, so all C(k, n) subsets are solved at once.
+
+    A subset whose determinant is within 4 n^2 eps of 0 is skipped: its
+    normals are unit vectors, so that is the rounding of the determinant
+    of a singular one, and its faces meet, if at all, beyond any vertex
+    the slack could keep. The faces bound a polytope exactly when they
+    admit no unbounded direction. Such a direction d has <n_k, d> <= 0 for
+    every face, and if one exists an extreme one does: the null direction
+    of n - 1 of the normals (their generalized cross product, with
+    cofactors for coordinates), of either sign. So every such direction is
+    tested, within the same rounding, and a body with one, or with no
+    vertex at all, raises :class:`BracketFailure` naming it.
+    """
+    normals, offsets = body.normals, body.offsets
+    n, faces = body.dim, range(len(offsets))
+    tiny = 4.0 * n * n * np.finfo(float).eps
+    minors = normals[_subsets(faces, n - 1)]
+    rays = np.stack([(-1.0) ** c * np.linalg.det(np.delete(minors, c, axis=2)) for c in range(n)], axis=1)
+    lengths = np.linalg.norm(rays, axis=1)
+    rays = rays[lengths > tiny] / lengths[lengths > tiny, None]
+    rays = np.concatenate([rays, -rays])
+    unbounded = np.flatnonzero(np.max(rays @ normals.T, axis=1) <= tiny)
+    if unbounded.size:
+        raise BracketFailure(
+            f"the halfspace body's faces bound no polytope: it is unbounded along {rays[unbounded[0]].tolist()}"
+        )
+    subsets = _subsets(faces, n)
+    A = normals[subsets]
+    solvable = np.abs(np.linalg.det(A)) > tiny
+    vertices = np.linalg.solve(A[solvable], offsets[subsets[solvable]][..., None])[..., 0]
+    slack = MEMBERSHIP_SLACK * float(np.max(offsets))
+    vertices = vertices[np.all(vertices @ normals.T - offsets <= slack, axis=1)]
+    if not len(vertices):
+        raise BracketFailure(f"the halfspace body's faces bound no polytope: no {n} of them meet in a vertex")
+    return vertices
+
+
+def _subsets(items, size: int) -> np.ndarray:
+    """Every ``size``-subset of ``items`` as a row, in lexicographic order."""
+    rows = list(combinations(items, size))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), size)
 
 
 def support_value(body: BallBody, direction):

@@ -25,10 +25,12 @@ point, and on a halfspace body exactly, through the body's farthest point
 from the ball's centre; gauge_sq_hessian_d evaluates each member where its
 proven minimum lies; level_set_e follows from the ball_support_b report;
 the reconstruction gap takes the vertices of the sampled halfspaces in
-closed form in 2D, with no scipy, and from qhull in 3D; the others
-sample. Margins are compared against ``CERT_TOL`` relative to the body's
-scale. Every report carries its sample count and minimum margin so
-failures are reproducible.
+closed form in 2D and, in 3D, from the icosphere's triangles made convex
+by edge flips, and its witness says which; the others sample. Only when
+the flips prove no hull does the 3D gap fall back to qhull, the one path
+of the suite that loads scipy. Margins are compared against ``CERT_TOL``
+relative to the body's scale. Every report carries its sample count and
+minimum margin so failures are reproducible.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ from functools import cache
 
 import numpy as np
 
+from . import grids
 from .bodies import (
     MEMBERSHIP_SLACK,
     BallBody,
     Body,
     HalfspaceBody,
     _active_spheres,
+    _cross,
     _dot,
     _norm,
     _require_ball,
@@ -437,8 +441,14 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     largest distance |v - p(v)| to its projection p(v) = project_body(v).
 
     In 2D the vertices are closed forms (:func:`_reconstruction_vertices`),
-    the meeting points of adjacent support lines, and no scipy is loaded;
-    in 3D they come from scipy's ``HalfspaceIntersection``.
+    the meeting points of adjacent support lines; in 3D they are the
+    meeting points of the planes of each triangle of a triangulation of
+    the samples, from the icosphere's own triangles made convex by edge
+    flips, with scipy's ``HalfspaceIntersection`` as the fallback when that
+    proves no hull. The returned float carries, as ``how``, the vertex
+    count, the count projected, the flips made and the enumeration
+    (``"adjacent_lines"``, ``"flips"`` or ``"qhull"``), which
+    :func:`certify_body` reports in its witness.
 
     Only the vertices that can attain it are projected. With
     s(v) = max_i (|v - a_i| - R)_+, every ball holds the body W, so
@@ -464,7 +474,8 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     _require_ball(body, "the reconstruction gap")
     if normal_samples < 4:
         raise ValueError("normal_samples must be >= 4")
-    vertices = _reconstruction_vertices(*boundary_samples(body, normal_samples))
+    vertices, flips, enumeration = _reconstruction_vertices(*boundary_samples(body, normal_samples))
+    count = len(vertices)
     V = np.ascontiguousarray(vertices.T)
     length = _norm(V)
     s = np.maximum(_norm(V[:, None, :] - body.centers.T[:, :, None]).max(axis=0) - body.radius, 0.0)
@@ -487,12 +498,31 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     if rho > 0.0:
         u = length * (s + tol) / (rho + s + tol)
         vertices = vertices[u >= S - (MEMBERSHIP_SLACK * body.radius + 2.0 * tol + 1e-9 * S)]
-    return float(np.max(_norm((vertices - project_body(body, vertices)).T)))
+    gap = float(np.max(_norm((vertices - project_body(body, vertices)).T)))
+    return _Gap(gap, {"vertices": count, "projected": len(vertices), "flips": flips, "enumeration": enumeration})
 
 
-def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
+class _Gap(float):
+    """A reconstruction gap, a float like any other, that also carries how
+    it was found in ``how``: the vertex count, the count projected, the
+    edge flips made and the enumeration (see
+    :func:`_reconstruction_vertices`). :func:`certify_body` reads it into
+    its witness, and still calls :func:`halfspace_reconstruction_gap` by
+    name, so that whatever wraps that name sees the call."""
+
+    how: dict
+
+    def __new__(cls, value: float, how: dict):
+        gap = super().__new__(cls, value)
+        gap.how = how
+        return gap
+
+
+def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, int, str]:
     """Vertices of the intersection of the supporting halfspaces
-    <v_i, x> <= <v_i, y_i> at boundary samples y_i with normals v_i, (V, n).
+    <v_i, x> <= <v_i, y_i> at boundary samples y_i with normals v_i, (V, n),
+    the edge flips made, and how they were found: ``"adjacent_lines"``,
+    ``"flips"`` or ``"qhull"``.
 
     In 2D the samples of :func:`convexsmooth.measure.boundary_samples` go
     counterclockwise and their normals turn monotonically, so vertex i is
@@ -505,15 +535,22 @@ def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray) -> np.ndarray
     :class:`DomainViolation` names the pair. Every term is an O(|y_{i+1} - y_i|) difference, so a vertex
     carries a few ulp of R however fine the sampling, where the same
     vertex solved from the O(R) offsets <v_i, y_i> (Cramer's rule) loses
-    their rounding over the small turn. In 3D scipy's
-    ``HalfspaceIntersection`` enumerates them, imported here, so that
-    importing the package loads no scipy.
+    their rounding over the small turn.
+
+    In 3D the samples are the vertices of an icosphere, and each vertex is
+    where the planes of one triangle of a triangulation meet, found by
+    :func:`_flipped_hull_vertices` from the icosphere's own triangles. When
+    that proves nothing, scipy's ``HalfspaceIntersection`` enumerates
+    them, imported here, so that only that fallback loads scipy.
     """
     if pts.shape[1] != 2:
+        vertices, _, flips = _flipped_hull_vertices(pts, normals)
+        if vertices is not None:
+            return vertices, flips, "flips"
         from scipy.spatial import HalfspaceIntersection
 
         halfspaces = np.column_stack([normals, -_dot(normals.T, pts.T)])
-        return HalfspaceIntersection(halfspaces, np.zeros(pts.shape[1])).intersections
+        return HalfspaceIntersection(halfspaces, np.zeros(pts.shape[1])).intersections, flips, "qhull"
     tangent = np.column_stack([-normals[:, 1], normals[:, 0]])
     following = np.roll(normals, -1, axis=0)
     turn = _dot(following.T, tangent.T)
@@ -525,7 +562,160 @@ def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray) -> np.ndarray
             "sampled halfspaces bound no polygon"
         )
     t = _dot(following.T, (np.roll(pts, -1, axis=0) - pts).T) / turn
-    return pts + t[:, None] * tangent
+    return pts + t[:, None] * tangent, 0, "adjacent_lines"
+
+
+def _flipped_hull_vertices(pts: np.ndarray, normals: np.ndarray):
+    """The 3D reconstruction vertices, (F, 3), by Lawson edge flips, the
+    sample triples (F, 3) whose planes meet at them, and the flips made;
+    None in place of the vertices and triples when no hull is proven.
+
+    By polar duality the halfspaces' intersection P has a vertex for each
+    triangle of the convex hull of the points v_i/<v_i, y_i>, so its
+    vertices are those of any triangulation of the samples whose triangles
+    are the hull's. The samples are the icosphere's vertices in grid
+    order, and its triangles are the starting guess. Each triangle (i, j, l)
+    gives the point x where its three planes meet (:func:`_face_vertices`).
+    Across the edge it shares with a triangle whose third sample is o, the
+    dual surface is convex when x lies in halfspace o:
+    <v_o, x> - <v_o, y_o> <= tau. Every edge that is not is flipped (Lawson,
+    1977: the triangles (i, j, l) and (j, i, o) become (i, o, l) and
+    (o, j, l)), a set sharing no triangle at a time; the new triangles are
+    solved and the edges of the faces they touch are tested again, until
+    none fails.
+
+    The result is accepted only as a proof. Every determinant
+    <v_i, v_j x v_l> exceeds ``_PROVEN_DET``, so each triangle keeps its
+    orientation, and the triangles' solid angles sum to 4 pi. Positive
+    triangles cover the sphere of directions a whole number of times, and
+    the sum, 4 pi times that number, says once, so the dual surface is
+    embedded and star-shaped about the origin. A closed surface that is
+    convex at every edge bounds a convex body (Tietze-Nakajima), here the
+    dual hull, so the triangles' vertices are P's. A sample count that is
+    not an icosphere's, a determinant not proven positive, more flips than
+    triangles or another covering count return None, and the caller falls
+    back to qhull.
+
+    tau bounds the rounding of the computed test at x. By
+    :func:`_face_vertices`, x is within eps (|x| + (13 + 10 kappa) Q/det) of
+    the exact meeting point. Each dot product <v_o, .> of three terms
+    rounds within 3 u of its length, u = eps/2, and the difference a u of
+    its size, which stays below the rest where it matters, so the test adds
+    2 eps (|x| + max |y|). An edge whose exact test passes is never
+    flipped, and one left standing fails by at most that rounding. Every
+    term is a length, so tau scales with the body.
+    """
+    level = grids.icosphere_level_for(len(pts))
+    if 10 * 4**level + 2 != len(pts):
+        return None, None, 0
+    faces, across = grids.icosphere_adjacency(level)
+    Y, Nm = np.ascontiguousarray(pts.T), np.ascontiguousarray(normals.T)
+    offsets = _dot(Nm, Y)
+    reach = float(np.max(_norm(Y)))
+    X, det, angle, tau = _face_vertices(Y, Nm, faces, reach)
+    flips, rows = 0, np.arange(len(faces))
+    while True:
+        if not np.all(det > _PROVEN_DET):
+            return None, None, flips
+        # <v_o, x_t> - <v_o, y_o> at each face t of rows and edge k, o the
+        # vertex across the edge
+        o = np.take(faces, across[rows])
+        excess = _dot(np.take(Nm, o, axis=1), X[:, rows, None]) - np.take(offsets, o)
+        row, side = np.nonzero(excess > tau[rows, None])
+        failing = 3 * rows[row] + side
+        if not failing.size:
+            break
+        if flips == 0:
+            faces, across = faces.copy(), across.copy()
+        flipped: set[int] = set()
+        for edge in failing.tolist():
+            t, g = edge // 3, int(across.flat[edge]) // 3
+            if t not in flipped and g not in flipped:
+                if not _flip(faces, across, edge):
+                    return None, None, flips
+                flipped.update((t, g))
+        flips += len(flipped) // 2
+        if flips > len(faces):
+            return None, None, flips
+        changed = np.fromiter(flipped, dtype=np.int64, count=len(flipped))
+        X[:, changed], det[changed], angle[changed], tau[changed] = _face_vertices(Y, Nm, faces[changed], reach)
+        # the tests that read a changed face: its own, and its neighbours'
+        rows = np.unique(np.concatenate([changed, across[changed].ravel() // 3]))
+    if abs(float(np.sum(angle)) - 4.0 * math.pi) > math.pi:
+        return None, None, flips
+    return np.ascontiguousarray(X.T), faces, flips
+
+
+# A determinant <v_i, v_j x v_l> above this is proven positive: computed as
+# <e_j, e_l x v_i> it rounds within 10 u |e_j| |e_l| (see _face_vertices),
+# and |e| <= 2 for unit normals, so 20 eps bounds the rounding; twice that.
+_PROVEN_DET = 40.0 * np.finfo(float).eps
+
+
+def _face_vertices(Y: np.ndarray, Nm: np.ndarray, faces: np.ndarray, reach: float):
+    """Where the planes <v_k, x> = <v_k, y_k> of each face (i, j, l) meet,
+    (3, F), coordinates first like Y and Nm; each face's determinant
+    det = <v_i, v_j x v_l>, (F,); the solid angle of its triangle of
+    normals, (F,); and the edge-test tolerance tau at its vertex, (F,)
+    (see :func:`_flipped_hull_vertices`; ``reach`` is max |y_k|).
+
+    In the local form x = y_i + (b_j v_l x v_i + b_l v_i x v_j)/det, with
+    b_j = <v_j, y_j - y_i> and b_l = <v_l, y_l - y_i>, like the 2D vertices,
+    so no O(R) offset is rounded. The normals enter through e_j = v_j - v_i
+    and e_l = v_l - v_i: v_l x v_i = e_l x v_i, v_i x v_j = -(e_j x v_i)
+    and det = <e_j, e_l x v_i>, the same quantities without the
+    cancellation of O(1) products down to the small turn between
+    neighbours. The solid angle is 2 atan2(det, 1 + <v_i, v_j> + <v_j, v_l>
+    + <v_l, v_i>) (Van Oosterom and Strackee), that denominator being
+    (|v_i + v_j + v_l|^2 - 1)/2 for unit normals.
+
+    Rounding, to first order in u = eps/2, with a = |e| and s = |y - y_i|:
+    each e and each y - y_i is within u of its size per coordinate; b_j is
+    within 4 u s_j (the difference, three products, two sums), each cross
+    product within 3 sqrt(3) u a, and det within (3 sqrt(3) + 4) u a_j a_l
+    <= 10 u a_j a_l. The numerator q = b_j e_l x v_i - b_l e_j x v_i is
+    within 12 u Q, Q = s_j a_l + s_l a_j, and |q| <= Q. So q/det is within
+    u (Q/det)(13 + 10 kappa), kappa = a_j a_l/det, and x, after the sum,
+    within u (|x| + (13 + 10 kappa) Q/det); tau takes twice that.
+    """
+    n, y = np.take(Nm, faces.T, axis=1), np.take(Y, faces.T, axis=1)  # coordinate, corner, face
+    ni, yi = n[:, 0], y[:, 0]
+    e, dy = n[:, 1:] - ni[:, None], y[:, 1:] - yi[:, None]  # coordinate, (j, l), face
+    lateral = _cross(e, ni[:, None])
+    b = _dot(n[:, 1:], dy)
+    det = _dot(e[:, 0], lateral[:, 1])
+    # a determinant that is not proven positive is caught by the caller
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = yi + (b[0] * lateral[:, 1] - b[1] * lateral[:, 0]) / det
+        a, s = _norm(e), _norm(dy)
+        spread = (13.0 + 10.0 * a[0] * a[1] / det) * (s[0] * a[1] + s[1] * a[0]) / det
+        tau = np.finfo(float).eps * (3.0 * _norm(x) + 2.0 * reach + spread)
+    total = ni + n[:, 1] + n[:, 2]
+    return x, det, 2.0 * np.arctan2(det, 0.5 * (_dot(total, total) - 1.0)), tau
+
+
+def _flip(faces: np.ndarray, across: np.ndarray, edge: int) -> bool:
+    """Flip edge ``edge`` = 3 t + k in place (see
+    :func:`convexsmooth.grids.icosphere_adjacency` for the tables): face
+    t = (i, j, l), with the edge from i to j, and the face g = (j, i, o)
+    across it become (i, o, l) and (o, j, l), and each of their edges gets
+    the corner across it, and gives that face its new corner. When o is l
+    the two faces share a second edge, and no flip is made: False."""
+    f, a = faces.ravel(), across.ravel()
+    t, k = divmod(edge, 3)
+    g, c = divmod(int(a[edge]), 3)
+    i, j, l = (int(f[3 * t + (k + s) % 3]) for s in range(3))
+    o = int(f[3 * g + c])
+    if o == l:
+        return False
+    jl, li = int(a[3 * t + (k + 1) % 3]), int(a[3 * t + (k + 2) % 3])
+    io, oj = int(a[3 * g + (c + 2) % 3]), int(a[3 * g + c])
+    f[3 * t : 3 * t + 3] = (i, o, l)
+    f[3 * g : 3 * g + 3] = (o, j, l)
+    for face, side, corner in ((t, 0, io), (t, 1, 3 * g + 1), (t, 2, li), (g, 0, oj), (g, 1, jl)):
+        a[3 * face + side] = corner
+        a[corner - corner % 3 + (corner % 3 + 1) % 3] = 3 * face + (side + 2) % 3
+    return True
 
 
 @cache
@@ -590,7 +780,8 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
         )
     )
 
-    gap = halfspace_reconstruction_gap(body, samples)
+    found = halfspace_reconstruction_gap(body, samples)
+    gap = float(found)
     _, cover = sample_directions(body.dim, samples)
     bound = 4.0 * body.radius**2 * cover**2 / body.interior_radius
     reports.append(
@@ -598,7 +789,7 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
             condition="halfspace_reconstruction",
             passed=gap <= bound,
             constant=gap,
-            worst_witness={"gap": gap, "discretization_bound": bound},
+            worst_witness={"gap": gap, "discretization_bound": bound, **found.how},
             samples=samples,
         )
     )

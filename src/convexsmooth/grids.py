@@ -37,10 +37,11 @@ class _Icosphere:
     verts: np.ndarray
     faces: np.ndarray
     covering_angle: float | None = None  # set by the first icosphere_covering_angle call
+    across: np.ndarray | None = None  # set by the first icosphere_adjacency call
 
 
-# one entry per level built, holding its grid and covering angle, so that
-# clearing it drops both
+# one entry per level built, holding its grid, covering angle and face
+# adjacency, so that clearing it drops them all
 _ICO_CACHE: dict[int, _Icosphere] = {}
 
 
@@ -135,6 +136,34 @@ def _covering_angle(verts: np.ndarray, faces: np.ndarray) -> float:
     n[flip] *= -1.0
     cosr = np.einsum("ij,ij->i", n, tri[:, 0])
     return float(np.max(np.arccos(np.clip(cosr, -1.0, 1.0))))
+
+
+def icosphere_adjacency(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Faces of the level-`level` icosphere and the corner across each edge.
+
+    Edge k of a face runs from its corner k to corner k + 1 (mod 3). The
+    face g that holds the same edge reversed has one corner c off it, and
+    ``across[f, k]`` is 3 g + c, so that ``faces.flat[across]`` is that
+    corner's vertex. The faces are those of :func:`icosphere`, read from
+    the level's grid without counting as an icosphere call; the table is
+    built once per level and kept with the grid. Both are read-only.
+    """
+    grid = _icosphere(level)
+    if grid.across is None:
+        grid.across = _corners_across(grid.faces)
+    return grid.faces, grid.across
+
+
+def _corners_across(faces: np.ndarray) -> np.ndarray:
+    # each directed edge a -> b, keyed a * nv + b, finds its twin b -> a at
+    # 3 g + m, whose face's corner off it is m + 2
+    nv = int(faces.max()) + 1
+    a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    order = np.argsort(a * nv + b)
+    twin = order[np.searchsorted(a * nv + b, b * nv + a, sorter=order)]
+    across = (twin - twin % 3 + (twin % 3 + 2) % 3).reshape(faces.shape)
+    across.setflags(write=False)
+    return across
 
 
 def icosphere_level_for(min_vertices: int) -> int:

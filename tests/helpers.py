@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import types
+from functools import cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -448,12 +452,33 @@ def boundary_projection_accepts(body: BallBody, x) -> bool:
 def halfspace_vertices_reference(body: BallBody, samples: int) -> np.ndarray:
     """Vertices of the sampled-halfspace intersection from scipy's
     ``HalfspaceIntersection`` in any dimension (the form
-    ``certify._reconstruction_vertices`` keeps for 3D)."""
+    ``certify._reconstruction_vertices`` falls back to in 3D)."""
     from scipy.spatial import HalfspaceIntersection
 
     pts, normals = boundary_samples(body, samples)
     halfspaces = np.column_stack([normals, -_dot(normals.T, pts.T)])
     return HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+
+
+def halfspace_body_vertices_reference(body) -> np.ndarray:
+    """Vertices of a bounded :class:`HalfspaceBody` from scipy's
+    ``HalfspaceIntersection`` (the enumeration ``farthest_point`` made before
+    it solved the face subsets itself)."""
+    from scipy.spatial import HalfspaceIntersection
+
+    halfspaces = np.column_stack([body.normals, -body.offsets])
+    return HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+
+
+@cache
+def bench_corpus() -> types.ModuleType:
+    """``bench/corpus.py``, the benchmark's seeded body generators, compiled
+    from its source, so that nothing is written under ``bench/``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    module = types.ModuleType("bench_corpus")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def halfspace_gap_reference(body: BallBody, samples: int) -> float:

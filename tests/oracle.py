@@ -59,6 +59,33 @@ def adjacent_line_vertices(pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return out
 
 
+def plane_triple_vertices(pts: np.ndarray, normals: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Where the planes <v_k, x> = <v_k, y_k> of each triple (i, j, l), a row
+    of ``faces``, meet, for 3D samples y_k with normals v_k, rounded to
+    float, (F, 3).
+
+    Solved by Cramer's rule, x = (h_i v_j x v_l + h_j v_l x v_i
+    + h_l v_i x v_j)/<v_i, v_j x v_l> with h_k = <v_k, y_k>, on the float
+    inputs, unit or not, with no rounding before the end."""
+    out = np.empty((len(faces), 3))
+    with mpmath.workdps(DIGITS):
+        rows = [
+            ([mpmath.mpf(float(c)) for c in y], [mpmath.mpf(float(c)) for c in v])
+            for y, v in zip(np.asarray(pts, dtype=float), np.asarray(normals, dtype=float))
+        ]
+        offsets = [mpmath.fsum(a * b for a, b in zip(y, v)) for y, v in rows]
+
+        def cross(a, b):
+            return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+        for f, (i, j, l) in enumerate(np.asarray(faces).tolist()):
+            vi, vj, vl = rows[i][1], rows[j][1], rows[l][1]
+            jl, li, ij = cross(vj, vl), cross(vl, vi), cross(vi, vj)
+            det = mpmath.fsum(a * b for a, b in zip(vi, jl))
+            out[f] = [float((offsets[i] * jl[c] + offsets[j] * li[c] + offsets[l] * ij[c]) / det) for c in range(3)]
+    return out
+
+
 def supporting_ball_bounds(body, pts: np.ndarray, active: np.ndarray) -> np.ndarray:
     """The supporting-ball bound E/(2R) at each boundary point y with its
     set A of active centers (rows of a boolean mask), rounded to float:

