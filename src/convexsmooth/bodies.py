@@ -52,8 +52,8 @@ def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
     return rows, v.ndim == 1
 
 
-def _frozen_array(value) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only."""
     arr.setflags(write=False)
     return arr
 
@@ -76,9 +76,9 @@ def _text_or_bool(value) -> bool:
 
 
 def _finite_array(value, name: str, ndim: int) -> np.ndarray:
-    """A body field as a float array of ``ndim`` axes (one axis fewer counts
-    as a single row), every entry a finite int or float; anything else
-    raises :class:`InvalidBody` naming the field."""
+    """A body field as a new float array of ``ndim`` axes (one axis fewer
+    counts as a single row), every entry a finite int or float; anything
+    else raises :class:`InvalidBody` naming the field."""
     expected = f"{name} must be {_FIELD_SHAPES[ndim]}"
     if _text_or_bool(value):
         raise InvalidBody(expected)
@@ -119,7 +119,7 @@ class Ball:
         center = _finite_array(self.center, "ball center", 1)
         if np.ndim(self.center) == 0:  # _finite_array takes a number as one row
             raise InvalidBody("ball center must be a list of numbers")
-        object.__setattr__(self, "center", _frozen_array(center))
+        object.__setattr__(self, "center", _read_only(center))
         if not self.radius > 0:
             raise InvalidBody("ball radius must be positive")
 
@@ -128,8 +128,17 @@ class Ball:
         return self.center.shape[0]
 
 
+class _SampleCache:
+    """Both body types' cache of the boundary samples drawn on the body, by
+    sample count (see :func:`convexsmooth.measure.boundary_samples`)."""
+
+    @cached_property
+    def _samples(self) -> dict:
+        return {}
+
+
 @dataclass(frozen=True)
-class BallBody:
+class BallBody(_SampleCache):
     """Intersection of closed balls of common radius, with 0 interior.
 
     Invariants checked at construction:
@@ -155,7 +164,7 @@ class BallBody:
 
     def __post_init__(self):
         centers = _finite_array(self.centers, "centers", 2)
-        object.__setattr__(self, "centers", _frozen_array(centers))
+        object.__setattr__(self, "centers", _read_only(centers))
         object.__setattr__(self, "radius", float(_finite_array(self.radius, "radius", 0)))
         dim = float(_finite_array(self.dim, "dim", 0))
         if not dim.is_integer():
@@ -187,12 +196,6 @@ class BallBody:
         frozen and the lattice's arrays are read-only, so it cannot go stale."""
         return _sphere_lattice(self)
 
-    @cached_property
-    def _samples(self) -> dict:
-        """Boundary samples drawn on this body, by sample count (see
-        :func:`convexsmooth.measure.boundary_samples`)."""
-        return {}
-
     @property
     def interior_radius(self) -> float:
         """rho = R - max_i |a_i|; B(0, rho) is inside the body."""
@@ -200,7 +203,7 @@ class BallBody:
 
 
 @dataclass(frozen=True)
-class HalfspaceBody:
+class HalfspaceBody(_SampleCache):
     """Intersection of halfspaces {x : <normal, x> <= offset}.
 
     Normals must be finite unit vectors of one length and every offset
@@ -217,8 +220,8 @@ class HalfspaceBody:
     def __post_init__(self):
         normals = _finite_array(self.normals, "halfspace normals", 2)
         offsets = np.atleast_1d(_finite_array(self.offsets, "halfspace offsets", 1))
-        object.__setattr__(self, "normals", _frozen_array(normals))
-        object.__setattr__(self, "offsets", _frozen_array(offsets))
+        object.__setattr__(self, "normals", _read_only(normals))
+        object.__setattr__(self, "offsets", _read_only(offsets))
         if normals.shape[0] != offsets.shape[0]:
             raise InvalidBody("normals and offsets must have equal length")
         if normals.shape[0] == 0:
@@ -234,12 +237,6 @@ class HalfspaceBody:
     @property
     def dim(self) -> int:
         return self.normals.shape[1]
-
-    @cached_property
-    def _samples(self) -> dict:
-        """Boundary samples drawn on this body, by sample count (see
-        :func:`convexsmooth.measure.boundary_samples`)."""
-        return {}
 
 
 Body = Union[BallBody, HalfspaceBody]
@@ -273,6 +270,19 @@ def _row_dots(xs: np.ndarray, A: np.ndarray) -> np.ndarray:
     for j in range(1, A.shape[1]):
         out = out + xs[..., j : j + 1] * A[:, j]
     return out
+
+
+def _face_exits(normals: np.ndarray, rooms, V: np.ndarray) -> np.ndarray:
+    """Where the ray along each row v of V leaves a halfspace body: the least
+    room_k/<n_k, v> over the faces k it meets, whose <n_k, v> exceeds 1e-14,
+    else inf. rooms[k] is face k's offset less <n_k, x> at the ray's start x,
+    a number when the rays start at the origin, else a row (N,). The minimum
+    runs one face at a time over every ray."""
+    exits = np.full(len(V), np.inf)
+    with np.errstate(divide="ignore"):
+        for room, rate in zip(rooms, normals @ V.T):
+            np.minimum(exits, np.where(rate > 1e-14, room / rate, np.inf), out=exits)
+    return exits
 
 
 # Rows of the membership table built at a time: points times centers in
@@ -504,9 +514,7 @@ def _sphere_lattice(body: BallBody) -> SphereLattice:
         spans.append(span)
         normals.append(normal)
     parts = [np.concatenate(p) for p in (centres, radii, spans, normals)]
-    parts = [np.ascontiguousarray(np.moveaxis(p, 0, -1)) for p in parts]
-    for arr in parts:
-        arr.setflags(write=False)
+    parts = [_read_only(np.ascontiguousarray(np.moveaxis(p, 0, -1))) for p in parts]
     return SphereLattice(*parts, balls=m)
 
 
@@ -597,7 +605,8 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     :class:`SphereLattice`. In ``"nearest"`` mode the rows of W are query
     points x, and each sphere gives c_S + r_S w/|w| with w the part
     orthogonal to V_S of x - c_S. In ``"support"`` mode the rows are
-    directions u, and w is the part of u orthogonal to V_S. In
+    nonzero directions u (:func:`support_value`, the mode's one caller,
+    refuses a zero row by name), and w is the part of u orthogonal to V_S. In
     ``"farthest"`` mode the rows are points c, and each sphere gives both
     c_S + r_S u and c_S - r_S u, with u the unit direction of c - c_S
     within V_S's complement, taken from its coordinates in the complement
@@ -689,8 +698,8 @@ def farthest_point(body: Body, x) -> np.ndarray:
 
 def _halfspace_vertices(body: HalfspaceBody) -> np.ndarray:
     """Vertices of a halfspace body, (V, n): where each n of its k faces
-    meet (pairs in 2D, triples in 3D), kept when the point lies within
-    ``MEMBERSHIP_SLACK`` times the largest offset of every face. A body has
+    meet (pairs in 2D, triples in 3D), kept when the point lies in the body
+    by :func:`contains_many`'s rule. A body has
     few faces, so all C(k, n) subsets are solved at once.
 
     A subset whose determinant is within 4 n^2 eps of 0 is skipped: its
@@ -721,8 +730,7 @@ def _halfspace_vertices(body: HalfspaceBody) -> np.ndarray:
     A = normals[subsets]
     solvable = np.abs(np.linalg.det(A)) > tiny
     vertices = np.linalg.solve(A[solvable], offsets[subsets[solvable]][..., None])[..., 0]
-    slack = MEMBERSHIP_SLACK * float(np.max(offsets))
-    vertices = vertices[np.all(vertices @ normals.T - offsets <= slack, axis=1)]
+    vertices = vertices[contains_many(body, vertices)]
     if not len(vertices):
         raise BracketFailure(f"the halfspace body's faces bound no polytope: no {n} of them meet in a vertex")
     return vertices

@@ -51,11 +51,12 @@ from .bodies import (
     _cross,
     _dot,
     _norm,
+    _read_only,
     _require_ball,
     farthest_point,
 )
 from .errors import DomainViolation, InsufficientData
-from .gauge import attaining_members, gauge_lipschitz_bound, member_gauge_derivatives
+from .gauge import gauge_lipschitz_bound, member_gauge_derivatives
 from .measure import boundary_samples, sample_directions
 from .project import project_body
 
@@ -356,6 +357,21 @@ def level_set_radius(lipschitz: float, eta: float) -> float:
     return lipschitz / eta
 
 
+def _cap_point(R: float, xi_y, z) -> tuple[float, np.ndarray, np.ndarray]:
+    """|xi|^2, w = z + R xi and R^2 - |w|^2 at the offset z or at each row
+    of an (N, n) array of offsets; raises :class:`DomainViolation` unless
+    |xi| < 1 and every w lies in the open cap |w| < R."""
+    xi = np.asarray(xi_y, dtype=float)
+    xin = float(xi @ xi)
+    if xin >= 1.0:
+        raise DomainViolation("|xi_y| must be < 1")
+    w = np.asarray(z, dtype=float) + R * xi
+    rad = R * R - np.einsum("...i,...i->...", w, w)
+    if np.any(rad <= 0.0):
+        raise DomainViolation("offset leaves the open cap |z + R xi| < R")
+    return xin, w, rad
+
+
 def cap_graph_height(R: float, xi_y, z) -> float:
     """Height of the spherical-cap graph touching the origin with slope data xi_y.
 
@@ -364,28 +380,14 @@ def cap_graph_height(R: float, xi_y, z) -> float:
         f(z) = R sqrt(1 - |xi|^2) - sqrt(R^2 - |z + R xi|^2),
     which vanishes at z = 0.
     """
-    xi = np.asarray(xi_y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    xin = float(xi @ xi)
-    if xin >= 1.0:
-        raise DomainViolation("|xi_y| must be < 1")
-    w = z + R * xi
-    rad = R * R - float(w @ w)
-    if rad <= 0.0:
-        raise DomainViolation("offset leaves the open cap |z + R xi| < R")
+    xin, _, rad = _cap_point(R, xi_y, z)
     return R * math.sqrt(1.0 - xin) - math.sqrt(rad)
 
 
 def cap_graph_hessian(R: float, xi_y, z) -> np.ndarray:
     """Closed-form Hessian of the spherical-cap graph at offset z."""
-    xi = np.asarray(xi_y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    w = z + R * xi
-    rad = R * R - float(w @ w)
-    if rad <= 0.0:
-        raise DomainViolation("offset leaves the open cap |z + R xi| < R")
-    n = len(w)
-    return (np.outer(w, w) + rad * np.eye(n)) / rad**1.5
+    _, w, rad = _cap_point(R, xi_y, z)
+    return (np.outer(w, w) + rad * np.eye(len(w))) / rad**1.5
 
 
 def cap_graph_hessian_check(R: float, xi_y, z_offsets) -> CertificateReport:
@@ -397,30 +399,17 @@ def cap_graph_hessian_check(R: float, xi_y, z_offsets) -> CertificateReport:
     """
     if not R > 0:
         raise ValueError("R must be positive")
-    xi = np.asarray(xi_y, dtype=float)
-    if float(xi @ xi) >= 1.0:
-        raise DomainViolation("|xi_y| must be < 1")
-    offsets = [np.asarray(z, dtype=float) for z in z_offsets]
-    if not offsets:
+    offsets = np.array([np.asarray(z, dtype=float) for z in z_offsets])
+    if not len(offsets):
         raise InsufficientData("need at least 1 offset")
+    _, w, rad = _cap_point(R, xi_y, offsets)
     floor = 1.0 / R
-    worst = np.inf
-    witness: dict = {}
-    for z in offsets:
-        w = z + R * xi
-        rad = R * R - float(w @ w)
-        if rad <= 0.0:
-            raise DomainViolation("offset leaves the open cap |z + R xi| < R")
-        radial = R * R / rad**1.5
-        tangential = 1.0 / math.sqrt(rad)
-        lam = min(radial, tangential) if len(w) > 1 else radial
-        if lam < worst:
-            worst = lam
-            witness = {
-                "offset": z.tolist(),
-                "min_eigenvalue": lam,
-                "margin": lam - floor,
-            }
+    lam = R * R / rad**1.5
+    if w.shape[1] > 1:
+        lam = np.minimum(lam, 1.0 / np.sqrt(rad))
+    k = int(np.argmin(lam))
+    worst = float(lam[k])
+    witness = {"offset": offsets[k].tolist(), "min_eigenvalue": worst, "margin": worst - floor}
     return CertificateReport(
         condition="cap_graph_a",
         passed=worst >= floor - CERT_TOL / R,
@@ -591,10 +580,9 @@ def _flipped_hull_vertices(pts: np.ndarray, normals: np.ndarray):
     the sum, 4 pi times that number, says once, so the dual surface is
     embedded and star-shaped about the origin. A closed surface that is
     convex at every edge bounds a convex body (Tietze-Nakajima), here the
-    dual hull, so the triangles' vertices are P's. A sample count that is
-    not an icosphere's, a determinant not proven positive, more flips than
-    triangles or another covering count return None, and the caller falls
-    back to qhull.
+    dual hull, so the triangles' vertices are P's. A determinant not proven
+    positive, more flips than triangles or another covering count return
+    None, and the caller falls back to qhull.
 
     tau bounds the rounding of the computed test at x. By
     :func:`_face_vertices`, x is within eps (|x| + (13 + 10 kappa) Q/det) of
@@ -605,10 +593,7 @@ def _flipped_hull_vertices(pts: np.ndarray, normals: np.ndarray):
     flipped, and one left standing fails by at most that rounding. Every
     term is a length, so tau scales with the body.
     """
-    level = grids.icosphere_level_for(len(pts))
-    if 10 * 4**level + 2 != len(pts):
-        return None, None, 0
-    faces, across = grids.icosphere_adjacency(level)
+    faces, across = grids.icosphere_adjacency(grids.icosphere_level_for(len(pts)))
     Y, Nm = np.ascontiguousarray(pts.T), np.ascontiguousarray(normals.T)
     offsets = _dot(Nm, Y)
     reach = float(np.max(_norm(Y)))
@@ -730,8 +715,7 @@ def _eq39_points(dim: int) -> np.ndarray:
     for k in range(48):
         u = rng.standard_normal(dim)
         x[k] = u / np.linalg.norm(u) * rng.uniform(0.3, 1.6)
-    x.setflags(write=False)
-    return x
+    return _read_only(x)
 
 
 def certify_body(body: Body, samples: int) -> list[CertificateReport]:
@@ -746,15 +730,14 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
         return [ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)]
     floor = 1.0 / (2.0 * body.radius**2)
 
-    # the squared gauge and, as its subgradient, that of the first attaining
-    # member, at eq39's 48 points
+    # the squared gauge and, as its subgradient, that of the first member
+    # attaining the maximum, at eq39's 48 points
     x = _eq39_points(body.dim) * body.radius
     values, grads, _ = member_gauge_derivatives(body, x)
-    member = np.argmax(attaining_members(values), axis=1)
+    member = np.argmax(values, axis=1)
     value = values[np.arange(48), member]
-    squared = np.max(values, axis=1) ** 2
     subgrads = 2.0 * value[:, None] * grads[np.arange(48), member]
-    reports = [subgradient_certificate(zip(x, squared, subgrads), eta=floor)]
+    reports = [subgradient_certificate(zip(x, value**2, subgrads), eta=floor)]
 
     report_b = ball_support_check(body, body.radius, samples)
     reports += [report_b, ball_family_check(body, samples), gauge_sq_hessian_check(body)]

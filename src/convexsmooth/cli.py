@@ -7,15 +7,18 @@ Commands::
     convexsmooth measure --input body.json --output outdir [--resolution N]
     convexsmooth probe   --input probe.json --output outdir [--resolution N]
 
-Each command parses, makes one library call and writes what it returns:
-``certify`` runs ``certify_body`` (eq39, ball_support_b, ball_family_c,
-gauge_sq_hessian_d, level_set_e, whose radius ``certify`` sets, and
-halfspace_reconstruction on a ball body; ball_support_b at R = 1, 10, 100
-on a halfspace body), ``smooth`` ``extract_smoothed_body``, the level-1
-body of the blended squared gauge, whose only width knob is --delta and
-whose checks carry the verdict, ``measure`` ``boundary_mesh`` and
-``probe`` ``boundary_surjectivity_probe``. An unset delta or mesh
-resolution takes the library's default.
+:func:`run` reads and parses the input once, hands it to the command's
+runner, which makes one library call and returns its verdict and report
+fields, and writes ``report.json`` once, after the computation; ``smooth``
+and ``measure`` write their mesh just before it. ``certify`` runs
+``certify_body`` (eq39, ball_support_b, ball_family_c, gauge_sq_hessian_d,
+level_set_e, whose radius ``certify`` sets, and halfspace_reconstruction
+on a ball body; ball_support_b at R = 1, 10, 100 on a halfspace body),
+``smooth`` ``extract_smoothed_body``, the level-1 body of the blended
+squared gauge, whose only width knob is --delta and whose checks carry
+the verdict, ``measure`` ``boundary_mesh`` and ``probe``
+``boundary_surjectivity_probe``. An unset delta or mesh resolution takes
+the library's default.
 
 Exit codes: 0 all-pass/success, 1 failed certificate or unmet epsilon
 bound, 2 input or validation errors, a flag the command does not read
@@ -85,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(config: RunConfig, report: dict) -> None:
-    outdir = Path(config.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    (outdir / "report.json").write_text(text)
-
-
 def _write_mesh(config: RunConfig, mesh: meas.BoundaryMesh) -> str:
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -104,25 +100,19 @@ def _write_mesh(config: RunConfig, mesh: meas.BoundaryMesh) -> str:
     return path.name
 
 
-def _run_certify(config: RunConfig) -> int:
-    body = body_from_json(json.loads(Path(config.input).read_text()))
-    samples = DEFAULT_SAMPLES if config.resolution is None else config.resolution
-    reports = cert.certify_body(body, samples)
+def _sample_count(config: RunConfig) -> int:
+    """certify's samples and probe's rays: --resolution, else DEFAULT_SAMPLES."""
+    return DEFAULT_SAMPLES if config.resolution is None else config.resolution
+
+
+def _run_certify(config: RunConfig, data) -> tuple[bool, dict]:
+    reports = cert.certify_body(body_from_json(data), _sample_count(config))
     passed = all(r.passed for r in reports)
-    _write_report(
-        config,
-        {
-            "command": "certify",
-            "config": asdict(config),
-            "reports": [r.to_json() for r in reports],
-            "passed": passed,
-        },
-    )
-    return 0 if passed else 1
+    return passed, {"reports": [r.to_json() for r in reports], "passed": passed}
 
 
-def _run_smooth(config: RunConfig) -> int:
-    body = body_from_json(json.loads(Path(config.input).read_text()))
+def _run_smooth(config: RunConfig, data) -> tuple[bool, dict]:
+    body = body_from_json(data)
     smoothed = smth.extract_smoothed_body(
         body, delta=config.delta, epsilon=config.epsilon, resolution=config.resolution
     )
@@ -130,51 +120,34 @@ def _run_smooth(config: RunConfig) -> int:
     summary = {"delta": smoothed.gauge.delta}
     summary.update((key, checks[key]) for key in _SMOOTH_SUMMARY)
     mesh_file = _write_mesh(config, smoothed.meshes[1])
-    _write_report(
-        config,
-        {
-            "command": "smooth",
-            "config": asdict(config),
-            "summary": summary,
-            "smoothed_body": smoothed.to_json(),
-            "mesh_file": mesh_file,
-        },
-    )
-    return 0 if checks["passed"] else 1
+    return checks["passed"], {
+        "summary": summary,
+        "smoothed_body": smoothed.to_json(),
+        "mesh_file": mesh_file,
+    }
 
 
-def _run_measure(config: RunConfig) -> int:
-    body = body_from_json(json.loads(Path(config.input).read_text()))
-    mesh = meas.boundary_mesh(body, config.resolution)
-    mesh_file = _write_mesh(config, mesh)
-    _write_report(
-        config,
-        {
-            "command": "measure",
-            "config": asdict(config),
-            "summary": {
-                "boundary_measure": meas.hausdorff_measure(mesh),
-                "directions": len(mesh.points),
-                "facets": len(mesh.facets),
-            },
-            "mesh_file": mesh_file,
-        },
-    )
-    return 0
+def _run_measure(config: RunConfig, data) -> tuple[bool, dict]:
+    mesh = meas.boundary_mesh(body_from_json(data), config.resolution)
+    summary = {
+        "boundary_measure": meas.hausdorff_measure(mesh),
+        "directions": len(mesh.points),
+        "facets": len(mesh.facets),
+    }
+    return True, {"summary": summary, "mesh_file": _write_mesh(config, mesh)}
 
 
-def _run_probe(config: RunConfig) -> int:
-    data = json.loads(Path(config.input).read_text())
+def _run_probe(config: RunConfig, data) -> tuple[bool, dict]:
     if not isinstance(data, dict) or "inner" not in data or "outer" not in data:
         raise InvalidBody('probe input must be {"inner": <body>, "outer": <body>}')
     inner = body_from_json(data["inner"])
     outer = body_from_json(data["outer"])
-    rays = DEFAULT_SAMPLES if config.resolution is None else config.resolution
-    _, report = proj.boundary_surjectivity_probe(inner, outer, rays)
-    _write_report(config, {"command": "probe", "config": asdict(config), "summary": report})
-    return 0 if report["passed"] else 1
+    _, report = proj.boundary_surjectivity_probe(inner, outer, _sample_count(config))
+    return report["passed"], {"summary": report}
 
 
+# Each runner takes the config and the parsed input, makes its library call and
+# returns whether it passed and its report fields; run adds "command" and "config"
 _RUNNERS = {
     "certify": _run_certify,
     "smooth": _run_smooth,
@@ -186,10 +159,16 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
-        return _RUNNERS[config.command](config)
+        data = json.loads(Path(config.input).read_text())
+        passed, fields = _RUNNERS[config.command](config, data)
+        report = {"command": config.command, "config": asdict(config), **fields}
+        outdir = Path(config.output)
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except (ConvexSmoothError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:

@@ -52,9 +52,12 @@ class GaugeEval:
     hess_sq: np.ndarray
 
 
-def _ball_k(ball: Ball) -> float:
-    k = ball.radius**2 - float(ball.center @ ball.center)
-    if k <= 0.0:
+def _positive_k(radius: float, centers) -> np.ndarray:
+    """k_i = R^2 - |a_i|^2 of each center a_i, (m,), rounded alike for a lone
+    ball and a body's member; it cancels badly as |a_i| -> R. Raises
+    :class:`DegenerateBall` unless every k_i is positive."""
+    k = radius**2 - np.array([float(c @ c) for c in centers])
+    if np.any(k <= 0.0):
         raise DegenerateBall(
             "radius^2 - |center|^2 must be positive (origin interior to ball)"
         )
@@ -67,7 +70,7 @@ def ball_gauge(ball: Ball, x) -> float | np.ndarray:
     Evaluated in a cancellation-free arrangement: for <x, a> >= 0 the
     equivalent form |x|^2 / (sqrt(<x,a>^2 + k|x|^2) + <x,a>) is used.
     """
-    k = _ball_k(ball)
+    k = _positive_k(ball.radius, [ball.center])[0]
     a = ball.center
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 1
@@ -89,7 +92,7 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
     squared gauge is differentiable everywhere and its Hessian here is
     symmetric with minimum eigenvalue >= 2/(R + |a|)^2 >= 1/(2 R^2).
     """
-    k = _ball_k(ball)
+    k = _positive_k(ball.radius, [ball.center])[0]
     a = ball.center
     x = _as_vector(x, ball.dim)
     n = ball.dim
@@ -114,20 +117,11 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
 
 
 def _member_arrays(body: BallBody) -> tuple[np.ndarray, np.ndarray]:
-    """Centers (m, n) and k_i = R^2 - |a_i|^2 (m,) of every member ball.
-
-    k_i is formed exactly as :func:`ball_gauge` forms it: it cancels badly
-    as |a_i| -> R, and the two kernels must round it alike to agree. A body
-    other than a ball body raises :class:`NotBallBody`.
-    """
+    """Centers (m, n) and k_i = R^2 - |a_i|^2 (m,) of every member ball,
+    k_i from :func:`_positive_k`, as :func:`ball_gauge` takes it. A body
+    other than a ball body raises :class:`NotBallBody`."""
     _require_ball(body, "the member gauges")
-    centers = body.centers
-    k = body.radius**2 - np.array([float(c @ c) for c in centers])
-    if np.any(k <= 0.0):
-        raise DegenerateBall(
-            "radius^2 - |center|^2 must be positive (origin interior to ball)"
-        )
-    return centers, k
+    return body.centers, _positive_k(body.radius, body.centers)
 
 
 def _squared_norms(xs):

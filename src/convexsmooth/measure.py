@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import _text, grids
-from .bodies import BallBody, HalfspaceBody, outward_normal
+from .bodies import BallBody, HalfspaceBody, _face_exits, _read_only, outward_normal
 from .errors import BracketFailure, GridMismatch, InvalidBody
 from .gauge import body_gauge_values
 
@@ -65,11 +65,6 @@ class BoundaryMesh:
     @cached_property
     def facet_measures(self) -> np.ndarray:
         return _read_only(facet_measures(self.points, self.facets))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -167,21 +162,18 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
     A ball body's gauge is 1-homogeneous, so the radius is 1/mu(u), with
     mu from :func:`convexsmooth.gauge.body_gauge_values` (one member at a
     time). A halfspace body's is the nearest face, min offset/<normal, u>
-    over the faces the ray meets (<normal, u> > 1e-14), taken as a running
-    minimum one face at a time over every direction. The work loops over
-    the few members or faces and is vectorized over the many directions,
-    so memory stays a small multiple of the result, apart from the (k, N)
-    face denominators. Raises :class:`BracketFailure` when a halfspace
-    body is unbounded along some direction.
+    over the faces the ray meets, by :func:`convexsmooth.bodies._face_exits`
+    (a running minimum, one face at a time over every direction). The work
+    loops over the few members or faces and is vectorized over the many
+    directions, so memory stays a small multiple of the result, apart from
+    the (k, N) face denominators. Raises :class:`BracketFailure` when a
+    halfspace body is unbounded along some direction.
     """
     dirs = np.asarray(directions, dtype=float)
     if isinstance(body, BallBody):
         return 1.0 / body_gauge_values(body, dirs)
     if isinstance(body, HalfspaceBody):
-        radii = np.full(len(dirs), np.inf)
-        with np.errstate(divide="ignore"):
-            for offset, d in zip(body.offsets, body.normals @ dirs.T):
-                np.minimum(radii, np.where(d > 1e-14, offset / d, np.inf), out=radii)
+        radii = _face_exits(body.normals, body.offsets, dirs)
         if not np.all(np.isfinite(radii)):
             raise BracketFailure("halfspace body is unbounded along some ray")
         return radii
@@ -204,10 +196,8 @@ def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     drawn = body._samples.get(samples)
     if drawn is None:
         dirs, _ = sample_directions(body.dim, samples)
-        pts = radial_function(body, dirs)[:, None] * dirs
-        drawn = (pts, outward_normal(body, pts))
-        for arr in drawn:
-            arr.setflags(write=False)
+        pts = _read_only(radial_function(body, dirs)[:, None] * dirs)
+        drawn = (pts, _read_only(outward_normal(body, pts)))
         body._samples[samples] = drawn
     return drawn
 

@@ -34,9 +34,9 @@ from .bodies import (
     _as_vector,
     _dot,
     _extreme_points,
+    _face_exits,
     _norm,
     _require_ball,
-    _row_dots,
     contains_many,
 )
 from .errors import InvalidBody, OutsideDomain, RayMiss
@@ -141,11 +141,11 @@ def _ray_exits(body: Body, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     A ball body: the smallest over balls of the positive root of
     |x + t v - a_i|^2 = R^2, t = -b + sqrt(b^2 - c) with b = <v, x - a_i>
     and c = |x - a_i|^2 - R^2, taken as -c / (b + sqrt(b^2 - c)) when b > 0
-    to avoid cancellation. A halfspace body: the smallest
-    (o - <n, x>)/<n, v> over the faces the ray meets, <n, v> > 1e-14 as in
-    :func:`convexsmooth.measure.radial_function`, and inf when there is
-    none. Points within the membership slack outside have c > 0 or a
-    negative numerator; b^2 - c and t are clamped at 0 for them.
+    to avoid cancellation. A halfspace body: the nearest face, by
+    :func:`convexsmooth.bodies._face_exits` as in :func:`.radial_function`,
+    so rays from the origin get its radii to the bit. Points within the
+    membership slack outside have c > 0 or a negative numerator; b^2 - c
+    and t are clamped at 0 for them.
     """
     if isinstance(body, BallBody):
         w = x.T[:, :, None] - body.centers.T[:, None, :]
@@ -153,14 +153,10 @@ def _ray_exits(body: Body, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         c = _dot(w, w) - body.radius**2
         root = np.sqrt(np.maximum(b * b - c, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(b > 0.0, -c / (b + root), root - b)
+            t = np.min(np.where(b > 0.0, -c / (b + root), root - b), axis=1)
     else:
-        rate = _row_dots(v, body.normals)
-        with np.errstate(divide="ignore"):
-            t = np.where(
-                rate > 1e-14, (body.offsets - _row_dots(x, body.normals)) / rate, np.inf
-            )
-    return np.maximum(np.min(t, axis=1), 0.0)
+        t = _face_exits(body.normals, body.offsets[:, None] - body.normals @ x.T, v)
+    return np.maximum(t, 0.0)
 
 
 def boundary_surjectivity_probe(

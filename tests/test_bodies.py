@@ -588,23 +588,36 @@ class TestExtremePointEngine:
     @example(body=AXIS_CASE, seed=0)
     @example(body=TINY_W_CASE, seed=0)
     @example(body=NEAR_COPY_CASE, seed=0)
+    # a zero direction in support mode once met no feasible candidate here
+    @example(
+        body=BallBody(
+            radius=1.0, centers=[[0.9, 0.0], [-0.89, 0.0], [0.9, 0.0], [-0.41573069, 0.90838813]], dim=2
+        ),
+        seed=0,
+    )
     def test_bit_equal_to_the_einsum_and_norm_forms(self, body, seed):
+        # support mode takes nonzero directions (support_value refuses the
+        # zero rows by name); the other modes take every row, zeros included
         x = extreme_queries(body, seed)
+        u = x[np.linalg.norm(x, axis=1) > 0.0]
         for mode in MODES:
-            cand, feasible = bodies._candidates(body._lattice, x, mode)
-            ref_cand, ref_feasible = extreme_points_reference(body, x, mode)
+            rows = u if mode == "support" else x
+            cand, feasible = bodies._candidates(body._lattice, rows, mode)
+            ref_cand, ref_feasible = extreme_points_reference(body, rows, mode)
             assert np.moveaxis(cand, 0, -1).tobytes() == ref_cand.tobytes(), mode
             assert np.array_equal(feasible, ref_feasible), mode
-            points, scores = bodies._extreme_points(body, x, mode)
-            ref_points, ref_scores = extreme_picks_reference(body, x, mode)
+            points, scores = bodies._extreme_points(body, rows, mode)
+            ref_points, ref_scores = extreme_picks_reference(body, rows, mode)
             assert points.tobytes() == ref_points.tobytes(), mode
             assert scores.tobytes() == ref_scores.tobytes(), mode
         assert np.array_equal(contains_many(body, x), contains_many_reference(body, x))
         assert project_body(body, x).tobytes() == project_body_reference(body, x).tobytes()
         far = extreme_picks_reference(body, x, "farthest")[0]
         assert farthest_point(body, x).tobytes() == far.tobytes()
-        u = x[np.linalg.norm(x, axis=1) > 0.0]
         assert support_value(body, u).tobytes() == support_value_reference(body, u).tobytes()
+        # rows 28 and 29 of the queries are the origin
+        with pytest.raises(ValueError, match="direction 28 is zero"):
+            support_value(body, x)
         # boundary points: samples, and projections of points 3 R out
         pts, normals = boundary_samples(body, 40)
         y = np.vstack([pts, project_body(body, 3.0 * body.radius * u / np.linalg.norm(u, axis=1)[:, None])])

@@ -486,11 +486,24 @@ class TestCapGraph:
         with pytest.raises(InsufficientData):
             cap_graph_hessian_check(1.0, np.zeros(2), [])
 
-    def test_domain_violation(self):
-        with pytest.raises(DomainViolation):
-            cap_graph_hessian_check(1.0, np.zeros(2), [np.array([2.0, 0.0])])
-        with pytest.raises(DomainViolation):
-            cap_graph_height(1.0, np.array([1.5, 0.0]), np.zeros(2))
+    @pytest.mark.parametrize(
+        "xi, z, message",
+        [
+            ([1.2, 0.0], [-0.5, 0.0], "|xi_y| must be < 1"),
+            ([0.0, 0.0], [2.0, 0.0], "offset leaves the open cap |z + R xi| < R"),
+        ],
+        ids=["slope-outside-the-unit-ball", "offset-outside-the-cap"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [cap_graph_height, cap_graph_hessian, lambda R, xi, z: cap_graph_hessian_check(R, xi, [z])],
+        ids=["height", "hessian", "check"],
+    )
+    def test_domain_violation(self, call, xi, z, message):
+        # the three share one domain check; the Hessian once skipped |xi| < 1
+        # (w = (0.7, 0) lies in the cap here) and returned a matrix
+        with pytest.raises(DomainViolation, match=f"^{re.escape(message)}$"):
+            call(1.0, np.array(xi), np.array(z))
 
 
 @st.composite

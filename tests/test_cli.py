@@ -215,6 +215,36 @@ def test_non_finite_delta_exits_2(delta, ball_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("certify", ["--resolution", "5"], "samples must be >= 8"),
+        ("smooth", ["--epsilon", "0.4"], "epsilon must lie in (0, 1/4)"),
+        ("measure", [], "halfspace body is unbounded along some ray"),
+        ("probe", [], "lies outside the outer body"),
+    ],
+)
+def test_a_run_that_exits_2_writes_no_report_and_no_mesh(
+    command, flags, message, lens_file, square_file, tmp_path, capsys
+):
+    # each fails in its library call, after the input is read: the report,
+    # and smooth's and measure's mesh, are written only after that call
+    path = lens_file
+    if command == "measure":
+        data = json.loads(square_file.read_text())
+        data["halfspaces"].pop()
+        square_file.write_text(json.dumps(data))
+        path = square_file
+    elif command == "probe":
+        path = tmp_path / "probe.json"
+        outer = {"dim": 2, "radius": 0.5, "centers": [[0.0, 0.0]]}
+        path.write_text(json.dumps({"inner": json.loads(lens_file.read_text()), "outer": outer}))
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--output", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reports_are_deterministic(lens_file, tmp_path):
     out = tmp_path / "out"
     args = [

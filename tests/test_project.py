@@ -13,15 +13,16 @@ from convexsmooth import (
     boundary_mesh,
     boundary_projection,
     boundary_surjectivity_probe,
+    body_from_json,
     contains,
     project_ball,
     project_body,
 )
 from convexsmooth.bodies import MEMBERSHIP_SLACK
 from convexsmooth.gauge import body_gauge_values
-from convexsmooth.measure import boundary_samples
+from convexsmooth.measure import boundary_samples, radial_function, sample_directions
 from convexsmooth.project import PROBE_GAP_THRESHOLD, _ray_exits
-from helpers import ball_bodies, boundary_cloud, boundary_projection_accepts, brute_distance
+from helpers import ball_bodies, bench_corpus, boundary_cloud, boundary_projection_accepts, brute_distance
 
 
 def lens():
@@ -313,6 +314,24 @@ class TestSurjectivityProbe:
             excess = np.max(hits @ outer.normals.T - outer.offsets, axis=1)
             scale = np.max(outer.offsets)
         assert np.max(np.abs(excess)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda corpus, rng: corpus.polygon_2d(rng),
+            lambda corpus, rng: corpus.box(rng, 2, 0.5, 1.5),
+            lambda corpus, rng: corpus.box(rng, 3, 0.5, 1.5),
+        ],
+        ids=["polygon", "box-2d", "box-3d"],
+    )
+    def test_exits_from_the_origin_are_the_radial_function_s(self, make, seed):
+        # the probe's rays and measure's radii leave a halfspace body by one
+        # face rule; the probe's own dot products once moved the exits by up
+        # to 4.3e-16 relative
+        body = body_from_json(make(bench_corpus(), np.random.default_rng(seed)))
+        u, _ = sample_directions(body.dim, 360)
+        assert _ray_exits(body, np.zeros_like(u), u).tobytes() == radial_function(body, u).tobytes()
 
     @pytest.mark.parametrize(
         "normals",
