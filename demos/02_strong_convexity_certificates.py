@@ -23,7 +23,6 @@ from convexsmooth import (
     member_gauge_derivatives,
     subgradient_certificate,
 )
-from convexsmooth.gauge import attaining_members
 
 lens = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0]], dim=2)
 square = HalfspaceBody(
@@ -70,12 +69,13 @@ print(
 # --- the subgradient inequality --------------------------------------------
 # strong convexity of a function is quadratic growth above every tangent;
 # realize it for the squared body gauge with its curvature floor; an
-# attaining member's gradient is a subgradient of the body gauge
+# attaining member's gradient is a subgradient of the body gauge: here the
+# first one that attains the maximum
 rng = np.random.default_rng(0)
 xs = rng.standard_normal((40, 2)) * rng.uniform(0.3, 1.5, size=(40, 1))
 mus, grads, _ = member_gauge_derivatives(lens, xs)
 rows = np.arange(len(xs))
-first = np.argmax(attaining_members(mus), axis=1)
+first = np.argmax(mus, axis=1)
 mu = mus[rows, first]
 pts = list(zip(xs, mu**2, 2 * mu[:, None] * grads[rows, first]))
 print("subgradient inequality at eta = 0.5:", subgradient_certificate(pts, 0.5).passed)

@@ -81,7 +81,6 @@ from .smooth import (
     BlendedGauge,
     SmoothedBody,
     blended_gauge_sq,
-    blended_gauge_sq_many,
     blended_values,
     extract_smoothed_body,
 )

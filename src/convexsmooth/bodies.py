@@ -34,22 +34,28 @@ MEMBERSHIP_SLACK = 1e-12
 NORMAL_ATOL = 1e-12
 
 
-def _as_vector(x, dim: int | None = None) -> np.ndarray:
+def _as_points(x, dim: int, max_ndim: int = 64) -> np.ndarray:
+    """Points (..., dim) with 1 to ``max_ndim`` axes (numpy's limit by
+    default) as a float array; any other shape raises ``ValueError``."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {v.shape[0]}")
+    if not 1 <= v.ndim <= max_ndim or v.shape[-1] != dim:
+        raise ValueError(f"expected vectors of length {dim}, got shape {v.shape}")
     return v
 
 
 def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
     """One vector or an (N, dim) batch as rows, and whether it was one vector."""
-    v = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(v)
-    if v.ndim > 2 or rows.shape[1] != dim:
-        raise ValueError(f"expected vectors of length {dim}, got shape {v.shape}")
-    return rows, v.ndim == 1
+    v = _as_points(x, dim, 2)
+    return np.atleast_2d(v), v.ndim == 1
+
+
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a float; ``ValueError`` naming it unless it is positive
+    and finite, as a scale or a width must be."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -255,7 +261,7 @@ def normal_lift(xi) -> np.ndarray:
     The lift is (xi, -1)/sqrt(1 + |xi|^2): a unit vector whose last
     coordinate is strictly negative.
     """
-    xi = _as_vector(xi)
+    xi = _as_points(xi, np.size(xi), 1)
     return np.append(xi, -1.0) * (1.0 / np.sqrt(1.0 + float(xi @ xi)))
 
 
@@ -357,7 +363,7 @@ def _within(X: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray:
 def contains(body: Body, x) -> bool:
     """Membership test with relative slack ``MEMBERSHIP_SLACK``: the
     :func:`contains_many` row of a batch of one."""
-    return bool(contains_many(body, _as_vector(x, body.dim)[None, :])[0])
+    return bool(contains_many(body, _as_points(x, body.dim, 1)[None, :])[0])
 
 
 def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
@@ -370,7 +376,7 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     ``_BLOCK_ROWS`` point-center pairs, so memory does not grow with N
     beyond the result.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _as_points(points, body.dim)
     if isinstance(body, BallBody):
         inside = np.empty(len(pts), dtype=bool)
         R = body.radius
@@ -382,19 +388,24 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     return np.all(_row_dots(pts, body.normals) - body.offsets <= slack, axis=1)
 
 
+def _active_set(values: np.ndarray, level, tol: float) -> np.ndarray:
+    """The constraints active at each row of ``values``, (N, k): those
+    within ``tol`` of ``level`` or, in a row with none, those within
+    ``tol`` of the row's largest value, its most violated constraint."""
+    active = np.abs(values - level) <= tol
+    near_worst = values >= np.max(values, axis=1, keepdims=True) - tol
+    active |= ~np.any(active, axis=1, keepdims=True) & near_worst
+    return active
+
+
 def _active_spheres(body: BallBody, Y: np.ndarray):
     """The offsets y - a_i of the rows y of Y from the centers, (N, m, n),
     their lengths d_i, (N, m), and the spheres :func:`outward_normal`
-    averages at each row, (N, m): those with |d_i - R| within
-    ``NORMAL_ATOL`` R or, when there are none, those within ``NORMAL_ATOL``
-    R of the largest d_i."""
+    averages at each row, (N, m): the :func:`_active_set` of the d_i at
+    level R, within ``NORMAL_ATOL`` R."""
     diff = Y[:, None, :] - body.centers
     d = _norm(diff.T).T
-    active = np.abs(d - body.radius) <= NORMAL_ATOL * body.radius
-    active |= ~np.any(active, axis=1, keepdims=True) & (
-        d >= np.max(d, axis=1, keepdims=True) - NORMAL_ATOL * body.radius
-    )
-    return diff, d, active
+    return diff, d, _active_set(d, body.radius, NORMAL_ATOL * body.radius)
 
 
 def outward_normal(body: Body, y) -> np.ndarray:
@@ -415,12 +426,8 @@ def outward_normal(body: Body, y) -> np.ndarray:
             diff, _, active = _active_spheres(body, Y)
             terms = diff / body.radius
         else:
-            slack = body.offsets - _row_dots(Y, body.normals)
-            scale = NORMAL_ATOL * np.max(body.offsets)
-            active = np.abs(slack) <= scale
-            active |= ~np.any(active, axis=1, keepdims=True) & (
-                slack <= np.min(slack, axis=1, keepdims=True) + scale
-            )
+            excess = _row_dots(Y, body.normals) - body.offsets
+            active = _active_set(excess, 0.0, NORMAL_ATOL * np.max(body.offsets))
             terms = body.normals
         n = np.sum(np.where(active[..., None], terms, 0.0), axis=1)
         norm = _norm(n.T)[:, None]

@@ -51,6 +51,7 @@ from .bodies import (
     _cross,
     _dot,
     _norm,
+    _positive_finite,
     _read_only,
     _require_ball,
     farthest_point,
@@ -103,7 +104,7 @@ class PatchParams:
     ``lipschitz`` bounds every patch's slope, ``eta`` is the worst
     strong-convexity modulus, ``r`` and ``r0`` are the largest and
     smallest patch radii, and ``diam`` bounds the diameter of the body the
-    patches cover.
+    patches cover. Each must be positive and finite.
     """
 
     lipschitz: float
@@ -114,8 +115,7 @@ class PatchParams:
 
     def __post_init__(self):
         for name in ("lipschitz", "eta", "r", "r0", "diam"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            _positive_finite(getattr(self, name), name)
         if self.r0 > self.r:
             raise ValueError("r0 must not exceed r")
 
@@ -225,10 +225,9 @@ def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
     is tested everywhere, not only at the other samples; the witness is y,
     that farthest point and the margin. Bodies with a flat face fail for
     every R: a face corner leaves the ball by about s^2/(2R) at distance s
-    along the face.
+    along the face. R must be positive and finite and ``samples`` >= 8.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    R = _positive_finite(R, "R")
     if samples < 8:
         raise ValueError("samples must be >= 8")
     pts, normals = boundary_samples(body, samples)
@@ -350,17 +349,17 @@ def level_set_radius(lipschitz: float, eta: float) -> float:
 
     Any sublevel set of a coercive, eta-strongly convex, L-Lipschitz
     function admits enclosing balls of this radius at every boundary
-    point.
+    point. Raises ``ValueError`` unless L and eta are positive and finite.
     """
-    if lipschitz <= 0 or eta <= 0:
-        raise ValueError("lipschitz and eta must be positive")
-    return lipschitz / eta
+    return _positive_finite(lipschitz, "lipschitz") / _positive_finite(eta, "eta")
 
 
 def _cap_point(R: float, xi_y, z) -> tuple[float, np.ndarray, np.ndarray]:
     """|xi|^2, w = z + R xi and R^2 - |w|^2 at the offset z or at each row
     of an (N, n) array of offsets; raises :class:`DomainViolation` unless
-    |xi| < 1 and every w lies in the open cap |w| < R."""
+    |xi| < 1 and every w lies in the open cap |w| < R, and ``ValueError``
+    unless R is positive and finite."""
+    R = _positive_finite(R, "R")
     xi = np.asarray(xi_y, dtype=float)
     xin = float(xi @ xi)
     if xin >= 1.0:
@@ -397,8 +396,6 @@ def cap_graph_hessian_check(R: float, xi_y, z_offsets) -> CertificateReport:
     R^2/(R^2 - |w|^2)^{3/2} along w = z + R xi and (R^2 - |w|^2)^{-1/2}
     orthogonally; both stay at or above 1/R on the open cap.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
     offsets = np.array([np.asarray(z, dtype=float) for z in z_offsets])
     if not len(offsets):
         raise InsufficientData("need at least 1 offset")

@@ -26,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ball, BallBody, _as_vector, _require_ball, _row_dots
+from .bodies import Ball, BallBody, _as_points, _require_ball, _row_dots
 from .errors import DegenerateBall
-
-# Absolute tolerance on squared gauge values when listing the attaining
-# members: distinguishes exact ridge points from near-ridge points under
-# double-precision noise.
-GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,7 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
     """
     k = _positive_k(ball.radius, [ball.center])[0]
     a = ball.center
-    x = _as_vector(x, ball.dim)
+    x = _as_points(x, ball.dim, 1)
     n = ball.dim
     xx = float(x @ x)
     if xx == 0.0:
@@ -116,12 +111,13 @@ def ball_gauge_derivatives(ball: Ball, x) -> GaugeEval:
     return GaugeEval(value=float(value), grad=grad, hess_sq=hess_sq)
 
 
-def _member_arrays(body: BallBody) -> tuple[np.ndarray, np.ndarray]:
+def _member_arrays(body: BallBody, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers (m, n) and k_i = R^2 - |a_i|^2 (m,) of every member ball,
-    k_i from :func:`_positive_k`, as :func:`ball_gauge` takes it. A body
+    k_i from :func:`_positive_k`, as :func:`ball_gauge` takes it, and the
+    points x (..., n) from :func:`convexsmooth.bodies._as_points`. A body
     other than a ball body raises :class:`NotBallBody`."""
     _require_ball(body, "the member gauges")
-    return body.centers, _positive_k(body.radius, body.centers)
+    return body.centers, _positive_k(body.radius, body.centers), _as_points(x, body.dim)
 
 
 def _squared_norms(xs):
@@ -168,8 +164,7 @@ def member_gauges(body: BallBody, x) -> np.ndarray:
     the gauge's condition number in <x, a_i>, not bit for bit, because
     :func:`ball_gauge` may sum the inner products in another order.
     """
-    centers, k = _member_arrays(body)
-    return _gauge_kernel(centers, k, np.asarray(x, dtype=float))[3]
+    return _gauge_kernel(*_member_arrays(body, x))[3]
 
 
 def member_gauge_derivatives(body: BallBody, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,8 +174,7 @@ def member_gauge_derivatives(body: BallBody, points) -> tuple[np.ndarray, np.nda
     (N, m, n) and the Hessians of the squared gauges (N, m, n, n), with the
     same conventions at x = 0. Values are those of :func:`member_gauges`.
     """
-    centers, k = _member_arrays(body)
-    xs = np.asarray(points, dtype=float)
+    centers, k, xs = _member_arrays(body, points)
     n = centers.shape[1]
     xa, xx, s, value = _gauge_kernel(centers, k, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,16 +201,6 @@ def member_gauge_derivatives(body: BallBody, points) -> tuple[np.ndarray, np.nda
     return value, grad, hess_sq
 
 
-def attaining_members(values: np.ndarray) -> np.ndarray:
-    """Mask of the members attaining the body gauge, from member gauges (..., m).
-
-    A member attains it when its squared gauge is within ``GAP_TOL`` of the
-    largest; more than one attaining member means the point sits on a ridge.
-    """
-    sq = values * values
-    return sq >= np.max(sq, axis=-1, keepdims=True) - GAP_TOL
-
-
 def body_gauge_values(body: BallBody, points: np.ndarray) -> np.ndarray:
     """Batched body gauge: values of shape (...,) for points of shape (..., n).
 
@@ -227,8 +211,7 @@ def body_gauge_values(body: BallBody, points: np.ndarray) -> np.ndarray:
     ``np.max(member_gauges(body, points), axis=-1)`` bit for bit. Memory
     is a few (..., 1) arrays, not several (..., m) ones.
     """
-    centers, k = _member_arrays(body)
-    xs = np.asarray(points, dtype=float)
+    centers, k, xs = _member_arrays(body, points)
     xx = _squared_norms(xs)
     out = _gauge_kernel(centers[:1], k[:1], xs, xx)[3]
     for i in range(1, len(k)):

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import _text, grids
-from .bodies import BallBody, HalfspaceBody, _face_exits, _read_only, outward_normal
+from .bodies import BallBody, HalfspaceBody, _as_points, _face_exits, _read_only, outward_normal
 from .errors import BracketFailure, GridMismatch, InvalidBody
 from .gauge import body_gauge_values
 
@@ -107,8 +107,15 @@ def facet_measures(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
 # Dimensions with a direction grid, hence with meshes and boundary samples.
 MESH_DIMS = (2, 3)
 
-# Mesh resolution when none is given: directions in 2D, icosphere level in 3D.
+# Mesh resolution when none is given: directions in 2D, icosphere level in
+# 3D; and the finest icosphere level, with 10 * 4^9 + 2 = 2,621,442 vertices.
 _DEFAULT_RESOLUTION = {2: 1024, 3: 4}
+_MAX_LEVEL_3D = 9
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_mesh_dim(dim: int) -> None:
@@ -123,19 +130,22 @@ def direction_grid(dim: int, resolution: int | None) -> tuple[np.ndarray, np.nda
     """Unit direction grid and facet index array for the given dimension.
 
     2D resolution counts directions (>= 16); 3D resolution is the icosphere
-    subdivision level (>= 2). None takes the default: 1024 directions in
-    2D, icosphere level 4 in 3D. Other dimensions raise
-    :class:`InvalidBody`.
+    subdivision level (2 to ``_MAX_LEVEL_3D``). None takes the default:
+    1024 directions in 2D, icosphere level 4 in 3D. A resolution that is
+    not an integer, or out of range, raises ``ValueError`` before any grid
+    is built, and other dimensions :class:`InvalidBody`.
     """
     check_mesh_dim(dim)
     if resolution is None:
         resolution = _DEFAULT_RESOLUTION[dim]
+    if not _is_integer(resolution):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if dim == 2:
         if resolution < 16:
             raise ValueError("2D resolution must be >= 16 directions")
         return grids.circle_directions(resolution), grids.circle_facets(resolution)
-    if resolution < 2:
-        raise ValueError("3D resolution (icosphere level) must be >= 2")
+    if not 2 <= resolution <= _MAX_LEVEL_3D:
+        raise ValueError(f"3D resolution (icosphere level) must be from 2 to {_MAX_LEVEL_3D}")
     return grids.icosphere(resolution)
 
 
@@ -169,11 +179,10 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
     the (k, N) face denominators. Raises :class:`BracketFailure` when a
     halfspace body is unbounded along some direction.
     """
-    dirs = np.asarray(directions, dtype=float)
     if isinstance(body, BallBody):
-        return 1.0 / body_gauge_values(body, dirs)
+        return 1.0 / body_gauge_values(body, directions)
     if isinstance(body, HalfspaceBody):
-        radii = _face_exits(body.normals, body.offsets, dirs)
+        radii = _face_exits(body.normals, body.offsets, _as_points(directions, body.dim))
         if not np.all(np.isfinite(radii)):
             raise BracketFailure("halfspace body is unbounded along some ray")
         return radii
@@ -191,8 +200,11 @@ def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     The samples are drawn once per body and sample count and cached on the
     body as read-only arrays, so the certificates and the probe of one
     body share one draw. The body is frozen, so the cache cannot go stale,
-    and it goes with the body.
+    and it goes with the body. A count that is not a positive integer (a
+    bool is not one) raises ``ValueError``.
     """
+    if not (_is_integer(samples) and samples > 0):
+        raise ValueError(f"samples must be positive and an integer, got {samples!r}")
     drawn = body._samples.get(samples)
     if drawn is None:
         dirs, _ = sample_directions(body.dim, samples)

@@ -30,8 +30,8 @@ from .bodies import (
     Ball,
     BallBody,
     Body,
+    _as_points,
     _as_rows,
-    _as_vector,
     _dot,
     _extreme_points,
     _face_exits,
@@ -48,7 +48,7 @@ PROBE_GAP_THRESHOLD = 1e-6
 
 def project_ball(ball: Ball, x) -> np.ndarray:
     """Nearest point of a closed ball; the identity inside."""
-    x = _as_vector(x, ball.dim)
+    x = _as_points(x, ball.dim, 1)
     v = x - ball.center
     d = np.linalg.norm(v)
     if d <= ball.radius:
@@ -115,7 +115,7 @@ def boundary_projection(body: BallBody, x) -> np.ndarray:
     ball body raises :class:`NotBallBody`.
     """
     _require_ball(body, "boundary projection")
-    x = _as_vector(x, body.dim)
+    x = _as_points(x, body.dim, 1)
     v = x - body.centers
     dist = _norm(v.T)
     # contains_many's rule and summation order, on the distances at hand
@@ -177,12 +177,10 @@ def boundary_surjectivity_probe(
     boundary point lies outside the outer body (beyond the relative
     ``MEMBERSHIP_SLACK`` of :func:`contains_many`) or a ray never leaves
     it: the outer body does not enclose the inner one, or is unbounded;
-    ValueError unless ``samples`` is positive, and :class:`NotBallBody`
-    for an inner body other than a ball body.
+    ValueError unless ``samples`` is a positive integer, and
+    :class:`NotBallBody` for an inner body other than a ball body.
     """
     _require_ball(inner, "the probe's inner body")
-    if samples < 1:
-        raise ValueError("samples must be positive")
     if outer.dim != inner.dim:
         raise InvalidBody(f"outer body has dim {outer.dim}, inner body dim {inner.dim}")
     points, normals = boundary_samples(inner, samples)

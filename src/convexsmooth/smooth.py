@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import MEMBERSHIP_SLACK, BallBody, _as_vector, _require_ball, body_to_json
+from .bodies import MEMBERSHIP_SLACK, BallBody, _as_rows, _positive_finite, _require_ball, body_to_json
 from .errors import DegenerateEpsilon, NonConvergence, ShrinkDelta
 from .gauge import member_gauge_derivatives, member_gauges
 from . import measure as _measure
@@ -90,8 +90,10 @@ class BlendedGauge:
 
     ``delta`` is the blend width in squared-gauge units. The blended value
     always dominates the squared body gauge and equals it exactly wherever
-    the top-two member gap is at least delta. A body other than a ball body
-    raises :class:`NotBallBody`.
+    the top-two member gap is at least delta. Two copies of a ball tie
+    everywhere, so a body whose centers repeat is replaced by the body of
+    its distinct centers, in order of first occurrence. A body other than
+    a ball body raises :class:`NotBallBody`.
     """
 
     body: BallBody
@@ -99,9 +101,10 @@ class BlendedGauge:
 
     def __post_init__(self):
         _require_ball(self.body, "the blended gauge")
-        object.__setattr__(self, "delta", float(self.delta))
-        if not 0.0 < self.delta < np.inf:
-            raise ValueError("delta must be positive and finite")
+        object.__setattr__(self, "delta", _positive_finite(self.delta, "delta"))
+        distinct = dict.fromkeys(map(tuple, self.body.centers.tolist()))
+        if len(distinct) < self.body.num_balls:
+            object.__setattr__(self, "body", BallBody(self.body.radius, list(distinct), self.body.dim))
 
     @property
     def dim(self) -> int:
@@ -152,49 +155,45 @@ def blended_values(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
     the smoothed maximum; the exact branch is taken with np.where, so
     off-tube values reproduce the squared body gauge to the last bit.
     """
-    sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
+    sq = member_gauges(gauge.body, points) ** 2
     return _fold(-np.sort(-sq, axis=-1), gauge.delta)[0]
 
 
-def blended_gauge_sq_many(gauge: BlendedGauge, points: np.ndarray):
-    """Blended squared gauge with gradients and Hessians over (N, n) points.
+def blended_gauge_sq(gauge: BlendedGauge, x):
+    """Blended squared gauge with gradient and Hessian at one point, or at
+    each row of an (N, n) batch.
 
-    Returns arrays of shapes (N,), (N, n) and (N, n, n). The fold's chain
-    rule keeps child weights in [0, 1] summing to one and adds a PSD
-    rank-one curvature term per blend, so every Hessian inherits the
-    members' strong-convexity floor min_i 2/(R + |a_i|)^2 = 2/(2R - rho)^2,
-    rho the interior radius.
+    Returns a float, (n,) and (n, n) for one point, and arrays of shapes
+    (N,), (N, n) and (N, n, n) for a batch, each row the single point's
+    bit for bit. The fold's chain rule keeps child weights in [0, 1]
+    summing to one and adds a PSD rank-one curvature term per blend, so
+    every Hessian inherits the members' strong-convexity floor
+    min_i 2/(R + |a_i|)^2 = 2/(2R - rho)^2, rho the interior radius.
     """
-    pts = np.asarray(points, dtype=float)
+    pts, single = _as_rows(x, gauge.dim)
     mu, grad, hess = member_gauge_derivatives(gauge.body, pts)
     sq = mu**2
     idx = np.argsort(-sq, axis=-1, kind="stable")
     sq_grad = 2.0 * mu[..., None] * grad
-    return _fold(
+    value, grad, hess = _fold(
         np.take_along_axis(sq, idx, axis=-1),
         gauge.delta,
         grad=np.take_along_axis(sq_grad, idx[..., None], axis=-2),
         hess=np.take_along_axis(hess, idx[..., None, None], axis=-3),
     )
-
-
-def blended_gauge_sq(gauge: BlendedGauge, x):
-    """Blended squared gauge with gradient and Hessian at one point
-    (:func:`blended_gauge_sq_many` on a batch of one)."""
-    x = _as_vector(x, gauge.dim)
-    value, grad, hess = blended_gauge_sq_many(gauge, x[None, :])
-    return float(value[0]), grad[0], hess[0]
+    return (float(value[0]), grad[0], hess[0]) if single else (value, grad, hess)
 
 
 def _top_two_gap(sq: np.ndarray) -> np.ndarray:
-    """First minus second largest member value over the last axis (m >= 2).
+    """First minus second largest member value over the last axis; inf for
+    a lone member, which ties with none.
 
     A running max/min over the members keeps exact copies of the two
     largest values, so the gap is one subtraction of stored floats.
     """
     cols = np.ascontiguousarray(np.moveaxis(sq, -1, 0))
-    first, second = np.maximum(cols[0], cols[1]), np.minimum(cols[0], cols[1])
-    for x in cols[2:]:
+    first, second = cols[0], np.full(cols.shape[1:], -np.inf)
+    for x in cols[1:]:
         second = np.maximum(second, np.minimum(first, x))
         first = np.maximum(first, x)
     return first - second
@@ -205,9 +204,7 @@ def agreement_many(gauge: BlendedGauge, points: np.ndarray) -> np.ndarray:
     (..., n): sufficient, exact by construction, the top-two member gap (in
     squared gauge values) is at least delta * (1 + RIDGE_GUARD), which
     forces every fold step onto its exact branch."""
-    sq = member_gauges(gauge.body, np.asarray(points, dtype=float)) ** 2
-    if sq.shape[-1] == 1:
-        return np.ones(sq.shape[:-1], dtype=bool)
+    sq = member_gauges(gauge.body, points) ** 2
     return _top_two_gap(sq) >= gauge.delta * (1.0 + RIDGE_GUARD)
 
 
@@ -233,12 +230,10 @@ def _level_mesh(gauge: BlendedGauge, w_mesh, mus, flags) -> _measure.BoundaryMes
     the closed form and its ``flags`` entry holds.
     """
     radii = np.array(w_mesh.radii)
-    closed = np.ones(len(radii), dtype=bool)
-    if mus.shape[-1] > 1:
-        sq = mus * mus
-        closed = radii * radii * _top_two_gap(sq) >= gauge.delta * (1.0 + RIDGE_GUARD)
-        if not closed.all():
-            radii[~closed] = _tube_radii(gauge, -np.sort(-sq[~closed], axis=-1))
+    sq = mus * mus
+    closed = radii * radii * _top_two_gap(sq) >= gauge.delta * (1.0 + RIDGE_GUARD)
+    if not closed.all():
+        radii[~closed] = _tube_radii(gauge, -np.sort(-sq[~closed], axis=-1))
     agreement = closed[w_mesh.facets].all(axis=1) & flags
     return _measure.BoundaryMesh(gauge.dim, w_mesh.directions, radii, w_mesh.facets, agreement)
 
@@ -328,24 +323,6 @@ class SmoothedBody:
         }
 
 
-def _tube_advice(body: BallBody) -> str:
-    """What to change when the ridge tube is too fat.
-
-    Balls with identical centers tie on their whole common boundary, so no
-    blend width shrinks their tube; the copies must go instead.
-    """
-    groups: dict[tuple[float, ...], list[int]] = {}
-    for i, center in enumerate(body.centers.tolist()):
-        groups.setdefault(tuple(center), []).append(i)
-    copies = [f"({', '.join(map(str, g))})" for g in groups.values() if len(g) > 1]
-    if not copies:
-        return "decrease delta"
-    return (
-        f"balls {' and '.join(copies)} have identical centers, which no delta "
-        "separates; keep one ball of each and remove its copies"
-    )
-
-
 def extract_smoothed_body(
     body: BallBody,
     delta: float | None,
@@ -359,13 +336,14 @@ def extract_smoothed_body(
     width), and a smaller one gives a larger body, closer to the original.
 
     Raises :class:`ShrinkDelta` when the blend tube already eats more than
-    epsilon/4 of the boundary measure (the message names balls with
-    identical centers, which no delta separates), :class:`DegenerateEpsilon`
-    for epsilon outside (0, 1/4) and ``ValueError`` for a delta that is not
+    epsilon/4 of the boundary measure, :class:`DegenerateEpsilon` for
+    epsilon outside (0, 1/4) and ``ValueError`` for a delta that is not
     positive and finite. Bodies outside the meshing dimensions raise
     :class:`InvalidBody`, and a body other than a ball body
-    :class:`NotBallBody`. A ``delta`` of None takes DEFAULT_DELTA, and a
-    ``resolution`` of None the default of :func:`measure.direction_grid`.
+    :class:`NotBallBody`. A body whose centers repeat smooths as the body
+    of its distinct centers (see :class:`BlendedGauge`). A ``delta`` of
+    None takes DEFAULT_DELTA, and a ``resolution`` of None the default of
+    :func:`measure.direction_grid`.
 
     ``meshes`` holds the original and smoothed boundary meshes at
     ``resolution``. One tube test, :func:`agreement_many` at the original
@@ -400,7 +378,7 @@ def extract_smoothed_body(
     if tube_estimate >= 0.25 * epsilon * boundary_measure:
         raise ShrinkDelta(
             f"ridge tube measure {tube_estimate:.3e} exceeds eps/4 of the "
-            f"boundary measure {boundary_measure:.3e}; {_tube_advice(body)}"
+            f"boundary measure {boundary_measure:.3e}; decrease delta"
         )
 
     we_mesh = _level_mesh(gauge, w_mesh, mus, flags)

@@ -33,7 +33,7 @@ from convexsmooth import (
     symmetric_difference_measure,
 )
 from convexsmooth.bodies import contains_many
-from convexsmooth.gauge import attaining_members, body_gauge_values, member_gauges
+from convexsmooth.gauge import body_gauge_values, member_gauges
 from helpers import (
     QuadraticPatch,
     boundary_cloud,
@@ -157,7 +157,8 @@ def test_criterion_4_characterization_dichotomy():
         for _ in range(40):
             x = rng.standard_normal(body.dim) * rng.uniform(0.3, 1.6) * body.radius
             mus = member_gauges(body, x)
-            first = int(np.argmax(attaining_members(mus)))
+            # the first member whose squared gauge is within 1e-10 of the largest
+            first = int(np.argmax(mus**2 >= np.max(mus**2) - 1e-10))
             ev = ball_gauge_derivatives(Ball(body.centers[first], body.radius), x)
             pts.append((x, np.max(mus) ** 2, 2.0 * ev.value * ev.grad))
         ok &= subgradient_certificate(pts, eta=floor).passed

@@ -28,6 +28,7 @@ from convexsmooth import (
     gauge_sq_hessian_check,
     halfspace_reconstruction_gap,
     level_set_radius,
+    boundary_surjectivity_probe,
     normal_lift,
     project_body,
     subgradient_certificate,
@@ -446,6 +447,57 @@ class TestLevelSetRadius:
         R = level_set_radius(2.0, 2.0)
         assert R == pytest.approx(1.0)
         assert ball_support_check(body, R, 360).passed
+
+
+_SCALE_CALLS = {
+    "height": lambda R: cap_graph_height(R, [0.5, 0.0], [0.0, 0.0]),
+    "hessian": lambda R: cap_graph_hessian(R, [0.5, 0.0], [0.0, 0.0]),
+    "hessian-check": lambda R: cap_graph_hessian_check(R, [0.5, 0.0], [[0.0, 0.0]]),
+    "ball-support": lambda R: ball_support_check(lens(), R, 360),
+    "level-set-lipschitz": lambda R: level_set_radius(R, 1.0),
+    "level-set-eta": lambda R: level_set_radius(1.0, R),
+}
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan], ids=["negative", "zero", "inf", "nan"])
+@pytest.mark.parametrize("call", list(_SCALE_CALLS.values()), ids=list(_SCALE_CALLS))
+def test_a_scale_that_is_not_positive_and_finite_is_refused(call, R):
+    # once, a negative R gave a negative cap height, R = 0 a misleading
+    # domain error, and an infinite R a passing report with constant inf
+    with pytest.raises(ValueError, match="^(R|lipschitz|eta) must be positive and finite$"):
+        call(R)
+
+
+_SAMPLED_CALLS = {
+    "ball-support": (lambda n: ball_support_check(lens(), 1.0, n), "samples must be >= 8"),
+    "ball-family": (lambda n: ball_family_check(lens(), n), "samples must be positive"),
+    "reconstruction": (lambda n: halfspace_reconstruction_gap(lens(), n), "normal_samples must be >= 4"),
+    "certify": (lambda n: certify_body(lens(), n), "samples must be >= 8"),
+    "probe": (
+        lambda n: boundary_surjectivity_probe(lens(), BallBody(radius=2.0, centers=[[0.0, 0.0]], dim=2), n),
+        "samples must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
+@pytest.mark.parametrize("call, message", list(_SAMPLED_CALLS.values()), ids=list(_SAMPLED_CALLS))
+def test_a_sample_count_that_is_not_a_positive_integer_is_refused(call, message, samples):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(samples)
+
+
+@pytest.mark.parametrize("samples", [8.5, np.float64(16.0), True])
+def test_boundary_samples_owns_the_type_check(samples):
+    # above each certificate's own minimum only boundary_samples can refuse
+    # the count; a bool once shared the cached draw of 1
+    body = lens()
+    boundary_samples(body, 1)
+    with pytest.raises(ValueError, match=f"^samples must be positive and an integer, got {re.escape(repr(samples))}$"):
+        boundary_samples(body, samples)
+    with pytest.raises(ValueError, match="^samples must be positive and an integer"):
+        ball_support_check(body, 1.0, 8.5)
+    assert len(boundary_samples(body, np.int64(8))[0]) == 8
 
 
 class TestCapGraph:

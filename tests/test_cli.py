@@ -287,15 +287,18 @@ def test_halfspace_body_where_a_ball_body_is_needed_exits_2(command, square_file
     assert not out.exists()
 
 
-def test_duplicate_centers_exit_2_naming_the_copies(tmp_path, capsys):
+def test_a_repeated_center_smooths_as_the_plain_lens(lens_file, tmp_path, capsys):
     body = tmp_path / "dup-lens.json"
     body.write_text(
         json.dumps({"dim": 2, "radius": 1.0, "centers": [[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]]})
     )
-    code = main(["smooth", "--input", str(body), "--output", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "balls (0, 2) have identical centers" in err and "decrease delta" not in err
+    outputs = {}
+    for name, path in (("dup", body), ("lens", lens_file)):
+        assert main(["smooth", "--input", str(path), "--output", str(tmp_path / name)]) == 0
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        outputs[name] = report["summary"], (tmp_path / name / "mesh.json").read_bytes()
+    assert outputs["dup"] == outputs["lens"]
+    assert capsys.readouterr().err == ""
 
 
 def _documented_flags() -> dict[str, set[str]]:

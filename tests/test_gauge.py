@@ -7,15 +7,17 @@ from convexsmooth import (
     BallBody,
     BlendedGauge,
     DegenerateBall,
+    HalfspaceBody,
     ball_gauge,
     ball_gauge_derivatives,
+    blended_values,
     body_gauge_values,
     gauge_lipschitz_bound,
     member_gauge_derivatives,
     member_gauges,
 )
 from convexsmooth.bodies import contains_many
-from convexsmooth.gauge import attaining_members
+from convexsmooth.measure import radial_function
 from convexsmooth.smooth import RIDGE_GUARD, agreement_many
 from helpers import (
     ball_bodies,
@@ -137,20 +139,26 @@ class TestDerivatives:
         assert np.linalg.eigvalsh(ev.hess_sq)[0] >= 0.5 - 1e-12
 
 
+def _attaining(mus):
+    """The members whose squared gauge is within 1e-10 of the largest: more
+    than one means the point sits on a ridge."""
+    sq = mus * mus
+    return sq >= np.max(sq, axis=-1, keepdims=True) - 1e-10
+
+
 class TestBodyGauge:
-    """The body gauge is the maximum of the member gauges, attained by the
-    members that :func:`attaining_members` lists."""
+    """The body gauge is the maximum of the member gauges."""
 
     def test_single_ball(self):
         body = BallBody(radius=1.0, centers=[[0.2, 0.1]], dim=2)
         mus = member_gauges(body, [0.7, -0.3])
         assert np.max(mus) == pytest.approx(ball_gauge(Ball([0.2, 0.1], 1.0), [0.7, -0.3]))
-        assert attaining_members(mus).tolist() == [True]
+        assert _attaining(mus).tolist() == [True]
 
     def test_lens_tip_is_a_ridge_point(self):
         mus = member_gauges(lens(), [0.0, np.sqrt(0.75)])
         assert np.max(mus) == pytest.approx(1.0, abs=1e-12)
-        assert attaining_members(mus).tolist() == [True, True]
+        assert _attaining(mus).tolist() == [True, True]
 
     def test_dominates_members(self):
         body = lens()
@@ -181,7 +189,7 @@ class TestBodyGauge:
         while checked < 100:
             x = rng.standard_normal(2) * rng.uniform(0.2, 2.0)
             mus = member_gauges(body, x)
-            attaining = np.flatnonzero(attaining_members(mus))
+            attaining = np.flatnonzero(_attaining(mus))
             if len(attaining) != 1:
                 continue
             checked += 1
@@ -190,6 +198,31 @@ class TestBodyGauge:
                 y = rng.standard_normal(2) * rng.uniform(0.2, 2.0)
                 vy = body_gauge_values(body, y[None])[0]
                 assert vy >= np.max(mus) + ev.grad @ (y - x) - 1e-9
+
+
+_SQUARE = HalfspaceBody(normals=[[1, 0], [-1, 0], [0, 1], [0, -1]], offsets=[1.0] * 4)
+
+_POINT_CALLS = {
+    "member_gauges": lambda x: member_gauges(lens(), x),
+    "member_gauge_derivatives": lambda x: member_gauge_derivatives(lens(), x),
+    "body_gauge_values": lambda x: body_gauge_values(lens(), x),
+    "blended_values": lambda x: blended_values(BlendedGauge(lens(), 1e-3), x),
+    "agreement_many": lambda x: agreement_many(BlendedGauge(lens(), 1e-3), x),
+    "radial_function": lambda x: radial_function(lens(), x),
+    "radial_function-halfspace": lambda x: radial_function(_SQUARE, x),
+    "contains_many": lambda x: contains_many(lens(), x),
+    "contains_many-halfspace": lambda x: contains_many(_SQUARE, x),
+}
+
+
+@pytest.mark.parametrize("x", [[[1.0, 0.0, 5.0]], [[0.0]]], ids=["longer", "shorter"])
+@pytest.mark.parametrize("call", list(_POINT_CALLS.values()), ids=list(_POINT_CALLS))
+def test_points_of_another_length_are_named(call, x):
+    # a third coordinate once entered |x|^2 but not <x, a>: member_gauges
+    # returned [[5.26, 6.59]] for (1, 0, 5) on the lens
+    shape = np.shape(x)
+    with pytest.raises(ValueError, match=rf"^expected vectors of length 2, got shape \({shape[0]}, {shape[1]}\)$"):
+        call(x)
 
 
 class TestLipschitzBound:

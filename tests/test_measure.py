@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,39 @@ def test_boundary_samples_are_drawn_once_per_body_and_count(monkeypatch):
     assert twin_points.tobytes() == points.tobytes() and twin_normals.tobytes() == normals.tobytes()
     boundary_samples(body, 200)
     assert len(draws) == 3
+
+
+@pytest.mark.parametrize(
+    "dim, resolution, message",
+    [
+        (2, 16.5, "resolution must be an integer, got 16.5"),
+        (3, 2.5, "resolution must be an integer, got 2.5"),
+        (3, True, "resolution must be an integer, got True"),
+        (3, 10, "3D resolution (icosphere level) must be from 2 to 9"),
+        (3, 20, "3D resolution (icosphere level) must be from 2 to 9"),
+        (3, 1, "3D resolution (icosphere level) must be from 2 to 9"),
+    ],
+)
+def test_direction_grid_refuses_a_grid_it_cannot_build(dim, resolution, message, monkeypatch):
+    # level 20 would ask for 10 * 4^20 + 2 vertices: refused before any grid
+    # is built
+    def unbuilt(*args):
+        raise AssertionError("a grid was built")
+
+    for name in ("icosphere", "circle_directions", "circle_facets"):
+        monkeypatch.setattr(grids, name, unbuilt)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        direction_grid(dim, resolution)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        extract_smoothed_body(unit_ball(dim), 1e-3, 0.05, resolution)
+
+
+def test_direction_grid_takes_numpy_integers_and_the_finest_level(monkeypatch):
+    for got, want in zip(direction_grid(2, np.int64(64)), direction_grid(2, 64)):
+        assert np.array_equal(got, want)
+    # level 9 (2,621,442 vertices) is asked for, not built
+    monkeypatch.setattr(grids, "icosphere", lambda level: ("asked", level))
+    assert direction_grid(3, np.int64(9)) == ("asked", 9)
 
 
 @pytest.mark.parametrize("dim, default", [(2, 1024), (3, 4)])

@@ -9,7 +9,6 @@ from convexsmooth import (
     DegenerateEpsilon,
     ShrinkDelta,
     blended_gauge_sq,
-    blended_gauge_sq_many,
     blended_values,
     boundary_mesh,
     contains,
@@ -202,7 +201,7 @@ class TestBlendedGauge:
         gauge = BlendedGauge(body=body, delta=10.0**log_delta * body.radius**2)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((128, body.dim)) * rng.uniform(0.05, 3.0, (128, 1)) * body.radius
-        _, _, hess = blended_gauge_sq_many(gauge, x)
+        _, _, hess = blended_gauge_sq(gauge, x)
         lam = np.linalg.eigvalsh(hess)[:, 0]
         floor = 2.0 / (2.0 * body.radius - body.interior_radius) ** 2
         assert np.all(lam >= floor - 1e-12 * np.abs(hess).max(axis=(1, 2)))
@@ -224,7 +223,7 @@ class TestBatchedBlend:
             body = random_ball_body(rng, dim, 5)
             gauge = BlendedGauge(body=body, delta=0.05)
             pts = rng.standard_normal((300, dim)) * rng.uniform(0.2, 1.5, size=(300, 1))
-            values, grads, hessians = blended_gauge_sq_many(gauge, pts)
+            values, grads, hessians = blended_gauge_sq(gauge, pts)
             in_tube = 0
             for x, v, g, h in zip(pts, values, grads, hessians):
                 rv, rg, rh = blended_gauge_sq_reference(gauge, x)
@@ -234,16 +233,27 @@ class TestBatchedBlend:
                 assert np.abs(h - rh).max() <= HESSIAN_TOL * max(1.0, np.abs(rh).max())
             assert in_tube >= 10  # the blend branch is exercised, not only the max
 
-    def test_single_point_is_a_batch_of_one(self):
-        gauge = BlendedGauge(body=lens(), delta=0.08)
-        pts = np.array([[0.01, 0.8], [0.9, 0.1], [-0.3, -0.6]])
-        values, grads, hessians = blended_gauge_sq_many(gauge, pts)
+    @pytest.mark.parametrize("body", [lens(), THREE_BALL], ids=["lens", "three-ball"])
+    def test_batch_rows_are_the_single_point_calls(self, body):
+        # bit for bit, in the tube (near the lens tip) and off it
+        gauge = BlendedGauge(body=body, delta=0.08)
+        rng = np.random.default_rng(12)
+        pts = np.vstack([np.zeros(body.dim), rng.standard_normal((64, body.dim))])
+        pts[1, :2] = [0.01, 0.8]
+        values, grads, hessians = blended_gauge_sq(gauge, pts)
+        assert values.shape == (65,) and grads.shape == (65, body.dim)
+        assert hessians.shape == (65, body.dim, body.dim)
+        assert not agreement_many(gauge, pts).all()
         for i, x in enumerate(pts):
             value, grad, hess = blended_gauge_sq(gauge, x)
             assert isinstance(value, float)
-            assert value == pytest.approx(values[i], rel=1e-15)
-            assert np.allclose(grad, grads[i], rtol=1e-15, atol=0.0)
-            assert np.allclose(hess, hessians[i], rtol=1e-15, atol=0.0)
+            assert value == values[i]
+            assert np.array_equal(grad, grads[i]) and np.array_equal(hess, hessians[i])
+
+    @pytest.mark.parametrize("x", [[1.0, 0.0, 5.0], [[[0.1, 0.2]]], 0.5], ids=["length", "axes", "scalar"])
+    def test_other_shapes_are_named(self, x):
+        with pytest.raises(ValueError, match=r"^expected vectors of length 2, got shape \("):
+            blended_gauge_sq(BlendedGauge(body=lens(), delta=0.08), x)
 
 
 class TestLevelMeshRadii:
@@ -545,18 +555,30 @@ class TestExtract:
         assert first != extract_smoothed_body(lens(), delta=2e-3, epsilon=0.05)
 
     def test_fat_tube_rejected(self):
-        with pytest.raises(ShrinkDelta):
+        with pytest.raises(ShrinkDelta, match="; decrease delta$"):
             extract_smoothed_body(lens(), delta=0.5, epsilon=0.05)
 
-    def test_duplicate_centers_are_named(self):
-        # identical balls tie on their whole boundary: no delta helps, so
-        # the advice names the copies instead
-        body = BallBody(radius=1.0, centers=[[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]], dim=2)
-        with pytest.raises(ShrinkDelta, match=r"balls \(0, 2\) have identical centers") as info:
-            extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
-        assert "remove" in str(info.value) and "decrease delta" not in str(info.value)
-        with pytest.raises(ShrinkDelta, match="decrease delta"):
-            extract_smoothed_body(lens(), delta=0.5, epsilon=0.05)
+    @pytest.mark.parametrize(
+        "plain, copy, at",
+        [(lens(), 0, 2), (THREE_BALL, 0, 2), (THREE_BALL, 2, 3)],
+        ids=["lens", "three-ball-inside", "three-ball-last"],
+    )
+    def test_a_repeated_center_smooths_as_the_plain_body(self, plain, copy, at):
+        # a ball listed twice is the same ball: the blend takes the distinct
+        # centers, in order of first occurrence, and every output keeps its bits
+        centers = np.insert(plain.centers, at, plain.centers[copy], axis=0)
+        body = BallBody(radius=plain.radius, centers=centers, dim=plain.dim)
+        got = extract_smoothed_body(body, delta=1e-3, epsilon=0.05)
+        ref = extract_smoothed_body(plain, delta=1e-3, epsilon=0.05)
+        assert got.checks == ref.checks and got.checks["passed"]
+        for mesh, ref_mesh in zip(got.meshes, ref.meshes):
+            assert np.array_equal(mesh.radii, ref_mesh.radii)
+            assert np.array_equal(mesh.agreement, ref_mesh.agreement)
+        assert got.gauge.body == plain and got.to_json() == ref.to_json()
+
+    def test_a_body_without_copies_is_kept(self):
+        body = lens()
+        assert BlendedGauge(body=body, delta=1e-3).body is body
 
     def test_epsilon_validation(self):
         with pytest.raises(DegenerateEpsilon):
