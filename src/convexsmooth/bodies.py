@@ -292,9 +292,9 @@ def _face_exits(normals: np.ndarray, rooms, V: np.ndarray) -> np.ndarray:
 
 
 # Rows of the membership table built at a time: points times centers in
-# contains_many and in _extreme_points' nearest-mode membership, queries
-# times candidates times centers for its candidates. Memory then stays
-# fixed whatever the number of queries
+# contains_many, queries times candidates times centers in _extreme_points,
+# whose nearest-mode membership table is smaller. Memory then stays fixed
+# whatever the number of queries
 _BLOCK_ROWS = 1 << 17
 
 
@@ -362,12 +362,13 @@ def _within(X: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray:
 
 def contains(body: Body, x) -> bool:
     """Membership test with relative slack ``MEMBERSHIP_SLACK``: the
-    :func:`contains_many` row of a batch of one."""
-    return bool(contains_many(body, _as_points(x, body.dim, 1)[None, :])[0])
+    :func:`contains_many` answer for one point."""
+    return contains_many(body, _as_points(x, body.dim, 1))
 
 
 def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership for an (N, dim) array of points.
+    """Vectorized membership for an (N, dim) array of points, or a bool
+    for one point.
 
     A point is in a ball body when |x - a_i| <= R + ``MEMBERSHIP_SLACK`` R
     for every center, the distance summed as in :func:`_norm`, and in a
@@ -376,16 +377,17 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     ``_BLOCK_ROWS`` point-center pairs, so memory does not grow with N
     beyond the result.
     """
-    pts = _as_points(points, body.dim)
+    pts, single = _as_rows(points, body.dim)
     if isinstance(body, BallBody):
         inside = np.empty(len(pts), dtype=bool)
         R = body.radius
         centers, limit = body.centers.T[:, None, :], R + MEMBERSHIP_SLACK * R
         for rows in _blocks(len(pts), body.num_balls):
             inside[rows] = _within(pts[rows], centers, limit)
-        return inside
-    slack = MEMBERSHIP_SLACK * np.max(body.offsets)
-    return np.all(_row_dots(pts, body.normals) - body.offsets <= slack, axis=1)
+    else:
+        slack = MEMBERSHIP_SLACK * np.max(body.offsets)
+        inside = np.all(_row_dots(pts, body.normals) - body.offsets <= slack, axis=1)
+    return bool(inside[0]) if single else inside
 
 
 def _active_set(values: np.ndarray, level, tol: float) -> np.ndarray:
@@ -548,30 +550,26 @@ def _candidates(L: SphereLattice, X: np.ndarray, mode: str):
         norm = _norm(w)
         unit = np.divide(w, norm, out=np.zeros(w.shape), where=norm > 0.0)
         cand = C + L.radii * unit
-    # contains_many's membership rule, of every candidate against every
-    # center: the largest distance is within the limit exactly when all are
+    # contains_many's membership rule, of every candidate against every center
     d = _norm(cand[:, None] - L.candidate_balls)
-    return cand, d.max(axis=0) <= L.limit
+    return cand, np.logical_and.reduce(d <= L.limit, axis=0)
 
 
 def _picks(L: SphereLattice, X: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_extreme_points`' candidate picks for every row of X, in blocks
-    of at most ``_BLOCK_ROWS`` candidate-center pairs."""
-    points, scores = np.empty(X.shape), np.empty(len(X))
-    per_row = len(L.radii) * (2 if mode == "farthest" else 1) * L.balls
-    for rows in _blocks(len(X), per_row):
-        Y = X[rows]
-        cand, feasible = _candidates(L, Y, mode)
-        Yt = Y.T[:, :, None]
-        if mode == "support":
-            score = np.where(feasible, _dot(cand, Yt), -np.inf)
-        else:
-            score = np.where(feasible, _norm(cand - Yt), np.inf if mode == "nearest" else -np.inf)
-        pick = score.argmin(axis=1) if mode == "nearest" else score.argmax(axis=1)
-        i = np.arange(len(Y))
-        points[rows] = cand[:, i, pick].T
-        scores[rows] = score[i, pick]
-    return points, scores
+    """:func:`_extreme_points`' candidate picks and their scores for the
+    rows of one block X."""
+    cand, feasible = _candidates(L, X, mode)
+    Xt = X.T[:, :, None]
+    if mode == "support":
+        score = np.where(feasible, _dot(cand, Xt), -np.inf)
+    else:
+        score = np.where(feasible, _norm(cand - Xt), np.inf if mode == "nearest" else -np.inf)
+    pick = score.argmin(axis=1) if mode == "nearest" else score.argmax(axis=1)
+    if len(X) == 1:  # views: on one row the gather below costs about 2 us more
+        p = pick[0]
+        return cand[:, :1, p].T, score[:, p]
+    i = np.arange(len(X))
+    return cand[:, i, pick].T, score[i, pick]
 
 
 def _require_finite(X: np.ndarray) -> None:
@@ -587,21 +585,32 @@ def _require_finite(X: np.ndarray) -> None:
 _MODEST = 1e150
 
 
-def _resolve(L: SphereLattice, W: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_extreme_points`' picks and scores on lattice L, with the
-    nearest-mode membership pass (see there)."""
+def _resolve(L: SphereLattice, X: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_extreme_points`' picks and scores for one block X, in one
+    pass (see there)."""
     if mode != "nearest":
-        return _picks(L, W, mode)
-    points, scores = W.copy(), np.zeros(len(W))
-    for rows in _blocks(len(W), L.balls):
-        X = W[rows]
-        inside = _within(X, L.query_balls, L.limit)
-        k = np.count_nonzero(inside)
-        if k == 0:
-            points[rows], scores[rows] = _picks(L, X, mode)
-        elif k < len(X):
-            outside = rows.start + np.flatnonzero(~inside)
-            points[outside], scores[outside] = _picks(L, W[outside], mode)
+        return _picks(L, X, mode)
+    inside = _within(X, L.query_balls, L.limit)
+    k = np.count_nonzero(inside)
+    if k == 0:
+        return _picks(L, X, mode)
+    # a copy even when every row is inside: no output aliases the query
+    points, scores = X.copy(), np.zeros(len(X))
+    if k < len(X):
+        outside = np.flatnonzero(~inside)
+        points[outside], scores[outside] = _picks(L, X[outside], mode)
+    return points, scores
+
+
+def _resolve_blocks(L: SphereLattice, W: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_resolve` over the blocks of W: a batch of one block returns
+    that block's arrays, and only a longer one fills preallocated outputs."""
+    per_row = len(L.radii) * L.balls * (2 if mode == "farthest" else 1)
+    if len(W) <= _BLOCK_ROWS // per_row:
+        return _resolve(L, W, mode)
+    points, scores = np.empty(W.shape), np.empty(len(W))
+    for rows in _blocks(len(W), per_row):
+        points[rows], scores[rows] = _resolve(L, W[rows], mode)
     return points, scores
 
 
@@ -650,14 +659,17 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
     scanned only when a score is not finite, so finite queries pay for no
     separate scan. Neither kind of row raises a numpy warning on the way.
 
-    In nearest mode the rows go in blocks of at most ``_BLOCK_ROWS``
-    point-center pairs, and each block is resolved in one pass: its
-    membership first, against the lattice's cached views, then candidates
-    for its exterior rows only, the whole block with no gather or scatter
-    when every row is exterior. Candidates go in blocks of at most
-    ``_BLOCK_ROWS`` candidate-center pairs, each reduced to its picks
-    before the next, so memory is fixed by the block size and the output,
-    whatever N.
+    The rows go in blocks of at most ``_BLOCK_ROWS`` candidate-center
+    pairs, one blocking level for every mode, and each block is resolved
+    in one pass and reduced to its picks before the next, so memory is
+    fixed by the block size and the output, whatever N. A block's
+    nearest-mode membership table is m entries a row, smaller than its
+    candidates' table. In nearest mode a block tests membership first,
+    against the lattice's cached views: a block all inside comes back as
+    a copy of its rows, a block all outside gets candidates with no gather
+    or scatter, and a mixed block gets candidates for its exterior rows
+    only. A batch of one block, a single query among them, returns that
+    block's arrays; only a longer batch fills preallocated outputs.
     """
     L = body._lattice
     # A row that is not finite, or whose squares overflow, is named below,
@@ -671,7 +683,7 @@ def _extreme_points(body: BallBody, W: np.ndarray, mode: str) -> tuple[np.ndarra
             return points, scores
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            points, scores = _resolve(L, W, mode)
+            points, scores = _resolve_blocks(L, W, mode)
     if not np.isfinite(scores).all():
         _require_finite(W)
         i = int(np.argmin(np.isfinite(scores)))

@@ -58,7 +58,7 @@ from .bodies import (
 )
 from .errors import DomainViolation, InsufficientData
 from .gauge import gauge_lipschitz_bound, member_gauge_derivatives
-from .measure import boundary_samples, sample_directions
+from .measure import boundary_samples, check_sample_count, sample_directions
 from .project import project_body
 
 # Margin below which a sampled inequality counts as violated, relative to
@@ -720,9 +720,11 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
     docstring), ``samples`` boundary samples each; eq39's points come from
     ``np.random.default_rng(0)``, so the reports are deterministic.
     level_set_e passes exactly when ball_support_b does. Fewer than 8
-    samples raise :class:`ValueError` before any certificate runs."""
+    samples, or a count that is not an integer, raise :class:`ValueError`
+    before any certificate runs."""
     if samples < 8:
         raise ValueError("samples must be >= 8")
+    check_sample_count(samples)
     if isinstance(body, HalfspaceBody):
         return [ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)]
     floor = 1.0 / (2.0 * body.radius**2)

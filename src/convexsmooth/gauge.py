@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ball, BallBody, _as_points, _require_ball, _row_dots
+from .bodies import Ball, BallBody, _as_points, _as_rows, _require_ball, _row_dots
 from .errors import DegenerateBall
 
 
@@ -172,9 +172,11 @@ def member_gauge_derivatives(body: BallBody, points) -> tuple[np.ndarray, np.nda
 
     For points of shape (N, n) returns the gauges (N, m), their gradients
     (N, m, n) and the Hessians of the squared gauges (N, m, n, n), with the
-    same conventions at x = 0. Values are those of :func:`member_gauges`.
+    same conventions at x = 0, and for one point (n,) the rows of a batch
+    of one. Values are those of :func:`member_gauges`.
     """
     centers, k, xs = _member_arrays(body, points)
+    xs, single = _as_rows(xs, body.dim)
     n = centers.shape[1]
     xa, xx, s, value = _gauge_kernel(centers, k, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,7 +200,7 @@ def member_gauge_derivatives(body: BallBody, points) -> tuple[np.ndarray, np.nda
         hess0 = (4.0 * outer + 2.0 * k[:, None, None] * np.eye(n)) / (k * k)[:, None, None]
         grad[origin] = 0.0
         hess_sq[origin] = hess0
-    return value, grad, hess_sq
+    return (value[0], grad[0], hess_sq[0]) if single else (value, grad, hess_sq)
 
 
 def body_gauge_values(body: BallBody, points: np.ndarray) -> np.ndarray:

@@ -118,6 +118,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_sample_count(samples) -> None:
+    """Raise ``ValueError`` unless ``samples`` is a positive integer (a bool
+    is not one), as :func:`boundary_samples` needs."""
+    if not (_is_integer(samples) and samples > 0):
+        raise ValueError(f"samples must be positive and an integer, got {samples!r}")
+
+
 def check_mesh_dim(dim: int) -> None:
     """Raise :class:`InvalidBody` unless meshing supports ``dim``."""
     if dim not in MESH_DIMS:
@@ -203,8 +210,7 @@ def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     and it goes with the body. A count that is not a positive integer (a
     bool is not one) raises ``ValueError``.
     """
-    if not (_is_integer(samples) and samples > 0):
-        raise ValueError(f"samples must be positive and an integer, got {samples!r}")
+    check_sample_count(samples)
     drawn = body._samples.get(samples)
     if drawn is None:
         dirs, _ = sample_directions(body.dim, samples)

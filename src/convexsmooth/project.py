@@ -5,10 +5,11 @@ All are closed forms, exact up to rounding, with no iteration and no
 tolerance. The nearest point of the body is active on at most n spheres,
 so it is the nearest feasible candidate on the body's intersection
 spheres, which are enumerated once per body and cached on it. A batch is
-projected block by block, each block in one pass of
-:func:`convexsmooth.bodies._extreme_points`: membership first, and
+projected block by block, with one blocking level, each block in one pass
+of :func:`convexsmooth.bodies._extreme_points`: membership first, and
 candidates only for the block's exterior rows, so interior points cost a
-membership test and nothing more. The nearest
+membership test and nothing more. A single point is one block, whose
+arrays come back with no output buffers to fill. The nearest
 boundary point of an interior point is its radial projection onto the
 nearest sphere. Across the medial axis, where the nearest sphere changes,
 that map jumps, so the boundary projection takes interior points only
@@ -59,17 +60,17 @@ def project_ball(ball: Ball, x) -> np.ndarray:
 def project_body(body: BallBody, x) -> np.ndarray:
     """Nearest point of the ball intersection, exact up to rounding.
 
-    Accepts one point or an (N, n) batch, resolved block by block in one
-    pass of :func:`convexsmooth.bodies._extreme_points` in nearest mode.
-    Each block's points in the body (within ``MEMBERSHIP_SLACK`` R) come
-    back unchanged, so the map is idempotent bit for bit, and cost no
-    candidates. Any other point goes to the nearest candidate on the
-    body's intersection spheres that lies in the body; by KKT the true
-    projection is one of them. There is no iteration, so no tolerance and
-    no :class:`NonConvergence`. A point with a coordinate that is not
-    finite, or whose squared distances overflow (beyond about 1e154),
-    raises ``ValueError`` naming its row, and a body other than a ball
-    body :class:`NotBallBody`.
+    Accepts one point or an (N, n) batch, resolved block by block, each
+    block in one pass of :func:`convexsmooth.bodies._extreme_points` in
+    nearest mode; one point is one block. Each block's points in the body
+    (within ``MEMBERSHIP_SLACK`` R) come back unchanged, as copies, so the
+    map is idempotent bit for bit, and cost no candidates. Any other point
+    goes to the nearest candidate on the body's intersection spheres that
+    lies in the body; by KKT the true projection is one of them. There is
+    no iteration, so no tolerance and no :class:`NonConvergence`. A point
+    with a coordinate that is not finite, or whose squared distances
+    overflow (beyond about 1e154), raises ``ValueError`` naming its row,
+    and a body other than a ball body :class:`NotBallBody`.
     """
     _require_ball(body, "projection onto the body")
     pts, single = _as_rows(x, body.dim)

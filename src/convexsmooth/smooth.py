@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import MEMBERSHIP_SLACK, BallBody, _as_rows, _positive_finite, _require_ball, body_to_json
-from .errors import DegenerateEpsilon, NonConvergence, ShrinkDelta
+from .errors import DegenerateEpsilon, DomainViolation, NonConvergence, ShrinkDelta
 from .gauge import member_gauge_derivatives, member_gauges
 from . import measure as _measure
 
@@ -53,7 +53,8 @@ RIDGE_GUARD = 1e-9
 DEFAULT_DELTA = 1e-3
 
 # Iteration cap of the tube solve; monotone Newton from the right
-# converges in well under ten steps for any blend width.
+# converges in well under ten steps for any blend width whose level-1 set
+# holds the origin, the only widths :func:`_tube_radii` solves for.
 _NEWTON_MAX_STEPS = 64
 
 
@@ -256,7 +257,22 @@ def _tube_radii(gauge: BlendedGauge, sq: np.ndarray) -> np.ndarray:
 
     Each row stops once its own step is at most 4 ulp of s, so its radius
     is that of solving the row alone, bit for bit, in any batch.
+
+    Every member squared gauge is 0 at the origin, so g_delta(0) is the
+    fold of zeros. When it is at least 1, the level-1 set misses the
+    origin, no ray has a crossing, and the blend raises
+    :class:`DomainViolation` naming delta and g_delta(0) before any step.
+    A fold step from below delta stays below it, as phi(t) < delta for
+    |t| < delta, so g_delta(0) < delta, and the fold is taken only for
+    widths above 1/2, well clear of rounding.
     """
+    if gauge.delta > 0.5:
+        origin = float(_fold(np.zeros(gauge.body.num_balls), gauge.delta)[0])
+        if origin >= 1.0:
+            raise DomainViolation(
+                f"the blend of width delta = {gauge.delta!r} has g_delta(0) = {origin!r} >= 1: "
+                "its level-1 set misses the origin; decrease delta"
+            )
     s = 1.0 / sq[:, 0]
     live = np.arange(len(s))
     for _ in range(_NEWTON_MAX_STEPS):

@@ -699,6 +699,65 @@ class TestExtremePointEngine:
         assert peaks[1] <= 1.5 * peaks[0]
 
 
+PINNED_BODIES = ("LENS", "THIN_99", "THIN_995", "THIN_9995", "THREE_BALL")
+
+
+def one_row_queries(body: BallBody, seed: int = 11) -> dict:
+    """Single queries of each kind on a body: interior points (the origin
+    among them), boundary points, points out along the normal of a smooth
+    boundary point (face-exterior), and points out along the averaged
+    normal at a vertex, where n spheres meet (vertex-exterior)."""
+    rng = np.random.default_rng(seed)
+    R, n = body.radius, body.dim
+    u = rng.standard_normal((12, n))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    interior = np.vstack([np.zeros(n), u * rng.uniform(0.0, 0.9 * body.interior_radius, (12, 1))])
+    pts, normals = boundary_samples(body, 24)
+    # samples on one sphere only: the grid misses every ridge and vertex
+    face = np.count_nonzero(bodies._active_spheres(body, pts)[2], axis=1) == 1
+    face_out = pts[face] + normals[face] * rng.uniform(0.01, 2.0, (np.count_nonzero(face), 1)) * R
+    # the points of the lattice's 0-spheres, n centers each, in the body
+    L = body._lattice
+    ends = np.flatnonzero(np.abs(L.span[n - 2]).sum(axis=0) > 0.0)
+    tips = np.vstack([(L.centres + sign * L.radii * L.normal[0]).T[ends] for sign in (1.0, -1.0)])
+    vertices = tips[contains_many(body, tips)]
+    assert len(vertices) >= 2
+    # four directions per vertex, random positive combinations of the
+    # normals of its spheres: each inside the vertex's normal cone
+    diff, _, active = bodies._active_spheres(body, np.repeat(vertices, 4, axis=0))
+    assert np.all(np.count_nonzero(active, axis=1) == n)
+    d = np.einsum("vm,vmn->vn", active * rng.uniform(0.05, 1.0, active.shape), diff)
+    d *= rng.uniform(0.01, 2.0, (len(d), 1)) * R / np.linalg.norm(d, axis=1)[:, None]
+    vertex_out = np.repeat(vertices, 4, axis=0) + d
+    boundary = np.vstack([pts, vertices, project_body_reference(body, vertex_out)])
+    return {"interior": interior, "boundary": boundary, "face": face_out, "vertex": vertex_out}
+
+
+class TestOneRowQueries:
+    """A one-row query is one block, resolved in one pass; each kind of
+    row equals the reference forms of tests/helpers.py bit for bit."""
+
+    @pytest.mark.parametrize("name", PINNED_BODIES)
+    def test_projection_support_and_farthest_point_of_one_row(self, name):
+        body = body_from_json(getattr(bench_corpus(), name))
+        queries = one_row_queries(body)
+        assert all(len(rows) for rows in queries.values())
+        for kind, rows in queries.items():
+            inside = contains_many(body, rows)
+            assert inside.all() if kind in ("interior", "boundary") else not inside.any(), kind
+            for x in rows:
+                row = x[None]
+                p = project_body(body, x)
+                assert p.tobytes() == project_body_reference(body, row)[0].tobytes(), kind
+                if kind in ("interior", "boundary"):
+                    assert p.tobytes() == x.tobytes() and not np.shares_memory(p, x), kind
+                far = extreme_picks_reference(body, row, "farthest")[0][0]
+                assert farthest_point(body, x).tobytes() == far.tobytes(), kind
+                if np.any(x):
+                    h = support_value_reference(body, row)[0]
+                    assert np.float64(support_value(body, x)).tobytes() == h.tobytes(), kind
+
+
 class TestNormalLift:
     def test_zero_slope(self):
         assert np.allclose(normal_lift(np.zeros(3)), [0, 0, 0, -1])

@@ -422,6 +422,19 @@ class TestLevelSetFromBallSupport:
             certify_body(make(), 7)
         assert ran == []
 
+    @pytest.mark.parametrize("samples", [8.5, np.float64(16.0)])
+    def test_suite_checks_the_sample_type_before_eq39(self, samples, monkeypatch):
+        # a count at or above 8 that is not an integer once ran eq39's 48
+        # member-gauge derivatives before boundary_samples refused it
+        def eq39(*args, **kwargs):
+            raise AssertionError("eq39 ran")
+
+        monkeypatch.setattr(certify, "member_gauge_derivatives", eq39)
+        message = f"^samples must be positive and an integer, got {re.escape(repr(samples))}$"
+        for body in (lens(), unit_square()):
+            with pytest.raises(ValueError, match=message):
+                certify_body(body, samples)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_eq39_points_are_the_per_point_draws(self, dim):
         table = certify._eq39_points(dim)

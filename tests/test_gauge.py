@@ -225,6 +225,28 @@ def test_points_of_another_length_are_named(call, x):
         call(x)
 
 
+@pytest.mark.parametrize("body", [lens(), _SQUARE], ids=["lens", "square"])
+def test_contains_many_takes_one_point(body):
+    # one point once raised numpy's IndexError (AxisError on the square)
+    x = np.array([[0.1, 0.2], [0.3, 1.2]])
+    batch = contains_many(body, x)
+    assert batch.tolist() == [True, False]
+    assert [contains_many(body, row) for row in x] == batch.tolist()
+    assert contains_many(body, [0.1, 0.2]) is True
+
+
+def test_member_gauge_derivatives_take_one_point():
+    # one point is the row of a batch of one, bit for bit, at the origin too
+    x = np.array([[0.1, 0.2], [0.0, 0.0], [-0.7, 0.05]])
+    batch = member_gauge_derivatives(lens(), x)
+    for i, row in enumerate(x):
+        single = member_gauge_derivatives(lens(), row)
+        assert [a.shape for a in single] == [(2,), (2, 2), (2, 2, 2)]
+        for a, b in zip(single, batch):
+            assert a.tobytes() == b[i].tobytes()
+    assert member_gauge_derivatives(lens(), [0.1, 0.2])[0].tobytes() == batch[0][0].tobytes()
+
+
 class TestLipschitzBound:
     def test_unit_ball(self):
         body = BallBody(radius=1.0, centers=[[0.0, 0.0]], dim=2)

@@ -7,7 +7,9 @@ from convexsmooth import (
     BlendedGauge,
     ConvexSmoothError,
     DegenerateEpsilon,
+    DomainViolation,
     ShrinkDelta,
+    SmoothedBody,
     blended_gauge_sq,
     blended_values,
     boundary_mesh,
@@ -279,6 +281,16 @@ class TestLevelMeshRadii:
         )
         assert np.array_equal(mesh.directions, dirs)
         assert np.all(np.abs(level * mesh.radii - ref) <= RADIUS_REL_TOL * ref)
+
+    def test_a_blend_whose_level_set_misses_the_origin_is_refused_by_name(self):
+        # g_delta(0), the fold of zeros, is 3 delta/16 on the lens: 1.125 at
+        # delta = 6, where the tube solve once ran 64 Newton steps and
+        # reported NonConvergence. At delta = 5 it is 0.9375, and every
+        # direction still meshes
+        with pytest.raises(DomainViolation, match=r"^the blend of width delta = 6\.0 has g_delta\(0\) = 1\.125 >= 1"):
+            boundary_mesh(SmoothedBody(BlendedGauge(lens(), 6.0)), 256)
+        mesh = boundary_mesh(SmoothedBody(BlendedGauge(lens(), 5.0)), 256)
+        assert np.all((mesh.radii > 0.0) & (mesh.radii < 0.5))
 
     def test_blended_single_ball_levels_are_spheres(self):
         gauge = BlendedGauge(body=single(), delta=1e-3)
