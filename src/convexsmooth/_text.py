@@ -26,7 +26,9 @@ from a table that writes its leading zeros as NUL. A table is written a
 block of rows at a time: the literal separators and the cells go into
 one ``(rows, row_width)`` canvas, which ``bytes.translate`` compresses
 by deleting every NUL. Each block's temporaries are a few hundred
-kilobytes, so an export's memory beyond its text is bounded by one block.
+kilobytes, and :func:`table_blocks` hands out each block's bytes as soon
+as they are formatted. The CLI writes each block to its mesh file, so it
+never holds the text: its export memory is bounded by one block.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ _CHUNK = _FORMS.astype(np.uint8).view("<u4")[:, 0]
 _DIGITS = _FORMS.astype("<u2").view("<u8")[:, 0]
 
 # rows of a table formatted at a time, so that a block's cells and canvas
-# stay cache-sized and the export's memory stays near its text's size
+# stay cache-sized and a streamed export holds one block; the mesh kernels
+# of ``measure`` take their rows in blocks of the same size
 _BLOCK_ROWS = 4096
 
 # A float cell: sign, the "0." and up to three zeros of |x| < 1, then each
@@ -207,9 +210,9 @@ def int_cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
-def table_text(cells: np.ndarray, literals) -> str:
-    """Text of a table of NUL-padded cells of shape (rows, cols, width),
-    row by row.
+def table_text(cells: np.ndarray, literals) -> bytes:
+    """ASCII text of a table of NUL-padded cells of shape (rows, cols,
+    width), row by row.
 
     Each row reads literals[0], cell 0, literals[1], ..., cell cols - 1,
     literals[cols]. Rows are laid out on one (rows, row_width) canvas whose
@@ -225,11 +228,12 @@ def table_text(cells: np.ndarray, literals) -> str:
         if j < cols:
             canvas[:, at : at + width] = cells[:, j]
             at += width
-    return canvas.tobytes().translate(None, b"\0").decode("ascii")
+    return canvas.tobytes().translate(None, b"\0")
 
 
 def table_blocks(values: np.ndarray, cells, literals):
     """``table_text(cells(values), literals)`` in pieces, one per block of
-    rows; a block's temporaries are freed before the next is formatted."""
+    ``_BLOCK_ROWS`` rows, each yielded as soon as it is formatted; a
+    block's temporaries are freed before the next is formatted."""
     for start in range(0, len(values), _BLOCK_ROWS):
         yield table_text(cells(values[start : start + _BLOCK_ROWS]), literals)

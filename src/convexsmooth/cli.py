@@ -18,7 +18,8 @@ on a ball body; ball_support_b at R = 1, 10, 100 on a halfspace body),
 squared gauge, whose only width knob is --delta and whose checks carry
 the verdict, ``measure`` ``boundary_mesh`` and ``probe``
 ``boundary_surjectivity_probe``. An unset delta or mesh resolution takes
-the library's default.
+the library's default. A mesh is streamed into its file a block of rows
+at a time, as it is formatted, so the CLI never holds its text.
 
 Exit codes: 0 all-pass/success, 1 failed certificate or unmet epsilon
 bound, 2 input or validation errors, a flag the command does not read
@@ -32,6 +33,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import certify as cert
@@ -89,15 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_mesh(config: RunConfig, mesh: meas.BoundaryMesh) -> str:
+    """Stream the mesh's export into ``mesh.json`` (2D, with a closing
+    newline) or ``mesh.off`` (3D) a block at a time, and return the file's
+    name. The export checks the mesh before the file is opened."""
+    if mesh.dim == 2:
+        name, blocks = "mesh.json", chain(meas.polyline_blocks(mesh), [b"\n"])
+    else:
+        name, blocks = "mesh.off", meas.off_blocks(mesh)
     outdir = Path(config.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    if mesh.dim == 2:
-        path = outdir / "mesh.json"
-        path.write_text(meas.polyline_json(mesh) + "\n")
-    else:
-        path = outdir / "mesh.off"
-        path.write_text(meas.off_text(mesh))
-    return path.name
+    with open(outdir / name, "wb") as f:
+        f.writelines(blocks)
+    return name
 
 
 def _sample_count(config: RunConfig) -> int:

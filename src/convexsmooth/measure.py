@@ -14,9 +14,10 @@ body gauge.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from itertools import chain
 
 import numpy as np
 
@@ -85,14 +86,43 @@ def facet_centroids(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
     return sum(corners[1:], corners[0]) / len(corners)
 
 
+def _in_blocks(kernel: Callable[[slice], np.ndarray], rows: int, axis: int) -> np.ndarray:
+    """``kernel(slice(0, rows))``, whose rows run along ``axis`` (0 or -1)
+    of its result and are computed independently of each other.
+
+    Up to ``_text._BLOCK_ROWS`` rows, the kernel runs once on all of them.
+    Beyond that it runs a block of rows at a time into one preallocated
+    result, so its temporaries stay those of one block and the result
+    holds the same bits.
+    """
+    step = _text._BLOCK_ROWS
+    if rows <= step:
+        return kernel(slice(0, rows))
+    out = None
+    for start in range(0, rows, step):
+        block = kernel(slice(start, start + step))
+        if out is None:
+            shape = list(block.shape)
+            shape[axis] = rows
+            out = np.empty(shape, block.dtype)
+        np.moveaxis(out, axis, 0)[start : start + step] = np.moveaxis(block, axis, 0)
+    return out
+
+
 def facet_measures(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
     """Facet lengths (2D) or areas (3D) for vertex points of shape (..., N, n).
 
     Leading axes batch several meshes over one facet array; each mesh's
     measures are those it gets alone, bit for bit. The cross product and
     the norm are written out coordinate by coordinate, which rounds as
-    np.cross and np.linalg.norm do.
+    np.cross and np.linalg.norm do. The facets are taken a block of rows
+    at a time (:func:`_in_blocks`), so the corner and edge arrays are
+    those of one block; each facet's arithmetic is the same in any block.
     """
+    return _in_blocks(lambda rows: _facet_measure_rows(points, facets[rows]), len(facets), -1)
+
+
+def _facet_measure_rows(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
     p0, p1, *rest = _facet_corners(points, facets)
     e1 = p1 - p0
     if not rest:
@@ -181,19 +211,26 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
     time). A halfspace body's is the nearest face, min offset/<normal, u>
     over the faces the ray meets, by :func:`convexsmooth.bodies._face_exits`
     (a running minimum, one face at a time over every direction). The work
-    loops over the few members or faces and is vectorized over the many
-    directions, so memory stays a small multiple of the result, apart from
-    the (k, N) face denominators. Raises :class:`BracketFailure` when a
-    halfspace body is unbounded along some direction.
+    loops over the few members or faces and is vectorized over the
+    directions of a block (:func:`_in_blocks`, over the first axis of an
+    (N, ..., n) batch), so memory beyond the result is a few arrays of one
+    block, the (k, block) face denominators included; each direction's
+    arithmetic is the same in any block. Raises :class:`BracketFailure`
+    when a halfspace body is unbounded along some direction.
     """
+    if not isinstance(body, (BallBody, HalfspaceBody)):
+        raise TypeError(f"no radial function for a {type(body).__name__}")
+    dirs = _as_points(directions, body.dim)
     if isinstance(body, BallBody):
-        return 1.0 / body_gauge_values(body, directions)
-    if isinstance(body, HalfspaceBody):
-        radii = _face_exits(body.normals, body.offsets, _as_points(directions, body.dim))
-        if not np.all(np.isfinite(radii)):
-            raise BracketFailure("halfspace body is unbounded along some ray")
-        return radii
-    raise TypeError(f"no radial function for a {type(body).__name__}")
+        def kernel(rows):
+            return 1.0 / body_gauge_values(body, dirs[rows])
+    else:
+        def kernel(rows):
+            return _face_exits(body.normals, body.offsets, dirs[rows])
+    radii = kernel(slice(None)) if dirs.ndim == 1 else _in_blocks(kernel, len(dirs), 0)
+    if isinstance(body, HalfspaceBody) and not np.all(np.isfinite(radii)):
+        raise BracketFailure("halfspace body is unbounded along some ray")
+    return radii
 
 
 def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +299,8 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
     which is its boundary; off the blend tube its radii are 1/mu(u), the
     original body's to the bit, and its facets carry agreement flags.
     ``resolution`` is that of :func:`direction_grid`, whose default None
-    takes.
+    takes. The grid and radii built here are handed to the mesh read-only,
+    so it copies none of them.
     """
     from .smooth import SmoothedBody, blended_level_mesh  # local: avoid cycle
 
@@ -270,8 +308,8 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
         return blended_level_mesh(source.gauge, resolution)
     if not isinstance(source, (BallBody, HalfspaceBody)):
         raise TypeError(f"cannot mesh a {type(source).__name__}")
-    dirs, facets = direction_grid(source.dim, resolution)
-    radii = radial_function(source, dirs)
+    dirs, facets = (_read_only(a) for a in direction_grid(source.dim, resolution))
+    radii = _read_only(radial_function(source, dirs))
     return BoundaryMesh(dim=source.dim, directions=dirs, radii=radii, facets=facets)
 
 
@@ -327,28 +365,34 @@ def symmetric_difference_breakdown(w_mesh: BoundaryMesh, we_mesh: BoundaryMesh) 
     }
 
 
+def polyline_blocks(mesh: BoundaryMesh) -> Iterator[bytes]:
+    """The ASCII bytes of :func:`polyline_json`, a block of points at a
+    time. The dimension is checked, and the first block formatted, at the
+    call; later blocks are formatted as they are read."""
+    if mesh.dim != 2:
+        raise ValueError("polyline export is for 2D meshes")
+    rows = _text.table_blocks(mesh.points, _text.float_cells, (", [", ", ", "]"))
+    first = next(rows, b", ")[2:]  # the first point opens the list: no ", "
+    return chain([b'{"points": [', first], rows, [b"]}"])
+
+
 def polyline_json(mesh: BoundaryMesh) -> str:
     """Closed polyline export of a 2D mesh: the JSON text
     {"points": [[x, y], ...]}, byte for byte
-    ``json.dumps({"points": mesh.points.tolist()})``."""
-    if mesh.dim != 2:
-        raise ValueError("polyline export is for 2D meshes")
-    rows = list(_text.table_blocks(mesh.points, _text.float_cells, ("[", ", ", "], ")))
-    if rows:
-        rows[-1] = rows[-1][:-2]  # the last point closes the list: no ", "
-    return "".join(['{"points": [', *rows, "]}"])
+    ``json.dumps({"points": mesh.points.tolist()})``, joined from
+    :func:`polyline_blocks`."""
+    return b"".join(polyline_blocks(mesh)).decode("ascii")
 
 
-def off_text(mesh: BoundaryMesh) -> str:
-    """OFF-format export of a 3D mesh: ``OFF``, ``<vertices> <faces> 0``,
-    one ``x y z`` line per vertex with each coordinate as ``repr`` writes
-    it, then one ``3 i j k`` line per triangle.
+def off_blocks(mesh: BoundaryMesh) -> Iterator[bytes]:
+    """The ASCII bytes of :func:`off_text`, a block of rows at a time.
 
-    Each vertex index is formatted once, into a per-vertex table of
-    NUL-padded cells (:func:`convexsmooth._text.int_cells`), and the face
-    rows gather their cells from it a block at a time, each cell moved as
-    one fixed-width item. The NUL padding makes the text independent of
-    the table's cell width.
+    Each vertex index is formatted once, at the call, into a per-vertex
+    table of NUL-padded cells (:func:`convexsmooth._text.int_cells`), and
+    the face rows gather their cells from it a block at a time, each cell
+    moved as one fixed-width item. The NUL padding makes the text
+    independent of the table's cell width. The dimension is checked at the
+    call; the rows are formatted as they are read.
     """
     if mesh.dim != 3:
         raise ValueError("OFF export is for 3D meshes")
@@ -359,10 +403,16 @@ def off_text(mesh: BoundaryMesh) -> str:
     def face_cells(faces: np.ndarray) -> np.ndarray:
         return items[faces].view(np.uint8).reshape(faces.shape + (width,))
 
-    return "".join(
-        [
-            f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n",
-            *_text.table_blocks(mesh.points, _text.float_cells, ("", " ", " ", "\n")),
-            *_text.table_blocks(mesh.facets, face_cells, ("3 ", " ", " ", "\n")),
-        ]
+    return chain(
+        [f"OFF\n{len(mesh.points)} {len(mesh.facets)} 0\n".encode("ascii")],
+        _text.table_blocks(mesh.points, _text.float_cells, ("", " ", " ", "\n")),
+        _text.table_blocks(mesh.facets, face_cells, ("3 ", " ", " ", "\n")),
     )
+
+
+def off_text(mesh: BoundaryMesh) -> str:
+    """OFF-format export of a 3D mesh: ``OFF``, ``<vertices> <faces> 0``,
+    one ``x y z`` line per vertex with each coordinate as ``repr`` writes
+    it, then one ``3 i j k`` line per triangle; joined from
+    :func:`off_blocks`."""
+    return b"".join(off_blocks(mesh)).decode("ascii")

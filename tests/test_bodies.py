@@ -641,34 +641,31 @@ class TestExtremePointEngine:
             assert scores.tobytes() == b"".join(h.tobytes() for _, h in singles[:n])
 
     def test_projection_blocks_give_the_rows_of_one_at_a_time_calls(self):
-        # project_body tests membership in blocks of _BLOCK_ROWS point-center
-        # pairs and picks for the exterior rows in blocks of _BLOCK_ROWS
-        # candidate-center pairs; batches around both block sizes mix
-        # interior, boundary and exterior rows
+        # project_body resolves its queries in blocks of candidate_rows rows;
+        # batches around that size mix interior, boundary and exterior rows,
+        # with exterior rows on each side of every block boundary
         body = many_ball_body()
-        candidate_rows = bodies._BLOCK_ROWS // (len(body._lattice.radii) * body.num_balls)
-        membership_rows = bodies._BLOCK_ROWS // body.num_balls
-        assert 2 < candidate_rows < membership_rows
+        B = bodies._BLOCK_ROWS // (len(body._lattice.radii) * body.num_balls)
+        assert B > 2
         rng = np.random.default_rng(6)
-        n = 2 * membership_rows + 3
+        n = 2 * B + 3
         u = rng.standard_normal((n, 3))
         u /= np.linalg.norm(u, axis=1)[:, None]
         exterior = u * rng.uniform(1.05, 3.0, (n, 1))
         x = u * rng.uniform(0.0, 0.9 * body.interior_radius, (n, 1))
         kind = rng.integers(0, 3, n)  # 0 interior, 1 boundary, 2 exterior
-        kind[2 * candidate_rows + 3 :] = np.where(rng.random(n - 2 * candidate_rows - 3) < 0.1, 1, 0)
-        kind[[membership_rows - 1, membership_rows, 2 * membership_rows - 1, 2 * membership_rows, n - 1]] = 2
+        kind[[B - 1, B, 2 * B - 1, 2 * B, n - 1]] = 2
         x[kind == 2] = exterior[kind == 2]
         boundary = project_body(body, exterior[:64])
         x[kind == 1] = boundary[np.arange(np.count_nonzero(kind == 1)) % 64]
         inside = contains_many(body, x)
         assert np.array_equal(inside, kind != 2)
+        assert set(kind.tolist()) == {0, 1, 2}
         singles = np.array([project_body(body, row) for row in x])
-        for B in (candidate_rows, membership_rows):
-            for rows in (B - 1, B, B + 1, 2 * B + 3):
-                batch = project_body(body, x[:rows])
-                assert batch.tobytes() == singles[:rows].tobytes(), rows
-                assert batch.tobytes() == project_body_reference(body, x[:rows]).tobytes(), rows
+        for rows in (B - 1, B, B + 1, 2 * B + 3):
+            batch = project_body(body, x[:rows])
+            assert batch.tobytes() == singles[:rows].tobytes(), rows
+            assert batch.tobytes() == project_body_reference(body, x[:rows]).tobytes(), rows
         assert np.array_equal(singles[inside], x[inside])
 
     def test_membership_blocks_give_the_rows_of_one_at_a_time_calls(self):

@@ -4,18 +4,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convexsmooth import (
+    BoundaryMesh,
     body_from_json,
+    grids,
     boundary_mesh,
     boundary_surjectivity_probe,
     certify_body,
     extract_smoothed_body,
 )
-from convexsmooth.cli import RunConfig, build_parser, main, run
+from convexsmooth.cli import RunConfig, _write_mesh, build_parser, main, run
 from helpers import off_text_reference, polyline_json_reference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +169,37 @@ def test_measure_writes_the_reference_mesh_text(name, flags, lens_file, square_f
         assert (out / "mesh.json").read_text() == polyline_json_reference(mesh) + "\n"
     else:
         assert (out / "mesh.off").read_text() == off_text_reference(mesh)
+
+
+@pytest.mark.parametrize("name, resolution", [("lens", 2**16), ("three-ball", 6)])
+def test_measure_holds_no_copy_of_the_mesh_text(name, resolution, lens_file, tmp_path):
+    # the mesh is streamed into its file as it is formatted, so the peak is
+    # the mesh's arrays and one block, not the text and its copies
+    path = lens_file
+    if name == "three-ball":
+        path = tmp_path / "three-ball.json"
+        path.write_text(json.dumps(THREE_BALL))
+        grids.icosphere(resolution)  # the cached grid is built before tracing
+    out = tmp_path / "out"
+    config = RunConfig(command="measure", input=str(path), output=str(out), resolution=resolution)
+    tracemalloc.start()
+    try:
+        code = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    written = (out / ("mesh.json" if name == "lens" else "mesh.off")).stat().st_size
+    assert peak <= 2.5 * written
+
+
+def test_a_refused_export_leaves_no_file(tmp_path):
+    # the export checks the mesh before the mesh file is opened
+    mesh = BoundaryMesh(dim=4, directions=np.eye(4), radii=np.ones(4), facets=np.array([[0, 1, 2, 3]]))
+    config = RunConfig(command="measure", input="unused.json", output=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="OFF export is for 3D meshes"):
+        _write_mesh(config, mesh)
+    assert not (tmp_path / "out" / "mesh.off").exists()
 
 
 def test_invalid_body_exits_2(tmp_path, capsys):

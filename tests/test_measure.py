@@ -40,6 +40,7 @@ from helpers import (
     block_end_rows,
     facet_measures_reference,
     halfspace_radii_reference,
+    member_gauges_reference,
     off_text_reference,
     polyline_json_reference,
     random_ball_body,
@@ -376,6 +377,81 @@ def test_batched_facet_measures_are_each_meshs_cross_and_norm(dim):
     batched = facet_measures(points, facets)
     for pts, got in zip(points, batched):
         assert np.array_equal(got, facet_measures_reference(pts, facets))
+
+
+# row counts around the mesh kernels' block size, the last one the
+# level-6 icosphere's vertex count: ten blocks and a last block of two
+KERNEL_ROW_COUNTS = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3, 10 * _BLOCK_ROWS + 2]
+
+
+def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
+    u = rng.standard_normal((count, dim))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+class TestRowBlocks:
+    """Past one block of _BLOCK_ROWS rows, facet_measures and
+    radial_function fill their result a block at a time; every row keeps
+    the bits of the whole-array formula."""
+
+    @pytest.mark.parametrize("count", KERNEL_ROW_COUNTS)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_facet_measures(self, dim, count):
+        rng = np.random.default_rng(10 * count + dim)
+        points = rng.standard_normal((3, 500, dim))  # a leading batch axis
+        facets = rng.integers(0, 500, (count, dim))
+        batched = facet_measures(points, facets)
+        assert batched.shape == (3, count)
+        for pts, got in zip(points, batched):
+            assert got.tobytes() == facet_measures_reference(pts, facets).tobytes()
+            assert facet_measures(pts, facets).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("count", KERNEL_ROW_COUNTS)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ball_radii(self, dim, count):
+        rng = np.random.default_rng(10 * count + dim)
+        body = random_ball_body(rng, dim, 5)
+        dirs = _unit_rows(rng, count, dim)
+        ref = 1.0 / np.max(member_gauges_reference(body, dirs), axis=-1)
+        assert radial_function(body, dirs).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("count", KERNEL_ROW_COUNTS)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_halfspace_radii(self, dim, count):
+        # a blocked normals @ V.T must round as the whole-array product
+        # does, the last block of two directions included
+        rng = np.random.default_rng(10 * count + dim)
+        normals = np.vstack([np.eye(dim), -np.ones(dim), rng.standard_normal((6, dim))])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        body = HalfspaceBody(normals=normals, offsets=rng.uniform(0.2, 1.5, len(normals)))
+        dirs = _unit_rows(rng, count, dim)
+        ref = halfspace_radii_reference(body, dirs)
+        assert radial_function(body, dirs).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, resolution",
+        [(lens(), 2 * _BLOCK_ROWS + 3), (unit_square(0.5), 3 * _BLOCK_ROWS), (THREE_BALL, 6)],
+        ids=["lens", "square", "three-ball-level-6"],
+    )
+    def test_hausdorff_measure_is_the_sum_of_the_reference(self, body, resolution):
+        mesh = boundary_mesh(body, resolution)
+        reference = facet_measures_reference(mesh.points, mesh.facets)
+        assert hausdorff_measure(mesh) == float(np.sum(reference))
+
+    @pytest.mark.parametrize(
+        "body, resolution",
+        [(lens(), 2 * _BLOCK_ROWS + 3), (unit_square(0.5), 64), (THREE_BALL, 2)],
+        ids=["lens", "square", "three-ball"],
+    )
+    def test_boundary_mesh_copies_none_of_the_arrays_it_builds(self, monkeypatch, body, resolution):
+        # the grid and radii are fresh, so they go to the mesh read-only
+        built = {}
+        grid, radial = measure.direction_grid, measure.radial_function
+        monkeypatch.setattr(measure, "direction_grid", lambda *a: built.setdefault("grid", grid(*a)))
+        monkeypatch.setattr(measure, "radial_function", lambda *a: built.setdefault("radii", radial(*a)))
+        mesh = boundary_mesh(body, resolution)
+        dirs, facets = built["grid"]
+        assert mesh.directions is dirs and mesh.facets is facets and mesh.radii is built["radii"]
 
 
 class TestHausdorffMeasure:

@@ -19,7 +19,7 @@ from helpers import BLOCK_ROW_COUNTS, REPR_FALLBACK_FLOATS, block_end_rows, rand
 
 
 def _float_lines(values) -> str:
-    return table_text(float_cells(np.array(values, dtype=float)[:, None]), ["", "\n"])
+    return table_text(float_cells(np.array(values, dtype=float)[:, None]), ["", "\n"]).decode("ascii")
 
 
 def _neighbours(x: float, steps: int) -> list[float]:
@@ -71,7 +71,7 @@ def test_boundaries_of_the_fixed_range_are_written_as_repr():
 @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
 @example([0, 9999, 10**4, 10**16, 10**18, 2**63 - 1])
 def test_integers_are_written_as_str(values):
-    text = table_text(int_cells(np.array(values)[:, None]), ["", "\n"])
+    text = table_text(int_cells(np.array(values)[:, None]), ["", "\n"]).decode("ascii")
     assert text == "".join(f"{v}\n" for v in values)
 
 
@@ -87,7 +87,7 @@ def test_float_tables_are_written_block_by_block(rows):
     x = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-6, 18, (rows, 3))
     ends = block_end_rows(rows)
     x[ends] = rng.choice(REPR_FALLBACK_FLOATS, (len(ends), 3))
-    text = "".join(table_blocks(x, float_cells, ["<", ", ", " ", ">\n"]))
+    text = b"".join(table_blocks(x, float_cells, ["<", ", ", " ", ">\n"])).decode("ascii")
     assert text == "".join(f"<{a!r}, {b!r} {c!r}>\n" for a, b, c in x.tolist())
 
 
@@ -101,7 +101,7 @@ def test_integer_tables_are_written_block_by_block(rows):
     digits = 4 + ends // _BLOCK_ROWS
     v[ends, 1] = 10 ** (digits - 1)
     v[ends, 2] = 10**digits - 1
-    text = "".join(table_blocks(v, int_cells, ["3 ", " ", " ", "\n"]))
+    text = b"".join(table_blocks(v, int_cells, ["3 ", " ", " ", "\n"])).decode("ascii")
     assert text == "".join(f"3 {a} {b} {c}\n" for a, b, c in v.tolist())
 
 
