@@ -86,40 +86,25 @@ def facet_centroids(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
     return sum(corners[1:], corners[0]) / len(corners)
 
 
-def _in_blocks(kernel: Callable[[slice], np.ndarray], rows: int, axis: int) -> np.ndarray:
-    """``kernel(slice(0, rows))``, whose rows run along ``axis`` (0 or -1)
-    of its result and are computed independently of each other.
-
-    Up to ``_text._BLOCK_ROWS`` rows, the kernel runs once on all of them.
-    Beyond that it runs a block of rows at a time into one preallocated
-    result, so its temporaries stay those of one block and the result
-    holds the same bits.
-    """
-    step = _text._BLOCK_ROWS
-    if rows <= step:
-        return kernel(slice(0, rows))
-    out = None
-    for start in range(0, rows, step):
-        block = kernel(slice(start, start + step))
-        if out is None:
-            shape = list(block.shape)
-            shape[axis] = rows
-            out = np.empty(shape, block.dtype)
-        np.moveaxis(out, axis, 0)[start : start + step] = np.moveaxis(block, axis, 0)
-    return out
-
-
 def facet_measures(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
     """Facet lengths (2D) or areas (3D) for vertex points of shape (..., N, n).
 
     Leading axes batch several meshes over one facet array; each mesh's
     measures are those it gets alone, bit for bit. The cross product and
     the norm are written out coordinate by coordinate, which rounds as
-    np.cross and np.linalg.norm do. The facets are taken a block of rows
-    at a time (:func:`_in_blocks`), so the corner and edge arrays are
-    those of one block; each facet's arithmetic is the same in any block.
+    np.cross and np.linalg.norm do. Beyond ``_text._BLOCK_ROWS`` facets,
+    they are taken a block at a time into one preallocated result, so the
+    corner and edge arrays are those of one block; each facet's arithmetic
+    is the same in any block.
     """
-    return _in_blocks(lambda rows: _facet_measure_rows(points, facets[rows]), len(facets), -1)
+    step = _text._BLOCK_ROWS
+    if len(facets) <= step:
+        return _facet_measure_rows(points, facets)
+    out = np.empty(points.shape[:-2] + (len(facets),))
+    for start in range(0, len(facets), step):
+        rows = slice(start, start + step)
+        out[..., rows] = _facet_measure_rows(points, facets[rows])
+    return out
 
 
 def _facet_measure_rows(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
@@ -212,8 +197,9 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
     over the faces the ray meets, by :func:`convexsmooth.bodies._face_exits`
     (a running minimum, one face at a time over every direction). The work
     loops over the few members or faces and is vectorized over the
-    directions of a block (:func:`_in_blocks`, over the first axis of an
-    (N, ..., n) batch), so memory beyond the result is a few arrays of one
+    directions. Beyond ``_text._BLOCK_ROWS`` of them (along the first axis
+    of an (N, ..., n) batch), they are taken a block at a time into one
+    preallocated result, so memory beyond the result is a few arrays of one
     block, the (k, block) face denominators included; each direction's
     arithmetic is the same in any block. Raises :class:`BracketFailure`
     when a halfspace body is unbounded along some direction.
@@ -227,7 +213,14 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
     else:
         def kernel(rows):
             return _face_exits(body.normals, body.offsets, dirs[rows])
-    radii = kernel(slice(None)) if dirs.ndim == 1 else _in_blocks(kernel, len(dirs), 0)
+    step = _text._BLOCK_ROWS
+    if dirs.ndim == 1 or len(dirs) <= step:
+        radii = kernel(slice(None))
+    else:
+        radii = np.empty(dirs.shape[:-1])
+        for start in range(0, len(dirs), step):
+            rows = slice(start, start + step)
+            radii[rows] = kernel(rows)
     if isinstance(body, HalfspaceBody) and not np.all(np.isfinite(radii)):
         raise BracketFailure("halfspace body is unbounded along some ray")
     return radii

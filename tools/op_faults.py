@@ -3,10 +3,10 @@
 
 Usage, from the repository root::
 
-    python3 tools/op_faults.py --workload NAME [--seed S] [--repeats R]
+    python3 tools/op_faults.py --workload NAME [--repeats R]
 
-The inputs are those that ``bench/corpus.py`` draws for the workload and
-seed (1 when none is given). The ops run in this process through
+The inputs are those that ``bench/corpus.py`` draws for the workload at
+seed 1. The ops run in this process through
 ``convexsmooth.cli.run``, with the BLAS thread variables pinned to 1
 before numpy loads, as ``bench/run.py`` runs them: first the corpus's
 warm-up ops and one untimed pass over the counted CLI ops, then R passes
@@ -70,7 +70,6 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(usage=__doc__.split("\n\n")[1].strip())
     parser.add_argument("--workload", required=True, choices=list(corpus.BUILDERS))
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as scratch:
         base = Path(scratch)
-        built = corpus.build(args.workload, args.seed, base / "corpus")
+        built = corpus.build(args.workload, 1, base / "corpus")
         ops = [op for op in built.ops if op.kind != "project"]
         outdirs = [base / "out" / str(i) for i in range(len(ops))]
         for op in built.warmup:
