@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
@@ -50,12 +51,19 @@ def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
 
 
 def _positive_finite(value, name: str) -> float:
-    """``value`` as a float; ``ValueError`` naming it unless it is positive
-    and finite, as a scale or a width must be."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
+    """``value`` as a float, the one check of every scale or width argument
+    (R, delta, eta, L, a patch constant). Raises ``ValueError``
+    "<name> must be positive and finite" unless it is a real number (a
+    bool, a string, bytes or None is not one) in (0, inf)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
-    return value
+    return float(value)
+
+
+def _membership_limit(R: float) -> float:
+    """R + ``MEMBERSHIP_SLACK`` R, the bound on a distance to a center of a
+    point in a ball body of radius R (see :func:`contains_many`)."""
+    return R + MEMBERSHIP_SLACK * R
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -380,8 +388,7 @@ def contains_many(body: Body, points: np.ndarray) -> np.ndarray:
     pts, single = _as_rows(points, body.dim)
     if isinstance(body, BallBody):
         inside = np.empty(len(pts), dtype=bool)
-        R = body.radius
-        centers, limit = body.centers.T[:, None, :], R + MEMBERSHIP_SLACK * R
+        centers, limit = body.centers.T[:, None, :], _membership_limit(body.radius)
         for rows in _blocks(len(pts), body.num_balls):
             inside[rows] = _within(pts[rows], centers, limit)
     else:
@@ -484,7 +491,7 @@ class SphereLattice:
     def __post_init__(self):
         R, m = float(self.radii[0]), self.balls
         views = {
-            "limit": R + MEMBERSHIP_SLACK * R,
+            "limit": _membership_limit(R),
             "axis_tol": 4.0 * np.finfo(float).eps * R,
             "query_balls": self.centres[:, None, :m],
             "candidate_balls": self.centres[:, :m, None, None],

@@ -36,7 +36,7 @@ minimum margin so failures are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -88,13 +88,7 @@ class CertificateReport:
     samples: int
 
     def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "passed": self.passed,
-            "constant": self.constant,
-            "worst_witness": self.worst_witness,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,9 @@ class PatchParams:
     ``lipschitz`` bounds every patch's slope, ``eta`` is the worst
     strong-convexity modulus, ``r`` and ``r0`` are the largest and
     smallest patch radii, and ``diam`` bounds the diameter of the body the
-    patches cover. Each must be positive and finite.
+    patches cover. Each is stored as the float that
+    :func:`convexsmooth.bodies._positive_finite` returns, which raises
+    ``ValueError`` naming the field unless it is a positive finite number.
     """
 
     lipschitz: float
@@ -115,7 +111,7 @@ class PatchParams:
 
     def __post_init__(self):
         for name in ("lipschitz", "eta", "r", "r0", "diam"):
-            _positive_finite(getattr(self, name), name)
+            object.__setattr__(self, name, _positive_finite(getattr(self, name), name))
         if self.r0 > self.r:
             raise ValueError("r0 must not exceed r")
 
@@ -225,11 +221,13 @@ def ball_support_check(body: Body, R: float, samples: int) -> CertificateReport:
     is tested everywhere, not only at the other samples; the witness is y,
     that farthest point and the margin. Bodies with a flat face fail for
     every R: a face corner leaves the ball by about s^2/(2R) at distance s
-    along the face. R must be positive and finite and ``samples`` >= 8.
+    along the face. R must be a positive finite number and ``samples`` an
+    integer >= 8, or ``ValueError`` is raised before any work
+    (:func:`convexsmooth.bodies._positive_finite`,
+    :func:`convexsmooth.measure.check_sample_count`).
     """
     R = _positive_finite(R, "R")
-    if samples < 8:
-        raise ValueError("samples must be >= 8")
+    samples = check_sample_count(samples, 8)
     pts, normals = boundary_samples(body, samples)
     if isinstance(body, BallBody) and R >= body.radius:
         margins, active, inverse = _supporting_ball_margins(body, pts)
@@ -293,7 +291,9 @@ def ball_family_check(body: BallBody, samples: int) -> CertificateReport:
 
     Every sampled boundary point must lie on at least one generating
     sphere and inside all of them; the margin is the worse of those two
-    defects. A body other than a ball body raises :class:`NotBallBody`.
+    defects. A body other than a ball body raises :class:`NotBallBody`,
+    and a count that is not a positive integer ``ValueError``
+    (:func:`convexsmooth.measure.check_sample_count`).
     """
     _require_ball(body, "the ball-family check")
     pts, _ = boundary_samples(body, samples)
@@ -349,16 +349,18 @@ def level_set_radius(lipschitz: float, eta: float) -> float:
 
     Any sublevel set of a coercive, eta-strongly convex, L-Lipschitz
     function admits enclosing balls of this radius at every boundary
-    point. Raises ``ValueError`` unless L and eta are positive and finite.
+    point. Raises ``ValueError`` unless L and eta are positive finite
+    numbers (:func:`convexsmooth.bodies._positive_finite`).
     """
     return _positive_finite(lipschitz, "lipschitz") / _positive_finite(eta, "eta")
 
 
-def _cap_point(R: float, xi_y, z) -> tuple[float, np.ndarray, np.ndarray]:
-    """|xi|^2, w = z + R xi and R^2 - |w|^2 at the offset z or at each row
-    of an (N, n) array of offsets; raises :class:`DomainViolation` unless
-    |xi| < 1 and every w lies in the open cap |w| < R, and ``ValueError``
-    unless R is positive and finite."""
+def _cap_point(R: float, xi_y, z) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """R as a float, |xi|^2, w = z + R xi and R^2 - |w|^2 at the offset z
+    or at each row of an (N, n) array of offsets; raises
+    :class:`DomainViolation` unless |xi| < 1 and every w lies in the open
+    cap |w| < R, and ``ValueError`` unless R is a positive finite number
+    (:func:`convexsmooth.bodies._positive_finite`)."""
     R = _positive_finite(R, "R")
     xi = np.asarray(xi_y, dtype=float)
     xin = float(xi @ xi)
@@ -368,7 +370,7 @@ def _cap_point(R: float, xi_y, z) -> tuple[float, np.ndarray, np.ndarray]:
     rad = R * R - np.einsum("...i,...i->...", w, w)
     if np.any(rad <= 0.0):
         raise DomainViolation("offset leaves the open cap |z + R xi| < R")
-    return xin, w, rad
+    return R, xin, w, rad
 
 
 def cap_graph_height(R: float, xi_y, z) -> float:
@@ -379,13 +381,13 @@ def cap_graph_height(R: float, xi_y, z) -> float:
         f(z) = R sqrt(1 - |xi|^2) - sqrt(R^2 - |z + R xi|^2),
     which vanishes at z = 0.
     """
-    xin, _, rad = _cap_point(R, xi_y, z)
+    R, xin, _, rad = _cap_point(R, xi_y, z)
     return R * math.sqrt(1.0 - xin) - math.sqrt(rad)
 
 
 def cap_graph_hessian(R: float, xi_y, z) -> np.ndarray:
     """Closed-form Hessian of the spherical-cap graph at offset z."""
-    _, w, rad = _cap_point(R, xi_y, z)
+    _, _, w, rad = _cap_point(R, xi_y, z)
     return (np.outer(w, w) + rad * np.eye(len(w))) / rad**1.5
 
 
@@ -399,7 +401,7 @@ def cap_graph_hessian_check(R: float, xi_y, z_offsets) -> CertificateReport:
     offsets = np.array([np.asarray(z, dtype=float) for z in z_offsets])
     if not len(offsets):
         raise InsufficientData("need at least 1 offset")
-    _, w, rad = _cap_point(R, xi_y, offsets)
+    R, _, w, rad = _cap_point(R, xi_y, offsets)
     floor = 1.0 / R
     lam = R * R / rad**1.5
     if w.shape[1] > 1:
@@ -454,12 +456,12 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     projects to the same bits as in a projection of every vertex, as rows
     are independent, so the gap is the same float as the full one. When
     rho - tol <= 0 every vertex is projected. A body other than a ball
-    body raises :class:`NotBallBody`, and 2D samples whose halfspaces bound
-    no polygon :class:`DomainViolation`.
+    body raises :class:`NotBallBody`, a ``normal_samples`` that is not an
+    integer >= 4 ``ValueError`` (:func:`convexsmooth.measure.check_sample_count`),
+    and 2D samples whose halfspaces bound no polygon :class:`DomainViolation`.
     """
     _require_ball(body, "the reconstruction gap")
-    if normal_samples < 4:
-        raise ValueError("normal_samples must be >= 4")
+    normal_samples = check_sample_count(normal_samples, 4, "normal_samples")
     vertices, flips, enumeration = _reconstruction_vertices(*boundary_samples(body, normal_samples))
     count = len(vertices)
     V = np.ascontiguousarray(vertices.T)
@@ -721,10 +723,8 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
     ``np.random.default_rng(0)``, so the reports are deterministic.
     level_set_e passes exactly when ball_support_b does. Fewer than 8
     samples, or a count that is not an integer, raise :class:`ValueError`
-    before any certificate runs."""
-    if samples < 8:
-        raise ValueError("samples must be >= 8")
-    check_sample_count(samples)
+    before any certificate runs (:func:`convexsmooth.measure.check_sample_count`)."""
+    samples = check_sample_count(samples, 8)
     if isinstance(body, HalfspaceBody):
         return [ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)]
     floor = 1.0 / (2.0 * body.radius**2)

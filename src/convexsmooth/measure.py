@@ -14,6 +14,7 @@ body gauge.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,9 +37,14 @@ class BoundaryMesh:
     came from (plain bodies carry all-True flags). Every array, the cached
     ones included, is read-only: meshes are shared. A writeable array
     passed in is copied, so the caller's stays writeable.
+
+    The dimension ``dim`` is derived, the row length d of the (N, d)
+    ``directions``. The constructor raises ``ValueError`` naming the array
+    unless ``directions`` is (N, d), ``facets`` an integer (F, d) array
+    whose indices lie in [0, N), ``radii`` (N,) finite and positive and
+    ``agreement`` (F,).
     """
 
-    dim: int
     directions: np.ndarray
     radii: np.ndarray
     facets: np.ndarray
@@ -47,6 +53,15 @@ class BoundaryMesh:
     def __post_init__(self):
         for name in ("directions", "radii", "facets"):
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
+        if self.directions.ndim != 2:
+            raise ValueError(f"directions must be an (N, d) array, got shape {self.directions.shape}")
+        if self.facets.shape[1:] != (self.dim,) or not np.issubdtype(self.facets.dtype, np.integer):
+            raise ValueError(
+                f"facets must be an integer (F, {self.dim}) array, got {self.facets.dtype} "
+                f"of shape {self.facets.shape}"
+            )
+        if self.facets.size and not 0 <= self.facets.min() <= self.facets.max() < len(self.directions):
+            raise ValueError(f"facet indices must lie in [0, {len(self.directions)})")
         flags = np.ones(len(self.facets), dtype=bool) if self.agreement is None else self.agreement
         object.__setattr__(self, "agreement", _frozen(np.asarray(flags, dtype=bool)))
         shapes = (self.radii.shape, self.agreement.shape)
@@ -54,6 +69,10 @@ class BoundaryMesh:
             raise ValueError("a mesh takes one radius per direction and one flag per facet")
         if not np.all(np.isfinite(self.radii) & (self.radii > 0)):
             raise ValueError("mesh radii must be finite and positive")
+
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -133,11 +152,20 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_sample_count(samples) -> None:
-    """Raise ``ValueError`` unless ``samples`` is a positive integer (a bool
-    is not one), as :func:`boundary_samples` needs."""
+def check_sample_count(samples, floor: int = 1, name: str = "samples") -> int:
+    """``samples`` as an int, the one check of every sample count.
+
+    Raises ``ValueError`` naming the count: for a real number below a
+    ``floor`` above 1 (a bool counts as 0 or 1) "<name> must be >= <floor>",
+    and otherwise, unless ``samples`` is a positive integer (a bool is not
+    one), "<name> must be positive and an integer". Strings and None are
+    refused by the second message.
+    """
+    if floor > 1 and isinstance(samples, numbers.Real) and samples < floor:
+        raise ValueError(f"{name} must be >= {floor}")
     if not (_is_integer(samples) and samples > 0):
-        raise ValueError(f"samples must be positive and an integer, got {samples!r}")
+        raise ValueError(f"{name} must be positive and an integer, got {samples!r}")
+    return int(samples)
 
 
 def check_mesh_dim(dim: int) -> None:
@@ -178,13 +206,16 @@ def sample_directions(dim: int, samples: int) -> tuple[np.ndarray, float]:
     pi/count; 3D the smallest icosphere with at least ``samples`` vertices,
     with that icosphere's covering angle. Every unit vector lies within the
     covering angle of some direction. The sampled certificates and the
-    probe use this grid; other dimensions raise :class:`InvalidBody`.
+    probe use this grid; other dimensions raise :class:`InvalidBody`, and a
+    count that is not a positive integer ``ValueError``
+    (:func:`check_sample_count`).
     """
     check_mesh_dim(dim)
+    samples = check_sample_count(samples)
     if dim == 2:
-        count = max(int(samples), 4)
+        count = max(samples, 4)
         return grids.circle_directions(count), grids.circle_covering_angle(count)
-    level = grids.icosphere_level_for(int(samples))
+    level = grids.icosphere_level_for(samples)
     return grids.icosphere(level)[0], grids.icosphere_covering_angle(level)
 
 
@@ -240,7 +271,7 @@ def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     and it goes with the body. A count that is not a positive integer (a
     bool is not one) raises ``ValueError``.
     """
-    check_sample_count(samples)
+    samples = check_sample_count(samples)
     drawn = body._samples.get(samples)
     if drawn is None:
         dirs, _ = sample_directions(body.dim, samples)
@@ -303,7 +334,7 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
         raise TypeError(f"cannot mesh a {type(source).__name__}")
     dirs, facets = (_read_only(a) for a in direction_grid(source.dim, resolution))
     radii = _read_only(radial_function(source, dirs))
-    return BoundaryMesh(dim=source.dim, directions=dirs, radii=radii, facets=facets)
+    return BoundaryMesh(directions=dirs, radii=radii, facets=facets)
 
 
 def hausdorff_measure(mesh: BoundaryMesh) -> float:
@@ -314,9 +345,9 @@ def hausdorff_measure(mesh: BoundaryMesh) -> float:
 def _symdiff_masks(
     w_mesh: BoundaryMesh, we_mesh: BoundaryMesh
 ) -> tuple[np.ndarray, np.ndarray]:
-    if w_mesh.dim != we_mesh.dim or not np.array_equal(
-        w_mesh.directions, we_mesh.directions
-    ) or not np.array_equal(w_mesh.facets, we_mesh.facets):
+    if not np.array_equal(w_mesh.directions, we_mesh.directions) or not np.array_equal(
+        w_mesh.facets, we_mesh.facets
+    ):
         raise GridMismatch("meshes do not share a direction grid")
     vertex_diff = np.abs(w_mesh.radii - we_mesh.radii) > 1e-10 * float(np.max(w_mesh.radii))
     return vertex_diff[w_mesh.facets].any(axis=1), ~we_mesh.agreement

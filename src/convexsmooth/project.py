@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies import (
-    MEMBERSHIP_SLACK,
     Ball,
     BallBody,
     Body,
@@ -36,6 +35,7 @@ from .bodies import (
     _dot,
     _extreme_points,
     _face_exits,
+    _membership_limit,
     _norm,
     _require_ball,
     contains_many,
@@ -120,7 +120,7 @@ def boundary_projection(body: BallBody, x) -> np.ndarray:
     v = x - body.centers
     dist = _norm(v.T)
     # contains_many's rule and summation order, on the distances at hand
-    if not np.all(dist <= body.radius + MEMBERSHIP_SLACK * body.radius):
+    if not np.all(dist <= _membership_limit(body.radius)):
         return project_body(body, x)
     i = int(np.argmax(dist))
     depths = body.radius - dist

@@ -36,6 +36,7 @@ original mesh for the flags that every verdict reads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,9 @@ _NEWTON_MAX_STEPS = 64
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 0.25):
+    """The one check of a tolerance epsilon: :class:`DegenerateEpsilon`
+    unless it is a real number in (0, 1/4)."""
+    if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 0.25):
         raise DegenerateEpsilon("epsilon must lie in (0, 1/4)")
 
 
@@ -94,7 +97,9 @@ class BlendedGauge:
     the top-two member gap is at least delta. Two copies of a ball tie
     everywhere, so a body whose centers repeat is replaced by the body of
     its distinct centers, in order of first occurrence. A body other than
-    a ball body raises :class:`NotBallBody`.
+    a ball body raises :class:`NotBallBody`. ``delta`` is stored as the
+    float :func:`convexsmooth.bodies._positive_finite` returns, which
+    raises ``ValueError`` unless it is a positive finite number.
     """
 
     body: BallBody
@@ -216,7 +221,7 @@ def _original_mesh(gauge: BlendedGauge, resolution: int | None):
     its facet centroids, the run's one tube test."""
     dirs, facets = _measure.direction_grid(gauge.dim, resolution)
     mus = member_gauges(gauge.body, dirs)
-    w_mesh = _measure.BoundaryMesh(gauge.dim, dirs, 1.0 / np.max(mus, axis=-1), facets)
+    w_mesh = _measure.BoundaryMesh(dirs, 1.0 / np.max(mus, axis=-1), facets)
     return w_mesh, mus, agreement_many(gauge, w_mesh.facet_centroids)
 
 
@@ -236,7 +241,7 @@ def _level_mesh(gauge: BlendedGauge, w_mesh, mus, flags) -> _measure.BoundaryMes
     if not closed.all():
         radii[~closed] = _tube_radii(gauge, -np.sort(-sq[~closed], axis=-1))
     agreement = closed[w_mesh.facets].all(axis=1) & flags
-    return _measure.BoundaryMesh(gauge.dim, w_mesh.directions, radii, w_mesh.facets, agreement)
+    return _measure.BoundaryMesh(w_mesh.directions, radii, w_mesh.facets, agreement)
 
 
 def blended_level_mesh(gauge: BlendedGauge, resolution: int | None) -> _measure.BoundaryMesh:
@@ -294,7 +299,8 @@ def level_disagreement_scan(gauge: BlendedGauge, epsilon: float, scan: int, reso
 
     Level t at width delta is t times level 1 at width delta/t^2, so its
     measure is t^(n - 1) times that of the narrower blend's disagreeing
-    facets.
+    facets. An epsilon that is not a real number in (0, 1/4) raises
+    :class:`DegenerateEpsilon`.
     """
     _check_epsilon(epsilon)
     levels = 1.0 + epsilon * (np.arange(scan) + 1.0) / (scan + 1.0)
@@ -352,9 +358,10 @@ def extract_smoothed_body(
     width), and a smaller one gives a larger body, closer to the original.
 
     Raises :class:`ShrinkDelta` when the blend tube already eats more than
-    epsilon/4 of the boundary measure, :class:`DegenerateEpsilon` for
-    epsilon outside (0, 1/4) and ``ValueError`` for a delta that is not
-    positive and finite. Bodies outside the meshing dimensions raise
+    epsilon/4 of the boundary measure, :class:`DegenerateEpsilon` for an
+    epsilon that is not a real number in (0, 1/4) and ``ValueError`` for a
+    delta that is not a positive finite number (a string or a bool is
+    not one). Bodies outside the meshing dimensions raise
     :class:`InvalidBody`, and a body other than a ball body
     :class:`NotBallBody`. A body whose centers repeat smooths as the body
     of its distinct centers (see :class:`BlendedGauge`). A ``delta`` of

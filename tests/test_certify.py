@@ -1,4 +1,5 @@
 import math
+import numbers
 import os
 import re
 import subprocess
@@ -145,6 +146,8 @@ class TestEnclosingRadius:
             PatchParams(lipschitz=1, eta=-1, r=1, r0=1, diam=2)
         with pytest.raises(ValueError):
             PatchParams(lipschitz=1, eta=1, r=0.5, r0=1, diam=2)
+        # each field is stored as the float its check returns
+        assert {type(v) for v in vars(PatchParams(1, 1, 1, 1, 2)).values()} == {float}
 
 
 class TestBallSupport:
@@ -469,14 +472,20 @@ _SCALE_CALLS = {
     "ball-support": lambda R: ball_support_check(lens(), R, 360),
     "level-set-lipschitz": lambda R: level_set_radius(R, 1.0),
     "level-set-eta": lambda R: level_set_radius(1.0, R),
+    "patch-params": lambda R: PatchParams(R, 1.0, 1.0, 1.0, 2.0),
 }
 
 
-@pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan], ids=["negative", "zero", "inf", "nan"])
+@pytest.mark.parametrize(
+    "R",
+    [-1.0, 0.0, math.inf, math.nan, "1.0", True, None],
+    ids=["negative", "zero", "inf", "nan", "string", "bool", "none"],
+)
 @pytest.mark.parametrize("call", list(_SCALE_CALLS.values()), ids=list(_SCALE_CALLS))
 def test_a_scale_that_is_not_positive_and_finite_is_refused(call, R):
     # once, a negative R gave a negative cap height, R = 0 a misleading
-    # domain error, and an infinite R a passing report with constant inf
+    # domain error, and an infinite R a passing report with constant inf;
+    # "1.0" and True ran at R = 1, and None raised a bare TypeError
     with pytest.raises(ValueError, match="^(R|lipschitz|eta) must be positive and finite$"):
         call(R)
 
@@ -493,9 +502,17 @@ _SAMPLED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("samples", [0, -5, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
+@pytest.mark.parametrize(
+    "samples",
+    [0, -5, 2.5, True, "360", None],
+    ids=["zero", "negative", "fraction", "bool", "string", "none"],
+)
 @pytest.mark.parametrize("call, message", list(_SAMPLED_CALLS.values()), ids=list(_SAMPLED_CALLS))
 def test_a_sample_count_that_is_not_a_positive_integer_is_refused(call, message, samples):
+    # a count below a floor reads the floor; one that is not a real number
+    # once met the floor's `samples < 8` and raised TypeError
+    if not isinstance(samples, numbers.Real):
+        message = f"{message.split()[0]} must be positive and an integer, got {re.escape(repr(samples))}$"
     with pytest.raises(ValueError, match=f"^{message}"):
         call(samples)
 
@@ -900,7 +917,7 @@ class TestFlippedHull:
 
 
 class TestScaledVerdicts:
-    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+    @pytest.mark.parametrize("scale", [1e-30, 1e-6, 1.0, 1e8, 1e30])
     @pytest.mark.parametrize("make", [lens, lambda: THREE_BALL], ids=["lens", "three-ball"])
     def test_a_scaled_body_gets_the_unit_body_s_verdicts(self, make, scale):
         # every tolerance scales with R; an absolute one failed the

@@ -195,7 +195,7 @@ def test_measure_holds_no_copy_of_the_mesh_text(name, resolution, lens_file, tmp
 
 def test_a_refused_export_leaves_no_file(tmp_path):
     # the export checks the mesh before the mesh file is opened
-    mesh = BoundaryMesh(dim=4, directions=np.eye(4), radii=np.ones(4), facets=np.array([[0, 1, 2, 3]]))
+    mesh = BoundaryMesh(directions=np.eye(4), radii=np.ones(4), facets=np.array([[0, 1, 2, 3]]))
     config = RunConfig(command="measure", input="unused.json", output=str(tmp_path / "out"))
     with pytest.raises(ValueError, match="OFF export is for 3D meshes"):
         _write_mesh(config, mesh)

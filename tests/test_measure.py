@@ -87,22 +87,34 @@ class TestBoundaryMesh:
         radii = np.ones(16)
         radii[3] = bad
         with pytest.raises(ValueError, match="finite and positive"):
-            BoundaryMesh(dim=2, directions=dirs, radii=radii, facets=facets)
+            BoundaryMesh(directions=dirs, radii=radii, facets=facets)
 
     @pytest.mark.parametrize(
-        "radii, agreement",
+        "given, message",
         [
-            (np.ones(15), None),
-            (np.ones((16, 1)), None),
-            (np.ones(16), np.ones(15, dtype=bool)),
-            (np.ones(16), np.ones(17, dtype=bool)),
+            ({"radii": np.ones(15)}, "one radius per direction and one flag per facet"),
+            ({"radii": np.ones((16, 1))}, "one radius per direction and one flag per facet"),
+            ({"agreement": np.ones(15, dtype=bool)}, "one radius per direction and one flag per facet"),
+            ({"agreement": np.ones(17, dtype=bool)}, "one radius per direction and one flag per facet"),
+            ({"directions": grids.icosphere(2)[0][:16]}, r"facets must be an integer \(F, 3\) array"),
+            ({"facets": np.array([[0, 1], [1, -1]])}, r"facet indices must lie in \[0, 16\)"),
+            ({"facets": np.array([[0, 1], [1, 16]])}, r"facet indices must lie in \[0, 16\)"),
+            ({"facets": direction_grid(2, 16)[1] * 1.0}, r"facets must be an integer \(F, 2\) array"),
+            ({"directions": np.ones(16)}, r"directions must be an \(N, d\) array"),
         ],
-        ids=["short-radii", "column-radii", "short-agreement", "long-agreement"],
+        ids=[
+            "short-radii", "column-radii", "short-agreement", "long-agreement",
+            "segments-in-3d", "negative-index", "index-past-the-end", "float-facets", "flat-directions",
+        ],
     )
-    def test_radii_and_flags_must_match_the_grid(self, radii, agreement):
+    def test_radii_and_flags_must_match_the_grid(self, given, message):
+        # the 3D segments measured the three-ball body at level 2 as 57.39
+        # (8.02 as triangles), a negative index wrapped, and a float facet
+        # or an index past the end failed inside numpy
         dirs, facets = direction_grid(2, 16)
-        with pytest.raises(ValueError, match="one radius per direction and one flag per facet"):
-            BoundaryMesh(dim=2, directions=dirs, radii=radii, facets=facets, agreement=agreement)
+        mesh = {"directions": dirs, "radii": np.ones(16), "facets": facets, **given}
+        with pytest.raises(ValueError, match=message):
+            BoundaryMesh(**mesh)
 
     def test_every_exposed_array_is_read_only(self):
         # meshes are shared (a smoothed body keeps its two), so a write to
@@ -143,7 +155,7 @@ class TestBoundaryMesh:
             "agreement": np.ones(len(facets), dtype=bool),
         }
         writeable = {name: arr.flags.writeable for name, arr in given.items()}
-        mesh = BoundaryMesh(dim=dim, **given)
+        mesh = BoundaryMesh(**given)
         for name, arr in given.items():
             kept = getattr(mesh, name)
             assert arr.flags.writeable == writeable[name], name
@@ -521,13 +533,13 @@ def _signed_zero_mesh_2d():
     dirs, facets = direction_grid(2, 16)
     dirs = dirs.copy()
     dirs[[0, 4, 8, 12]] = [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]]
-    return BoundaryMesh(dim=2, directions=dirs, radii=2.0 ** np.arange(-8, 8), facets=facets)
+    return BoundaryMesh(directions=dirs, radii=2.0 ** np.arange(-8, 8), facets=facets)
 
 
 def _signed_zero_mesh_3d():
     # the icosphere's exact zero components, negated
     dirs, facets = grids.icosphere(2)
-    return BoundaryMesh(dim=3, directions=-dirs, radii=np.full(len(dirs), 0.5), facets=facets)
+    return BoundaryMesh(directions=-dirs, radii=np.full(len(dirs), 0.5), facets=facets)
 
 
 def _box_3d():
@@ -548,7 +560,7 @@ def _block_mesh(dim: int, rows: int) -> BoundaryMesh:
     top = np.where(i < _BLOCK_ROWS, i // 5, i)
     facets = np.stack([top, top // 2, top // 3][:dim], axis=1)
     # unit radii, so the points are the directions bit for bit
-    return BoundaryMesh(dim=dim, directions=points, radii=np.ones(rows), facets=facets)
+    return BoundaryMesh(directions=points, radii=np.ones(rows), facets=facets)
 
 
 def _fallback_kinds(points: np.ndarray) -> set[str]:
@@ -631,7 +643,7 @@ class TestExports:
         lo, hi = {"all": (0, vertices), "low": (0, 100), "high": (vertices - 100, vertices)}[used]
         facets = rng.integers(lo, hi, size=(_BLOCK_ROWS + 7, 3))
         facets[0] = [lo, hi - 1, lo]
-        mesh = BoundaryMesh(dim=3, directions=dirs, radii=rng.uniform(0.5, 2.0, vertices), facets=facets)
+        mesh = BoundaryMesh(directions=dirs, radii=rng.uniform(0.5, 2.0, vertices), facets=facets)
         assert off_text(mesh) == off_text_reference(mesh)
 
     @pytest.mark.parametrize(

@@ -117,8 +117,8 @@ class TestSmoothMax:
 
     def test_validation(self):
         # a NaN or infinite width used to reach the tube estimate and be
-        # reported as a fat tube
-        for delta in (-0.1, 0.0, np.nan, np.inf, -np.inf):
+        # reported as a fat tube, and "1e-3" or True smoothed at 1e-3 or 1
+        for delta in (-0.1, 0.0, np.nan, np.inf, -np.inf, "1e-3", True):
             with pytest.raises(ValueError, match="delta must be positive and finite"):
                 BlendedGauge(body=lens(), delta=delta)
             with pytest.raises(ValueError, match="delta must be positive and finite"):
@@ -393,7 +393,7 @@ class TestRegularValueSelection:
 
     def test_epsilon_validation(self):
         gauge = BlendedGauge(body=single(), delta=1e-3)
-        for bad in (0.0, 0.25, 0.5, -0.1):
+        for bad in (0.0, 0.25, 0.5, -0.1, "0.05"):
             with pytest.raises(DegenerateEpsilon):
                 level_disagreement_scan(gauge, bad, 16)
 
@@ -593,8 +593,10 @@ class TestExtract:
         assert BlendedGauge(body=body, delta=1e-3).body is body
 
     def test_epsilon_validation(self):
-        with pytest.raises(DegenerateEpsilon):
-            extract_smoothed_body(lens(), delta=1e-3, epsilon=0.3)
+        # "0.05" once raised TypeError comparing a string with 0.0
+        for bad in (0.3, "0.05"):
+            with pytest.raises(DegenerateEpsilon):
+                extract_smoothed_body(lens(), delta=1e-3, epsilon=bad)
 
     @pytest.mark.parametrize("scale", [0.25, 8.0], ids=["quarter", "eight"])
     def test_default_width_is_scale_invariant(self, scale):
