@@ -803,26 +803,23 @@ def support_value(body: BallBody, direction):
 def diameter(body: BallBody) -> float:
     """Certified upper bound on the diameter of the body.
 
-    Scans antipodal support values over a fixed grid (256 directions in 2D,
-    the level-3 icosphere in 3D), inflates the grid maximum by the
-    covering-angle secant (which dominates the true diameter for any convex
-    set), and caps at 2R, an unconditional bound since the body sits inside
-    each generating ball. Outside dims 2 and 3 there is no grid with a
-    certified covering angle, and the 2R cap is returned. A body other than
-    a ball body raises :class:`NotBallBody`.
+    Scans antipodal support values over a fixed grid record of
+    :func:`convexsmooth.grids.grid` (256 directions in 2D, the level-3
+    icosphere in 3D), inflates the grid maximum by the secant of the
+    record's covering angle (which dominates the true diameter for any
+    convex set), and caps at 2R, an unconditional bound since the body sits
+    inside each generating ball. Outside dims 2 and 3 there is no grid with
+    a certified covering angle, and the 2R cap is returned. A body other
+    than a ball body raises :class:`NotBallBody`.
     """
     _require_ball(body, "the diameter bound")
-    if body.dim == 2:
-        dirs = grids.circle_directions(256)
-        cover = grids.circle_covering_angle(256)
-    elif body.dim == 3:
-        dirs, _ = grids.icosphere(3)
-        cover = grids.icosphere_covering_angle(3)
-    else:
+    if body.dim not in (2, 3):
         return 2.0 * body.radius
+    grid = grids.grid(body.dim, 256 if body.dim == 2 else 3)
+    dirs = grid.directions
     h = support_value(body, np.vstack([dirs, -dirs]))
     breadth = float(np.max(h[: len(dirs)] + h[len(dirs) :]))
-    return float(min(breadth / np.cos(cover), 2.0 * body.radius))
+    return float(min(breadth / np.cos(grid.covering_angle), 2.0 * body.radius))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from functools import cache
 
 import numpy as np
 
-from . import grids
 from .bodies import (
     MEMBERSHIP_SLACK,
     BallBody,
@@ -54,10 +53,12 @@ from .bodies import (
     _positive_finite,
     _read_only,
     _require_ball,
+    _text_or_bool,
     farthest_point,
 )
 from .errors import DomainViolation, InsufficientData
 from .gauge import gauge_lipschitz_bound, member_gauge_derivatives
+from .grids import Grid
 from .measure import boundary_samples, check_sample_count, sample_directions
 from .project import project_body
 
@@ -142,14 +143,18 @@ def subgradient_certificate(points, eta: float) -> CertificateReport:
     it holds for all of them.
 
     Every x and subgradient must have the first x's length, and every
-    entry must be finite; otherwise :class:`ValueError` names the first
-    offending triple. A non-finite eta raises :class:`ValueError` too.
+    entry must be a finite number (not a string, bool or None); otherwise
+    :class:`ValueError` names the first offending triple. An eta that is
+    not a finite number raises :class:`ValueError` too.
     """
-    if not math.isfinite(eta):
+    if eta is None or _text_or_bool(eta) or not math.isfinite(eta):
         raise ValueError("eta must be finite")
     pts = list(points)
     if len(pts) < 2:
         raise InsufficientData("need at least 2 sample points")
+    for k, p in enumerate(pts):
+        if any(part is None or _text_or_bool(part) for part in (p[0], p[1], p[2])):
+            raise ValueError(f"triple {k}: x, value and subgradient must be finite")
     xs = [np.asarray(p[0], dtype=float).ravel() for p in pts]
     gs = [np.asarray(p[2], dtype=float).ravel() for p in pts]
     dim = len(xs[0])
@@ -462,7 +467,8 @@ def halfspace_reconstruction_gap(body: BallBody, normal_samples: int) -> float:
     """
     _require_ball(body, "the reconstruction gap")
     normal_samples = check_sample_count(normal_samples, 4, "normal_samples")
-    vertices, flips, enumeration = _reconstruction_vertices(*boundary_samples(body, normal_samples))
+    grid = sample_directions(body.dim, normal_samples)
+    vertices, flips, enumeration = _reconstruction_vertices(*boundary_samples(body, normal_samples), grid)
     count = len(vertices)
     V = np.ascontiguousarray(vertices.T)
     length = _norm(V)
@@ -506,15 +512,18 @@ class _Gap(float):
         return gap
 
 
-def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, int, str]:
+def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray, grid: Grid) -> tuple[np.ndarray, int, str]:
     """Vertices of the intersection of the supporting halfspaces
     <v_i, x> <= <v_i, y_i> at boundary samples y_i with normals v_i, (V, n),
     the edge flips made, and how they were found: ``"adjacent_lines"``,
-    ``"flips"`` or ``"qhull"``.
+    ``"flips"`` or ``"qhull"``. ``grid`` is the record the samples were
+    drawn on (:func:`convexsmooth.measure.sample_directions`), whose facets
+    say which samples are neighbours.
 
     In 2D the samples of :func:`convexsmooth.measure.boundary_samples` go
     counterclockwise and their normals turn monotonically, so vertex i is
-    where support lines i and i + 1 meet (wrapping around), in the local
+    where the support lines of the grid's facet i, the samples i and i + 1
+    (wrapping around), meet, in the local
     form y_i + t tau_i, tau_i = v_i turned by +90 degrees and
     t = <v_{i+1}, y_{i+1} - y_i>/<v_{i+1}, tau_i>. The denominator is the
     sine of the turn from v_i to v_{i+1}; when it is not positive the
@@ -527,33 +536,34 @@ def _reconstruction_vertices(pts: np.ndarray, normals: np.ndarray) -> tuple[np.n
 
     In 3D the samples are the vertices of an icosphere, and each vertex is
     where the planes of one triangle of a triangulation meet, found by
-    :func:`_flipped_hull_vertices` from the icosphere's own triangles. When
+    :func:`_flipped_hull_vertices` from the grid's own triangles. When
     that proves nothing, scipy's ``HalfspaceIntersection`` enumerates
     them, imported here, so that only that fallback loads scipy.
     """
     if pts.shape[1] != 2:
-        vertices, _, flips = _flipped_hull_vertices(pts, normals)
+        vertices, _, flips = _flipped_hull_vertices(pts, normals, grid)
         if vertices is not None:
             return vertices, flips, "flips"
         from scipy.spatial import HalfspaceIntersection
 
         halfspaces = np.column_stack([normals, -_dot(normals.T, pts.T)])
         return HalfspaceIntersection(halfspaces, np.zeros(pts.shape[1])).intersections, flips, "qhull"
-    tangent = np.column_stack([-normals[:, 1], normals[:, 0]])
-    following = np.roll(normals, -1, axis=0)
+    i, j = grid.facets.T
+    tangent = np.column_stack([-normals[i, 1], normals[i, 0]])
+    following = normals[j]
     turn = _dot(following.T, tangent.T)
     if not np.all(turn > 0.0):
-        i = int(np.argmin(turn > 0.0))
+        k = int(np.argmin(turn > 0.0))
         raise DomainViolation(
-            f"boundary samples {i} and {(i + 1) % len(pts)} are not in convex position: "
-            f"the sine of the turn between their normals is {turn[i]:.3g}, so the "
+            f"boundary samples {i[k]} and {j[k]} are not in convex position: "
+            f"the sine of the turn between their normals is {turn[k]:.3g}, so the "
             "sampled halfspaces bound no polygon"
         )
-    t = _dot(following.T, (np.roll(pts, -1, axis=0) - pts).T) / turn
-    return pts + t[:, None] * tangent, 0, "adjacent_lines"
+    t = _dot(following.T, (pts[j] - pts[i]).T) / turn
+    return pts[i] + t[:, None] * tangent, 0, "adjacent_lines"
 
 
-def _flipped_hull_vertices(pts: np.ndarray, normals: np.ndarray):
+def _flipped_hull_vertices(pts: np.ndarray, normals: np.ndarray, grid: Grid):
     """The 3D reconstruction vertices, (F, 3), by Lawson edge flips, the
     sample triples (F, 3) whose planes meet at them, and the flips made;
     None in place of the vertices and triples when no hull is proven.
@@ -561,8 +571,9 @@ def _flipped_hull_vertices(pts: np.ndarray, normals: np.ndarray):
     By polar duality the halfspaces' intersection P has a vertex for each
     triangle of the convex hull of the points v_i/<v_i, y_i>, so its
     vertices are those of any triangulation of the samples whose triangles
-    are the hull's. The samples are the icosphere's vertices in grid
-    order, and its triangles are the starting guess. Each triangle (i, j, l)
+    are the hull's. The samples are the vertices of ``grid``, the record
+    they were drawn on, in its order; its triangles are the starting guess
+    and its ``across`` table their adjacency. Each triangle (i, j, l)
     gives the point x where its three planes meet (:func:`_face_vertices`).
     Across the edge it shares with a triangle whose third sample is o, the
     dual surface is convex when x lies in halfspace o:
@@ -592,7 +603,7 @@ def _flipped_hull_vertices(pts: np.ndarray, normals: np.ndarray):
     flipped, and one left standing fails by at most that rounding. Every
     term is a length, so tau scales with the body.
     """
-    faces, across = grids.icosphere_adjacency(grids.icosphere_level_for(len(pts)))
+    faces, across = grid.facets, grid.across
     Y, Nm = np.ascontiguousarray(pts.T), np.ascontiguousarray(normals.T)
     offsets = _dot(Nm, Y)
     reach = float(np.max(_norm(Y)))
@@ -680,7 +691,7 @@ def _face_vertices(Y: np.ndarray, Nm: np.ndarray, faces: np.ndarray, reach: floa
 
 def _flip(faces: np.ndarray, across: np.ndarray, edge: int) -> bool:
     """Flip edge ``edge`` = 3 t + k in place (see
-    :func:`convexsmooth.grids.icosphere_adjacency` for the tables): face
+    :attr:`convexsmooth.grids.Grid.across` for the tables): face
     t = (i, j, l), with the edge from i to j, and the face g = (j, i, o)
     across it become (i, o, l) and (o, j, l), and each of their edges gets
     the corner across it, and gives that face its new corner. When o is l
@@ -722,9 +733,13 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
     docstring), ``samples`` boundary samples each; eq39's points come from
     ``np.random.default_rng(0)``, so the reports are deterministic.
     level_set_e passes exactly when ball_support_b does. Fewer than 8
-    samples, or a count that is not an integer, raise :class:`ValueError`
-    before any certificate runs (:func:`convexsmooth.measure.check_sample_count`)."""
+    samples, a count that is not an integer (:func:`convexsmooth.measure.check_sample_count`)
+    or a 3D count above the finest icosphere level
+    (:func:`convexsmooth.measure.sample_directions`) raise :class:`ValueError`
+    before any certificate runs, and the reconstruction bound takes its
+    covering angle from the samples' grid record."""
     samples = check_sample_count(samples, 8)
+    grid = sample_directions(body.dim, samples)
     if isinstance(body, HalfspaceBody):
         return [ball_support_check(body, R, samples) for R in (1.0, 10.0, 100.0)]
     floor = 1.0 / (2.0 * body.radius**2)
@@ -764,8 +779,7 @@ def certify_body(body: Body, samples: int) -> list[CertificateReport]:
 
     found = halfspace_reconstruction_gap(body, samples)
     gap = float(found)
-    _, cover = sample_directions(body.dim, samples)
-    bound = 4.0 * body.radius**2 * cover**2 / body.interior_radius
+    bound = 4.0 * body.radius**2 * grid.covering_angle**2 / body.interior_radius
     reports.append(
         CertificateReport(
             condition="halfspace_reconstruction",

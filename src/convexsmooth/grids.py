@@ -3,12 +3,14 @@
 2D grids are evenly spaced angles; 3D grids are subdivided icosahedra
 (quasi-uniform, no polar clustering). Both come with a certified covering
 angle: every unit vector lies within that angle of some grid direction.
+Each dimension and size is built once, into one shared :class:`Grid`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,45 +23,70 @@ def circle_directions(count: int) -> np.ndarray:
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def circle_covering_angle(count: int) -> float:
-    """Max angle from any unit vector to the nearest of `count` grid directions."""
-    return math.pi / count
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """A direction grid: unit ``directions`` (N, d) and the ``facets`` over
+    them, (F, d), consecutive index pairs closing the loop in 2D and the
+    icosphere's triangles in 3D. Both arrays are made read-only, since
+    :func:`grid` shares one record per dimension and size; the covering
+    angle and the 3D adjacency are computed on first use and kept on it.
+    """
+
+    directions: np.ndarray
+    facets: np.ndarray
+
+    def __post_init__(self):
+        self.directions.setflags(write=False)
+        self.facets.setflags(write=False)
+
+    @cached_property
+    def covering_angle(self) -> float:
+        """Max angle from any unit vector to the nearest grid direction:
+        pi/N in 2D, and in 3D the largest spherical circumradius over the
+        faces, since any unit vector lies inside some face, whose vertices
+        are within the face circumradius of it."""
+        return _covering_angle(self.directions, self.facets)
+
+    @cached_property
+    def across(self) -> np.ndarray:
+        """The corner across each edge of a 3D grid's faces, (F, 3),
+        read-only.
+
+        Edge k of a face runs from its corner k to corner k + 1 (mod 3). The
+        face g that holds the same edge reversed has one corner c off it,
+        and ``across[f, k]`` is 3 g + c, so that ``facets.flat[across]`` is
+        that corner's vertex.
+        """
+        return _corners_across(self.facets)
 
 
-def circle_facets(count: int) -> np.ndarray:
-    """Consecutive index pairs closing the loop."""
-    i = np.arange(count)
-    return np.column_stack([i, (i + 1) % count])
+# one record per (dimension, size) built, each holding its covering angle
+# and adjacency once computed, so that clearing it drops them all
+_ICO_CACHE: dict[tuple[int, int], Grid] = {}
 
 
-@dataclass
-class _Icosphere:
-    verts: np.ndarray
-    faces: np.ndarray
-    covering_angle: float | None = None  # set by the first icosphere_covering_angle call
-    across: np.ndarray | None = None  # set by the first icosphere_adjacency call
-
-
-# one entry per level built, holding its grid, covering angle and face
-# adjacency, so that clearing it drops them all
-_ICO_CACHE: dict[int, _Icosphere] = {}
+def grid(dim: int, size: int) -> Grid:
+    """The shared grid of ``size`` directions in 2D (:func:`circle_directions`)
+    or of icosphere level ``size`` in 3D (:func:`icosphere`), built on the
+    first call for each dimension and size."""
+    key = (dim, size)
+    if key not in _ICO_CACHE:
+        if dim == 2:
+            i = np.arange(size)
+            _ICO_CACHE[key] = Grid(circle_directions(size), np.column_stack([i, (i + 1) % size]))
+        else:
+            _ICO_CACHE[key] = Grid(*icosphere(size))
+    return _ICO_CACHE[key]
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit icosphere at subdivision `level`.
+    """Unit icosphere at subdivision `level`, built anew on each call.
 
     Returns (vertices, faces) with 10*4**level + 2 unit vertices and
     20*4**level triangles. Level 0 is the icosahedron itself.
     """
-    grid = _icosphere(level)
-    return grid.verts, grid.faces
-
-
-def _icosphere(level: int) -> _Icosphere:
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level in _ICO_CACHE:
-        return _ICO_CACHE[level]
 
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
@@ -83,11 +110,7 @@ def _icosphere(level: int) -> _Icosphere:
 
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
-
-    verts.setflags(write=False)
-    faces.setflags(write=False)
-    _ICO_CACHE[level] = _Icosphere(verts, faces)
-    return _ICO_CACHE[level]
+    return verts, faces
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,21 +135,9 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([verts, m]), new_faces.reshape(-1, 3)
 
 
-def icosphere_covering_angle(level: int) -> float:
-    """Covering angle of the level-`level` icosphere vertex set.
-
-    Computed as the largest spherical circumradius over all faces: any unit
-    vector lies inside some face, whose vertices are within the face
-    circumradius of it. Computed once per level, and kept with the level's
-    grid.
-    """
-    grid = _icosphere(level)
-    if grid.covering_angle is None:
-        grid.covering_angle = _covering_angle(grid.verts, grid.faces)
-    return grid.covering_angle
-
-
 def _covering_angle(verts: np.ndarray, faces: np.ndarray) -> float:
+    if verts.shape[1] == 2:
+        return math.pi / len(verts)
     tri = verts[faces]
     # circumcenter direction: equidistant from the three vertices
     n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -136,22 +147,6 @@ def _covering_angle(verts: np.ndarray, faces: np.ndarray) -> float:
     n[flip] *= -1.0
     cosr = np.einsum("ij,ij->i", n, tri[:, 0])
     return float(np.max(np.arccos(np.clip(cosr, -1.0, 1.0))))
-
-
-def icosphere_adjacency(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Faces of the level-`level` icosphere and the corner across each edge.
-
-    Edge k of a face runs from its corner k to corner k + 1 (mod 3). The
-    face g that holds the same edge reversed has one corner c off it, and
-    ``across[f, k]`` is 3 g + c, so that ``faces.flat[across]`` is that
-    corner's vertex. The faces are those of :func:`icosphere`, read from
-    the level's grid without counting as an icosphere call; the table is
-    built once per level and kept with the grid. Both are read-only.
-    """
-    grid = _icosphere(level)
-    if grid.across is None:
-        grid.across = _corners_across(grid.faces)
-    return grid.faces, grid.across
 
 
 def _corners_across(faces: np.ndarray) -> np.ndarray:

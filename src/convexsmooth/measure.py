@@ -177,7 +177,8 @@ def check_mesh_dim(dim: int) -> None:
 
 
 def direction_grid(dim: int, resolution: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Unit direction grid and facet index array for the given dimension.
+    """Unit direction grid and facet index array for the given dimension,
+    those of the shared :func:`convexsmooth.grids.grid` record, read-only.
 
     2D resolution counts directions (>= 16); 3D resolution is the icosphere
     subdivision level (2 to ``_MAX_LEVEL_3D``). None takes the default:
@@ -190,33 +191,37 @@ def direction_grid(dim: int, resolution: int | None) -> tuple[np.ndarray, np.nda
         resolution = _DEFAULT_RESOLUTION[dim]
     if not _is_integer(resolution):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
-    if dim == 2:
-        if resolution < 16:
-            raise ValueError("2D resolution must be >= 16 directions")
-        return grids.circle_directions(resolution), grids.circle_facets(resolution)
-    if not 2 <= resolution <= _MAX_LEVEL_3D:
+    if dim == 2 and resolution < 16:
+        raise ValueError("2D resolution must be >= 16 directions")
+    if dim == 3 and not 2 <= resolution <= _MAX_LEVEL_3D:
         raise ValueError(f"3D resolution (icosphere level) must be from 2 to {_MAX_LEVEL_3D}")
-    return grids.icosphere(resolution)
+    grid = grids.grid(dim, int(resolution))
+    return grid.directions, grid.facets
 
 
-def sample_directions(dim: int, samples: int) -> tuple[np.ndarray, float]:
-    """Directions for a number of boundary samples, and their covering angle.
+def sample_directions(dim: int, samples: int) -> grids.Grid:
+    """The grid of a number of boundary samples, with its covering angle.
 
     2D takes max(samples, 4) evenly spaced directions, covering angle
     pi/count; 3D the smallest icosphere with at least ``samples`` vertices,
     with that icosphere's covering angle. Every unit vector lies within the
-    covering angle of some direction. The sampled certificates and the
-    probe use this grid; other dimensions raise :class:`InvalidBody`, and a
-    count that is not a positive integer ``ValueError``
-    (:func:`check_sample_count`).
+    covering angle of some direction. It is the shared
+    :func:`convexsmooth.grids.grid` record, the mesh grid of the same size,
+    and the sampled certificates and the probe read their directions,
+    facets, adjacency and cover from it. Other dimensions raise
+    :class:`InvalidBody`, a count that is not a positive integer
+    ``ValueError`` (:func:`check_sample_count`), and so does a 3D count
+    above the vertices of icosphere level ``_MAX_LEVEL_3D``, before any
+    grid is built.
     """
     check_mesh_dim(dim)
     samples = check_sample_count(samples)
     if dim == 2:
-        count = max(samples, 4)
-        return grids.circle_directions(count), grids.circle_covering_angle(count)
+        return grids.grid(2, max(samples, 4))
     level = grids.icosphere_level_for(samples)
-    return grids.icosphere(level)[0], grids.icosphere_covering_angle(level)
+    if level > _MAX_LEVEL_3D:
+        raise ValueError(f"3D samples must be at most {10 * 4**_MAX_LEVEL_3D + 2}, got {samples}")
+    return grids.grid(3, level)
 
 
 def radial_function(body, directions: np.ndarray) -> np.ndarray:
@@ -260,7 +265,9 @@ def radial_function(body, directions: np.ndarray) -> np.ndarray:
 def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points along a direction grid and an outward normal at each.
 
-    The directions are those of :func:`sample_directions`. Star-shapedness
+    The directions are those of the :func:`sample_directions` grid of the
+    count, in its order, so a certificate reads the samples' facets,
+    adjacency and covering angle from that record. Star-shapedness
     about the origin makes the radial points exhaustive; ridge and corner
     points take the normalized average of their active constraints'
     normals, a valid selection in the normal cone.
@@ -274,7 +281,7 @@ def boundary_samples(body, samples: int) -> tuple[np.ndarray, np.ndarray]:
     samples = check_sample_count(samples)
     drawn = body._samples.get(samples)
     if drawn is None:
-        dirs, _ = sample_directions(body.dim, samples)
+        dirs = sample_directions(body.dim, samples).directions
         pts = _read_only(radial_function(body, dirs)[:, None] * dirs)
         drawn = (pts, _read_only(outward_normal(body, pts)))
         body._samples[samples] = drawn
@@ -323,8 +330,8 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
     which is its boundary; off the blend tube its radii are 1/mu(u), the
     original body's to the bit, and its facets carry agreement flags.
     ``resolution`` is that of :func:`direction_grid`, whose default None
-    takes. The grid and radii built here are handed to the mesh read-only,
-    so it copies none of them.
+    takes. The grid is the shared read-only record and the radii built
+    here are made read-only, so the mesh copies none of them.
     """
     from .smooth import SmoothedBody, blended_level_mesh  # local: avoid cycle
 
@@ -332,7 +339,7 @@ def boundary_mesh(source, resolution: int | None) -> BoundaryMesh:
         return blended_level_mesh(source.gauge, resolution)
     if not isinstance(source, (BallBody, HalfspaceBody)):
         raise TypeError(f"cannot mesh a {type(source).__name__}")
-    dirs, facets = (_read_only(a) for a in direction_grid(source.dim, resolution))
+    dirs, facets = direction_grid(source.dim, resolution)
     radii = _read_only(radial_function(source, dirs))
     return BoundaryMesh(directions=dirs, radii=radii, facets=facets)
 

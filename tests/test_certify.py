@@ -36,7 +36,7 @@ from convexsmooth import (
 )
 from convexsmooth.bodies import MEMBERSHIP_SLACK, NORMAL_ATOL
 from convexsmooth.gauge import member_gauge_derivatives
-from convexsmooth.measure import boundary_samples
+from convexsmooth.measure import boundary_samples, sample_directions
 import oracle
 from helpers import (
     AXIS_CASE,
@@ -111,15 +111,24 @@ class TestSubgradientCertificate:
             ((np.zeros(2), math.nan, np.zeros(2)), "x, value and subgradient must be finite"),
             ((np.array([0.0, math.inf]), 0.0, np.zeros(2)), "x, value and subgradient must be finite"),
             ((np.zeros(2), 0.0, np.array([-math.inf, 0.0])), "x, value and subgradient must be finite"),
+            ((["a", "b"], 0.0, np.zeros(2)), "x, value and subgradient must be finite"),
+            ((np.zeros(2), None, np.zeros(2)), "x, value and subgradient must be finite"),
+            ((np.zeros(2), "0", np.zeros(2)), "x, value and subgradient must be finite"),
+            ((np.zeros(2), True, np.zeros(2)), "x, value and subgradient must be finite"),
+            ((np.zeros(2), 0.0, None), "x, value and subgradient must be finite"),
+            ((np.zeros(2), 0.0, [False, 0.0]), "x, value and subgradient must be finite"),
         ],
-        ids=["x-length", "subgradient-length", "nan-value", "inf-x", "inf-subgradient"],
+        ids=[
+            "x-length", "subgradient-length", "nan-value", "inf-x", "inf-subgradient",
+            "text-x", "none-value", "text-value", "bool-value", "none-subgradient", "bool-subgradient",
+        ],
     )
     def test_malformed_triples_are_named(self, triple, message):
         pts = [(np.ones(2), 2.0, 2.0 * np.ones(2)), triple, (np.zeros(2), 0.0, np.zeros(2))]
         with pytest.raises(ValueError, match=f"^triple 1: {re.escape(message)}$"):
             subgradient_certificate(pts, eta=1.0)
 
-    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, "1", None, True])
     def test_modulus_must_be_finite(self, eta):
         with pytest.raises(ValueError, match="^eta must be finite$"):
             subgradient_certificate(self.grid_points(), eta=eta)
@@ -610,7 +619,7 @@ def _widest_turn(body, samples):
 def _every_vertex_gap(body, samples):
     """The reconstruction gap from the projections of every vertex the
     library builds (the unpruned form)."""
-    V, _, _ = certify._reconstruction_vertices(*boundary_samples(body, samples))
+    V, _, _ = certify._reconstruction_vertices(*boundary_samples(body, samples), sample_directions(body.dim, samples))
     return float(np.max(np.linalg.norm(V - project_body(body, V), axis=1)))
 
 
@@ -698,7 +707,7 @@ class TestHalfspaceReconstruction:
         if _widest_turn(body, samples) >= math.pi:
             return  # named by test_pruned_gap_is_the_gap_of_every_vertex
         pts, normals = boundary_samples(body, samples)
-        V, flips, enumeration = certify._reconstruction_vertices(pts, normals)
+        V, flips, enumeration = certify._reconstruction_vertices(pts, normals, sample_directions(2, samples))
         assert (flips, enumeration) == (0, "adjacent_lines")
         exact = oracle.adjacent_line_vertices(pts, normals)
         bound = _vertex_rounding(pts, normals, V)
@@ -878,7 +887,7 @@ class TestFlippedHull:
         # bench/corpus.py's random_body_3d, m = 2-5, at 360 and 1000
         # samples) the gaps differed by at most 1.5 ulp of R + max |v|
         pts, normals = boundary_samples(body, samples)
-        V, faces, flips = certify._flipped_hull_vertices(pts, normals)
+        V, faces, flips = certify._flipped_hull_vertices(pts, normals, sample_directions(3, samples))
         fresh = BallBody(radius=body.radius, centers=body.centers, dim=3)
         gap = halfspace_reconstruction_gap(body, samples)
         reference = halfspace_gap_reference(fresh, samples)
@@ -898,7 +907,7 @@ class TestFlippedHull:
 
     def test_an_inverted_starting_triangle_falls_back_to_qhull(self):
         pts, normals = boundary_samples(FALLBACK_BODY, 1000)
-        V, flips, enumeration = certify._reconstruction_vertices(pts, normals)
+        V, flips, enumeration = certify._reconstruction_vertices(pts, normals, sample_directions(3, 1000))
         assert (flips, enumeration) == (0, "qhull")
         assert np.array_equal(V, halfspace_vertices_reference(FALLBACK_BODY, 1000))
         fresh = BallBody(radius=FALLBACK_BODY.radius, centers=FALLBACK_BODY.centers, dim=3)
@@ -906,14 +915,19 @@ class TestFlippedHull:
         assert np.float64(gap).tobytes() == np.float64(halfspace_gap_reference(FALLBACK_BODY, 1000)).tobytes()
 
     def test_the_grid_is_read_once(self, monkeypatch):
-        # the faces and their adjacency come from the grid entry that
-        # sample_directions fills, so a 3D gap makes one icosphere call
+        # the samples, faces, adjacency and cover come from the one record
+        # sample_directions returns, so a 3D certify builds one icosphere
+        # and one adjacency table, and computes one covering angle
         calls = []
-        icosphere = grids.icosphere
-        monkeypatch.setattr(grids, "icosphere", lambda level: calls.append(level) or icosphere(level))
+        for name in ("icosphere", "_corners_across", "_covering_angle"):
+            build = getattr(grids, name)
+            monkeypatch.setattr(grids, name, lambda *a, name=name, build=build: calls.append(name) or build(*a))
+        monkeypatch.setattr(grids, "_ICO_CACHE", {})
         body = BallBody(radius=1.0, centers=THREE_BALL.centers, dim=3)
-        assert halfspace_reconstruction_gap(body, 360).how["enumeration"] == "flips"
-        assert calls == [3]
+        reports = certify_body(body, 360)
+        assert reports[-1].worst_witness["enumeration"] == "flips"
+        assert calls == ["icosphere", "_corners_across", "_covering_angle"]
+        assert list(grids._ICO_CACHE) == [(3, 3)]
 
 
 class TestScaledVerdicts:
@@ -941,8 +955,9 @@ class TestScaledVerdicts:
         unit = THREE_BALL
         body = BallBody(radius=scale * unit.radius, centers=scale * unit.centers, dim=3)
         (pu, nu), (ps, ns) = boundary_samples(unit, 360), boundary_samples(body, 360)
-        Vu, faces, flips = certify._flipped_hull_vertices(pu, nu)
-        Vs, faces_s, flips_s = certify._flipped_hull_vertices(ps, ns)
+        grid = sample_directions(3, 360)
+        Vu, faces, flips = certify._flipped_hull_vertices(pu, nu, grid)
+        Vs, faces_s, flips_s = certify._flipped_hull_vertices(ps, ns, grid)
         assert flips_s == flips and np.array_equal(faces_s, faces)
         gu, gs = halfspace_reconstruction_gap(unit, 360), halfspace_reconstruction_gap(body, 360)
         assert gu.how == gs.how and gs.how["enumeration"] == "flips"

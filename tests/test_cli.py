@@ -179,7 +179,8 @@ def test_measure_holds_no_copy_of_the_mesh_text(name, resolution, lens_file, tmp
     if name == "three-ball":
         path = tmp_path / "three-ball.json"
         path.write_text(json.dumps(THREE_BALL))
-        grids.icosphere(resolution)  # the cached grid is built before tracing
+    # the cached grid is built before tracing, whatever earlier tests cached
+    grids.grid(2 if name == "lens" else 3, resolution)
     out = tmp_path / "out"
     config = RunConfig(command="measure", input=str(path), output=str(out), resolution=resolution)
     tracemalloc.start()
@@ -307,6 +308,25 @@ def test_unsupported_dimension_exits_2_with_named_error(command, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert "meshing supports dim 2 and 3 only, got dim 4" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "probe"])
+def test_3d_samples_past_the_finest_level_exit_2_building_no_grid(command, tmp_path, capsys, monkeypatch):
+    # 2,621,443 samples would take icosphere level 10, 10.5M vertices
+    def unbuilt(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(grids, "icosphere", unbuilt)
+    monkeypatch.setattr(grids, "_ICO_CACHE", {})
+    body = THREE_BALL
+    if command == "probe":
+        body = {"inner": THREE_BALL, "outer": {"dim": 3, "radius": 2.0, "centers": [[0.0, 0.0, 0.0]]}}
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--output", str(out), "--resolution", "2621443"]) == 2
+    assert "3D samples must be at most 2621442, got 2621443" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["smooth", "probe"])

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,8 +136,9 @@ class TestBoundaryMesh:
                 "centres", "radii", "span", "normal",
             )},
             **dict(zip(("boundary sample points", "boundary sample normals"), boundary_samples(ball_body, 100))),
-            "icosphere vertices": grids.icosphere(2)[0],
-            "icosphere faces": grids.icosphere(2)[1],
+            **{f"{dim}D Grid.{name}": getattr(grids.grid(dim, size), name)
+               for dim, size in ((2, 16), (3, 2)) for name in ("directions", "facets")},
+            "Grid.across": grids.grid(3, 2).across,
         }
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
@@ -145,8 +147,8 @@ class TestBoundaryMesh:
 
     @pytest.mark.parametrize("dim, resolution", [(2, 16), (3, 2)], ids=["circle", "icosphere"])
     def test_the_callers_arrays_stay_writeable(self, dim, resolution):
-        # a writeable array is copied, read-only; the cached icosphere grid
-        # is read-only already and is kept as is
+        # a writeable array is copied, read-only; the cached grid is
+        # read-only already and is kept as is
         dirs, facets = direction_grid(dim, resolution)
         given = {
             "directions": dirs,
@@ -296,7 +298,8 @@ class TestBoundaryMesh:
     "dim, samples", [(2, 8), (2, 100), (2, 360), (2, 721), (3, 64), (3, 360), (3, 700)]
 )
 def test_sample_directions_are_the_certificate_grid(dim, samples):
-    dirs, cover = sample_directions(dim, samples)
+    grid = sample_directions(dim, samples)
+    dirs, cover = grid.directions, grid.covering_angle
     # the directions are boundary_samples' own, and the angle is the
     # certificates' covering angle of a sample count: pi/samples in 2D, the
     # smallest icosphere with that many vertices in 3D
@@ -304,12 +307,14 @@ def test_sample_directions_are_the_certificate_grid(dim, samples):
     points, _ = boundary_samples(body, samples)
     assert np.array_equal(points, radial_function(body, dirs)[:, None] * dirs)
     if dim == 2:
+        assert grid is grids.grid(2, samples)
         assert np.array_equal(dirs, grids.circle_directions(samples))
         assert cover == math.pi / samples
     else:
         level = grids.icosphere_level_for(samples)
+        assert grid is grids.grid(3, level)
         assert len(dirs) >= samples > 10 * 4 ** (level - 1) + 2
-        assert cover == grids.icosphere_covering_angle(level)
+        assert cover == grids._covering_angle(*grids.icosphere(level))
     # and it covers: every unit vector lies within it of some direction
     u = np.random.default_rng(samples).standard_normal((2000, dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -357,8 +362,9 @@ def test_direction_grid_refuses_a_grid_it_cannot_build(dim, resolution, message,
     def unbuilt(*args):
         raise AssertionError("a grid was built")
 
-    for name in ("icosphere", "circle_directions", "circle_facets"):
+    for name in ("icosphere", "circle_directions"):
         monkeypatch.setattr(grids, name, unbuilt)
+    monkeypatch.setattr(grids, "_ICO_CACHE", {})
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         direction_grid(dim, resolution)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -369,8 +375,25 @@ def test_direction_grid_takes_numpy_integers_and_the_finest_level(monkeypatch):
     for got, want in zip(direction_grid(2, np.int64(64)), direction_grid(2, 64)):
         assert np.array_equal(got, want)
     # level 9 (2,621,442 vertices) is asked for, not built
-    monkeypatch.setattr(grids, "icosphere", lambda level: ("asked", level))
-    assert direction_grid(3, np.int64(9)) == ("asked", 9)
+    monkeypatch.setattr(grids, "grid", lambda dim, size: SimpleNamespace(directions=dim, facets=size))
+    assert direction_grid(3, np.int64(9)) == (3, 9)
+
+
+def test_3d_samples_stop_at_the_finest_level(monkeypatch):
+    # one sample more than level 9 has vertices would ask for level 10, 10.5M
+    # vertices: refused before any grid is built, and level 9 is asked for
+    def unbuilt(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(grids, "icosphere", unbuilt)
+    monkeypatch.setattr(grids, "_ICO_CACHE", {})
+    message = "3D samples must be at most 2621442, got 2621443"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_directions(3, 2621443)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        boundary_samples(unit_ball(3), 2621443)
+    monkeypatch.setattr(grids, "grid", lambda dim, size: ("asked", dim, size))
+    assert sample_directions(3, 2621442) == ("asked", 3, 9)
 
 
 @pytest.mark.parametrize("dim, default", [(2, 1024), (3, 4)])
