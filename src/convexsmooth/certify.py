@@ -152,9 +152,13 @@ def subgradient_certificate(points, eta: float) -> CertificateReport:
     pts = list(points)
     if len(pts) < 2:
         raise InsufficientData("need at least 2 sample points")
-    for k, p in enumerate(pts):
-        if any(part is None or _text_or_bool(part) for part in (p[0], p[1], p[2])):
-            raise ValueError(f"triple {k}: x, value and subgradient must be finite")
+    # np.asarray and float() would take a bool or a numeric string for a
+    # number, so parts are searched for them one by one, unless every part
+    # is a float64 or int64 array or scalar, as the library's own triples are
+    if {getattr(part, "dtype", type(part)) for p in pts for part in p} - {np.dtype(float), np.dtype(int)}:
+        for k, p in enumerate(pts):
+            if any(part is None or _text_or_bool(part) for part in (p[0], p[1], p[2])):
+                raise ValueError(f"triple {k}: x, value and subgradient must be finite")
     xs = [np.asarray(p[0], dtype=float).ravel() for p in pts]
     gs = [np.asarray(p[2], dtype=float).ravel() for p in pts]
     dim = len(xs[0])

@@ -69,14 +69,13 @@ def grid(dim: int, size: int) -> Grid:
     """The shared grid of ``size`` directions in 2D (:func:`circle_directions`)
     or of icosphere level ``size`` in 3D (:func:`icosphere`), built on the
     first call for each dimension and size."""
-    key = (dim, size)
-    if key not in _ICO_CACHE:
+    if (dim, size) not in _ICO_CACHE:
         if dim == 2:
             i = np.arange(size)
-            _ICO_CACHE[key] = Grid(circle_directions(size), np.column_stack([i, (i + 1) % size]))
+            _ICO_CACHE[dim, size] = Grid(circle_directions(size), np.column_stack([i, (i + 1) % size]))
         else:
-            _ICO_CACHE[key] = Grid(*icosphere(size))
-    return _ICO_CACHE[key]
+            _ICO_CACHE[dim, size] = Grid(*icosphere(size))
+    return _ICO_CACHE[dim, size]
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
